@@ -17,10 +17,10 @@
  * with the serial run — the fast path changes when work happens,
  * never what work happens.
  *
- * --smoke shrinks the grid for CI; scripts/perf_baseline.py parses
- * the "# begin-json setup_throughput" block to record and gate
- * setups/s.  --seeds=N reruns the faulted smoke point over N seeds
- * (digest + drain checks only), which is what the ASan job sweeps.
+ * --smoke shrinks the grid for CI; the "# begin-json setup_throughput"
+ * block carries setups/s per point for scripts.  --seeds=N reruns the
+ * faulted smoke point over N seeds (digest + drain checks only), which
+ * is what the ASan job sweeps.
  */
 
 #include <chrono>

@@ -60,6 +60,11 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     linkDown.resize(topo.numNodes());
     for (NodeId n = 0; n < topo.numNodes(); ++n)
         linkDown[n].assign(topo.degree(n), false);
+    portOffset.assign(topo.numNodes() + 1, 0);
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        portOffset[n + 1] = portOffset[n] + routers[n]->config().numPorts;
+    probeAlloc.assign(portOffset.back(), 0);
+    probePeak.assign(portOffset.back(), 0);
 
     probeMgr = std::make_unique<ProbeSetupManager>(
         topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
@@ -1164,7 +1169,7 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
             chk, sweep_period, "router" + std::to_string(n) + ".",
             [this, n](std::vector<unsigned> &alloc,
                       std::vector<unsigned> &peak) {
-                probeMgr->accountReservations(n, alloc, peak);
+                addProbeHoldings(n, alloc, peak);
             });
     }
 
@@ -1212,6 +1217,29 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
             }
         },
         sweep_period);
+}
+
+void
+Network::addProbeHoldings(NodeId n, std::vector<unsigned> &alloc,
+                          std::vector<unsigned> &peak)
+{
+    // One pass over every probe serves all routers' rows until the
+    // probes' hop lists next change.
+    const std::uint64_t stamp = probeMgr->reservationStamp();
+    if (probeTableStamp != stamp) {
+        std::fill(probeAlloc.begin(), probeAlloc.end(), 0u);
+        std::fill(probePeak.begin(), probePeak.end(), 0u);
+        probeMgr->accountReservations(portOffset, probeAlloc, probePeak);
+        probeTableStamp = stamp;
+    }
+    const std::size_t row = portOffset[n];
+    const std::size_t width = portOffset[n + 1] - row;
+    mmr_assert(alloc.size() == width && peak.size() == width,
+               "demand vectors must be sized to node ", n, "'s ports");
+    for (std::size_t o = 0; o < width; ++o) {
+        alloc[o] += probeAlloc[row + o];
+        peak[o] += probePeak[row + o];
+    }
 }
 
 // ---------------------------------------------------------------------

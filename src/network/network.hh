@@ -311,6 +311,16 @@ class Network : public Clocked
     void registerInvariants(InvariantChecker &chk,
                             unsigned sweep_period = 16);
 
+    /**
+     * Add the bandwidth in-flight setup probes hold at node @p n to
+     * per-output @p alloc / @p peak (sized to the node's port count):
+     * row n of a per-(node, output) table that one pass over the
+     * probes fills, refilled only when their reservation stamp moves.
+     * This is the probe term of every router's admission-ledger audit.
+     */
+    void addProbeHoldings(NodeId n, std::vector<unsigned> &alloc,
+                          std::vector<unsigned> &peak);
+
     // ------------------------------------------------------------------
     // Datagram traffic (VCT)
     // ------------------------------------------------------------------
@@ -516,6 +526,14 @@ class Network : public Clocked
     std::unique_ptr<UpDownRouting> updownRoutes;
     std::vector<std::unique_ptr<MmrRouter>> routers;
     std::unique_ptr<ProbeSetupManager> probeMgr;
+
+    /** Probe-held bandwidth per (node, output): node n's row is
+     * [portOffset[n], portOffset[n + 1]).  Current while
+     * probeTableStamp equals the manager's reservationStamp(). */
+    std::vector<std::size_t> portOffset;
+    std::vector<unsigned> probeAlloc;
+    std::vector<unsigned> probePeak;
+    std::uint64_t probeTableStamp = ~std::uint64_t{0};
 
     struct TimedRequestInfo
     {

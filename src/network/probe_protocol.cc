@@ -178,6 +178,7 @@ ProbeSetupManager::begin(const SetupRequest &req, SetupPolicy policy,
     // mid-flight do not retarget a probe (same as the uncached BFS).
     p.distToDst = distancesTo(req.dst);
     order.push_back(idx);
+    ++holdStamp;
     return p.setup.token;
 }
 
@@ -188,6 +189,7 @@ ProbeSetupManager::timeoutProbe(Probe &p, Cycle now)
     for (auto it = s.hops.rbegin(); it != s.hops.rend(); ++it)
         releaseHop(routerAt(it->node), *it, s.request);
     s.hops.clear();
+    ++holdStamp;
     s.state = SetupState::Refused;
     s.timedOut = true;
     s.finishedAt = now;
@@ -196,23 +198,27 @@ ProbeSetupManager::timeoutProbe(Probe &p, Cycle now)
 }
 
 void
-ProbeSetupManager::accountReservations(NodeId n,
-                                       std::vector<unsigned> &alloc,
-                                       std::vector<unsigned> &peak) const
+ProbeSetupManager::accountReservations(
+    const std::vector<std::size_t> &port_offset,
+    std::vector<unsigned> &alloc, std::vector<unsigned> &peak) const
 {
+    mmr_assert(port_offset.size() == topo.numNodes() + 1 &&
+                   alloc.size() == port_offset.back() &&
+                   peak.size() == port_offset.back(),
+               "reservation accounting table mis-sized");
     for (const std::uint32_t idx : order) {
         const Probe &p = slots[idx];
         const SetupRequest &req = p.setup.request;
         for (const ReservedHop &hop : p.setup.hops) {
-            if (hop.node != n)
-                continue;
-            mmr_assert(hop.out < alloc.size() && hop.out < peak.size(),
-                       "reservation accounting vectors too small");
+            const std::size_t row = port_offset[hop.node];
+            mmr_assert(hop.out < port_offset[hop.node + 1] - row,
+                       "reserved hop on a port the node does not have");
+            const std::size_t i = row + hop.out;
             if (req.klass == TrafficClass::CBR) {
-                alloc[hop.out] += req.allocCycles;
+                alloc[i] += req.allocCycles;
             } else {
-                alloc[hop.out] += req.permCycles;
-                peak[hop.out] += req.peakCycles;
+                alloc[i] += req.permCycles;
+                peak[i] += req.peakCycles;
             }
         }
     }
@@ -260,6 +266,7 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
                 // mmr-lint: allow(hot-path-alloc) amortized: hop
                 // vectors keep capacity across probe slot reuse.
                 s.hops.push_back(ReservedHop{p.at, ni, vc});
+                ++holdStamp;
                 // Ack walks back over every reserved hop.
                 s.state = SetupState::Returning;
                 p.ackIndex = s.hops.size();
@@ -294,6 +301,7 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
                 continue;
             // mmr-lint: allow(hot-path-alloc) amortized: see above.
             s.hops.push_back(ReservedHop{p.at, out, vc});
+            ++holdStamp;
             p.at = topo.neighborAt(p.at, out);
             ++s.forwardSteps;
             p.nextAction = now + hopLatency;
@@ -306,6 +314,7 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
         for (auto it = s.hops.rbegin(); it != s.hops.rend(); ++it)
             releaseHop(routerAt(it->node), *it, req);
         s.hops.clear();
+        ++holdStamp;
         s.state = SetupState::Refused;
         s.finishedAt = now;
         onComplete(s);
@@ -313,6 +322,7 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
     }
     const ReservedHop hop = s.hops.back();
     s.hops.pop_back();
+    ++holdStamp;
     releaseHop(routerAt(hop.node), hop, req);
     p.at = hop.node;
     ++s.backtrackSteps;
@@ -341,6 +351,9 @@ ProbeSetupManager::step(Cycle now)
             continue;
         }
         order.erase(order.begin() + static_cast<std::ptrdiff_t>(i));
+        // Leaving the in-flight set retires the probe's hops from the
+        // table (an Established path is now installed segments).
+        ++holdStamp;
         // mmr-lint: allow(hot-path-alloc) amortized: free list grows
         // to the probe high-water mark, then recycles.
         freeSlots.push_back(idx);

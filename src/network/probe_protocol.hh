@@ -123,13 +123,31 @@ class ProbeSetupManager
     std::uint64_t setupTimeouts() const { return statTimeouts; }
 
     /**
-     * Add the bandwidth held at node @p n by in-flight probes to the
-     * per-output demand vectors (sized to the node's port count).
-     * Lets an admission-ledger audit account for reservations that
-     * are not yet installed segments.
+     * Add the bandwidth every in-flight probe holds to flat
+     * per-(node, output) tables in one pass over the probes: node n's
+     * row is [port_offset[n], port_offset[n + 1]), and a hop at
+     * (n, out) adds to entry port_offset[n] + out.  Lets the
+     * admission-ledger audits account for reservations that are not
+     * yet installed segments.
      */
-    void accountReservations(NodeId n, std::vector<unsigned> &alloc,
+    void accountReservations(const std::vector<std::size_t> &port_offset,
+                             std::vector<unsigned> &alloc,
                              std::vector<unsigned> &peak) const;
+
+    /**
+     * Changes whenever any in-flight probe's hop list changes: begin,
+     * hop reserve, backtrack or release, timeout, and completion.  A
+     * table filled by accountReservations() is current while this
+     * stamp is unchanged.
+     */
+    std::uint64_t reservationStamp() const { return holdStamp; }
+
+    /** The @p i-th in-flight setup in service order (i < inFlight()). */
+    const TimedSetup &
+    inFlightAt(std::size_t i) const
+    {
+        return slots[order[i]].setup;
+    }
 
     /**
      * Launch a probe.  Returns a token to correlate with the
@@ -220,6 +238,7 @@ class ProbeSetupManager
     std::uint64_t nextToken = 1;
     std::uint64_t statMessagesLost = 0;
     std::uint64_t statTimeouts = 0;
+    std::uint64_t holdStamp = 0; ///< see reservationStamp()
 
     /** Probe slot pool: order holds the indices of live slots in
      * launch order (the protocol's service order); freeSlots holds

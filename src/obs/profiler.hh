@@ -6,9 +6,7 @@
  * The kernel attributes wall time to each registered component when
  * profiling is enabled (Kernel::enableProfiling); this module turns
  * that raw attribution plus run totals into the summary every
- * ExperimentResult carries — cycles/second and events/second — so a
- * perf PR can prove itself against a recorded baseline
- * (BENCH_throughput.json).
+ * ExperimentResult carries — cycles/second and events/second.
  *
  * Wall-clock numbers are inherently nondeterministic; they are kept
  * out of resultDigest() and out of every trace/stats file that the
@@ -77,7 +75,7 @@ struct SimProfile
 SimProfile collectProfile(const Kernel &kernel, double wall_seconds,
                           std::uint64_t events);
 
-/** Machine-readable form (consumed by scripts/perf_baseline.py). */
+/** Machine-readable form of the summary (one JSON object). */
 void writeProfileJson(std::ostream &os, const SimProfile &p);
 
 /** Human-readable one-block summary for bench/example stderr. */

@@ -745,11 +745,15 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
     // Admission ledger (§4.2): the per-link allocated/peak registers
     // equal the sum over installed segments, and stay within the round
     // minus the best-effort reserve.
+    ledgerAlloc.assign(cfg.numPorts, 0);
+    ledgerPeak.assign(cfg.numPorts, 0);
     chk.add(
         prefix + "admission-ledger",
         [this, extra_demand = std::move(extra_demand)](Cycle) {
-            std::vector<unsigned> alloc(cfg.numPorts, 0);
-            std::vector<unsigned> peak(cfg.numPorts, 0);
+            std::vector<unsigned> &alloc = ledgerAlloc;
+            std::vector<unsigned> &peak = ledgerPeak;
+            std::fill(alloc.begin(), alloc.end(), 0u);
+            std::fill(peak.begin(), peak.end(), 0u);
             if (extra_demand)
                 extra_demand(alloc, peak);
             // Slot order; commutative integer sums into per-port

@@ -312,6 +312,11 @@ class MmrRouter : public Clocked
     std::vector<std::pair<PortId, PortId>> configScratch;
     std::vector<std::pair<PortId, PortId>> lastConfig; ///< reconfig cmp
 
+    /** admission-ledger scratch: per-output sums over the bound
+     * segments plus the extra demand, refilled by every audit. */
+    std::vector<unsigned> ledgerAlloc;
+    std::vector<unsigned> ledgerPeak;
+
     // Hot statistic counters (the values StatsRegistry probes bind
     // to), bumped every cycle by whichever shard worker owns this
     // router.  Cache-line aligned so the block never shares a line

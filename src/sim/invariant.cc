@@ -76,6 +76,11 @@ InvariantChecker::add(std::string name, CheckFn fn, unsigned period)
     mmr_assert(fn != nullptr, "invariant '", name, "' has no predicate");
     mmr_assert(period > 0, "invariant '", name, "' needs period >= 1");
     mmr_assert(!has(name), "invariant '", name, "' registered twice");
+    if (period == 1)
+        everyCycle.push_back(entries.size());
+    else if (std::find(strides.begin(), strides.end(), period) ==
+             strides.end())
+        strides.push_back(period);
     entries.push_back(Entry{std::move(name), std::move(fn), period});
 }
 
@@ -125,6 +130,19 @@ InvariantChecker::advance(Cycle now)
 {
     if (!invariant::enabled())
         return;
+    // Between sweeps only the period-1 entries are due: run just those
+    // (a subsequence, so registration order holds) instead of testing
+    // every strided entry's period.
+    const bool sweep =
+        std::any_of(strides.begin(), strides.end(),
+                    [now](unsigned p) { return now % p == 0; });
+    if (!sweep) {
+        for (const std::size_t i : everyCycle) {
+            entries[i].fn(now);
+            ++ran;
+        }
+        return;
+    }
     for (const Entry &e : entries) {
         if (e.period == 1 || now % e.period == 0) {
             e.fn(now);

@@ -119,6 +119,11 @@ class InvariantChecker : public Clocked
     };
 
     std::vector<Entry> entries;
+    /** Indices of the period-1 entries, in registration order: the
+     * whole audit on a cycle where no stride is due. */
+    std::vector<std::size_t> everyCycle;
+    /** The distinct periods > 1, tested once per cycle each. */
+    std::vector<unsigned> strides;
     mutable std::uint64_t ran = 0;
 };
 

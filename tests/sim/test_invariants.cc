@@ -75,6 +75,34 @@ TEST(InvariantFramework, AdvanceHonorsPeriods)
     EXPECT_EQ(chk.checksRun(), 10u);
 }
 
+TEST(InvariantFramework, DispatchMatchesThePeriodRule)
+{
+    // Mixed strides interleaved in registration order: every cycle must
+    // call exactly the entries the plain `now % period` rule selects,
+    // in registration order, whether or not any stride is due.
+    const std::vector<std::pair<std::string, unsigned>> spec = {
+        {"a", 4}, {"b", 1}, {"c", 6}, {"d", 1}, {"e", 4}, {"f", 6}};
+    InvariantChecker chk;
+    std::vector<std::pair<Cycle, std::string>> calls;
+    for (const auto &s : spec) {
+        chk.add(
+            s.first,
+            [&calls, name = s.first](Cycle now) {
+                calls.emplace_back(now, name);
+            },
+            s.second);
+    }
+    std::vector<std::pair<Cycle, std::string>> want;
+    for (Cycle now = 0; now <= 50; ++now) {
+        chk.advance(now);
+        for (const auto &s : spec)
+            if (now % s.second == 0)
+                want.emplace_back(now, s.first);
+    }
+    EXPECT_EQ(calls, want);
+    EXPECT_EQ(chk.checksRun(), want.size());
+}
+
 TEST(InvariantFramework, DisabledSkipsChecks)
 {
     InvariantChecker chk;
