@@ -53,17 +53,18 @@ timedSweep(SetupPolicy policy, unsigned total, unsigned batch,
         const auto token =
             net.openCbrTimed(src, dst, rate, kernel.now(), policy);
         // Drive the clock until the probe resolves.
-        const Network::TimedOutcome *r = nullptr;
-        for (Cycle c = 0; c < 50000 && r == nullptr; ++c) {
+        Network::TimedOutcome r;
+        bool done = false;
+        for (Cycle c = 0; c < 50000 && !done; ++c) {
             kernel.step();
-            r = net.timedResult(token);
+            done = net.takeTimedResult(token, r);
         }
-        mmr_assert(r != nullptr, "probe never completed");
+        mmr_assert(done, "probe never completed");
         ++cur.offered;
-        if (r->accepted) {
+        if (r.accepted) {
             ++cur.accepted;
-            cur.setupCycles.add(static_cast<double>(r->setupCycles));
-            cur.backtracks.add(static_cast<double>(r->backtrackSteps));
+            cur.setupCycles.add(static_cast<double>(r.setupCycles));
+            cur.backtracks.add(static_cast<double>(r.backtrackSteps));
         }
         if (cur.offered % batch == 0) {
             samples.push_back(cur);

@@ -110,7 +110,7 @@ main(int argc, char **argv)
                 Flit f;
                 f.seq = seq++;
                 f.createTime = kernel.now();
-                net.inject(video.id, f, kernel.now());
+                net.inject(net.ticket(video.id), f, kernel.now());
             }
             kernel.step();
         }

@@ -108,7 +108,7 @@ main(int argc, char **argv)
                     Flit f;
                     f.seq = seq[k]++;
                     f.createTime = kernel.now();
-                    net.inject(conns[k], f, kernel.now());
+                    net.inject(net.ticket(conns[k]), f, kernel.now());
                 }
             }
             for (auto &h : hosts)

@@ -97,24 +97,24 @@ RecoveryManager::evaluate(Cycle now)
     for (std::size_t i = 0; i < active.size();) {
         Attempt &a = active[i];
         if (a.haveToken) {
-            const Network::TimedOutcome *r = net.timedResult(a.token);
-            if (!r) {
+            Network::TimedOutcome r;
+            if (!net.takeTimedResult(a.token, r)) {
                 ++i; // probe still in flight
                 continue;
             }
             a.haveToken = false;
-            if (r->accepted) {
+            if (r.accepted) {
                 RecoveryStatus &st = results[a.origId];
                 st.state = RecoveryState::Recovered;
-                st.replacement = r->id;
+                st.replacement = r.id;
                 st.attempts = a.attempt;
                 ++statRecovered;
                 // Keep the replacement covered against later faults.
-                specs[r->id] = a.spec;
+                specs[r.id] = a.spec;
                 MMR_OBS_EVENT(TraceCat::Fault,
                               "recovery_rerouted", now, a.spec.src,
                               a.origId,
-                              static_cast<std::int32_t>(r->id));
+                              static_cast<std::int32_t>(r.id));
                 active.erase(active.begin() +
                              static_cast<std::ptrdiff_t>(i));
                 continue;

@@ -31,8 +31,7 @@ NetworkInterface::openCbrStream(NodeId dst, double rate_bps,
     s.rateBps = rate_bps;
     s.source = std::make_unique<CbrSource>(
         rate_bps, net.routerAt(host).config().linkRateBps, rng);
-    streams.push_back(std::move(s));
-    adoptStream(streams.back());
+    addStream(std::move(s));
     return true;
 }
 
@@ -58,8 +57,7 @@ NetworkInterface::openVbrStream(NodeId dst, const VbrProfile &profile,
     s.priority = priority;
     s.source = std::make_unique<VbrSource>(profile, rc.linkRateBps,
                                            rc.flitBits, rng);
-    streams.push_back(std::move(s));
-    adoptStream(streams.back());
+    addStream(std::move(s));
     return true;
 }
 
@@ -101,9 +99,16 @@ NetworkInterface::openTraceStream(NodeId dst,
     s.profile.peakToMean = peak_to_mean;
     s.priority = priority;
     s.source = std::move(source);
+    addStream(std::move(s));
+    return true;
+}
+
+void
+NetworkInterface::addStream(Stream s)
+{
+    s.ticket = net.ticket(s.conn);
     streams.push_back(std::move(s));
     adoptStream(streams.back());
-    return true;
 }
 
 void
@@ -154,6 +159,7 @@ NetworkInterface::pollRecovery(Stream &s)
         return true; // keep waiting; tick() drops arrivals meanwhile
       case RecoveryState::Recovered:
         s.conn = st->replacement;
+        s.ticket = net.ticket(s.conn);
         s.recovering = false;
         ++reestablished;
         return true;
@@ -184,6 +190,7 @@ NetworkInterface::recoverStream(Stream &s)
             return false;
         s.conn = o.id;
     }
+    s.ticket = net.ticket(s.conn);
     ++reestablished;
     return true;
 }
@@ -202,12 +209,11 @@ NetworkInterface::addBestEffortFlow(NodeId dst, double rate_bps)
 void
 NetworkInterface::tick(Cycle now)
 {
-    // Streams whose connection died (link failure) are recovered or
-    // retired before any injection work.
+    // Streams whose ticket died (link failure, or a close from
+    // outside) are recovered or retired before any injection work.
     for (std::size_t i = 0; i < streams.size();) {
         Stream &s = streams[i];
-        if (!s.recovering &&
-            net.connectionState(s.conn) == Network::ConnState::Open) {
+        if (!s.recovering && net.live(s.ticket)) {
             ++i;
             continue;
         }
@@ -231,17 +237,9 @@ NetworkInterface::tick(Cycle now)
             continue;
         }
         const unsigned n = s.source->arrivals(now);
-        if (n == 0 && s.backlog.empty())
-            continue; // idle cycle: skip the endpoint resolution
-        // Flit-batch processing per (port, VC): every flit this
-        // stream sends this cycle lands in the same input FIFO, so
-        // the connection-map lookups are paid once per (stream,
-        // cycle) instead of once per flit.
-        Network::InjectHandle ep = net.resolveInject(s.conn);
         // Drain the back-pressure backlog first, preserving order.
-        while (!s.backlog.empty()) {
-            if (!ep.valid() || !ep.push(s.backlog.front(), now))
-                break;
+        while (!s.backlog.empty() &&
+               net.inject(s.ticket, s.backlog.front(), now)) {
             s.backlog.pop_front();
             ++injected;
         }
@@ -249,7 +247,7 @@ NetworkInterface::tick(Cycle now)
             Flit f;
             f.seq = s.seq++;
             f.createTime = now;
-            if (!s.backlog.empty() || !ep.valid() || !ep.push(f, now))
+            if (!s.backlog.empty() || !net.inject(s.ticket, f, now))
                 s.backlog.push_back(f);
             else
                 ++injected;

@@ -106,6 +106,8 @@ class NetworkInterface
     struct Stream
     {
         ConnId conn;
+        /** Injection ticket for conn; re-minted whenever conn changes. */
+        Network::Ticket ticket;
         NodeId dst = kInvalidNode;
         double rateBps = 0.0; ///< for re-establishment after failure
         bool isVbr = false;
@@ -120,6 +122,9 @@ class NetworkInterface
 
     /** Handle a stream whose connection failed; true when replaced. */
     bool recoverStream(Stream &s);
+
+    /** Mint @p s's ticket, keep the stream and adopt it for recovery. */
+    void addStream(Stream s);
 
     /** Register a stream with the attached RecoveryManager. */
     void adoptStream(const Stream &s);

@@ -36,17 +36,15 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
             shardOf[n] = s;
     mailboxes = std::vector<ShardMailbox>(numShards);
-    if (numShards > 1) {
-        pool = std::make_unique<ShardPool>(numShards);
-        evalPhase = [this](unsigned s) {
-            for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-                routers[n]->evaluate(phaseCycle);
-        };
-        advPhase = [this](unsigned s) {
-            for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-                routers[n]->advance(phaseCycle);
-        };
-    }
+    pool = std::make_unique<ShardPool>(numShards);
+    evalPhase = [this](unsigned s) {
+        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
+            routers[n]->evaluate(phaseCycle);
+    };
+    advPhase = [this](unsigned s) {
+        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
+            routers[n]->advance(phaseCycle);
+    };
 
     routers.reserve(topo.numNodes());
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
@@ -232,45 +230,29 @@ Network::routerAt(NodeId n)
 
 // mmr-lint: allow(hot-path-alloc) amortized: the mailbox logs the
 // router callbacks append to keep their capacity across cycles, so a
-// steady-state parallel phase allocates nothing.
+// steady-state phase allocates nothing.
 void
 Network::wireRouter(NodeId n)
 {
-    // During a parallel phase (deferring == true) every callback
-    // becomes a mailbox record on the emitting router's shard instead
-    // of being applied inline: the inline bodies touch other routers
-    // (credit upstream, link queues, end-to-end stats), which a
-    // worker thread must not do.  The coordinator replays the logs
-    // after the barrier in shard order, which for a contiguous-id
-    // partition is exactly the serial loop's ascending-router order.
+    // Every callback becomes a record in the emitting router's shard
+    // mailbox instead of being applied inline: the handlers touch
+    // other routers (credit upstream, link queues, end-to-end stats),
+    // which a worker thread must not do.  The coordinator replays the
+    // logs after each phase in shard order, which for a contiguous-id
+    // partition is ascending router id at every shard count.  The one
+    // callback that fires outside a phase — segment removal while
+    // processPendingCloses() tears a PCS path down — returns before
+    // logging, because PCS segments never set releaseWhenEmpty.
     const unsigned shard = shardOf[n];
     routers[n]->setSink(
-        [this, n, shard](PortId out, VcId out_vc, const Flit &f,
-                         Cycle now) {
-            if (deferring) {
-                DeferredEvent e;
-                e.kind = DeferredEvent::Kind::Egress;
-                e.node = n;
-                e.port = out;
-                e.vc = out_vc;
-                e.flit = f;
-                mailboxes[shard].log.push_back(e);
-                return;
-            }
-            handleEgress(n, out, out_vc, f, now);
+        [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
+            mailboxes[shard].log.push_back(DeferredEvent{
+                DeferredEvent::Kind::Egress, n, out, out_vc, f});
         });
     routers[n]->setCreditReturn(
-        [this, n, shard](PortId in, VcId vc, Cycle now) {
-            if (deferring) {
-                DeferredEvent e;
-                e.kind = DeferredEvent::Kind::Credit;
-                e.node = n;
-                e.port = in;
-                e.vc = vc;
-                mailboxes[shard].log.push_back(e);
-                return;
-            }
-            handleCreditReturn(n, in, vc, now);
+        [this, n, shard](PortId in, VcId vc, Cycle) {
+            mailboxes[shard].log.push_back(DeferredEvent{
+                DeferredEvent::Kind::Credit, n, in, vc, Flit{}});
         });
     routers[n]->setSegmentRemoved(
         [this, n, shard](const SegmentParams &seg) {
@@ -283,26 +265,18 @@ Network::wireRouter(NodeId n)
             // buffer is still occupied).
             if (!seg.releaseWhenEmpty || seg.in >= topo.degree(n))
                 return;
-            if (deferring) {
-                DeferredEvent e;
-                e.kind = DeferredEvent::Kind::SegRemoved;
-                e.node = n;
-                e.port = seg.in;
-                e.vc = seg.inVc;
-                e.seg = seg;
-                mailboxes[shard].log.push_back(e);
-                return;
-            }
-            handleSegmentRemoved(n, seg);
+            mailboxes[shard].log.push_back(DeferredEvent{
+                DeferredEvent::Kind::SegRemoved, n, seg.in, seg.inVc,
+                Flit{}});
         });
 }
 
 void
-Network::handleSegmentRemoved(NodeId n, const SegmentParams &seg)
+Network::handleSegmentRemoved(NodeId n, PortId in, VcId in_vc)
 {
-    const NodeId upstream = topo.neighborAt(n, seg.in);
+    const NodeId upstream = topo.neighborAt(n, in);
     const PortId up_port = topo.portTowards(upstream, n);
-    routers[upstream]->routing().freeOutputVc(up_port, seg.inVc);
+    routers[upstream]->routing().freeOutputVc(up_port, in_vc);
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: linkQueue is a member
@@ -485,6 +459,7 @@ Network::installReservedPath(const SetupRequest &req,
     conn.src = req.src;
     conn.dst = req.dst;
     conn.klass = req.klass;
+    conn.srcVc = src_vc;
     conn.hops = hops;
     conn.closing = false;
     conn.failed = false;
@@ -580,7 +555,6 @@ Network::onTimedSetupComplete(const TimedSetup &s)
 
     TimedOutcome out;
     out.token = s.token;
-    out.done = true;
     out.forwardSteps = s.forwardSteps;
     out.backtrackSteps = s.backtrackSteps;
     out.setupCycles = s.finishedAt - s.startedAt;
@@ -601,12 +575,6 @@ Network::onTimedSetupComplete(const TimedSetup &s)
                       static_cast<std::int32_t>(s.request.dst),
                       static_cast<std::int32_t>(out.setupCycles));
     timedDone.insert(s.token, out);
-}
-
-const Network::TimedOutcome *
-Network::timedResult(std::uint64_t token) const
-{
-    return timedDone.find(token);
 }
 
 bool
@@ -748,70 +716,31 @@ Network::processPendingCloses()
     closingIds.resize(kept);
 }
 
-bool
-Network::inject(ConnId id, Flit f, Cycle now)
+Network::Ticket
+Network::ticket(ConnId id) const
 {
-    const PcsConnection *it = pcsFind(id);
-    if (it == nullptr || it->failed || it->closing)
+    const std::uint32_t *slot = pcsIndex.find(id);
+    if (slot == nullptr)
+        return Ticket{};
+    const PcsConnection &conn = pcsSlots[*slot];
+    if (conn.failed || conn.closing)
+        return Ticket{};
+    return Ticket{*slot, conn.epoch};
+}
+
+bool
+Network::inject(Ticket t, Flit f, Cycle now)
+{
+    if (!live(t))
         return false; // torn down (possibly by a link failure)
-    const PcsConnection &conn = *it;
+    const PcsConnection &conn = pcsSlots[t.slot];
+    f.conn = conn.id;
+    f.klass = conn.klass;
     f.src = conn.src;
     f.dst = conn.dst;
     f.readyTime = now;
-    if (!routers[conn.src]->inject(id, f)) {
+    if (!routers[conn.src]->injectRaw(niPort(conn.src), conn.srcVc, f)) {
         ++statInjectRejects;
-        return false;
-    }
-    return true;
-}
-
-Network::InjectHandle
-Network::resolveInject(ConnId id)
-{
-    InjectHandle h;
-    const PcsConnection *it = pcsFind(id);
-    if (it == nullptr || it->failed || it->closing)
-        return h; // torn down: invalid handle, push() would refuse
-    const PcsConnection &conn = *it;
-    const SegmentParams *seg = routers[conn.src]->connection(id);
-    mmr_assert(seg != nullptr,
-               "open connection without a source segment");
-    h.net = this;
-    h.router = routers[conn.src].get();
-    h.conn = id;
-    h.src = conn.src;
-    h.dst = conn.dst;
-    h.in = seg->in;
-    h.inVc = seg->inVc;
-    h.klass = seg->klass;
-    return h;
-}
-
-bool
-Network::injectTicket(ConnId id, std::uint32_t &slot,
-                      std::uint32_t &epoch) const
-{
-    const std::uint32_t *s = pcsIndex.find(id);
-    if (s == nullptr)
-        return false;
-    const PcsConnection &conn = pcsSlots[*s];
-    if (conn.failed || conn.closing)
-        return false;
-    slot = *s;
-    epoch = conn.epoch;
-    return true;
-}
-
-bool
-Network::InjectHandle::push(Flit f, Cycle now)
-{
-    f.conn = conn;
-    f.klass = klass;
-    f.src = src;
-    f.dst = dst;
-    f.readyTime = now;
-    if (!router->injectRaw(in, inVc, f)) {
-        ++net->statInjectRejects;
         return false;
     }
     return true;
@@ -1096,35 +1025,21 @@ Network::evaluate(Cycle now)
 {
     // Serial prologue on the coordinator: the probe protocol, link
     // arrivals, and pending closes all run before any router
-    // evaluates (in the serial path they always did), so routers
-    // never observe partial prologue state from a worker thread.
+    // evaluates, so routers never observe partial prologue state from
+    // a worker thread.
     probeMgr->step(now);
     processArrivals(now);
     processPendingCloses();
-    if (numShards <= 1) {
-        for (auto &r : routers)
-            r->evaluate(now);
-        return;
-    }
     phaseCycle = now;
-    deferring = true;
     pool->runPhase(now, evalPhase);
-    deferring = false;
     drainMailboxes(now);
 }
 
 void
 Network::advance(Cycle now)
 {
-    if (numShards <= 1) {
-        for (auto &r : routers)
-            r->advance(now);
-        return;
-    }
     phaseCycle = now;
-    deferring = true;
     pool->runPhase(now, advPhase);
-    deferring = false;
     drainMailboxes(now);
 }
 
@@ -1135,9 +1050,9 @@ Network::drainMailboxes(Cycle now)
     // (emission) order.  With contiguous-id partitions this replays
     // every deferred side effect — link-queue pushes, corrupt-hook
     // RNG draws, upstream credit returns, end-to-end FP accumulation —
-    // in exactly the order the serial loop produced them, which is
-    // what keeps networkResultDigest bit-identical across shard
-    // counts (DESIGN.md §12).
+    // in ascending router order, which is what keeps
+    // networkResultDigest bit-identical across shard counts
+    // (DESIGN.md §12).
     for (unsigned s = 0; s < numShards; ++s) {
         auto &log = mailboxes[s].log;
         for (const DeferredEvent &e : log) {
@@ -1149,7 +1064,7 @@ Network::drainMailboxes(Cycle now)
                 handleCreditReturn(e.node, e.port, e.vc, now);
                 break;
             case DeferredEvent::Kind::SegRemoved:
-                handleSegmentRemoved(e.node, e.seg);
+                handleSegmentRemoved(e.node, e.port, e.vc);
                 break;
             }
         }

@@ -50,10 +50,11 @@ struct NetworkConfig
     /**
      * Intra-run parallelism: partition the routers into this many
      * contiguous-id shards, each evaluated/advanced on its own worker
-     * thread with cross-shard traffic deferred through per-shard
+     * thread, with every router callback deferred through per-shard
      * mailboxes (drained in shard order, so results are bit-identical
-     * to shards=1).  Clamped to the node count; 0 or 1 selects the
-     * serial path.
+     * at every shard count).  Clamped to [1, node count]; one shard
+     * runs every router on the calling thread through the same
+     * mailboxes.
      */
     unsigned shards = 1;
 };
@@ -103,13 +104,12 @@ class Network : public Clocked
 
     // ---- timed (distributed) establishment ---------------------------
     /**
-     * Outcome of a timed setup; polled via timedResult() after the
+     * Outcome of a timed setup, taken with takeTimedResult() once the
      * probe/ack protocol finishes.
      */
     struct TimedOutcome
     {
         std::uint64_t token = 0;
-        bool done = false;
         bool accepted = false;
         ConnId id = kInvalidConn;
         Cycle setupCycles = 0; ///< measured probe + ack latency
@@ -120,7 +120,7 @@ class Network : public Clocked
 
     /**
      * Launch a probe at cycle @p now; the connection (if accepted)
-     * becomes injectable once timedResult(token)->done.  Unlike
+     * becomes injectable once takeTimedResult(token) succeeds.  Unlike
      * openCbr(), setup latency here is *measured*: the probe reserves
      * resources hop by hop in simulated time and contends with other
      * in-flight probes.
@@ -132,16 +132,11 @@ class Network : public Clocked
                                double peak_bps, int priority, Cycle now,
                                SetupPolicy policy = SetupPolicy::Epb);
 
-    /** nullptr until the token's probe completes.  The pointer is
-     * into a flat table that may rehash as other setups complete:
-     * consume it before the network next advances. */
-    const TimedOutcome *timedResult(std::uint64_t token) const;
-
     /**
      * Destructive poll: copy the token's outcome into @p out and drop
-     * the stored entry.  False while the probe is still in flight.
-     * The churn engine uses this instead of timedResult() so the
-     * completed-setup table stays bounded over millions of sessions.
+     * the stored entry.  False while the probe is still in flight and
+     * after the outcome was taken, so the completed-setup table holds
+     * only outcomes nobody has claimed yet.
      */
     bool takeTimedResult(std::uint64_t token, TimedOutcome &out);
 
@@ -154,71 +149,38 @@ class Network : public Clocked
      */
     bool closeConnection(ConnId id);
 
-    /** Inject a stream flit at the source host; false on back-pressure. */
-    bool inject(ConnId id, Flit f, Cycle now);
-
     /**
-     * Resolved injection endpoint — flit-batch processing per
-     * (port, VC).  resolveInject() pays the two per-connection hash
-     * lookups (network connection map, then the source router's
-     * segment map) once; every push() after that deposits straight
-     * into the resolved (input port, VC) FIFO.  A handle is only good
-     * for the flit cycle it was resolved in: teardown and link
-     * failure happen between host ticks (in the network's evaluate
-     * prologue), so a host interface that re-resolves each tick stays
-     * bit-identical to calling inject() per flit.
+     * Injection ticket: a connection's pool slot and the slot's epoch
+     * when the ticket was minted.  Every transition that makes the
+     * connection refuse injection (failure, close, slot free) bumps
+     * the epoch, which is never reset when the slot is reused, so a
+     * ticket stays dead once its connection stops taking flits.  A
+     * default-constructed ticket is dead.
      */
-    class InjectHandle
+    struct Ticket
     {
-      public:
-        /** False when the connection is torn down — inject() would
-         *  refuse every flit, and so does push(). */
-        bool valid() const { return router != nullptr; }
-
-        /** Deposit one flit; false on back-pressure (identical
-         *  accounting and trace events to Network::inject). */
-        bool push(Flit f, Cycle now);
-
-      private:
-        friend class Network;
-        Network *net = nullptr;
-        MmrRouter *router = nullptr;
-        ConnId conn = kInvalidConn;
-        NodeId src = 0;
-        NodeId dst = 0;
-        PortId in = 0;
-        VcId inVc = 0;
-        TrafficClass klass = TrafficClass::CBR;
+        std::uint32_t slot = ~std::uint32_t{0};
+        std::uint32_t epoch = 0;
     };
 
-    /** Resolve @p id for batched injection this flit cycle. */
-    InjectHandle resolveInject(ConnId id);
+    /** Ticket for @p id; dead when the connection is gone, failed or
+     * closing. */
+    Ticket ticket(ConnId id) const;
 
-    /**
-     * Mint an O(1)-pollable injection ticket for an open connection.
-     * A per-cycle source loop that mostly injects nothing (fractional
-     * rate accumulators) can poll injectTicketLive() — one array read
-     * — instead of paying resolveInject()'s two hash lookups, and
-     * resolve only on cycles that actually push a flit.  Returns
-     * false when the connection is gone, failed or closing (the same
-     * conditions under which resolveInject() hands back an invalid
-     * handle).
-     */
-    bool injectTicket(ConnId id, std::uint32_t &slot,
-                      std::uint32_t &epoch) const;
-
-    /**
-     * True exactly while resolveInject() on the ticket's connection
-     * would return a valid handle: every invalidating transition
-     * bumps the slot's epoch, including the slot free, so stale
-     * tickets stay dead across slot reuse.  Any (slot, epoch) pair is
-     * safe to pass; out-of-range slots read as dead.
-     */
+    /** True while the ticket's connection takes flits. */
     bool
-    injectTicketLive(std::uint32_t slot, std::uint32_t epoch) const
+    live(Ticket t) const
     {
-        return slot < pcsSlots.size() && pcsSlots[slot].epoch == epoch;
+        return t.slot < pcsSlots.size() && pcsSlots[t.slot].epoch == t.epoch;
     }
+
+    /**
+     * Inject a stream flit at the ticket's source host, straight into
+     * the connection's NI input VC.  False on a dead ticket (nothing
+     * is deposited or counted) and on back-pressure (counted in
+     * injectRejects()).
+     */
+    bool inject(Ticket t, Flit f, Cycle now);
 
     /**
      * Renegotiate a CBR connection's bandwidth along its whole path
@@ -394,14 +356,10 @@ class Network : public Clocked
         NodeId src = 0;
         NodeId dst = 0;
         TrafficClass klass = TrafficClass::CBR;
+        VcId srcVc = kInvalidVc; ///< input VC on the source NI port
         std::vector<ReservedHop> hops;
-        /**
-         * Invalidation counter for injection tickets: bumped at every
-         * transition that makes the connection refuse injection
-         * (failure, close, slot free) and deliberately *not* reset
-         * when the slot is reused, so a ticket minted for a previous
-         * occupant can never read as live.
-         */
+        /** Ticket epoch (see Ticket): bumped at failure, close and
+         * slot free, never reset on slot reuse. */
         std::uint32_t epoch = 0;
         bool closing = false;
         bool failed = false;
@@ -431,7 +389,7 @@ class Network : public Clocked
     void handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
                       Cycle now);
     void handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now);
-    void handleSegmentRemoved(NodeId n, const SegmentParams &seg);
+    void handleSegmentRemoved(NodeId n, PortId in, VcId in_vc);
     void deliverToHost(NodeId n, const Flit &f, Cycle now);
 
     // ------------------------------------------------------------------
@@ -439,16 +397,15 @@ class Network : public Clocked
     // ------------------------------------------------------------------
 
     /**
-     * One router callback captured during a parallel phase instead of
-     * being applied inline.  A worker only ever touches its own
-     * shard's routers plus its own shard's mailbox; every cross-shard
-     * (and cross-router) side effect — link egress, upstream credit
-     * return, upstream VC release on segment removal — becomes one of
-     * these records, replayed by the coordinator after the phase
-     * barrier in ascending shard order.  Within a shard the log is
-     * append-ordered, so the replay order equals the ascending-
-     * router-id emission order of the serial loop and the results are
-     * bit-identical (see DESIGN.md §12 for the full argument).
+     * One router callback, logged instead of applied inline.  A worker
+     * only ever touches its own shard's routers plus its own shard's
+     * mailbox; every cross-router side effect — link egress, upstream
+     * credit return, upstream VC release on segment removal — becomes
+     * one of these records, replayed by the coordinator after the
+     * phase barrier in ascending shard order.  Within a shard the log
+     * is append-ordered, so the replay order is ascending router id
+     * at every shard count and the results are bit-identical (see
+     * DESIGN.md §12 for the full argument).
      */
     struct DeferredEvent
     {
@@ -461,10 +418,9 @@ class Network : public Clocked
 
         Kind kind;
         NodeId node;
-        PortId port; ///< Egress: out port; Credit: in port
-        VcId vc;     ///< Egress: out VC;   Credit: in VC
+        PortId port; ///< Egress: out port; Credit, SegRemoved: in port
+        VcId vc;     ///< Egress: out VC;   Credit, SegRemoved: in VC
         Flit flit;   ///< Egress only
-        SegmentParams seg; ///< SegRemoved only
     };
 
     /** Per-shard deferred-event log, cache-line padded: neighboring
@@ -483,12 +439,6 @@ class Network : public Clocked
     std::vector<unsigned> shardOf;  ///< node id -> shard id
     std::vector<ShardMailbox> mailboxes;
     std::unique_ptr<ShardPool> pool;
-
-    /** True only while routers run under the pool: router callbacks
-     * append to mailboxes instead of applying inline.  Written by the
-     * coordinator before/after each phase; workers read it under the
-     * pool's release/acquire barrier. */
-    bool deferring = false;
 
     /** Pre-bound phase callbacks (no per-cycle allocation). */
     std::function<void(unsigned)> evalPhase;

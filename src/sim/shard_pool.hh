@@ -9,8 +9,8 @@
  * per cycle) that wait on a generation counter, run one phase
  * callback for their shard, and signal completion.  The coordinator
  * thread runs shard 0 itself, so a pool of S shards spawns S-1
- * threads and a 1-shard pool spawns none and runs everything inline —
- * the serial path is untouched by construction.
+ * threads and a 1-shard pool spawns none and runs the phase inline —
+ * a serial network run is the 1-shard case and never synchronizes.
  *
  * Synchronization is a spin-then-yield loop over acquire/release
  * atomics: on the 1-core bench host a pure spin would livelock the

@@ -13,21 +13,16 @@ namespace
 /** Injection-ticket packing into a Session's token bytes (the timed
  * setup token is dead once the setup resolves; see Session::token). */
 constexpr std::uint64_t
-packTicket(std::uint32_t slot, std::uint32_t epoch)
+packTicket(Network::Ticket t)
 {
-    return (static_cast<std::uint64_t>(slot) << 32) | epoch;
+    return (static_cast<std::uint64_t>(t.slot) << 32) | t.epoch;
 }
 
-constexpr std::uint32_t
-ticketSlot(std::uint64_t token)
+constexpr Network::Ticket
+unpackTicket(std::uint64_t token)
 {
-    return static_cast<std::uint32_t>(token >> 32);
-}
-
-constexpr std::uint32_t
-ticketEpoch(std::uint64_t token)
-{
-    return static_cast<std::uint32_t>(token);
+    return Network::Ticket{static_cast<std::uint32_t>(token >> 32),
+                           static_cast<std::uint32_t>(token)};
 }
 
 } // namespace
@@ -174,14 +169,10 @@ ChurnEngine::pollSetups(Cycle now)
                 // Mint the injection ticket into the token's bytes
                 // (the setup token is dead once resolved).  A link
                 // fault in the cycles between establishment and this
-                // poll can have already killed the connection; the
-                // stale sentinel makes the first inject scan see it
-                // dead, exactly as resolveInject() would.
-                std::uint32_t tslot = 0;
-                std::uint32_t tepoch = 0;
-                s.token = net.injectTicket(s.conn, tslot, tepoch)
-                              ? packTicket(tslot, tepoch)
-                              : packTicket(kNil, 0);
+                // poll can have already killed the connection; its
+                // ticket is then dead and the first inject scan sees
+                // it.
+                s.token = packTicket(net.ticket(s.conn));
                 s.state = Active;
                 s.departAt = now + s.departAt; // rebase drawn hold
                 wheelInsert(idx);
@@ -275,8 +266,8 @@ ChurnEngine::injectActive(Cycle now)
             idx = nxt;
             continue;
         }
-        if (!net.injectTicketLive(ticketSlot(s.token),
-                                  ticketEpoch(s.token))) {
+        const Network::Ticket ticket = unpackTicket(s.token);
+        if (!net.live(ticket)) {
             // A link fault tore the connection down mid-hold.  The
             // session stays in the wheel as a zombie so its slot
             // reuse waits for its (already chained) departure pop.
@@ -290,32 +281,21 @@ ChurnEngine::injectActive(Cycle now)
             continue;
         }
         s.credit += s.rateFlitsPerCycle;
-        if (s.credit >= 1.0f) {
-            // Only a cycle that actually pushes a flit pays the
-            // hash-lookup resolve; a live ticket guarantees it
-            // succeeds (invalidation bumps the epoch first).
-            Network::InjectHandle h = net.resolveInject(s.conn);
-            mmr_assert(h.valid(),
-                       "live injection ticket on unresolvable "
-                       "connection");
-            do {
-                s.credit -= 1.0f;
-                Flit f;
-                f.seq = s.seq++;
-                f.createTime = now;
-                if (h.push(f, now)) {
-                    ++statInjected;
-                } else {
-                    // Back-pressure: CBR sources keep their cadence —
-                    // the rest of this cycle's quota is dropped, not
-                    // queued.
-                    const auto rest =
-                        static_cast<std::uint32_t>(s.credit);
-                    statDropped += 1 + rest;
-                    s.credit -= static_cast<float>(rest);
-                    break;
-                }
-            } while (s.credit >= 1.0f);
+        while (s.credit >= 1.0f) {
+            s.credit -= 1.0f;
+            Flit f;
+            f.seq = s.seq++;
+            f.createTime = now;
+            if (net.inject(ticket, f, now)) {
+                ++statInjected;
+                continue;
+            }
+            // Back-pressure: CBR sources keep their cadence — the
+            // rest of this cycle's quota is dropped, not queued.
+            const auto rest = static_cast<std::uint32_t>(s.credit);
+            statDropped += 1 + rest;
+            s.credit -= static_cast<float>(rest);
+            break;
         }
         prev = idx;
         idx = nxt;

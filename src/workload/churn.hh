@@ -8,10 +8,10 @@
  * *populations*.  The ChurnEngine turns the SessionGenerator's draws
  * into real connection lifecycles: each arrival launches a timed EPB
  * setup (openCbrTimed / openVbrTimed), an admitted session injects
- * CBR/VBR flits through the batched InjectHandle path for its holding
- * time, and departure tears the connection down through the normal
- * close path.  Acceptance ratio, measured setup-latency percentiles
- * and the QoS-violation rate fall out as the figures of merit.
+ * CBR/VBR flits through its Network::Ticket for its holding time, and
+ * departure tears the connection down through the normal close path.
+ * Acceptance ratio, measured setup-latency percentiles and the
+ * QoS-violation rate fall out as the figures of merit.
  *
  * Scale discipline — millions of cumulative sessions in one process:
  *
@@ -178,7 +178,7 @@ class ChurnEngine
     struct Session
     {
         /** While Pending: the timed-setup token.  While Active: the
-         * injection ticket (Network::injectTicket) packed as
+         * injection ticket (Network::ticket) packed as
          * slot << 32 | epoch — the token dies the moment the setup
          * resolves, so the ticket reuses its bytes and the record
          * stays at 56 of the budgeted 64 bytes. */

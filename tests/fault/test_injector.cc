@@ -102,7 +102,7 @@ TEST_F(InjectorTest, CorruptedFlitsAreDiscardedWithoutWedging)
             Flit f;
             f.conn = o.id;
             f.createTime = kernel.now();
-            if (net->inject(o.id, f, kernel.now()))
+            if (net->inject(net->ticket(o.id), f, kernel.now()))
                 ++accepted;
         }
         kernel.step();
@@ -162,10 +162,10 @@ TEST_F(InjectorTest, LostProbesTimeOutAndReleaseReservations)
     const auto token = net->openCbrTimed(0, 2, 10 * kMbps, kernel.now());
     kernel.run(FaultInjector::kDefaultSetupTimeout + 16);
 
-    const auto *r = net->timedResult(token);
-    ASSERT_NE(r, nullptr) << "timeout must complete the setup attempt";
-    EXPECT_TRUE(r->done);
-    EXPECT_FALSE(r->accepted);
+    Network::TimedOutcome r;
+    ASSERT_TRUE(net->takeTimedResult(token, r))
+        << "timeout must complete the setup attempt";
+    EXPECT_FALSE(r.accepted);
     EXPECT_GT(injector->probeMessagesDropped(), 0u);
     EXPECT_GE(net->probes().messagesLost(), 1u);
     EXPECT_GE(net->probes().setupTimeouts(), 1u);
@@ -204,7 +204,7 @@ TEST_F(InjectorTest, HookRemovalOnDestruction)
     ASSERT_TRUE(o.accepted);
     Flit f;
     f.conn = o.id;
-    ASSERT_TRUE(net->inject(o.id, f, kernel.now()));
+    ASSERT_TRUE(net->inject(net->ticket(o.id), f, kernel.now()));
     kernel.run(50);
     EXPECT_EQ(net->flitsCorrupted(), 0u);
     EXPECT_EQ(net->flitsDelivered(), 1u);

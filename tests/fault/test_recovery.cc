@@ -72,6 +72,20 @@ class RecoveryTest : public ::testing::Test
         }
     }
 
+    /**
+     * Expect every setup outcome the manager launched to be taken
+     * already: it is the fixture's only timed prober, and probe
+     * tokens count from 1.
+     */
+    void
+    expectAllOutcomesTaken()
+    {
+        ASSERT_GE(mgr->retriesLaunched(), 1u);
+        Network::TimedOutcome out;
+        for (std::uint64_t t = 1; t <= mgr->retriesLaunched(); ++t)
+            EXPECT_FALSE(net->takeTimedResult(t, out)) << "token " << t;
+    }
+
     std::unique_ptr<Network> net;
     std::unique_ptr<RecoveryManager> mgr;
     Kernel kernel;
@@ -105,6 +119,7 @@ TEST_F(RecoveryTest, ReroutesAroundFailedLink)
     EXPECT_EQ(path[1], 3u);
     EXPECT_EQ(path[2], 2u);
     EXPECT_EQ(path[3], 1u);
+    expectAllOutcomesTaken();
 }
 
 TEST_F(RecoveryTest, OnlyPathVanishedAbandonsCleanly)
@@ -139,6 +154,7 @@ TEST_F(RecoveryTest, OnlyPathVanishedAbandonsCleanly)
     EXPECT_EQ(mgr->activeRecoveries(), 0u);
     EXPECT_EQ(net->pendingSetups(), 0u);
     expectAllReservationsReleased();
+    expectAllOutcomesTaken();
 }
 
 TEST_F(RecoveryTest, RepairMidBackoffLetsRecoverySucceed)

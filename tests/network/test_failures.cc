@@ -73,7 +73,7 @@ TEST_F(FailureTest, ConnectionsCrossingTheLinkFail)
     EXPECT_EQ(net->connectionState(other.id), Network::ConnState::Open)
         << "connections elsewhere are untouched";
     EXPECT_EQ(net->connectionsFailed(), 1u);
-    EXPECT_FALSE(net->inject(o.id, Flit{}, kernel.now()))
+    EXPECT_FALSE(net->inject(net->ticket(o.id), Flit{}, kernel.now()))
         << "a failed connection refuses new flits";
 
     // The failed connection drains away completely.
@@ -129,7 +129,7 @@ TEST_F(FailureTest, InFlightFlitsAreLostNotWedged)
     for (int i = 0; i < 6; ++i) {
         Flit f;
         f.seq = static_cast<std::uint32_t>(i);
-        net->inject(o.id, f, kernel.now());
+        net->inject(net->ticket(o.id), f, kernel.now());
         kernel.step();
     }
     const auto delivered_before = net->flitsDelivered();
@@ -190,10 +190,10 @@ TEST_F(FailureTest, NewSetupsAvoidDeadLinks)
     // Timed probe: same avoidance.
     const auto token = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
     kernel.run(200);
-    const auto *r = net->timedResult(token);
-    ASSERT_NE(r, nullptr);
-    EXPECT_TRUE(r->accepted);
-    EXPECT_EQ(r->pathLength, 4u);
+    Network::TimedOutcome r;
+    ASSERT_TRUE(net->takeTimedResult(token, r));
+    EXPECT_TRUE(r.accepted);
+    EXPECT_EQ(r.pathLength, 4u);
 }
 
 TEST_F(FailureTest, SetupRefusedAcrossAPartition)
@@ -205,9 +205,9 @@ TEST_F(FailureTest, SetupRefusedAcrossAPartition)
     EXPECT_FALSE(net->openCbr(0, 1, 10 * kMbps).accepted);
     const auto token = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
     kernel.run(50);
-    const auto *r = net->timedResult(token);
-    ASSERT_NE(r, nullptr);
-    EXPECT_FALSE(r->accepted);
+    Network::TimedOutcome r;
+    ASSERT_TRUE(net->takeTimedResult(token, r));
+    EXPECT_FALSE(r.accepted);
 }
 
 TEST_F(FailureTest, InterfaceReestablishesItsStreams)
@@ -264,7 +264,7 @@ TEST_F(FailureTest, SurvivingTrafficKeepsFlowing)
     for (std::uint32_t i = 0; i < 10; ++i) {
         Flit f;
         f.seq = i;
-        ASSERT_TRUE(net->inject(keep.id, f, kernel.now()));
+        ASSERT_TRUE(net->inject(net->ticket(keep.id), f, kernel.now()));
         kernel.run(13);
     }
     kernel.run(100);

@@ -63,7 +63,7 @@ TEST_F(NetworkTest, CbrStreamDeliversEndToEndInOrder)
         Flit f;
         f.seq = i;
         f.createTime = kernel.now();
-        ASSERT_TRUE(net->inject(outcome.id, f, kernel.now()));
+        ASSERT_TRUE(net->inject(net->ticket(outcome.id), f, kernel.now()));
         run(13); // stay within the allocated rate
     }
     run(100);
@@ -107,7 +107,7 @@ TEST_F(NetworkTest, TeardownDrainsAndReleases)
     for (std::uint32_t i = 0; i < 5; ++i) {
         Flit f;
         f.seq = i;
-        ASSERT_TRUE(net->inject(o.id, f, kernel.now()));
+        ASSERT_TRUE(net->inject(net->ticket(o.id), f, kernel.now()));
         run(7);
     }
     ASSERT_TRUE(net->closeConnection(o.id));
@@ -120,6 +120,58 @@ TEST_F(NetworkTest, TeardownDrainsAndReleases)
         for (PortId p = 0; p < r.config().numPorts; ++p)
             EXPECT_EQ(r.admission().allocatedCycles(p), 0u);
     }
+}
+
+TEST_F(NetworkTest, TicketLifecycle)
+{
+    build(Topology::mesh2d(2, 2));
+    EXPECT_FALSE(net->live(Network::Ticket{}));
+
+    const auto a = net->openCbr(0, 3, 200 * kMbps);
+    ASSERT_TRUE(a.accepted);
+    const Network::Ticket ta = net->ticket(a.id);
+    EXPECT_TRUE(net->live(ta));
+    EXPECT_FALSE(net->live(Network::Ticket{}));
+
+    // Dead the moment the close is asked for, while the flit still
+    // drains and the connection is still open.
+    ASSERT_TRUE(net->inject(ta, Flit{}, kernel.now()));
+    ASSERT_TRUE(net->closeConnection(a.id));
+    EXPECT_FALSE(net->live(ta));
+    EXPECT_FALSE(net->live(net->ticket(a.id)));
+    EXPECT_EQ(net->openConnectionCount(), 1u);
+    run(200);
+    ASSERT_EQ(net->openConnectionCount(), 0u);
+
+    // The next connection reuses the freed slot; the stale ticket
+    // stays dead.
+    const auto b = net->openCbr(0, 3, 200 * kMbps);
+    ASSERT_TRUE(b.accepted);
+    const Network::Ticket tb = net->ticket(b.id);
+    ASSERT_EQ(tb.slot, ta.slot);
+    EXPECT_TRUE(net->live(tb));
+    EXPECT_FALSE(net->live(ta));
+
+    // Injecting through it deposits nothing into the new connection's
+    // source VC and counts no back-pressure reject.
+    const SegmentParams *seg = net->routerAt(0).connection(b.id);
+    ASSERT_NE(seg, nullptr);
+    const VcState &vc =
+        net->routerAt(0).inputMemory(seg->in).vc(seg->inVc);
+    const std::uint64_t rejects = net->injectRejects();
+    EXPECT_FALSE(net->inject(ta, Flit{}, kernel.now()));
+    EXPECT_FALSE(net->inject(Network::Ticket{}, Flit{}, kernel.now()));
+    EXPECT_TRUE(vc.empty());
+    EXPECT_EQ(net->injectRejects(), rejects);
+    ASSERT_TRUE(net->inject(tb, Flit{}, kernel.now()));
+    EXPECT_EQ(vc.depth(), 1u);
+
+    // A link failure on the path kills the ticket.
+    const auto path = net->connectionPath(b.id);
+    ASSERT_GE(path.size(), 2u);
+    ASSERT_TRUE(net->failLink(path[0], path[1]));
+    EXPECT_FALSE(net->live(tb));
+    EXPECT_FALSE(net->live(net->ticket(b.id)));
 }
 
 TEST_F(NetworkTest, RenegotiateAlongWholePath)
@@ -221,7 +273,7 @@ TEST_F(NetworkTest, StreamsAndDatagramsCoexist)
         if (t % 5 == 0) {
             Flit f;
             f.seq = injected++;
-            ASSERT_TRUE(net->inject(o.id, f, kernel.now()));
+            ASSERT_TRUE(net->inject(net->ticket(o.id), f, kernel.now()));
         }
         if (t % 11 == 0) {
             net->sendDatagram(4, 2, TrafficClass::BestEffort, 0x8000,
@@ -256,9 +308,9 @@ TEST_F(NetworkTest, CreditBackpressureReachesTheSource)
     std::uint32_t rejected = 0;
     for (Cycle t = 0; t < 300; ++t) {
         Flit f1, f2;
-        if (!net->inject(a.id, f1, kernel.now()))
+        if (!net->inject(net->ticket(a.id), f1, kernel.now()))
             ++rejected;
-        if (!net->inject(a.id, f2, kernel.now()))
+        if (!net->inject(net->ticket(a.id), f2, kernel.now()))
             ++rejected;
         run(1);
     }

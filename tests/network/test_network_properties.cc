@@ -61,7 +61,8 @@ runChurn(std::uint64_t seed)
                                  flow++, kernel.now());
         } else if (!open.empty()) {
             Flit f;
-            net.inject(open[rng.below(open.size())], f, kernel.now());
+            const ConnId id = open[rng.below(open.size())];
+            net.inject(net.ticket(id), f, kernel.now());
         }
         kernel.run(1 + rng.below(4));
     }
@@ -110,7 +111,7 @@ TEST(NetworkProperty, ResourcesDrainToZeroAfterFullTeardown)
     ASSERT_FALSE(ids.empty());
     for (ConnId id : ids) {
         Flit f;
-        net.inject(id, f, kernel.now());
+        net.inject(net.ticket(id), f, kernel.now());
     }
     kernel.run(50);
     for (ConnId id : ids)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "network/network.hh"
 #include "sim/kernel.hh"
@@ -39,16 +40,17 @@ class TimedSetupTest : public ::testing::Test
         kernel.add(net.get());
     }
 
-    /** Run until the token completes (bounded). */
-    const Network::TimedOutcome *
+    /** Run until the token completes (bounded) and take its outcome. */
+    std::optional<Network::TimedOutcome>
     await(std::uint64_t token, Cycle bound = 10000)
     {
-        for (Cycle i = 0; i < bound; ++i) {
-            if (const auto *r = net->timedResult(token))
-                return r;
+        Network::TimedOutcome r;
+        for (Cycle i = 0; !net->takeTimedResult(token, r); ++i) {
+            if (i == bound)
+                return std::nullopt;
             kernel.step();
         }
-        return net->timedResult(token);
+        return r;
     }
 
     std::unique_ptr<Network> net;
@@ -60,8 +62,8 @@ TEST_F(TimedSetupTest, EstablishesWithMeasuredLatency)
     build(Topology::mesh2d(3, 3));
     const auto token = net->openCbrTimed(0, 8, 10 * kMbps, kernel.now());
     EXPECT_EQ(net->pendingSetups(), 1u);
-    const auto *r = await(token);
-    ASSERT_NE(r, nullptr);
+    const auto r = await(token);
+    ASSERT_TRUE(r.has_value());
     EXPECT_TRUE(r->accepted);
     EXPECT_EQ(r->pathLength, 5u);
     EXPECT_EQ(r->forwardSteps, 4u);
@@ -78,15 +80,15 @@ TEST_F(TimedSetupTest, ConnectionIsUsableAfterEstablishment)
 {
     build(Topology::ring(4));
     const auto token = net->openCbrTimed(0, 2, 100 * kMbps, kernel.now());
-    const auto *r = await(token);
-    ASSERT_NE(r, nullptr);
+    const auto r = await(token);
+    ASSERT_TRUE(r.has_value());
     ASSERT_TRUE(r->accepted);
     net->endToEnd().startMeasurement(0);
     for (int i = 0; i < 5; ++i) {
         Flit f;
         f.seq = static_cast<std::uint32_t>(i);
         f.createTime = kernel.now();
-        ASSERT_TRUE(net->inject(r->id, f, kernel.now()));
+        ASSERT_TRUE(net->inject(net->ticket(r->id), f, kernel.now()));
         kernel.run(13);
     }
     kernel.run(100);
@@ -109,8 +111,8 @@ TEST_F(TimedSetupTest, MatchesAlgorithmicAcceptanceOnQuietNetwork)
         const NodeId dst = static_cast<NodeId>((i + 3) % 10);
         const auto token =
             net->openCbrTimed(src, dst, 20 * kMbps, kernel.now());
-        const auto *r = await(token);
-        ASSERT_NE(r, nullptr);
+        const auto r = await(token);
+        ASSERT_TRUE(r.has_value());
         timed_accepted += r->accepted;
     }
 
@@ -137,8 +139,8 @@ TEST_F(TimedSetupTest, RefusalReleasesEverything)
         p12, r1.admission().reservableCycles()));
 
     const auto token = net->openCbrTimed(0, 2, 10 * kMbps, kernel.now());
-    const auto *r = await(token);
-    ASSERT_NE(r, nullptr);
+    const auto r = await(token);
+    ASSERT_TRUE(r.has_value());
     EXPECT_FALSE(r->accepted);
     EXPECT_GT(r->backtrackSteps, 0u);
     EXPECT_GT(r->setupCycles, 0u);
@@ -169,10 +171,10 @@ TEST_F(TimedSetupTest, ConcurrentProbesContendForTheLastVc)
 
     const auto t1 = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
     const auto t2 = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
-    const auto *r1 = await(t1);
-    const auto *r2 = await(t2);
-    ASSERT_NE(r1, nullptr);
-    ASSERT_NE(r2, nullptr);
+    const auto r1 = await(t1);
+    const auto r2 = await(t2);
+    ASSERT_TRUE(r1.has_value());
+    ASSERT_TRUE(r2.has_value());
     EXPECT_NE(r1->accepted, r2->accepted)
         << "exactly one of the racing probes can win the last VC";
     EXPECT_EQ(net->openConnectionCount(), 1u);
@@ -190,10 +192,9 @@ TEST_F(TimedSetupTest, ManyConcurrentSetupsAllComplete)
     EXPECT_EQ(net->pendingSetups(), 0u);
     unsigned accepted = 0;
     for (auto t : tokens) {
-        const auto *r = net->timedResult(t);
-        ASSERT_NE(r, nullptr);
-        ASSERT_TRUE(r->done);
-        accepted += r->accepted;
+        Network::TimedOutcome r;
+        ASSERT_TRUE(net->takeTimedResult(t, r));
+        accepted += r.accepted;
     }
     EXPECT_EQ(accepted, 16u) << "a quiet 4x4 mesh fits all of these";
     EXPECT_EQ(net->openConnectionCount(), 16u);
@@ -206,8 +207,8 @@ TEST_F(TimedSetupTest, VbrTimedSetupReservesBothRegisters)
     // cycle counts (round here is only 32 cycles).
     const auto token = net->openVbrTimed(0, 2, 100 * kMbps,
                                          400 * kMbps, 2, kernel.now());
-    const auto *r = await(token);
-    ASSERT_NE(r, nullptr);
+    const auto r = await(token);
+    ASSERT_TRUE(r.has_value());
     ASSERT_TRUE(r->accepted);
     // Every router along the path carries permanent + peak state and
     // the user priority.
@@ -245,8 +246,8 @@ TEST_F(TimedSetupTest, GreedyPolicyCanRefuseWhereEpbBacktracks)
     for (int i = 0; i < 8; ++i) {
         const auto te = net->openCbrTimed(0, 3, 1 * kMbps, kernel.now(),
                                           SetupPolicy::Epb);
-        const auto *re = await(te);
-        ASSERT_NE(re, nullptr);
+        const auto re = await(te);
+        ASSERT_TRUE(re.has_value());
         if (re->accepted) {
             ++epb_ok;
             net->closeConnection(re->id);
@@ -254,8 +255,8 @@ TEST_F(TimedSetupTest, GreedyPolicyCanRefuseWhereEpbBacktracks)
         }
         const auto tg = net->openCbrTimed(0, 3, 1 * kMbps, kernel.now(),
                                           SetupPolicy::Greedy);
-        const auto *rg = await(tg);
-        ASSERT_NE(rg, nullptr);
+        const auto rg = await(tg);
+        ASSERT_TRUE(rg.has_value());
         if (rg->accepted) {
             ++greedy_ok;
             net->closeConnection(rg->id);

@@ -141,9 +141,10 @@ TEST(ReservationTable, ByNameAuditSeesSameCycleProbeChanges)
 
     // Completion turns the held hops into installed segments; a table
     // still holding them would count the bandwidth twice.
-    while (net.timedResult(token) == nullptr)
+    Network::TimedOutcome r;
+    while (!net.takeTimedResult(token, r))
         kernel.step();
-    ASSERT_TRUE(net.timedResult(token)->accepted);
+    ASSERT_TRUE(r.accepted);
     for (NodeId n = 0; n < net.numNodes(); ++n)
         checker.run(ledgerName(n), kernel.now());
 }
