@@ -6,7 +6,6 @@
 #include "base/simclock.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/stats_registry.hh"
-#include "obs/trace.hh"
 #include "sim/invariant.hh"
 
 namespace mmr
@@ -148,9 +147,9 @@ RecoveryManager::evaluate(Cycle now)
                                        s.peakBps, s.priority, now,
                                        cfg.policy);
             a.haveToken = true;
-            MMR_TRACE_INSTANT(TraceCat::Fault, "recovery_retry", now,
-                              s.src, a.origId,
-                              static_cast<std::int32_t>(a.attempt));
+            MMR_OBS_EVENT(TraceCat::Fault, "recovery_retry", now,
+                          s.src, a.origId,
+                          static_cast<std::int32_t>(a.attempt));
         }
         ++i;
     }

@@ -141,8 +141,9 @@ runNetworkExperiment(const NetworkExperimentConfig &cfg)
                                 cfg.cbrDelayBudgetCycles);
 
     // Black box for the fault machinery: a crash or an abandoned
-    // recovery dumps the recent sched/credit/fault events.  A caller
-    // that already installed a recorder (bench front ends) keeps it.
+    // recovery dumps the recent forensic events (kForensicTraceCats).
+    // A caller that already installed a recorder (bench front ends)
+    // keeps it.
     FlightRecorder blackBox;
     const bool ownBlackBox = FlightRecorder::active() == nullptr;
     if (ownBlackBox)

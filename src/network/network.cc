@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "base/simclock.hh"
 #include "obs/flight_recorder.hh"
-#include "obs/trace.hh"
 #include "sim/invariant.hh"
 #include "sim/shard_pool.hh"
 #include "traffic/rates.hh"
@@ -480,10 +479,10 @@ Network::finishSetup(const SetupRequest &req, const SetupResult &sr,
         out.setupLatencyCycles =
             cfg.probeHopCycles *
             static_cast<double>(sr.forwardSteps + sr.backtrackSteps);
-        MMR_TRACE_INSTANT(TraceCat::Setup, "setup_reject",
-                          simclock::now(), req.src, kInvalidConn,
-                          static_cast<std::int32_t>(req.dst),
-                          static_cast<std::int32_t>(sr.backtrackSteps));
+        MMR_OBS_EVENT(TraceCat::Setup, "setup_reject",
+                      simclock::now(), req.src, kInvalidConn,
+                      static_cast<std::int32_t>(req.dst),
+                      static_cast<std::int32_t>(sr.backtrackSteps));
         return out;
     }
 
@@ -499,10 +498,10 @@ Network::finishSetup(const SetupRequest &req, const SetupResult &sr,
         cfg.probeHopCycles *
         static_cast<double>(sr.forwardSteps + sr.backtrackSteps +
                             sr.hops.size());
-    MMR_TRACE_INSTANT(TraceCat::Setup, "setup_accept", simclock::now(),
-                      req.src, id,
-                      static_cast<std::int32_t>(req.dst),
-                      static_cast<std::int32_t>(out.pathLength));
+    MMR_OBS_EVENT(TraceCat::Setup, "setup_accept", simclock::now(),
+                  req.src, id,
+                  static_cast<std::int32_t>(req.dst),
+                  static_cast<std::int32_t>(out.pathLength));
     return out;
 }
 
@@ -568,12 +567,12 @@ Network::onTimedSetupComplete(const TimedSetup &s)
             out.pathLength = static_cast<unsigned>(s.hops.size());
         }
     }
-    MMR_TRACE_INSTANT(TraceCat::Setup,
-                      out.accepted ? "probe_established"
-                                   : "probe_failed",
-                      s.finishedAt, s.request.src, out.id,
-                      static_cast<std::int32_t>(s.request.dst),
-                      static_cast<std::int32_t>(out.setupCycles));
+    MMR_OBS_EVENT(TraceCat::Setup,
+                  out.accepted ? "probe_established"
+                               : "probe_failed",
+                  s.finishedAt, s.request.src, out.id,
+                  static_cast<std::int32_t>(s.request.dst),
+                  static_cast<std::int32_t>(out.setupCycles));
     timedDone.insert(s.token, out);
 }
 
@@ -816,8 +815,8 @@ Network::sendDatagram(NodeId src, NodeId dst, TrafficClass klass,
                    klass == TrafficClass::Control,
                "datagrams are best-effort or control packets");
     ++statDatagramsSent;
-    MMR_TRACE_INSTANT(TraceCat::Flit, "dgram_send", now, src, flow,
-                      static_cast<std::int32_t>(dst));
+    MMR_OBS_EVENT(TraceCat::Flit, "dgram_send", now, src, flow,
+                  static_cast<std::int32_t>(dst));
 
     Flit f;
     f.conn = flow;

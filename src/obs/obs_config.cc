@@ -27,8 +27,8 @@ ObsSession::ObsSession(const ObsConfig &c) : cfg(c)
 ObsSession::~ObsSession()
 {
     // Deliberately no auto-finish: writing files is an explicit act
-    // (the caller knows the final cycle); the tracer detaches itself
-    // and the flight recorder deactivates with its destructor.
+    // (the caller knows the final cycle); the flight recorder
+    // deactivates with its destructor.
 }
 
 void
@@ -55,10 +55,11 @@ ObsSession::attach(Kernel &kernel)
     }
 
     if (cfg.wantsTrace()) {
-        trace = std::make_unique<Tracer>(cfg.traceMaxEvents);
-        trace->setCategoryMask(traceCatMaskFromString(cfg.traceCats));
-        trace->setCycleRange(cfg.traceFrom, cfg.traceTo);
-        trace->activate();
+        // Our own recorder, or the outer one a nested session records
+        // into.
+        traced = FlightRecorder::active();
+        traced->startTrace(traceCatMaskFromString(cfg.traceCats),
+                           cfg.traceFrom, cfg.traceTo);
     }
 
     if (cfg.profileComponents)
@@ -88,12 +89,12 @@ ObsSession::finish(Cycle now)
             sampl->sampleNow(now);
     }
 
-    if (trace != nullptr) {
-        trace->deactivate();
+    if (traced != nullptr) {
+        traced->stopTrace();
         std::ofstream os(cfg.tracePath);
         if (!os)
             mmr_fatal("cannot open trace output '", cfg.tracePath, "'");
-        trace->writeChromeJson(os);
+        traced->writeTraceJson(os);
     }
 
     if (!cfg.statsJsonPath.empty()) {
@@ -136,8 +137,8 @@ addObsFlags(Cli &cli)
 {
     cli.flag("trace", "", "Chrome trace-event JSON output file");
     cli.flag("trace-cats", "",
-             "trace categories (flit,sched,admission,credit,setup,"
-             "control; default all)");
+             "trace categories (" + traceCatNames(kAllTraceCats) +
+                 "; default all)");
     cli.flag("trace-from", "0", "first cycle to trace");
     cli.flag("trace-to", "0", "last cycle to trace (0 = unbounded)");
     cli.flag("stats-json", "", "stats registry + series JSON output");
@@ -158,8 +159,7 @@ addObsFlags(Cli &cli)
              "(crash dumps are always on)");
     cli.flag("flight-recorder-depth", "2048",
              "flight-recorder ring depth in events (power of two)");
-    cli.flag("flight-recorder-cats",
-             "sched,admission,setup,control,fault",
+    cli.flag("flight-recorder-cats", traceCatNames(kForensicTraceCats),
              "categories the crash recorder keeps ('all' adds the "
              "high-volume flit/credit streams)");
 }
@@ -170,10 +170,16 @@ obsConfigFromCli(const Cli &cli)
     ObsConfig c;
     c.tracePath = cli.str("trace");
     c.traceCats = cli.str("trace-cats");
-    c.traceFrom = static_cast<Cycle>(cli.integer("trace-from"));
-    const auto to = static_cast<Cycle>(cli.integer("trace-to"));
+    const std::int64_t from = cli.integer("trace-from");
+    const std::int64_t to = cli.integer("trace-to");
+    if (from < 0 || to < 0)
+        mmr_fatal("--trace-from/--trace-to must be >= 0 (got ", from,
+                  " and ", to, ")");
+    if (to > 0 && to < from)
+        mmr_fatal("--trace-to=", to, " is before --trace-from=", from);
+    c.traceFrom = static_cast<Cycle>(from);
     if (to > 0)
-        c.traceTo = to;
+        c.traceTo = static_cast<Cycle>(to);
     c.statsJsonPath = cli.str("stats-json");
     c.statsCsvPath = cli.str("stats-csv");
     c.vcdPath = cli.str("vcd");

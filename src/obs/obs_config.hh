@@ -6,11 +6,12 @@
  *
  * ObsConfig is plain data filled from CLI flags (--trace=,
  * --stats-json=, --sample-every=, --vcd=, ...).  ObsSession owns the
- * live objects the config asks for — stats registry, sampler, tracer,
- * VCD stream — wires the sampler into a kernel, and writes every
- * requested file in finish().  A default-constructed ObsConfig makes
- * ObsSession a no-op: nothing is allocated, no tracer is installed,
- * and the simulation fast path stays untouched.
+ * live objects the config asks for — stats registry, sampler, flight
+ * recorder, VCD stream — wires the sampler into a kernel, starts the
+ * recorder's trace buffer, and writes every requested file in
+ * finish().  A default-constructed ObsConfig leaves only the always-on
+ * flight-recorder ring running: nothing else is allocated and no trace
+ * buffer grows.
  */
 
 #ifndef MMR_OBS_OBS_CONFIG_HH
@@ -27,7 +28,6 @@
 #include "obs/flight_recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/stats_registry.hh"
-#include "obs/trace.hh"
 #include "obs/vcd.hh"
 
 namespace mmr
@@ -55,7 +55,6 @@ struct ObsConfig
 
     Cycle traceFrom = 0;
     Cycle traceTo = std::numeric_limits<Cycle>::max();
-    std::size_t traceMaxEvents = 1u << 22;
 
     /** Attribute wall time to kernel components (slows the run). */
     bool profileComponents = false;
@@ -77,16 +76,10 @@ struct ObsConfig
      * of two). */
     std::size_t flightRecorderDepth = FlightRecorder::kDefaultCapacity;
 
-    /**
-     * Categories the always-on recorder keeps.  Defaults to the
-     * low-volume forensic set: scheduler grants already record one
-     * event per moved flit (input port, VC, conn, output port), so
-     * the per-flit `flit`/`credit` streams triple the event rate for
-     * little post-mortem signal — recording them measurably slows
-     * the simulator.  "all" restores every category.
-     */
-    std::string flightRecorderCats =
-        "sched,admission,setup,control,fault";
+    /** Categories the always-on ring keeps; defaults to the
+     * forensic set (kForensicTraceCats).  "all" restores every
+     * category. */
+    std::string flightRecorderCats = traceCatNames(kForensicTraceCats);
 
     bool wantsTrace() const { return !tracePath.empty(); }
     bool wantsSampler() const
@@ -116,15 +109,13 @@ class ObsSession
     StatsRegistry &registry() { return stats; }
 
     /**
-     * Create the sampler/tracer/VCD objects the config asks for and
-     * add the sampler to @p kernel (call after every registerStats).
-     * Also enables component profiling on the kernel if requested.
-     * No-op when the config is empty.
+     * Create the sampler/VCD objects the config asks for, add the
+     * sampler to @p kernel (call after every registerStats) and start
+     * the trace on the thread's active recorder.  Also enables
+     * component profiling on the kernel if requested.  No-op when the
+     * config is empty.
      */
     void attach(Kernel &kernel);
-
-    /** The live tracer, or nullptr when tracing is off. */
-    Tracer *tracer() { return trace.get(); }
 
     /** The live sampler, or nullptr when sampling is off. */
     StatsSampler *sampler() { return sampl.get(); }
@@ -154,10 +145,10 @@ class ObsSession
     ObsConfig cfg;
     StatsRegistry stats;
     std::unique_ptr<StatsSampler> sampl;
-    std::unique_ptr<Tracer> trace;
     std::unique_ptr<std::ofstream> vcdStream;
     std::unique_ptr<VcdWriter> vcd;
     std::unique_ptr<FlightRecorder> flight;
+    FlightRecorder *traced = nullptr; ///< recorder running our trace
     std::function<void(std::ostream &)> histDump;
     bool ownsFlightActivation = false;
     bool attached = false;

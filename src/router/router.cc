@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "base/simclock.hh"
 #include "obs/flight_recorder.hh"
-#include "obs/trace.hh"
 #include "traffic/rates.hh"
 
 namespace mmr
@@ -101,9 +100,9 @@ MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
     const unsigned cycles =
         cyclesPerRound(rate_bps, cfg.linkRateBps, cfg.cyclesPerRound());
     if (!admit.tryAdmitCbr(out, cycles)) {
-        MMR_TRACE_INSTANT(TraceCat::Admission, "admit_reject",
-                          simclock::now(), out, kInvalidConn,
-                          static_cast<std::int32_t>(cycles));
+        MMR_OBS_EVENT(TraceCat::Admission, "admit_reject",
+                      simclock::now(), out, kInvalidConn,
+                      static_cast<std::int32_t>(cycles));
         return kInvalidConn;
     }
 
@@ -125,8 +124,8 @@ MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
         admit.releaseCbr(out, cycles);
         return kInvalidConn;
     }
-    MMR_TRACE_INSTANT(TraceCat::Admission, "admit_cbr", simclock::now(),
-                      out, p.id, static_cast<std::int32_t>(cycles));
+    MMR_OBS_EVENT(TraceCat::Admission, "admit_cbr", simclock::now(),
+                  out, p.id, static_cast<std::int32_t>(cycles));
     return p.id;
 }
 
@@ -141,10 +140,10 @@ MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
     const unsigned perm = cyclesPerRound(mean_bps, cfg.linkRateBps, round);
     const unsigned peak = cyclesPerRound(peak_bps, cfg.linkRateBps, round);
     if (!admit.tryAdmitVbr(out, perm, peak)) {
-        MMR_TRACE_INSTANT(TraceCat::Admission, "admit_reject",
-                          simclock::now(), out, kInvalidConn,
-                          static_cast<std::int32_t>(perm),
-                          static_cast<std::int32_t>(peak));
+        MMR_OBS_EVENT(TraceCat::Admission, "admit_reject",
+                      simclock::now(), out, kInvalidConn,
+                      static_cast<std::int32_t>(perm),
+                      static_cast<std::int32_t>(peak));
         return kInvalidConn;
     }
 
@@ -168,9 +167,9 @@ MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
         admit.releaseVbr(out, perm, peak);
         return kInvalidConn;
     }
-    MMR_TRACE_INSTANT(TraceCat::Admission, "admit_vbr", simclock::now(),
-                      out, p.id, static_cast<std::int32_t>(perm),
-                      static_cast<std::int32_t>(peak));
+    MMR_OBS_EVENT(TraceCat::Admission, "admit_vbr", simclock::now(),
+                  out, p.id, static_cast<std::int32_t>(perm),
+                  static_cast<std::int32_t>(peak));
     return p.id;
 }
 
@@ -237,9 +236,9 @@ MmrRouter::installSegment(const SegmentParams &p)
     conns.insert(p.id, p);
     if (p.releaseWhenEmpty)
         ++autoReleaseConns;
-    MMR_TRACE_INSTANT(TraceCat::Setup, "vc_alloc", simclock::now(),
-                      p.in, p.id, static_cast<std::int32_t>(p.inVc),
-                      static_cast<std::int32_t>(p.outVc));
+    MMR_OBS_EVENT(TraceCat::Setup, "vc_alloc", simclock::now(),
+                  p.in, p.id, static_cast<std::int32_t>(p.inVc),
+                  static_cast<std::int32_t>(p.outVc));
     return true;
 }
 
@@ -558,8 +557,9 @@ MmrRouter::evaluate(Cycle now)
     }
 
     statMatchSize.add(static_cast<double>(nextMatching.size()));
-    MMR_TRACE_COUNTER(TraceCat::Sched, "sched.matching_size", now,
-                      static_cast<double>(nextMatching.size()));
+    if (FlightRecorder *fr = FlightRecorder::active())
+        fr->counter(TraceCat::Sched, "sched.matching_size", now,
+                    static_cast<std::int32_t>(nextMatching.size()));
 }
 
 void

@@ -5,12 +5,13 @@
  *
  * Figure sweeps (§5) are embarrassingly parallel — every point owns
  * its Rng, StatsRegistry, MetricsRecorder and router, and the only
- * process-wide hooks on the hot path (simclock, Tracer::current) are
- * thread-local — so the runner needs no locking beyond handing out
- * point indices and serializing the completion callback.  Results are
- * returned in input order and each point's resultDigest is
- * bit-identical to a serial run: parallelism changes only which OS
- * thread executes a point, never the work the point does.
+ * process-wide hooks on the hot path (simclock, the active
+ * FlightRecorder) are thread-local — so the runner needs no locking
+ * beyond handing out point indices and serializing the completion
+ * callback.  Results are returned in input order and each point's
+ * resultDigest is bit-identical to a serial run: parallelism changes
+ * only which OS thread executes a point, never the work the point
+ * does.
  */
 
 #ifndef MMR_SIM_SWEEP_HH

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the crash flight recorder: ring retention and wrap
- * behaviour, the Chrome-trace dump format, the MMR_OBS_EVENT
- * dual-sink macro, and the panic hook that turns an mmr_assert deep
- * in a run into a post-mortem artifact.
+ * behaviour, the default forensic categories, the Chrome-trace dump
+ * format, the MMR_OBS_EVENT macro, and the panic hook that turns an
+ * mmr_assert deep in a run into a post-mortem artifact.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "base/logging.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/obs_config.hh"
 
 namespace mmr
 {
@@ -70,9 +71,40 @@ TEST(FlightRecorder, ActivateInstallsThreadLocal)
     EXPECT_FALSE(FlightRecorder::wants());
 }
 
+TEST(FlightRecorder, DefaultRingKeepsTheForensicSet)
+{
+    EXPECT_EQ(traceCatNames(kForensicTraceCats),
+              "sched,admission,setup,control,fault");
+    EXPECT_EQ(traceCatMaskFromString(ObsConfig{}.flightRecorderCats),
+              kForensicTraceCats)
+        << "the harness default must be the recorder default";
+
+    FlightRecorder fr;
+    EXPECT_EQ(fr.categoryMask(), kForensicTraceCats);
+    Scoped s(fr);
+    for (unsigned c = 0; c < static_cast<unsigned>(TraceCat::NumCats);
+         ++c) {
+        const auto cat = static_cast<TraceCat>(c);
+        MMR_OBS_EVENT(cat, to_string(cat), Cycle{c}, 0u, kInvalidConn);
+    }
+    EXPECT_EQ(fr.recorded(), 5u);
+    std::ostringstream os;
+    fr.writeChromeJson(os, "unit_test");
+    for (unsigned c = 0; c < static_cast<unsigned>(TraceCat::NumCats);
+         ++c) {
+        const auto cat = static_cast<TraceCat>(c);
+        const bool kept = os.str().find(std::string("\"name\":\"") +
+                                        to_string(cat) + "\"") !=
+                          std::string::npos;
+        EXPECT_EQ(kept, (kForensicTraceCats & catBit(cat)) != 0)
+            << to_string(cat);
+    }
+}
+
 TEST(FlightRecorder, ObsEventMacroFeedsTheActiveRecorder)
 {
     FlightRecorder fr;
+    fr.setCategoryMask(catBit(TraceCat::Flit));
     Scoped s(fr);
     MMR_OBS_EVENT(TraceCat::Flit, "xmit", Cycle{42}, 3u, ConnId{7}, 1,
                   2);

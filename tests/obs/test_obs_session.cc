@@ -2,16 +2,23 @@
  * @file
  * End-to-end tests of the observability session through the §5
  * experiment harness: the sampler/registry outputs must reproduce the
- * MetricsRecorder aggregates, same-seed runs must produce bit-identical
- * trace/stats files, and per-run output paths must not collide.
+ * MetricsRecorder aggregates, traces must carry every event of the
+ * flit lifecycle, same-seed runs must produce bit-identical trace/stats
+ * files, bad trace windows must be rejected at flag parse, and per-run
+ * output paths must not collide.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "base/cli.hh"
 #include "harness/single_router.hh"
 #include "obs/obs_config.hh"
 
@@ -28,6 +35,34 @@ slurp(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+/** Events per "name/phase" in a recorder-written trace file. */
+std::map<std::string, std::size_t>
+eventCounts(const std::string &json)
+{
+    std::map<std::string, std::size_t> counts;
+    const std::string key = "{\"name\":\"";
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+        const std::size_t name = at + key.size();
+        const std::size_t ph = json.find("\"ph\":\"", name) + 6;
+        ++counts[json.substr(name, json.find('"', name) - name) + "/" +
+                 json[ph]];
+    }
+    return counts;
+}
+
+/** obsConfigFromCli over @p args, as a front end would parse them. */
+ObsConfig
+configFromFlags(std::vector<const char *> args)
+{
+    Cli cli;
+    addObsFlags(cli);
+    args.insert(args.begin(), "obs_test");
+    EXPECT_TRUE(cli.parse(static_cast<int>(args.size()),
+                          const_cast<char **>(args.data())));
+    return obsConfigFromCli(cli);
 }
 
 ExperimentConfig
@@ -72,7 +107,6 @@ TEST(ObsSession, StatsFileReproducesRecorderAggregates)
     EXPECT_NE(s.find("router0.flits.injected"), std::string::npos);
 }
 
-#if MMR_TRACING_ENABLED
 TEST(ObsSession, TraceCoversTheFlitLifecycle)
 {
     const std::string dir = ::testing::TempDir();
@@ -80,18 +114,26 @@ TEST(ObsSession, TraceCoversTheFlitLifecycle)
     cfg.obs.tracePath = dir + "obs_lifecycle.json";
 
     runSingleRouter(cfg);
-    const std::string s = slurp(cfg.obs.tracePath);
 
-    // ISSUE acceptance: flit lifecycle + scheduler grants + admission
-    // decisions all present in one Perfetto-loadable file.
-    for (const char *name : {"\"name\": \"inject\"",
-                             "\"name\": \"vc_alloc\"",
-                             "\"name\": \"grant\"",
-                             "\"name\": \"xmit\"",
-                             "\"name\": \"admit_cbr\"",
-                             "\"name\": \"sched.matching_size\""})
-        EXPECT_NE(s.find(name), std::string::npos) << name;
-    EXPECT_NE(s.find("\"traceEvents\": ["), std::string::npos);
+    // Flit lifecycle, scheduler grants and matching sizes, and
+    // admission decisions all in one Perfetto-loadable file, with the
+    // per-event counts of the two-recorder build this one replaced.
+    const std::map<std::string, std::size_t> want = {
+        {"inject/i", 12558},
+        {"grant/i", 12557},
+        {"xmit/i", 12554},
+        {"credit_consume/i", 12554},
+        {"sched.matching_size/C", 6000},
+        {"admit_reject/i", 198},
+        {"admit_cbr/i", 128},
+        {"vc_alloc/i", 128},
+    };
+    const auto got = eventCounts(slurp(cfg.obs.tracePath));
+    EXPECT_EQ(got, want);
+    std::size_t total = 0;
+    for (const auto &[key, n] : got)
+        total += n;
+    EXPECT_EQ(total, 56677u);
 }
 
 TEST(ObsSession, CategoryFilterNarrowsTheTrace)
@@ -102,14 +144,14 @@ TEST(ObsSession, CategoryFilterNarrowsTheTrace)
     cfg.obs.traceCats = "admission,setup";
 
     runSingleRouter(cfg);
-    const std::string s = slurp(cfg.obs.tracePath);
-    EXPECT_NE(s.find("\"name\": \"admit_cbr\""), std::string::npos);
-    EXPECT_NE(s.find("\"name\": \"vc_alloc\""), std::string::npos);
-    EXPECT_EQ(s.find("\"name\": \"inject\""), std::string::npos)
-        << "flit events must be filtered out";
-    EXPECT_EQ(s.find("\"name\": \"grant\""), std::string::npos);
+    const std::map<std::string, std::size_t> want = {
+        {"admit_reject/i", 198},
+        {"admit_cbr/i", 128},
+        {"vc_alloc/i", 128},
+    };
+    EXPECT_EQ(eventCounts(slurp(cfg.obs.tracePath)), want)
+        << "flit and scheduler events must be filtered out";
 }
-#endif // MMR_TRACING_ENABLED
 
 TEST(ObsSession, SameSeedRunsProduceBitIdenticalFiles)
 {
@@ -155,6 +197,22 @@ TEST(ObsSession, ComponentProfilingAttributesTime)
     for (const auto &[name, secs] : r.profile.componentSeconds)
         sawRouter = sawRouter || name == "router";
     EXPECT_TRUE(sawRouter) << "the router must appear in attribution";
+}
+
+TEST(ObsFlags, BadTraceWindowIsAUserError)
+{
+    EXPECT_THROW(configFromFlags({"--trace-from=20", "--trace-to=10"}),
+                 std::runtime_error);
+    EXPECT_THROW(configFromFlags({"--trace-from=-5"}), std::runtime_error)
+        << "a negative start would wrap to a huge cycle";
+
+    const ObsConfig window =
+        configFromFlags({"--trace-from=10", "--trace-to=20"});
+    EXPECT_EQ(window.traceFrom, 10u);
+    EXPECT_EQ(window.traceTo, 20u);
+    const ObsConfig open = configFromFlags({"--trace-from=10"});
+    EXPECT_EQ(open.traceTo, std::numeric_limits<Cycle>::max())
+        << "--trace-to=0 leaves the window open";
 }
 
 TEST(ObsPath, SuffixInsertsBeforeTheExtension)

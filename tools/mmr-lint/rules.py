@@ -188,7 +188,7 @@ def _resolve_call(obs: Observations, index, fn, call):
       this->), else free functions named f.
     - `x.f()` / `x->f()`: followed only when exactly one project class
       defines f — and never for names shared with the std container
-      API, which would otherwise alias (`q.push` is not Tracer::push).
+      API, which would otherwise alias (`q.push` is not VcState::push).
     """
     cands = index.get(call.name, ())
     if not cands:
