@@ -3,11 +3,14 @@
 
 Runs a bench binary with pinned arguments, extracts the
 machine-readable ``# begin-csv`` ... ``# end-csv`` block(s) from its
-stdout, and compares them byte-for-byte against a committed golden
-file.  The simulator guarantees same-seed determinism (fixed-seed
-xoshiro RNG, deterministic number formatting), so any diff is a real
-behavior change: either a regression, or an intended change that
-must be reviewed and re-recorded with ``--update``.
+stdout and from a committed golden file, and compares them
+byte-for-byte.  The golden may hold only the CSV blocks
+(``results/golden/*.txt``) or a bench's whole committed output
+(``results/<bench>.txt``).  The simulator guarantees same-seed
+determinism (fixed-seed xoshiro RNG, deterministic number
+formatting), so any diff is a real behavior change: either a
+regression, or an intended change that must be reviewed and
+re-recorded with ``--update``.
 
 Usage:
     check_golden.py --bench build/bench/fig4_delay \\
@@ -66,8 +69,12 @@ def main() -> int:
     golden_path = pathlib.Path(args.golden)
 
     if args.update:
+        # A whole-output golden is re-recorded whole.
+        whole = (golden_path.exists() and
+                 golden_path.read_text() !=
+                 extract_csv_blocks(golden_path.read_text()))
         golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_text(actual)
+        golden_path.write_text(proc.stdout if whole else actual)
         print(f"wrote {golden_path}")
         return 0
 
@@ -76,7 +83,7 @@ def main() -> int:
               f"--update", file=sys.stderr)
         return 1
 
-    expected = golden_path.read_text()
+    expected = extract_csv_blocks(golden_path.read_text())
     if actual == expected:
         print(f"golden match: {golden_path}")
         return 0

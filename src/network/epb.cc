@@ -1,27 +1,66 @@
 #include "network/epb.hh"
 
-#include <algorithm>
-
-#include "base/bitvector.hh"
 #include "base/logging.hh"
 
 namespace mmr
 {
 
-namespace
+void
+PathSearch::reserve(const SearchFabric &fabric_)
 {
+    const std::size_t nodes = fabric_.topo->numNodes();
+    searchedWords.assign(nodes * fabric_.searchedWordsPerNode, 0);
+    dist.reserve(nodes);
+    // A probe only moves to nodes nearer the destination, so it never
+    // holds more hops than there are nodes.
+    hops.reserve(nodes);
+}
 
-/** Try to reserve the connection's demand on one output link. */
-bool
-reserveHop(MmrRouter &router, PortId out, const SetupRequest &req,
-           VcId &out_vc)
+void
+PathSearch::start(SearchFabric &fabric_, const SetupRequest &req,
+                  SetupPolicy policy_,
+                  const std::vector<unsigned> &dist_to_dst)
 {
+    fabric = &fabric_;
+    request = req;
+    policy = policy_;
+    hops.clear();
+    forwardSteps = 0;
+    backtrackSteps = 0;
+    at = req.src;
+    // mmr-lint: allow(hot-path-alloc) amortized: sized by the (fixed)
+    // topology once, then rewritten in place on every search.
+    searchedWords.assign(
+        fabric->topo->numNodes() * fabric->searchedWordsPerNode, 0);
+    // mmr-lint: allow(hot-path-alloc) amortized: see above.
+    dist.assign(dist_to_dst.begin(), dist_to_dst.end());
+}
+
+bool
+PathSearch::searched(NodeId n, std::size_t bit) const
+{
+    const std::size_t w = n * fabric->searchedWordsPerNode + bit / 64;
+    return (searchedWords[w] >> (bit % 64)) & 1u;
+}
+
+void
+PathSearch::markSearched(NodeId n, std::size_t bit)
+{
+    const std::size_t w = n * fabric->searchedWordsPerNode + bit / 64;
+    searchedWords[w] |= std::uint64_t{1} << (bit % 64);
+}
+
+bool
+PathSearch::reserveHop(PortId out, VcId &out_vc)
+{
+    MmrRouter &router = fabric->routerAt(at);
     AdmissionController &admit = router.admission();
     bool admitted = false;
-    if (req.klass == TrafficClass::CBR)
-        admitted = admit.tryAdmitCbr(out, req.allocCycles);
-    else if (req.klass == TrafficClass::VBR)
-        admitted = admit.tryAdmitVbr(out, req.permCycles, req.peakCycles);
+    if (request.klass == TrafficClass::CBR)
+        admitted = admit.tryAdmitCbr(out, request.allocCycles);
+    else if (request.klass == TrafficClass::VBR)
+        admitted = admit.tryAdmitVbr(out, request.permCycles,
+                                     request.peakCycles);
     else
         mmr_panic("EPB establishes CBR/VBR connections only");
     if (!admitted)
@@ -29,192 +68,96 @@ reserveHop(MmrRouter &router, PortId out, const SetupRequest &req,
 
     out_vc = router.routing().allocOutputVc(out);
     if (out_vc == kInvalidVc) {
-        if (req.klass == TrafficClass::CBR)
-            admit.releaseCbr(out, req.allocCycles);
+        if (request.klass == TrafficClass::CBR)
+            admit.releaseCbr(out, request.allocCycles);
         else
-            admit.releaseVbr(out, req.permCycles, req.peakCycles);
+            admit.releaseVbr(out, request.permCycles, request.peakCycles);
         return false;
     }
     return true;
 }
 
 void
-releaseHop(MmrRouter &router, const ReservedHop &hop,
-           const SetupRequest &req)
+PathSearch::releaseHop(const ReservedHop &hop)
 {
+    MmrRouter &router = fabric->routerAt(hop.node);
     router.routing().freeOutputVc(hop.out, hop.outVc);
-    if (req.klass == TrafficClass::CBR)
-        router.admission().releaseCbr(hop.out, req.allocCycles);
+    if (request.klass == TrafficClass::CBR)
+        router.admission().releaseCbr(hop.out, request.allocCycles);
     else
-        router.admission().releaseVbr(hop.out, req.permCycles,
-                                      req.peakCycles);
-}
-
-} // namespace
-
-std::vector<unsigned>
-survivingDistances(const Topology &topo, NodeId dst,
-                   const std::function<bool(NodeId, PortId)> &link_ok)
-{
-    if (!link_ok)
-        return topo.bfsDistances(dst);
-    SetupScratch scratch;
-    std::vector<unsigned> dist;
-    survivingDistances(topo, dst, link_ok, scratch, dist);
-    return dist;
+        router.admission().releaseVbr(hop.out, request.permCycles,
+                                      request.peakCycles);
 }
 
 void
-survivingDistances(const Topology &topo, NodeId dst,
-                   const std::function<bool(NodeId, PortId)> &link_ok,
-                   SetupScratch &scratch, std::vector<unsigned> &out)
+PathSearch::releaseAll()
 {
-    constexpr unsigned inf = ~0u;
-    // mmr-lint: allow(hot-path-alloc) amortized: sized by the (fixed)
-    // topology once, then rewritten in place on every recompute.
-    out.assign(topo.numNodes(), inf);
-    std::vector<NodeId> &frontier = scratch.frontier;
-    std::vector<NodeId> &next = scratch.next;
-    frontier.clear();
-    // mmr-lint: allow(hot-path-alloc) amortized: scratch members,
-    // capacity persists across BFS recomputes.
-    frontier.push_back(dst);
-    out[dst] = 0;
-    while (!frontier.empty()) {
-        next.clear();
-        for (NodeId n : frontier) {
-            for (const auto &p : topo.ports(n)) {
-                // The link is traversed neighbor -> n here, but
-                // failures take out both directions.
-                if (link_ok && !link_ok(p.neighbor, p.remotePort))
-                    continue;
-                if (out[p.neighbor] == inf) {
-                    out[p.neighbor] = out[n] + 1;
-                    // mmr-lint: allow(hot-path-alloc) amortized:
-                    // scratch member (see above).
-                    next.push_back(p.neighbor);
-                }
-            }
-        }
-        frontier.swap(next);
-    }
+    for (auto it = hops.rbegin(); it != hops.rend(); ++it)
+        releaseHop(*it);
+    hops.clear();
 }
 
-SetupResult
-establishPath(const Topology &topo,
-              const std::function<MmrRouter &(NodeId)> &router_at,
-              const std::function<PortId(NodeId)> &ni_port_of,
-              const SetupRequest &req, SetupPolicy policy, Rng &rng,
-              const std::function<bool(NodeId, PortId)> &link_ok)
+SearchStatus
+PathSearch::step(Rng &rng)
 {
-    SetupScratch scratch;
-    SetupResult res;
-    establishPath(topo, router_at, ni_port_of, req, policy, rng,
-                  link_ok, scratch, res);
-    return res;
-}
-
-MMR_HOT_PATH void
-establishPath(const Topology &topo,
-              const std::function<MmrRouter &(NodeId)> &router_at,
-              const std::function<PortId(NodeId)> &ni_port_of,
-              const SetupRequest &req, SetupPolicy policy, Rng &rng,
-              const std::function<bool(NodeId, PortId)> &link_ok,
-              SetupScratch &scratch, SetupResult &res)
-{
-    mmr_assert(req.src < topo.numNodes() && req.dst < topo.numNodes(),
-               "setup endpoints out of range");
-    mmr_assert(req.src != req.dst, "connection to self");
-
-    res.accepted = false;
-    res.hops.clear();
-    res.forwardSteps = 0;
-    res.backtrackSteps = 0;
-
-    // Minimal-path distances over the *surviving* graph: a link that
-    // failed must neither count as a shortcut nor attract probes.
-    survivingDistances(topo, req.dst, link_ok, scratch, scratch.dist);
-    const std::vector<unsigned> &dist = scratch.dist;
-    if (dist[req.src] == ~0u)
-        return; // destination unreachable on surviving links
-
-    // Probe-local history: which output links have been searched at
-    // each visited node.  (The hardware keeps this per input virtual
-    // channel in the routing unit; the synchronous search keeps it
-    // with the probe, which is semantically equivalent because a probe
-    // occupies exactly one input VC per visited router.)  Bit d of
-    // node n is output d; bit degree(n) is the NI reservation try.
-    scratch.resetSearched(topo.numNodes(), topo.maxDegree());
-
-    NodeId cur = req.src;
-    for (;;) {
-        if (cur == req.dst) {
-            // Reserve the final hop onto the destination host link.
-            const PortId ni = ni_port_of(cur);
+    const Topology &topo = *fabric->topo;
+    if (at == request.dst) {
+        // Reserve the final hop onto the destination host link.  A
+        // failed try has no side effects and the search holds nothing
+        // on this port, so a revisit would fail the same way: it is
+        // tried once.
+        const PortId ni = fabric->niPortOf(at);
+        if (!searched(at, ni)) {
+            markSearched(at, ni);
             VcId vc = kInvalidVc;
-            if (reserveHop(router_at(cur), ni, req, vc)) {
-                // mmr-lint: allow(hot-path-alloc) amortized: the
-                // caller-owned result retains hop capacity across
-                // setups (SetupScratch / Network::setupResult).
-                res.hops.push_back(ReservedHop{cur, ni, vc});
-                res.accepted = true;
-                return;
+            if (reserveHop(ni, vc)) {
+                // mmr-lint: allow(hot-path-alloc) amortized: hop
+                // vectors keep their capacity across searches.
+                hops.push_back(ReservedHop{at, ni, vc});
+                return SearchStatus::Accepted;
             }
-            // The host link itself is saturated: nothing to search
-            // here, treat as a dead end and backtrack.
-            scratch.markSearched(cur, ni);
         }
-
-        if (cur != req.dst) {
-            // Profitable candidates: minimal-path neighbors whose
-            // link has not been searched yet, in random order.
-            std::vector<PortId> &cands = scratch.cands;
-            cands.clear();
-            for (const auto &p : topo.ports(cur)) {
-                if (dist[p.neighbor] + 1 != dist[cur])
-                    continue;
-                if (scratch.searched(cur, p.localPort))
-                    continue;
-                if (link_ok && !link_ok(cur, p.localPort))
-                    continue;
-                // mmr-lint: allow(hot-path-alloc) amortized: scratch
-                // member, capacity persists across searches.
-                cands.push_back(p.localPort);
-            }
-            rng.shuffle(cands);
-
-            bool advanced = false;
-            for (PortId out : cands) {
-                scratch.markSearched(cur, out);
-                VcId vc = kInvalidVc;
-                if (!reserveHop(router_at(cur), out, req, vc))
-                    continue;
-                // mmr-lint: allow(hot-path-alloc) amortized: see the
-                // destination-hop push above.
-                res.hops.push_back(ReservedHop{cur, out, vc});
-                cur = topo.neighborAt(cur, out);
-                ++res.forwardSteps;
-                advanced = true;
-                break;
-            }
-            if (advanced)
+        // The host link itself is saturated: a dead end.
+    } else {
+        // Profitable, unsearched, healthy links in random order.
+        std::vector<PortId> &cands = fabric->cands;
+        cands.clear();
+        for (const auto &port : topo.ports(at)) {
+            if (dist[port.neighbor] + 1 != dist[at])
                 continue;
+            if (searched(at, port.localPort))
+                continue;
+            if (fabric->linkAlive && !fabric->linkAlive(at, port.localPort))
+                continue;
+            // mmr-lint: allow(hot-path-alloc) amortized: the shared
+            // list keeps its capacity across steps.
+            cands.push_back(port.localPort);
         }
-
-        // Dead end: backtrack (EPB) or give up (greedy).
-        if (policy == SetupPolicy::Greedy || res.hops.empty()) {
-            for (auto it = res.hops.rbegin(); it != res.hops.rend(); ++it)
-                releaseHop(router_at(it->node), *it, req);
-            res.hops.clear();
-            res.accepted = false;
-            return;
+        rng.shuffle(cands);
+        for (PortId out : cands) {
+            markSearched(at, out);
+            VcId vc = kInvalidVc;
+            if (!reserveHop(out, vc))
+                continue;
+            // mmr-lint: allow(hot-path-alloc) amortized: see above.
+            hops.push_back(ReservedHop{at, out, vc});
+            at = topo.neighborAt(at, out);
+            ++forwardSteps;
+            return SearchStatus::Searching;
         }
-        const ReservedHop hop = res.hops.back();
-        res.hops.pop_back();
-        releaseHop(router_at(hop.node), hop, req);
-        cur = hop.node;
-        ++res.backtrackSteps;
     }
+
+    // Dead end: give up (greedy / exhausted source) or backtrack.
+    if (policy == SetupPolicy::Greedy || hops.empty()) {
+        releaseAll();
+        return SearchStatus::Refused;
+    }
+    const ReservedHop hop = hops.back();
+    hops.pop_back();
+    releaseHop(hop);
+    at = hop.node;
+    ++backtrackSteps;
+    return SearchStatus::Searching;
 }
 
 } // namespace mmr

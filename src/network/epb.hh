@@ -12,20 +12,22 @@
  * it backtracks, releasing the hop's resources and recording the link
  * in the history store so it is never searched twice.
  *
- * The search here is algorithmic (the probe walk is executed
- * synchronously against the routers' real admission and VC state);
- * the step counts it returns convert into setup latency via the
- * per-hop probe cost.  A greedy non-backtracking policy is provided
- * as the baseline for bench_network_epb.
+ * PathSearch is the one implementation of that walk: each step() is
+ * one probe action against the routers' real admission and VC state.
+ * ProbeSetupManager (probe_protocol.hh) is its only driver, in two
+ * modes: establish() runs the steps back to back in zero simulated
+ * time (static streams), and the timed protocol spaces them one hop
+ * latency apart (churn, recovery).  A greedy non-backtracking policy
+ * is provided as the baseline for bench_network_epb.
  */
 
 #ifndef MMR_NETWORK_EPB_HH
 #define MMR_NETWORK_EPB_HH
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/rng.hh"
 #include "network/topology.hh"
 #include "router/router.hh"
@@ -56,73 +58,107 @@ struct ReservedHop
     NodeId node = kInvalidNode;
     PortId out = kInvalidPort;
     VcId outVc = kInvalidVc;
+
+    bool
+    operator==(const ReservedHop &o) const
+    {
+        return node == o.node && out == o.out && outVc == o.outVc;
+    }
 };
 
-struct SetupResult
+/**
+ * What a search walks over: the router graph, each node's router
+ * (whose admission registers and output VCs it reserves), the port
+ * its host interface hangs off, and the link-health filter; plus what
+ * every search over it shares.
+ */
+struct SearchFabric
 {
-    bool accepted = false;
-    /** Reserved hops from the source router to the destination NI
-     * port (the last hop's out is the NI port of dst). */
+    const Topology *topo = nullptr;
+    std::function<MmrRouter &(NodeId)> routerAt;
+    std::function<PortId(NodeId)> niPortOf;
+    /** False once the directed link out of (node, port) has failed;
+     * empty = every link healthy. */
+    std::function<bool(NodeId, PortId)> linkAlive;
+    /** Words per node of a searched-bit table: degree + 1 bits (the
+     * NI try included), max over the nodes. */
+    std::size_t searchedWordsPerNode = 1;
+    /** Candidate outputs of the step being taken.  Searches step one
+     * at a time, so they share it. */
+    std::vector<PortId> cands;
+};
+
+/** Where a search stands after a step. */
+enum class SearchStatus
+{
+    Searching, ///< advanced or backtracked one hop
+    Accepted,  ///< the destination NI hop is reserved: hops is the path
+    Refused    ///< gave up; every reservation has been released
+};
+
+/**
+ * One probe's path search: its position, the hops it holds, its step
+ * counts, the output links it has searched and the distances it
+ * steers by.  Resources are reserved and released as the probe moves,
+ * so searches driven concurrently contend for them hop by hop.
+ */
+class PathSearch
+{
+  public:
+    SetupRequest request;
+    SetupPolicy policy = SetupPolicy::Epb;
+    /** Hops reserved so far, from the source router; once Accepted,
+     * the last one is the destination's NI port. */
     std::vector<ReservedHop> hops;
     unsigned forwardSteps = 0;
     unsigned backtrackSteps = 0;
+
+    /** Size every container for @p fabric so that start() and step()
+     * reuse capacity instead of allocating. */
+    void reserve(const SearchFabric &fabric);
+
+    /**
+     * Begin a search for @p req at its source, steering by
+     * @p dist_to_dst (hop distances to req.dst over the surviving
+     * links, ~0u where unreachable; copied, so a later fault does not
+     * retarget the probe).  The previous search's hops must have been
+     * released or handed to an installed connection.
+     */
+    void start(SearchFabric &fabric, const SetupRequest &req,
+               SetupPolicy policy,
+               const std::vector<unsigned> &dist_to_dst);
+
+    /**
+     * One probe action.  At the destination: reserve its NI hop
+     * (tried once per search).  Elsewhere: advance over a random
+     * unsearched profitable link that admits the demand.  At a dead
+     * end: backtrack one hop (EPB), or give up (greedy, or nothing
+     * left at the source).  @p rng orders the candidate links.
+     */
+    SearchStatus step(Rng &rng);
+
+    /** Release every held hop, newest first. */
+    void releaseAll();
+
+  private:
+    bool searched(NodeId n, std::size_t bit) const;
+    void markSearched(NodeId n, std::size_t bit);
+    /** Reserve the demand on output @p out of the current node. */
+    bool reserveHop(PortId out, VcId &out_vc);
+    void releaseHop(const ReservedHop &hop);
+
+    SearchFabric *fabric = nullptr;
+    NodeId at = kInvalidNode;
+    std::vector<unsigned> dist;
+    /**
+     * Output links already searched, per node: the per-input-VC
+     * history store of §3.5, carried with the probe.  Node n's bits
+     * are the fabric's searchedWordsPerNode words from
+     * n * searchedWordsPerNode; bit d is output d, so the NI port
+     * (degree(n)) is the destination try.
+     */
+    std::vector<std::uint64_t> searchedWords;
 };
-
-/**
- * Run the path search, reserving admission bandwidth and output VCs
- * hop by hop.  On failure every reservation is released.
- *
- * @param topo the router graph
- * @param router_at accessor for the per-node routers
- * @param ni_port_of the host-interface port index of each node
- * @param req connection demand
- * @param policy Epb or Greedy
- * @param rng randomizes the order profitable links are tried
- * @param link_ok optional health filter: false when the directed link
- *        out of @p node through @p port has failed (fault injection)
- */
-SetupResult establishPath(
-    const Topology &topo,
-    const std::function<MmrRouter &(NodeId)> &router_at,
-    const std::function<PortId(NodeId)> &ni_port_of,
-    const SetupRequest &req, SetupPolicy policy, Rng &rng,
-    const std::function<bool(NodeId, PortId)> &link_ok = {});
-
-/**
- * Scratch-backed form of the search for setup hot paths: BFS
- * distances, the searched-bit table and the candidate list live in
- * @p scratch, and the reserved hops are appended to @p res.hops —
- * all capacity persists across calls, so a warmed caller allocates
- * nothing per setup.  @p res is fully overwritten (hops cleared
- * first).  Semantics and RNG draws are identical to the allocating
- * overload above, which now delegates here.
- */
-void establishPath(
-    const Topology &topo,
-    const std::function<MmrRouter &(NodeId)> &router_at,
-    const std::function<PortId(NodeId)> &ni_port_of,
-    const SetupRequest &req, SetupPolicy policy, Rng &rng,
-    const std::function<bool(NodeId, PortId)> &link_ok,
-    SetupScratch &scratch, SetupResult &res);
-
-/**
- * BFS hop distances to @p dst over the links @p link_ok accepts
- * (~0u where unreachable).  With an empty filter this is
- * Topology::bfsDistances.
- */
-std::vector<unsigned> survivingDistances(
-    const Topology &topo, NodeId dst,
-    const std::function<bool(NodeId, PortId)> &link_ok);
-
-/**
- * Same distances computed into @p out with BFS frontiers drawn from
- * @p scratch — the alloc-free form used per probe launch (capacity
- * persists in both the scratch and @p out across calls).
- */
-void survivingDistances(
-    const Topology &topo, NodeId dst,
-    const std::function<bool(NodeId, PortId)> &link_ok,
-    SetupScratch &scratch, std::vector<unsigned> &out);
 
 } // namespace mmr
 

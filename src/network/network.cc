@@ -66,10 +66,9 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     probeMgr = std::make_unique<ProbeSetupManager>(
         topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
         [this](NodeId n) { return niPort(n); },
-        [this](const TimedSetup &s) { onTimedSetupComplete(s); },
+        [this](TimedSetup &s) { onTimedSetupComplete(s); },
         cfg.seed ^ 0xabcdef12ULL);
-    probeMgr->setHopLatency(
-        std::max(1u, static_cast<unsigned>(cfg.probeHopCycles)));
+    probeMgr->setHopLatency(cfg.probeHopCycles);
     probeMgr->setLinkAlive([this](NodeId n, PortId port) {
         return directedLinkUp(n, port);
     });
@@ -112,6 +111,7 @@ Network::failLink(NodeId a, NodeId b)
         return false;
     linkDown[a][pa] = true;
     linkDown[b][pb] = true;
+    probeMgr->invalidateDistances();
 
     // Flits already in flight on the dead link are lost; return their
     // credits so the upstream VC is not wedged forever.  In-place
@@ -175,7 +175,6 @@ Network::failLink(NodeId a, NodeId b)
     MMR_OBS_EVENT(TraceCat::Fault, "link_down", simclock::now(), a,
                   kInvalidConn, static_cast<std::int32_t>(b));
     rebuildRouting();
-    probeMgr->invalidateDistances();
     return true;
 }
 
@@ -188,10 +187,10 @@ Network::repairLink(NodeId a, NodeId b)
         return false;
     linkDown[a][pa] = false;
     linkDown[b][pb] = false;
+    probeMgr->invalidateDistances();
     MMR_OBS_EVENT(TraceCat::Fault, "link_up", simclock::now(), a,
                   kInvalidConn, static_cast<std::int32_t>(b));
     rebuildRouting();
-    probeMgr->invalidateDistances();
     return true;
 }
 
@@ -387,10 +386,11 @@ Network::reserveSessions(std::size_t n)
 }
 
 ConnId
-Network::installReservedPath(const SetupRequest &req,
-                             const std::vector<ReservedHop> &hops,
-                             double rate_or_mean, int priority)
+Network::installReservedPath(PathSearch &search, double rate_or_mean,
+                             int priority)
 {
+    const SetupRequest &req = search.request;
+    const std::vector<ReservedHop> &hops = search.hops;
     mmr_assert(!hops.empty(), "installing an empty path");
     const ConnId id = nextPcsId++;
     const double link = cfg.router.linkRateBps;
@@ -399,16 +399,7 @@ Network::installReservedPath(const SetupRequest &req,
     const PortId src_ni = niPort(req.src);
     const VcId src_vc = routers[req.src]->routing().allocInputVc(src_ni);
     if (src_vc == kInvalidVc) {
-        // Roll the whole reservation back.
-        for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-            routers[it->node]->routing().freeOutputVc(it->out, it->outVc);
-            if (req.klass == TrafficClass::CBR)
-                routers[it->node]->admission().releaseCbr(
-                    it->out, req.allocCycles);
-            else
-                routers[it->node]->admission().releaseVbr(
-                    it->out, req.permCycles, req.peakCycles);
-        }
+        search.releaseAll();
         return kInvalidConn;
     }
 
@@ -468,36 +459,37 @@ Network::installReservedPath(const SetupRequest &req,
 }
 
 Network::SetupOutcome
-Network::finishSetup(const SetupRequest &req, const SetupResult &sr,
-                     double rate_or_mean, double peak_bps, int priority)
+Network::openNow(const SetupRequest &req, SetupPolicy policy,
+                 double rate_or_mean, int priority)
 {
-    (void)peak_bps;
+    const bool found =
+        probeMgr->establish(req, policy, rand, setupSearch);
     SetupOutcome out;
-    out.forwardSteps = sr.forwardSteps;
-    out.backtrackSteps = sr.backtrackSteps;
-    if (!sr.accepted) {
-        out.setupLatencyCycles =
-            cfg.probeHopCycles *
-            static_cast<double>(sr.forwardSteps + sr.backtrackSteps);
+    out.forwardSteps = setupSearch.forwardSteps;
+    out.backtrackSteps = setupSearch.backtrackSteps;
+    // One hop latency per forward or backtrack step, plus one per
+    // path hop for the ack's walk back (a refused search holds none).
+    const Cycle actions = setupSearch.forwardSteps +
+                          setupSearch.backtrackSteps +
+                          setupSearch.hops.size();
+    out.setupLatencyCycles =
+        static_cast<double>(probeMgr->hopCycles() * actions);
+    if (!found) {
         MMR_OBS_EVENT(TraceCat::Setup, "setup_reject",
                       simclock::now(), req.src, kInvalidConn,
                       static_cast<std::int32_t>(req.dst),
-                      static_cast<std::int32_t>(sr.backtrackSteps));
+                      static_cast<std::int32_t>(out.backtrackSteps));
         return out;
     }
 
     const ConnId id =
-        installReservedPath(req, sr.hops, rate_or_mean, priority);
+        installReservedPath(setupSearch, rate_or_mean, priority);
     if (id == kInvalidConn)
         return out;
 
     out.id = id;
     out.accepted = true;
-    out.pathLength = static_cast<unsigned>(sr.hops.size());
-    out.setupLatencyCycles =
-        cfg.probeHopCycles *
-        static_cast<double>(sr.forwardSteps + sr.backtrackSteps +
-                            sr.hops.size());
+    out.pathLength = static_cast<unsigned>(setupSearch.hops.size());
     MMR_OBS_EVENT(TraceCat::Setup, "setup_accept", simclock::now(),
                   req.src, id,
                   static_cast<std::int32_t>(req.dst),
@@ -544,7 +536,7 @@ Network::openVbrTimed(NodeId src, NodeId dst, double mean_bps,
 }
 
 void
-Network::onTimedSetupComplete(const TimedSetup &s)
+Network::onTimedSetupComplete(TimedSetup &s)
 {
     const TimedRequestInfo *info_p = timedInfo.find(s.token);
     mmr_assert(info_p != nullptr,
@@ -558,9 +550,8 @@ Network::onTimedSetupComplete(const TimedSetup &s)
     out.backtrackSteps = s.backtrackSteps;
     out.setupCycles = s.finishedAt - s.startedAt;
     if (s.state == SetupState::Established) {
-        const ConnId id = installReservedPath(s.request, s.hops,
-                                              info.rateOrMean,
-                                              info.priority);
+        const ConnId id =
+            installReservedPath(s, info.rateOrMean, info.priority);
         if (id != kInvalidConn) {
             out.accepted = true;
             out.id = id;
@@ -605,16 +596,7 @@ Network::openCbr(NodeId src, NodeId dst, double rate_bps,
     req.klass = TrafficClass::CBR;
     req.allocCycles = cyclesPerRound(rate_bps, cfg.router.linkRateBps,
                                      cfg.router.cyclesPerRound());
-    auto router_at = [this](NodeId n) -> MmrRouter & {
-        return *routers[n];
-    };
-    auto ni_of = [this](NodeId n) { return niPort(n); };
-    establishPath(topo, router_at, ni_of, req, policy, rand,
-                  [this](NodeId n, PortId port) {
-                      return directedLinkUp(n, port);
-                  },
-                  setupScratch, setupResult);
-    return finishSetup(req, setupResult, rate_bps, 0.0, 0);
+    return openNow(req, policy, rate_bps, 0);
 }
 
 Network::SetupOutcome
@@ -632,16 +614,7 @@ Network::openVbr(NodeId src, NodeId dst, double mean_bps,
                                     cfg.router.cyclesPerRound());
     req.peakCycles = cyclesPerRound(peak_bps, cfg.router.linkRateBps,
                                     cfg.router.cyclesPerRound());
-    auto router_at = [this](NodeId n) -> MmrRouter & {
-        return *routers[n];
-    };
-    auto ni_of = [this](NodeId n) { return niPort(n); };
-    establishPath(topo, router_at, ni_of, req, policy, rand,
-                  [this](NodeId n, PortId port) {
-                      return directedLinkUp(n, port);
-                  },
-                  setupScratch, setupResult);
-    return finishSetup(req, setupResult, mean_bps, peak_bps, priority);
+    return openNow(req, policy, mean_bps, priority);
 }
 
 bool

@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/flat_map.hh"
 #include "metrics/recorder.hh"
 #include "network/epb.hh"
@@ -44,7 +43,9 @@ struct NetworkConfig
     /** Per-router template; numPorts is overridden per node. */
     RouterConfig router;
     Cycle linkLatency = 1;       ///< flit cycles per inter-router hop
-    double probeHopCycles = 2.0; ///< setup-latency model per probe step
+    /** Flit cycles per probe, backtrack or ack hop: the timed
+     * protocol's hop latency and the zero-time setup estimate. */
+    Cycle probeHopCycles = 2;
     std::uint64_t seed = 7;
 
     /**
@@ -456,19 +457,19 @@ class Network : public Clocked
     void processArrivals(Cycle now);
     void processPendingCloses();
 
-    SetupOutcome finishSetup(const SetupRequest &req,
-                             const SetupResult &sr, double rate_or_mean,
-                             double peak_bps, int priority);
+    /** Zero-time setup of @p req: search, then install the path. */
+    SetupOutcome openNow(const SetupRequest &req, SetupPolicy policy,
+                         double rate_or_mean, int priority);
 
     /**
-     * Install the per-router segments of a fully reserved path;
-     * returns the connection id or kInvalidConn (rolled back).
+     * Install the per-router segments of the path @p search reserved;
+     * returns the connection id, or kInvalidConn with every hop
+     * released.
      */
-    ConnId installReservedPath(const SetupRequest &req,
-                               const std::vector<ReservedHop> &hops,
-                               double rate_or_mean, int priority);
+    ConnId installReservedPath(PathSearch &search, double rate_or_mean,
+                               int priority);
 
-    void onTimedSetupComplete(const TimedSetup &s);
+    void onTimedSetupComplete(TimedSetup &s);
 
     Topology topo;
     NetworkConfig cfg;
@@ -524,10 +525,9 @@ class Network : public Clocked
      */
     std::vector<ConnId> closingIds;
 
-    /** Reused search state of the synchronous (zero-sim-time) setup
-     * path, so openCbr/openVbr allocate nothing once warmed. */
-    SetupScratch setupScratch;
-    SetupResult setupResult;
+    /** Reused search of the zero-time setup path, so openCbr/openVbr
+     * allocate nothing once warmed. */
+    PathSearch setupSearch;
 
     void rebuildRouting();
     bool directedLinkUp(NodeId n, PortId port) const;

@@ -1,7 +1,5 @@
 #include "network/probe_protocol.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace mmr
@@ -23,108 +21,90 @@ to_string(SetupState s)
     return "?";
 }
 
-namespace
-{
-
-bool
-reserveHop(MmrRouter &router, PortId out, const SetupRequest &req,
-           VcId &out_vc)
-{
-    AdmissionController &admit = router.admission();
-    bool admitted = false;
-    if (req.klass == TrafficClass::CBR)
-        admitted = admit.tryAdmitCbr(out, req.allocCycles);
-    else if (req.klass == TrafficClass::VBR)
-        admitted = admit.tryAdmitVbr(out, req.permCycles, req.peakCycles);
-    else
-        mmr_panic("probes establish CBR/VBR connections only");
-    if (!admitted)
-        return false;
-    out_vc = router.routing().allocOutputVc(out);
-    if (out_vc == kInvalidVc) {
-        if (req.klass == TrafficClass::CBR)
-            admit.releaseCbr(out, req.allocCycles);
-        else
-            admit.releaseVbr(out, req.permCycles, req.peakCycles);
-        return false;
-    }
-    return true;
-}
-
-void
-releaseHop(MmrRouter &router, const ReservedHop &hop,
-           const SetupRequest &req)
-{
-    router.routing().freeOutputVc(hop.out, hop.outVc);
-    if (req.klass == TrafficClass::CBR)
-        router.admission().releaseCbr(hop.out, req.allocCycles);
-    else
-        router.admission().releaseVbr(hop.out, req.permCycles,
-                                      req.peakCycles);
-}
-
-} // namespace
-
 ProbeSetupManager::ProbeSetupManager(const Topology &topo_,
                                      RouterAccess router_at,
                                      NiPortOf ni_port_of,
                                      CompletionFn on_complete,
                                      std::uint64_t seed)
-    : topo(topo_), routerAt(std::move(router_at)),
-      niPortOf(std::move(ni_port_of)), onComplete(std::move(on_complete)),
-      rng(seed),
-      searchedWordsPerNode((topo_.maxDegree() + 1 + 63) / 64),
+    : topo(topo_),
+      fabric{&topo_, std::move(router_at), std::move(ni_port_of), {},
+             (topo_.maxDegree() + 1 + 63) / 64, {}},
+      onComplete(std::move(on_complete)), rng(seed),
       distCache(topo_.numNodes()), distCacheEpoch(topo_.numNodes(), 0)
 {
-    mmr_assert(routerAt && niPortOf && onComplete,
+    mmr_assert(fabric.routerAt && fabric.niPortOf && onComplete,
                "probe manager needs router access and a callback");
-}
-
-bool
-ProbeSetupManager::searched(const Probe &p, NodeId n,
-                            std::size_t bit) const
-{
-    const std::size_t w = n * searchedWordsPerNode + bit / 64;
-    return (p.searchedWords[w] >> (bit % 64)) & 1u;
-}
-
-void
-ProbeSetupManager::markSearched(Probe &p, NodeId n, std::size_t bit)
-{
-    const std::size_t w = n * searchedWordsPerNode + bit / 64;
-    p.searchedWords[w] |= std::uint64_t{1} << (bit % 64);
-}
-
-bool
-ProbeSetupManager::linkUsable(NodeId n, PortId port) const
-{
-    return !linkAlive || linkAlive(n, port);
+    fabric.cands.reserve(topo.maxDegree());
 }
 
 const std::vector<unsigned> &
 ProbeSetupManager::distancesTo(NodeId dst)
 {
-    if (distCacheEpoch[dst] != linkEpoch) {
-        survivingDistances(topo, dst, linkAlive, scratch,
-                           distCache[dst]);
-        distCacheEpoch[dst] = linkEpoch;
+    std::vector<unsigned> &dist = distCache[dst];
+    if (distCacheEpoch[dst] == linkEpoch)
+        return dist;
+    distCacheEpoch[dst] = linkEpoch;
+
+    // BFS hop distances to dst over the surviving links: a link that
+    // failed must neither count as a shortcut nor attract probes.
+    constexpr unsigned inf = ~0u;
+    // mmr-lint: allow(hot-path-alloc) amortized: each destination's
+    // table is sized once, then rewritten in place on every recompute.
+    dist.assign(topo.numNodes(), inf);
+    frontier.clear();
+    // mmr-lint: allow(hot-path-alloc) amortized: the frontiers keep
+    // their capacity across recomputes.
+    frontier.push_back(dst);
+    dist[dst] = 0;
+    while (!frontier.empty()) {
+        nextFrontier.clear();
+        for (NodeId n : frontier) {
+            for (const auto &p : topo.ports(n)) {
+                // The link is traversed neighbor -> n here, but
+                // failures take out both directions.
+                if (fabric.linkAlive &&
+                    !fabric.linkAlive(p.neighbor, p.remotePort))
+                    continue;
+                if (dist[p.neighbor] == inf) {
+                    dist[p.neighbor] = dist[n] + 1;
+                    // mmr-lint: allow(hot-path-alloc) amortized: see
+                    // above.
+                    nextFrontier.push_back(p.neighbor);
+                }
+            }
+        }
+        frontier.swap(nextFrontier);
     }
-    return distCache[dst];
+    return dist;
+}
+
+void
+ProbeSetupManager::launch(PathSearch &search, const SetupRequest &req,
+                          SetupPolicy policy)
+{
+    mmr_assert(req.src < topo.numNodes() && req.dst < topo.numNodes() &&
+                   req.src != req.dst,
+               "bad setup endpoints");
+    search.start(fabric, req, policy, distancesTo(req.dst));
+}
+
+bool
+ProbeSetupManager::establish(const SetupRequest &req, SetupPolicy policy,
+                             Rng &search_rng, PathSearch &search)
+{
+    launch(search, req, policy);
+    SearchStatus status = SearchStatus::Searching;
+    while (status == SearchStatus::Searching)
+        status = search.step(search_rng);
+    return status == SearchStatus::Accepted;
 }
 
 void
 ProbeSetupManager::reservePools(std::size_t n)
 {
-    const std::size_t numNodes = topo.numNodes();
-    // Hop capacity: an established path visits each node at most once;
-    // wandering searches beyond this grow (rarely) on demand.
-    const std::size_t hopCap = numNodes + 1;
     while (slots.size() < n) {
         slots.emplace_back();
-        Probe &p = slots.back();
-        p.searchedWords.assign(numNodes * searchedWordsPerNode, 0);
-        p.distToDst.reserve(numNodes);
-        p.setup.hops.reserve(hopCap);
+        slots.back().setup.reserve(fabric);
     }
     // Rebuild the free list only when the pool is idle (construction
     // time).  Indices are stacked descending so pops hand out
@@ -146,9 +126,6 @@ std::uint64_t
 ProbeSetupManager::begin(const SetupRequest &req, SetupPolicy policy,
                          Cycle now)
 {
-    mmr_assert(req.src < topo.numNodes() && req.dst < topo.numNodes() &&
-                   req.src != req.dst,
-               "bad setup endpoints");
     std::uint32_t idx;
     if (!freeSlots.empty()) {
         idx = freeSlots.back();
@@ -158,37 +135,29 @@ ProbeSetupManager::begin(const SetupRequest &req, SetupPolicy policy,
         slots.emplace_back();
     }
     Probe &p = slots[idx];
-    p.setup.token = nextToken++;
-    p.setup.state = SetupState::Probing;
-    p.setup.request = req;
-    p.setup.policy = policy;
-    p.setup.hops.clear();
-    p.setup.forwardSteps = 0;
-    p.setup.backtrackSteps = 0;
-    p.setup.startedAt = now;
-    p.setup.finishedAt = 0;
-    p.setup.timedOut = false;
-    p.at = req.src;
+    TimedSetup &s = p.setup;
+    // The search snapshots the surviving distances as of launch;
+    // faults that land mid-flight do not retarget a probe.
+    launch(s, req, policy);
+    s.token = nextToken++;
+    s.state = SetupState::Probing;
+    s.startedAt = now;
+    s.finishedAt = 0;
+    s.timedOut = false;
     p.nextAction = now; // first hop attempt happens this cycle
     p.deadline = timeoutCycles ? now + timeoutCycles : 0;
     p.lost = false;
     p.ackIndex = 0;
-    p.searchedWords.assign(topo.numNodes() * searchedWordsPerNode, 0);
-    // Snapshot the surviving distances as of launch; faults that land
-    // mid-flight do not retarget a probe (same as the uncached BFS).
-    p.distToDst = distancesTo(req.dst);
     order.push_back(idx);
     ++holdStamp;
-    return p.setup.token;
+    return s.token;
 }
 
 void
 ProbeSetupManager::timeoutProbe(Probe &p, Cycle now)
 {
     TimedSetup &s = p.setup;
-    for (auto it = s.hops.rbegin(); it != s.hops.rend(); ++it)
-        releaseHop(routerAt(it->node), *it, s.request);
-    s.hops.clear();
+    s.releaseAll();
     ++holdStamp;
     s.state = SetupState::Refused;
     s.timedOut = true;
@@ -228,7 +197,6 @@ bool
 ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
 {
     TimedSetup &s = p.setup;
-    const SetupRequest &req = s.request;
 
     // Fault injection: this action's message (probe hop, backtrack or
     // ack hop) is lost on the wire.  The probe goes inert; its hop
@@ -256,76 +224,20 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
         return false;
     }
 
-    // --- Probing ---------------------------------------------------
-    if (p.at == req.dst) {
-        const PortId ni = niPortOf(p.at);
-        if (!searched(p, p.at, ni)) {
-            markSearched(p, p.at, ni);
-            VcId vc = kInvalidVc;
-            if (reserveHop(routerAt(p.at), ni, req, vc)) {
-                // mmr-lint: allow(hot-path-alloc) amortized: hop
-                // vectors keep capacity across probe slot reuse.
-                s.hops.push_back(ReservedHop{p.at, ni, vc});
-                ++holdStamp;
-                // Ack walks back over every reserved hop.
-                s.state = SetupState::Returning;
-                p.ackIndex = s.hops.size();
-                p.nextAction = now + hopLatency;
-                return false;
-            }
-        }
-        // Destination host link saturated: dead end, fall through to
-        // the backtrack logic below.
-    } else {
-        // Profitable, unsearched, healthy links in random order.
-        // Built in the same order as before so the shuffle (and every
-        // RNG draw after it) is unchanged.
-        std::vector<PortId> &cands = scratch.cands;
-        cands.clear();
-        for (const auto &port : topo.ports(p.at)) {
-            if (p.distToDst[port.neighbor] + 1 != p.distToDst[p.at])
-                continue;
-            if (searched(p, p.at, port.localPort))
-                continue;
-            if (!linkUsable(p.at, port.localPort))
-                continue;
-            // mmr-lint: allow(hot-path-alloc) amortized: scratch
-            // member, capacity persists across actions.
-            cands.push_back(port.localPort);
-        }
-        rng.shuffle(cands);
-        for (PortId out : cands) {
-            markSearched(p, p.at, out);
-            VcId vc = kInvalidVc;
-            if (!reserveHop(routerAt(p.at), out, req, vc))
-                continue;
-            // mmr-lint: allow(hot-path-alloc) amortized: see above.
-            s.hops.push_back(ReservedHop{p.at, out, vc});
-            ++holdStamp;
-            p.at = topo.neighborAt(p.at, out);
-            ++s.forwardSteps;
-            p.nextAction = now + hopLatency;
-            return false;
-        }
-    }
-
-    // Dead end: give up (greedy / exhausted source) or backtrack.
-    if (s.policy == SetupPolicy::Greedy || s.hops.empty()) {
-        for (auto it = s.hops.rbegin(); it != s.hops.rend(); ++it)
-            releaseHop(routerAt(it->node), *it, req);
-        s.hops.clear();
-        ++holdStamp;
+    // Probing: one search step per hop latency.
+    const SearchStatus status = s.step(rng);
+    ++holdStamp;
+    if (status == SearchStatus::Refused) {
         s.state = SetupState::Refused;
         s.finishedAt = now;
         onComplete(s);
         return true;
     }
-    const ReservedHop hop = s.hops.back();
-    s.hops.pop_back();
-    ++holdStamp;
-    releaseHop(routerAt(hop.node), hop, req);
-    p.at = hop.node;
-    ++s.backtrackSteps;
+    if (status == SearchStatus::Accepted) {
+        // The ack walks back over every reserved hop.
+        s.state = SetupState::Returning;
+        p.ackIndex = s.hops.size();
+    }
     p.nextAction = now + hopLatency;
     return false;
 }

@@ -2,17 +2,22 @@
  * @file
  * Timed PCS connection establishment (§3.4, §3.5).
  *
- * The algorithmic establishPath() reserves a whole path in zero
- * simulated time; this module implements the *distributed* protocol
- * the paper describes: a routing probe travels hop by hop, reserving
- * link bandwidth and an output virtual channel at every router it
- * passes, backtracking (and releasing) when it hits a dead end, and —
- * once the destination accepts — an acknowledgment returns along the
- * reverse channel mappings before the source may transmit.  Probes,
- * backtracking probes and acknowledgments are short control messages
- * handled during switch reconfiguration cycles (§3.4), so each hop
- * costs a small fixed number of flit cycles rather than a full
- * scheduling round trip.
+ * ProbeSetupManager drives every PathSearch (epb.hh), in two modes.
+ * establish() runs one search to completion in zero simulated time,
+ * for static streams opened up front and the host interfaces'
+ * synchronous re-establishment.  The timed protocol is the
+ * *distributed* one the paper describes: a routing probe travels hop
+ * by hop, one search step per hop latency, reserving link bandwidth
+ * and an output virtual channel at every router it passes and
+ * backtracking (and releasing) at dead ends; once the destination
+ * accepts, an acknowledgment returns along the reverse channel
+ * mappings before the source may transmit.  Probes, backtracking
+ * probes and acknowledgments are short control messages handled
+ * during switch reconfiguration cycles (§3.4), so each hop costs a
+ * small fixed number of flit cycles rather than a full scheduling
+ * round trip.  The timed mode adds only that timing, message loss,
+ * the ack walk and the source timer; both modes read one
+ * per-destination distance cache.
  *
  * Because resources are reserved and released *as the probe moves*,
  * concurrent setups contend realistically: two probes racing for the
@@ -27,8 +32,7 @@
 #include <functional>
 #include <vector>
 
-#include "base/arena.hh"
-#include "base/bitvector.hh"
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "network/epb.hh"
 #include "network/topology.hh"
@@ -47,16 +51,15 @@ enum class SetupState
 
 std::string to_string(SetupState s);
 
-/** Handle + result of a timed setup. */
-struct TimedSetup
+/**
+ * Handle + result of a timed setup: the probe's search (request,
+ * hops reserved so far or the final path, step counts) plus the
+ * protocol's timing.
+ */
+struct TimedSetup : PathSearch
 {
     std::uint64_t token = 0;
     SetupState state = SetupState::Probing;
-    SetupRequest request;
-    SetupPolicy policy = SetupPolicy::Epb;
-    std::vector<ReservedHop> hops; ///< reserved so far / final path
-    unsigned forwardSteps = 0;
-    unsigned backtrackSteps = 0;
     Cycle startedAt = 0;
     Cycle finishedAt = 0; ///< valid once Established/Refused
     /** Refused because the source's setup timer expired (the probe or
@@ -66,19 +69,22 @@ struct TimedSetup
 };
 
 /**
- * Drives all in-flight probes.  The owner (Network) calls step() once
- * per flit cycle and provides router access; on completion the
- * manager invokes the owner's callback so it can install the segments
- * (Established) or record the refusal.
+ * Drives every path search.  The owner (Network) calls establish()
+ * for a zero-time setup, and step() once per flit cycle for the
+ * timed probes; on a timed completion the manager invokes the
+ * owner's callback so it can install the segments (Established) or
+ * record the refusal.
  */
 class ProbeSetupManager
 {
   public:
     using RouterAccess = std::function<MmrRouter &(NodeId)>;
     using NiPortOf = std::function<PortId(NodeId)>;
-    /** Invoked exactly once per setup when it leaves the in-flight
-     * set (state Established or Refused). */
-    using CompletionFn = std::function<void(const TimedSetup &)>;
+    /** Invoked exactly once per timed setup when it leaves the
+     * in-flight set (state Established or Refused).  An Established
+     * setup still holds its hops: the owner installs them, or
+     * releases them with releaseAll(). */
+    using CompletionFn = std::function<void(TimedSetup &)>;
     /** Whether the directed link from @p node through @p port is
      * usable (false once failed). */
     using LinkAlive = std::function<bool(NodeId, PortId)>;
@@ -90,17 +96,37 @@ class ProbeSetupManager
                       NiPortOf ni_port_of, CompletionFn on_complete,
                       std::uint64_t seed);
 
+    /** Searches hold the address of the manager's fabric. */
+    ProbeSetupManager(const ProbeSetupManager &) = delete;
+    ProbeSetupManager &operator=(const ProbeSetupManager &) = delete;
+
     /** Per-hop latency of probe/backtrack/ack messages (flit cycles). */
-    void setHopLatency(Cycle cycles) { hopLatency = cycles; }
+    void
+    setHopLatency(Cycle cycles)
+    {
+        mmr_assert(cycles >= 1, "a probe hop takes at least one cycle");
+        hopLatency = cycles;
+    }
+    Cycle hopCycles() const { return hopLatency; }
 
     /** Optional link-health filter (fault injection).  Drops the
      * distance cache: the new filter may answer differently. */
     void
     setLinkAlive(LinkAlive fn)
     {
-        linkAlive = std::move(fn);
+        fabric.linkAlive = std::move(fn);
         invalidateDistances();
     }
+
+    /**
+     * Zero-time setup: run @p search for @p req to completion, its
+     * link order drawn from @p rng.  True when the path is reserved
+     * (search.hops, ending at the destination NI); false when it was
+     * refused, with every reservation released.  No simulated time
+     * passes, no message is lost and no in-flight probe sees it.
+     */
+    bool establish(const SetupRequest &req, SetupPolicy policy, Rng &rng,
+                   PathSearch &search);
 
     /**
      * Source-side setup timer (§3.4 pushes such decisions to the
@@ -163,21 +189,21 @@ class ProbeSetupManager
 
     /**
      * Pre-seed the probe slot pool for @p n concurrent setups: slots
-     * are minted (with their searched tables, distance snapshots and
-     * hop vectors pre-sized) and pushed onto the free list in the
-     * exact order lazy growth would have assigned them, so behavior
-     * — and therefore every digest — is unchanged; only the heap
-     * traffic moves from steady state to construction time.
+     * are minted (their searches sized for the topology) and pushed
+     * onto the free list in the exact order lazy growth would have
+     * assigned them, so behavior — and therefore every digest — is
+     * unchanged; only the heap traffic moves from steady state to
+     * construction time.
      */
     void reservePools(std::size_t n);
 
     /**
      * Invalidate the cached per-destination distance tables.  The
      * owner must call this whenever the link-health answer of the
-     * LinkAlive filter changes (fail/repair); begin() otherwise
-     * reuses the cached surviving-distance BFS for its destination.
+     * LinkAlive filter changes (fail/repair); setups otherwise reuse
+     * the cached surviving-distance BFS for their destination.
      * Probes launched before the change keep the snapshot they took
-     * at begin(), exactly as the uncached protocol did.
+     * at begin().
      */
     void invalidateDistances() { ++linkEpoch; }
 
@@ -191,29 +217,20 @@ class ProbeSetupManager
     struct Probe
     {
         TimedSetup setup;
-        NodeId at = kInvalidNode;
         Cycle nextAction = 0;
         /** Source-timer expiry (0 = no timer). */
         Cycle deadline = 0;
         /** The next protocol message was lost; the probe is inert
          * until the source timer reclaims it. */
         bool lost = false;
-        /** Output links already searched, per visited node (the
-         * per-input-VC history store of §3.5, carried with the probe
-         * in this synchronous-model implementation).  A flat table —
-         * node n's bits at [n * searchedWordsPerNode, ...), bit d =
-         * output d, bit degree(n) = the destination-NI try — indexed
-         * directly instead of hashed, so marking is two shifts and
-         * the per-search footprint is cleared, not reallocated. */
-        std::vector<std::uint64_t> searchedWords;
-        std::vector<unsigned> distToDst;
         /** Ack position while Returning (index into hops). */
         std::size_t ackIndex = 0;
     };
 
-    bool searched(const Probe &p, NodeId n, std::size_t bit) const;
-    void markSearched(Probe &p, NodeId n, std::size_t bit);
-    bool linkUsable(NodeId n, PortId port) const;
+    /** Start @p search for @p req at its source, steering by the
+     * cached distances to req.dst. */
+    void launch(PathSearch &search, const SetupRequest &req,
+                SetupPolicy policy);
 
     /** Cached surviving-distance table for @p dst at the current
      * linkEpoch (recomputed lazily after invalidateDistances). */
@@ -227,10 +244,8 @@ class ProbeSetupManager
     void timeoutProbe(Probe &p, Cycle now);
 
     const Topology &topo;
-    RouterAccess routerAt;
-    NiPortOf niPortOf;
+    SearchFabric fabric;
     CompletionFn onComplete;
-    LinkAlive linkAlive; ///< empty = all links healthy
     MessageLoss messageLoss; ///< empty = lossless control channel
     Rng rng;
     Cycle hopLatency = 2;
@@ -248,18 +263,13 @@ class ProbeSetupManager
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint32_t> order;
 
-    /** Words per node of the flat searched tables (degree+1 bits,
-     * max over nodes, fixed per topology). */
-    std::size_t searchedWordsPerNode = 1;
-
     /** Per-destination surviving-distance cache (linkEpoch-stamped;
-     * epoch 0 = never computed). */
+     * epoch 0 = never computed) and its BFS frontiers. */
     std::vector<std::vector<unsigned>> distCache;
     std::vector<std::uint64_t> distCacheEpoch;
     std::uint64_t linkEpoch = 1;
-
-    /** Shared per-action scratch (candidate lists, BFS frontiers). */
-    SetupScratch scratch;
+    std::vector<NodeId> frontier;
+    std::vector<NodeId> nextFrontier;
 };
 
 } // namespace mmr

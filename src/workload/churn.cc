@@ -37,6 +37,19 @@ ChurnEngine::ChurnEngine(Network &network, const ChurnConfig &config,
 {
     mmr_assert(cfg.maxLiveSessions > 0,
                "churn needs room for at least one live session");
+    // A class no link can carry is a configuration error, not a setup
+    // the network refuses at run time.
+    for (const MixEntry &e : gen.mix()) {
+        const double vbr_peak = e.rateBps * cfg.workload.peakToMean;
+        if (e.vbr && vbr_peak > linkRateBps)
+            mmr_fatal("churn mix class vbr:", e.rateBps, " b/s peaks at ",
+                      vbr_peak, " b/s, which exceeds the link rate of ",
+                      linkRateBps, " b/s");
+        if (!e.vbr && e.rateBps > linkRateBps)
+            mmr_fatal("churn mix class ", e.rateBps,
+                      " b/s exceeds the link rate of ", linkRateBps,
+                      " b/s");
+    }
     // Pending setups must always resolve, or drain never finishes:
     // arm the probe timeout unless recovery (or the caller) already
     // configured one.

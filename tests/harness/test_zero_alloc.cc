@@ -216,10 +216,10 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
 /**
  * The steady-state session path draws its per-session state only from
  * the churn engine's pool and the control plane's recycled machinery:
- * probe slots, hop vectors and the searched table come from the probe
- * manager's free list, EPB searches run out of SetupScratch, the
- * network's connection records live in a pooled slot table indexed by
- * a tombstoning flat map, and recorder overflow entries reuse
+ * probe slots, with each search's hops, searched table and distance
+ * snapshot, come from the probe manager's free list, the network's
+ * connection records live in a pooled slot table indexed by a
+ * tombstoning flat map, and recorder overflow entries reuse
  * tombstoned slots.  Once the population has reached its high-water
  * mark, a steady churn window — setups, data transfer and teardowns
  * included — performs ZERO heap allocations.
@@ -280,6 +280,68 @@ TEST(ZeroAlloc, ChurnSessionsAllocateOnlyFromThePool)
         << "steady-state churn hit the heap ("
         << allocations.load() << " allocations for " << arrived
         << " arrivals)";
+}
+
+/**
+ * The zero-time setup path (static streams, re-establishment) is held
+ * to the same budget: once every destination's distances are cached
+ * and the connection pool has grown, a round of openCbr over every
+ * host pair, closeConnection and the teardown that follows allocates
+ * nothing.
+ */
+TEST(ZeroAlloc, ZeroTimeSetupsAllocateNothing)
+{
+    NetworkConfig ncfg;
+    ncfg.seed = 17;
+    ncfg.router.vcsPerPort = 32;
+    ncfg.router.candidates = 8;
+    Network net(Topology::mesh2d(4, 4), ncfg);
+
+    Kernel kernel;
+    kernel.add(&net, "network");
+
+    const NodeId nodes = net.numNodes();
+    std::vector<ConnId> open;
+    open.reserve(nodes * nodes);
+    std::uint64_t setups = 0, accepted = 0;
+    const auto round = [&] {
+        for (NodeId src = 0; src < nodes; ++src) {
+            for (NodeId dst = 0; dst < nodes; ++dst) {
+                if (src == dst)
+                    continue;
+                const auto o = net.openCbr(src, dst, 1 * kMbps);
+                ++setups;
+                if (o.accepted) {
+                    ++accepted;
+                    open.push_back(o.id);
+                }
+            }
+        }
+        for (const ConnId id : open)
+            net.closeConnection(id);
+        open.clear();
+        kernel.run(4); // the idle segments drain and are removed
+    };
+
+    // Warm-up: long enough for every router's segment table to have
+    // minted its spare array in a same-capacity tombstone sweep.
+    for (int i = 0; i < 8; ++i)
+        round();
+    ASSERT_GT(accepted, 0u) << "no setup was accepted";
+    ASSERT_EQ(net.openConnectionCount(), 0u)
+        << "teardown did not finish within the round";
+
+    setups = 0;
+    allocations.store(0);
+    counting.store(true);
+    for (int i = 0; i < 40; ++i)
+        round();
+    counting.store(false);
+
+    EXPECT_EQ(setups, 40u * nodes * (nodes - 1));
+    EXPECT_EQ(allocations.load(), 0u)
+        << "zero-time setups hit the heap (" << allocations.load()
+        << " allocations for " << setups << " setups)";
 }
 
 /**

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "network/epb.hh"
+#include "network/probe_protocol.hh"
 #include "network/topology.hh"
 
 namespace mmr
@@ -19,7 +20,17 @@ namespace mmr
 namespace
 {
 
-/** A bank of routers shaped for a topology, usable by establishPath. */
+/** What one zero-time setup returned. */
+struct SetupResult
+{
+    bool accepted = false;
+    std::vector<ReservedHop> hops;
+    unsigned forwardSteps = 0;
+    unsigned backtrackSteps = 0;
+};
+
+/** A bank of routers shaped for a topology, with the probe manager
+ * that drives zero-time setups over it. */
 class EpbTest : public ::testing::Test
 {
   protected:
@@ -36,6 +47,24 @@ class EpbTest : public ::testing::Test
             rc.seed = n + 1;
             routers.push_back(std::make_unique<MmrRouter>(rc));
         }
+        probes = std::make_unique<ProbeSetupManager>(
+            *topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
+            [this](NodeId n) { return static_cast<PortId>(topo->degree(n)); },
+            [](TimedSetup &) {}, /*seed=*/1);
+    }
+
+    SetupResult
+    establish(const SetupRequest &req, SetupPolicy policy,
+              std::uint64_t seed)
+    {
+        Rng rng(seed);
+        PathSearch search;
+        SetupResult sr;
+        sr.accepted = probes->establish(req, policy, rng, search);
+        sr.hops = search.hops;
+        sr.forwardSteps = search.forwardSteps;
+        sr.backtrackSteps = search.backtrackSteps;
+        return sr;
     }
 
     SetupResult
@@ -48,11 +77,7 @@ class EpbTest : public ::testing::Test
         req.dst = dst;
         req.klass = TrafficClass::CBR;
         req.allocCycles = cycles;
-        Rng rng(seed);
-        return establishPath(
-            *topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
-            [this](NodeId n) { return static_cast<PortId>(topo->degree(n)); },
-            req, policy, rng);
+        return establish(req, policy, seed);
     }
 
     void
@@ -76,6 +101,7 @@ class EpbTest : public ::testing::Test
 
     std::unique_ptr<Topology> topo;
     std::vector<std::unique_ptr<MmrRouter>> routers;
+    std::unique_ptr<ProbeSetupManager> probes;
 };
 
 TEST_F(EpbTest, FindsThePathOnALine)
@@ -221,11 +247,7 @@ TEST_F(EpbTest, VbrReservationsUseBothRegisters)
     // concurrency factor (16 x 2 = 32).
     req.permCycles = 10;
     req.peakCycles = 20;
-    Rng rng(2);
-    const SetupResult sr = establishPath(
-        *topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
-        [this](NodeId n) { return static_cast<PortId>(topo->degree(n)); },
-        req, SetupPolicy::Epb, rng);
+    const SetupResult sr = establish(req, SetupPolicy::Epb, 2);
     ASSERT_TRUE(sr.accepted);
     const PortId p01 = topo->portTowards(0, 1);
     EXPECT_EQ(routers[0]->admission().allocatedCycles(p01), 10u);

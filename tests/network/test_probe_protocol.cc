@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "network/network.hh"
 #include "sim/kernel.hh"
@@ -25,7 +26,7 @@ smallCfg()
     NetworkConfig cfg;
     cfg.router.vcsPerPort = 16;
     cfg.router.candidates = 4;
-    cfg.probeHopCycles = 2.0;
+    cfg.probeHopCycles = 2;
     cfg.seed = 17;
     return cfg;
 }
@@ -124,6 +125,189 @@ TEST_F(TimedSetupTest, MatchesAlgorithmicAcceptanceOnQuietNetwork)
         algo_accepted += net2.openCbr(src, dst, 20 * kMbps).accepted;
     }
     EXPECT_EQ(timed_accepted, algo_accepted);
+}
+
+/**
+ * A bank of routers shaped for a topology with its own probe manager,
+ * seeded @p seed.  Nothing is installed: accepted paths stay held as
+ * reserved hops, so load builds up across setups.
+ */
+struct RouterBank
+{
+    RouterBank(const Topology &t, std::uint64_t seed) : topo(t)
+    {
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            RouterConfig rc;
+            rc.numPorts = topo.degree(n) + 1;
+            rc.vcsPerPort = 8;
+            rc.candidates = 2;
+            rc.seed = n + 1;
+            routers.push_back(std::make_unique<MmrRouter>(rc));
+        }
+        probes = std::make_unique<ProbeSetupManager>(
+            topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
+            [this](NodeId n) { return static_cast<PortId>(topo.degree(n)); },
+            [this](TimedSetup &s) { done = s; }, seed);
+    }
+
+    /** The manager's callbacks hold this bank's address. */
+    RouterBank(const RouterBank &) = delete;
+    RouterBank &operator=(const RouterBank &) = delete;
+
+    /** Take the whole reservable bandwidth of output @p out at @p n. */
+    void
+    saturate(NodeId n, PortId out)
+    {
+        AdmissionController &admit = routers[n]->admission();
+        ASSERT_TRUE(admit.tryAdmitCbr(out, admit.reservableCycles()));
+    }
+
+    /** Admission registers and free output VCs of every port. */
+    std::vector<unsigned>
+    state()
+    {
+        std::vector<unsigned> v;
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            for (PortId p = 0; p <= topo.degree(n); ++p) {
+                v.push_back(routers[n]->admission().allocatedCycles(p));
+                v.push_back(routers[n]->admission().peakCycles(p));
+                v.push_back(routers[n]->routing().freeOutputVcCount(p));
+            }
+        }
+        return v;
+    }
+
+    Topology topo;
+    std::vector<std::unique_ptr<MmrRouter>> routers;
+    std::unique_ptr<ProbeSetupManager> probes;
+    std::optional<TimedSetup> done;
+    Cycle now = 0;
+};
+
+/** What a run of setups exercised. */
+struct DriverTally
+{
+    unsigned accepted = 0;
+    unsigned refused = 0;
+    unsigned backtracks = 0;
+};
+
+/**
+ * Run @p reqs through both drivers of the one search, in order:
+ * zero-time establish() on @p zero with Rng(seed), and timed probes
+ * on @p timed, whose manager is seeded @p seed.  @p zero's own
+ * manager has another seed: its links must be ordered by the RNG
+ * establish() is given.  Adds what the run exercised to @p tally.
+ */
+void
+expectDriversAgree(RouterBank &zero, RouterBank &timed,
+                   const std::vector<SetupRequest> &reqs,
+                   SetupPolicy policy, std::uint64_t seed,
+                   DriverTally &tally)
+{
+    Rng rng(seed);
+    PathSearch search;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "request " << i << " seed "
+                                        << seed);
+        const std::vector<unsigned> before = zero.state();
+        EXPECT_EQ(timed.state(), before);
+
+        const bool accepted =
+            zero.probes->establish(reqs[i], policy, rng, search);
+
+        timed.done.reset();
+        timed.probes->begin(reqs[i], policy, timed.now);
+        for (Cycle bound = 0; !timed.done && bound < 10000; ++bound)
+            timed.probes->step(timed.now++);
+        if (!timed.done) {
+            ADD_FAILURE() << "timed probe never completed";
+            return;
+        }
+
+        EXPECT_EQ(timed.done->state == SetupState::Established, accepted);
+        EXPECT_EQ(timed.done->hops, search.hops);
+        EXPECT_EQ(timed.done->forwardSteps, search.forwardSteps);
+        EXPECT_EQ(timed.done->backtrackSteps, search.backtrackSteps);
+        if (accepted) {
+            ++tally.accepted;
+        } else {
+            ++tally.refused;
+            EXPECT_TRUE(search.hops.empty());
+            EXPECT_EQ(zero.state(), before)
+                << "zero-time refusal left a reservation behind";
+            EXPECT_EQ(timed.state(), before)
+                << "timed refusal left a reservation behind";
+        }
+        tally.backtracks += search.backtrackSteps;
+    }
+}
+
+TEST(SearchDrivers, ZeroTimeAndTimedStepTheSameSearch)
+{
+    // An irregular LAN with some links saturated, loaded until setups
+    // are refused: EPB must backtrack around the dead ends.
+    Rng topo_rng(5);
+    const Topology lan = Topology::irregular(12, 4, 4, topo_rng);
+    std::vector<SetupRequest> reqs;
+    for (unsigned i = 0; i < 60; ++i) {
+        SetupRequest req;
+        req.src = static_cast<NodeId>(i % 12);
+        req.dst = static_cast<NodeId>((i * 5 + 3) % 12);
+        if (req.src == req.dst)
+            continue;
+        req.klass = TrafficClass::CBR;
+        req.allocCycles = 2 + i % 4;
+        reqs.push_back(req);
+    }
+    for (SetupPolicy policy : {SetupPolicy::Epb, SetupPolicy::Greedy}) {
+        DriverTally tally;
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            RouterBank zero(lan, ~seed), timed(lan, seed);
+            for (NodeId n = 0; n < lan.numNodes(); n += 3) {
+                const PortId out = lan.ports(n).front().localPort;
+                zero.saturate(n, out);
+                timed.saturate(n, out);
+            }
+            expectDriversAgree(zero, timed, reqs, policy, seed, tally);
+        }
+        EXPECT_GT(tally.accepted, 0u);
+        EXPECT_GT(tally.refused, 0u) << "the load never refused a setup";
+        if (policy == SetupPolicy::Epb) {
+            EXPECT_GT(tally.backtracks, 0u) << "EPB never backtracked";
+        } else {
+            EXPECT_EQ(tally.backtracks, 0u) << "greedy never backtracks";
+        }
+    }
+}
+
+TEST(SearchDrivers, SaturatedDestinationNiIsRefusedAlike)
+{
+    // Several minimal paths reach node 8 of a 3x3 mesh, but its host
+    // link is full: every path dead-ends at the destination NI.
+    const Topology mesh = Topology::mesh2d(3, 3);
+    SetupRequest req;
+    req.src = 0;
+    req.dst = 8;
+    req.klass = TrafficClass::CBR;
+    req.allocCycles = 1;
+    const std::vector<SetupRequest> reqs(3, req);
+    for (SetupPolicy policy : {SetupPolicy::Epb, SetupPolicy::Greedy}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            RouterBank zero(mesh, ~seed), timed(mesh, seed);
+            zero.saturate(8, mesh.degree(8));
+            timed.saturate(8, mesh.degree(8));
+            DriverTally tally;
+            expectDriversAgree(zero, timed, reqs, policy, seed, tally);
+            EXPECT_EQ(tally.refused, reqs.size());
+            // EPB is exhaustive and never searches a link twice: it
+            // backs out of each of the 12 links of the minimal paths
+            // to 8 exactly once before giving up.
+            if (policy == SetupPolicy::Epb) {
+                EXPECT_EQ(tally.backtracks, 12u * reqs.size());
+            }
+        }
+    }
 }
 
 TEST_F(TimedSetupTest, RefusalReleasesEverything)

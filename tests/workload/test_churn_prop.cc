@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "harness/network_experiment.hh"
@@ -216,6 +218,37 @@ TEST(ChurnProperties, ChurnCoexistsWithStaticStreams)
     EXPECT_GT(r.streamsAccepted, 0u);
     EXPECT_EQ(r.openConnsAtEnd, r.streamsAlive);
     EXPECT_GT(r.sessionsAdmitted, 0u);
+}
+
+/**
+ * A mix class no link can carry is refused when the engine is built:
+ * a fatal error (exit 1 from a bench main, no crash dump), not a rate
+ * assertion that aborts mid-run at the first such arrival.  The VBR
+ * case fits the link on its mean and exceeds it only at its peak.
+ */
+TEST(ChurnMixDeathTest, UncarriableClassFailsAtConstruction)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Network net(Topology::mesh2d(3, 3), NetworkConfig{});
+    for (const char *mix : {"2g=1", "64k=4,vbr:1g=1"}) {
+        SCOPED_TRACE(mix);
+        ChurnConfig cfg;
+        cfg.enabled = true;
+        cfg.workload.mix = parseSessionMix(mix);
+        EXPECT_EXIT(
+            {
+                try {
+                    ChurnEngine churn(net, cfg, /*horizon=*/1000,
+                                      /*seed=*/1);
+                } catch (const std::exception &e) {
+                    std::fprintf(stderr, "%s\n", e.what());
+                    std::exit(1);
+                }
+                std::exit(0);
+            },
+            testing::ExitedWithCode(1),
+            "fatal: churn mix class .* exceeds the link rate");
+    }
 }
 
 } // namespace
