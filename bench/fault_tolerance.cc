@@ -5,13 +5,15 @@
  * the Reliable Router and Ariadne references point the same way).
  * This bench kills links in a live mesh while streams and datagrams
  * flow, and measures: flits lost on the wire, connections failed and
- * re-established by the interfaces, datagram continuity over the
- * recomputed up*-down* routes, and end-to-end delay before/after.
+ * re-established (a zero-time RecoveryManager re-runs EPB inside the
+ * failure), datagram continuity over the recomputed up*-down* routes,
+ * and end-to-end delay before/after.
  */
 
 #include <memory>
 
 #include "bench_common.hh"
+#include "fault/recovery.hh"
 #include "network/interface.hh"
 #include "network/network.hh"
 #include "sim/kernel.hh"
@@ -40,12 +42,15 @@ main(int argc, char **argv)
         Network net(Topology::mesh2d(4, 4), ncfg);
         Kernel kernel;
         kernel.add(&net);
+        RecoveryConfig rcfg;
+        rcfg.zeroTime = true; // no per-cycle work: not on the kernel
+        RecoveryManager recovery(net, rcfg, seed);
 
         std::vector<std::unique_ptr<NetworkInterface>> hosts;
         for (NodeId n = 0; n < 16; ++n) {
             hosts.push_back(
                 std::make_unique<NetworkInterface>(net, n, seed + n));
-            hosts.back()->setAutoReestablish(true);
+            hosts.back()->attachRecovery(&recovery);
             hosts.back()->openCbrStream((n + 5) % 16, 10 * kMbps);
             hosts.back()->addBestEffortFlow((n + 3) % 16, 2 * kMbps);
         }

@@ -29,6 +29,7 @@
 
 #include "base/cli.hh"
 #include "base/table.hh"
+#include "fault/recovery.hh"
 #include "harness/single_router.hh"
 #include "network/interface.hh"
 #include "network/network.hh"
@@ -282,11 +283,15 @@ runNetworkMode(const Cli &cli)
         obs.attach(kernel);
     }
 
+    // Streams cut by --fail-link re-run EPB inside the failure.
+    RecoveryConfig rcfg;
+    rcfg.zeroTime = true; // no per-cycle work: not on the kernel
+    RecoveryManager recovery(net, rcfg, seed);
     std::vector<std::unique_ptr<NetworkInterface>> hosts;
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
         hosts.push_back(
             std::make_unique<NetworkInterface>(net, n, seed + n));
-        hosts.back()->setAutoReestablish(true);
+        hosts.back()->attachRecovery(&recovery);
     }
 
     // CBR load per host link plus light best-effort background.

@@ -17,11 +17,11 @@ RecoveryManager::RecoveryManager(Network &net_, RecoveryConfig cfg_,
 {
     if (!cfg.enabled)
         return;
-    if (cfg.setupTimeoutCycles != 0)
+    if (!cfg.zeroTime && cfg.setupTimeoutCycles != 0)
         net.probes().setSetupTimeout(cfg.setupTimeoutCycles);
     net.setConnectionFailureHook(
-        [this](ConnId id, NodeId src, NodeId dst, TrafficClass klass) {
-            onFailure(id, src, dst, klass, simclock::now());
+        [this](ConnId id, NodeId, NodeId, TrafficClass) {
+            onFailure(id, simclock::now());
         });
 }
 
@@ -47,16 +47,20 @@ RecoveryManager::forget(ConnId id)
     specs.erase(id);
 }
 
-const RecoveryStatus *
-RecoveryManager::status(ConnId failed_id) const
+bool
+RecoveryManager::pollStatus(ConnId failed_id, RecoveryStatus &out)
 {
     const auto it = results.find(failed_id);
-    return it == results.end() ? nullptr : &it->second;
+    if (it == results.end())
+        return false;
+    out = it->second;
+    if (out.state != RecoveryState::Recovering)
+        results.erase(it);
+    return true;
 }
 
 void
-RecoveryManager::onFailure(ConnId id, NodeId, NodeId, TrafficClass,
-                           Cycle now)
+RecoveryManager::onFailure(ConnId id, Cycle now)
 {
     const auto it = specs.find(id);
     if (it == specs.end())
@@ -65,13 +69,17 @@ RecoveryManager::onFailure(ConnId id, NodeId, NodeId, TrafficClass,
     Attempt a;
     a.origId = id;
     a.spec = it->second;
-    a.nextTryAt = now + backoffFor(1);
     specs.erase(it); // the failed id is dead; replacement re-adopted
     results[id] = RecoveryStatus{};
-    active.push_back(a);
     MMR_OBS_EVENT(TraceCat::Fault, "recovery_start", now,
                   a.spec.src, id,
                   static_cast<std::int32_t>(a.spec.dst));
+    if (cfg.zeroTime) {
+        finish(a, launch(a, now), now);
+        return;
+    }
+    a.nextTryAt = now + backoffFor(1);
+    active.push_back(a);
 }
 
 Cycle
@@ -90,6 +98,56 @@ RecoveryManager::backoffFor(unsigned attempt)
     return std::max<Cycle>(delay, 1);
 }
 
+ConnId
+RecoveryManager::launch(Attempt &a, Cycle now)
+{
+    ++a.attempt;
+    ++statRetries;
+    const RecoverySpec &s = a.spec;
+    const bool cbr = s.klass == TrafficClass::CBR;
+    ConnId opened = kInvalidConn;
+    if (cfg.zeroTime) {
+        const Network::SetupOutcome o =
+            cbr ? net.openCbr(s.src, s.dst, s.rateOrMeanBps, cfg.policy)
+                : net.openVbr(s.src, s.dst, s.rateOrMeanBps, s.peakBps,
+                              s.priority, cfg.policy);
+        if (o.accepted)
+            opened = o.id;
+    } else {
+        a.token = cbr ? net.openCbrTimed(s.src, s.dst, s.rateOrMeanBps,
+                                         now, cfg.policy)
+                      : net.openVbrTimed(s.src, s.dst, s.rateOrMeanBps,
+                                         s.peakBps, s.priority, now,
+                                         cfg.policy);
+        a.haveToken = true;
+    }
+    MMR_OBS_EVENT(TraceCat::Fault, "recovery_retry", now, s.src,
+                  a.origId, static_cast<std::int32_t>(a.attempt));
+    return opened;
+}
+
+void
+RecoveryManager::finish(const Attempt &a, ConnId replacement, Cycle now)
+{
+    RecoveryStatus &st = results[a.origId];
+    st.attempts = a.attempt;
+    if (replacement == kInvalidConn) {
+        st.state = RecoveryState::Abandoned;
+        ++statAbandoned;
+        MMR_OBS_EVENT(TraceCat::Fault, "recovery_abandoned", now,
+                      a.spec.src, a.origId,
+                      static_cast<std::int32_t>(a.attempt));
+        return;
+    }
+    st.state = RecoveryState::Recovered;
+    st.replacement = replacement;
+    ++statRecovered;
+    // Keep the replacement covered against later faults.
+    specs[replacement] = a.spec;
+    MMR_OBS_EVENT(TraceCat::Fault, "recovery_rerouted", now, a.spec.src,
+                  a.origId, static_cast<std::int32_t>(replacement));
+}
+
 void
 RecoveryManager::evaluate(Cycle now)
 {
@@ -102,54 +160,23 @@ RecoveryManager::evaluate(Cycle now)
                 continue;
             }
             a.haveToken = false;
-            if (r.accepted) {
-                RecoveryStatus &st = results[a.origId];
-                st.state = RecoveryState::Recovered;
-                st.replacement = r.id;
-                st.attempts = a.attempt;
-                ++statRecovered;
-                // Keep the replacement covered against later faults.
-                specs[r.id] = a.spec;
-                MMR_OBS_EVENT(TraceCat::Fault,
-                              "recovery_rerouted", now, a.spec.src,
-                              a.origId,
-                              static_cast<std::int32_t>(r.id));
-                active.erase(active.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-                continue;
-            }
-            if (a.attempt >= cfg.maxRetries) {
-                RecoveryStatus &st = results[a.origId];
-                st.state = RecoveryState::Abandoned;
-                st.attempts = a.attempt;
-                ++statAbandoned;
-                MMR_OBS_EVENT(TraceCat::Fault, "recovery_abandoned",
-                              now, a.spec.src, a.origId,
-                              static_cast<std::int32_t>(a.attempt));
-                // Black-box snapshot: an abandonment is the fault
-                // subsystem's terminal failure — dump the events that
-                // led here while they are still in the ring.
-                FlightRecorder::dumpActive("recovery_abandoned");
+            if (r.accepted || a.attempt >= cfg.maxRetries) {
+                finish(a, r.accepted ? r.id : kInvalidConn, now);
+                // Black-box snapshot: a spent retry budget is the
+                // fault subsystem's terminal failure — dump the events
+                // that led here while they are still in the ring.  A
+                // zero-time refusal dumps nothing: its cause is the
+                // setup_reject just before it, and a partition would
+                // write one dump per stream it cuts.
+                if (!r.accepted)
+                    FlightRecorder::dumpActive("recovery_abandoned");
                 active.erase(active.begin() +
                              static_cast<std::ptrdiff_t>(i));
                 continue;
             }
             a.nextTryAt = now + backoffFor(a.attempt + 1);
         } else if (now >= a.nextTryAt) {
-            ++a.attempt;
-            ++statRetries;
-            const RecoverySpec &s = a.spec;
-            a.token =
-                s.klass == TrafficClass::CBR
-                    ? net.openCbrTimed(s.src, s.dst, s.rateOrMeanBps,
-                                       now, cfg.policy)
-                    : net.openVbrTimed(s.src, s.dst, s.rateOrMeanBps,
-                                       s.peakBps, s.priority, now,
-                                       cfg.policy);
-            a.haveToken = true;
-            MMR_OBS_EVENT(TraceCat::Fault, "recovery_retry", now,
-                          s.src, a.origId,
-                          static_cast<std::int32_t>(a.attempt));
+            launch(a, now);
         }
         ++i;
     }

@@ -4,14 +4,17 @@
  *
  * When a link dies, Network::failLink() marks every PCS connection
  * crossing it failed and fires the connection-failure hook.  The
- * RecoveryManager subscribes to that hook and re-establishes adopted
- * connections end to end: it re-runs the timed probe/ack setup (EPB by
- * default) over the surviving topology — so the replacement path is
- * found by the same distributed protocol as the original, contending
- * with live traffic and other recoveries in simulated time — under a
- * bounded exponential-backoff retry schedule with jitter, and abandons
- * the connection once the retry budget is spent (e.g. the destination
- * became unreachable).
+ * RecoveryManager, the one re-establishment path, subscribes to that
+ * hook and re-establishes adopted connections end to end: it re-runs
+ * the timed probe/ack setup (EPB by default) over the surviving
+ * topology — so the replacement path is found by the same distributed
+ * protocol as the original, contending with live traffic and other
+ * recoveries in simulated time — under a bounded exponential-backoff
+ * retry schedule with jitter, and abandons the connection once the
+ * retry budget is spent (e.g. the destination became unreachable).
+ * In zero-time mode (RecoveryConfig::zeroTime) it runs one zero-time
+ * setup inside the hook instead, so the failure is Recovered or
+ * Abandoned before failLink() returns.
  *
  * The recovery state machine per failed connection:
  *
@@ -50,6 +53,12 @@ struct RecoveryConfig
     /** Construct-but-disable convenience for sweeps contrasting
      * recovery on/off; a disabled manager installs no hook. */
     bool enabled = true;
+
+    /** One zero-time setup (Network::openCbr/openVbr) inside the
+     * failure hook instead of timed retries: the retry, backoff and
+     * timeout fields below do not apply, and there is no per-cycle
+     * work. */
+    bool zeroTime = false;
 
     /** Re-setup attempts per failure before abandoning. */
     unsigned maxRetries = 8;
@@ -103,9 +112,9 @@ class RecoveryManager : public Clocked
 {
   public:
     /**
-     * Subscribe to @p net's connection-failure hook (when enabled) and
-     * install the configured setup timeout.  @p seed drives backoff
-     * jitter.
+     * Subscribe to @p net's connection-failure hook (when enabled) and,
+     * for timed recovery, install the configured setup timeout.
+     * @p seed drives backoff jitter.
      */
     RecoveryManager(Network &net, RecoveryConfig cfg,
                     std::uint64_t seed);
@@ -130,11 +139,14 @@ class RecoveryManager : public Clocked
     bool adopted(ConnId id) const { return specs.count(id) != 0; }
 
     /**
-     * Recovery status keyed by the *failed* connection id; nullptr if
-     * that id never failed while adopted.  Survives completion, so a
-     * host can discover its replacement id any number of cycles later.
+     * Poll the recovery of the *failed* connection @p failed_id: copy
+     * its status into @p out.  A final status (Recovered or Abandoned)
+     * is dropped once read, as Network::takeTimedResult() drops a
+     * setup outcome, so the table holds only unresolved and unclaimed
+     * recoveries.  False when the id never failed while adopted or its
+     * final status was already taken.
      */
-    const RecoveryStatus *status(ConnId failed_id) const;
+    bool pollStatus(ConnId failed_id, RecoveryStatus &out);
 
     void evaluate(Cycle now) override;
     void advance(Cycle) override {}
@@ -171,8 +183,16 @@ class RecoveryManager : public Clocked
         bool haveToken = false;
     };
 
-    void onFailure(ConnId id, NodeId src, NodeId dst,
-                   TrafficClass klass, Cycle now);
+    void onFailure(ConnId id, Cycle now);
+
+    /** Launch setup number a.attempt + 1: a timed probe (token kept in
+     * @p a), or the whole zero-time setup, whose connection is
+     * returned (kInvalidConn if refused or timed). */
+    ConnId launch(Attempt &a, Cycle now);
+
+    /** Record @p a's final status: Recovered onto @p replacement (and
+     * adopt it), or Abandoned when that is kInvalidConn. */
+    void finish(const Attempt &a, ConnId replacement, Cycle now);
 
     /** Backoff before launch number @p attempt (1-based), jittered. */
     Cycle backoffFor(unsigned attempt);

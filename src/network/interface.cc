@@ -1,7 +1,6 @@
 #include "network/interface.hh"
 
 #include "base/logging.hh"
-#include "fault/recovery.hh"
 
 namespace mmr
 {
@@ -25,13 +24,13 @@ NetworkInterface::openCbrStream(NodeId dst, double rate_bps,
         ++refused;
         return false;
     }
-    Stream s;
-    s.conn = outcome.id;
-    s.dst = dst;
-    s.rateBps = rate_bps;
-    s.source = std::make_unique<CbrSource>(
+    RecoverySpec spec;
+    spec.dst = dst;
+    spec.klass = TrafficClass::CBR;
+    spec.rateOrMeanBps = rate_bps;
+    auto source = std::make_unique<CbrSource>(
         rate_bps, net.routerAt(host).config().linkRateBps, rng);
-    addStream(std::move(s));
+    addStream(outcome.id, spec, std::move(source));
     return true;
 }
 
@@ -48,16 +47,15 @@ NetworkInterface::openVbrStream(NodeId dst, const VbrProfile &profile,
         return false;
     }
     const RouterConfig &rc = net.routerAt(host).config();
-    Stream s;
-    s.conn = outcome.id;
-    s.dst = dst;
-    s.rateBps = profile.meanRateBps;
-    s.isVbr = true;
-    s.profile = profile;
-    s.priority = priority;
-    s.source = std::make_unique<VbrSource>(profile, rc.linkRateBps,
-                                           rc.flitBits, rng);
-    addStream(std::move(s));
+    RecoverySpec spec;
+    spec.dst = dst;
+    spec.klass = TrafficClass::VBR;
+    spec.rateOrMeanBps = profile.meanRateBps;
+    spec.peakBps = peak;
+    spec.priority = priority;
+    auto source = std::make_unique<VbrSource>(profile, rc.linkRateBps,
+                                              rc.flitBits, rng);
+    addStream(outcome.id, spec, std::move(source));
     return true;
 }
 
@@ -90,25 +88,29 @@ NetworkInterface::openTraceStream(NodeId dst,
         ++refused;
         return false;
     }
-    Stream s;
-    s.conn = outcome.id;
-    s.dst = dst;
-    s.rateBps = mean;
-    s.isVbr = true;
-    s.profile.meanRateBps = mean;
-    s.profile.peakToMean = peak_to_mean;
-    s.priority = priority;
-    s.source = std::move(source);
-    addStream(std::move(s));
+    RecoverySpec spec;
+    spec.dst = dst;
+    spec.klass = TrafficClass::VBR;
+    spec.rateOrMeanBps = mean;
+    spec.peakBps = peak;
+    spec.priority = priority;
+    addStream(outcome.id, spec, std::move(source));
     return true;
 }
 
 void
-NetworkInterface::addStream(Stream s)
+NetworkInterface::addStream(ConnId conn, RecoverySpec spec,
+                            std::unique_ptr<TrafficSource> source)
 {
-    s.ticket = net.ticket(s.conn);
+    spec.src = host;
+    Stream s;
+    s.conn = conn;
+    s.ticket = net.ticket(conn);
+    s.spec = spec;
+    s.source = std::move(source);
+    if (recovery)
+        recovery->adopt(conn, spec);
     streams.push_back(std::move(s));
-    adoptStream(streams.back());
 }
 
 void
@@ -118,27 +120,7 @@ NetworkInterface::attachRecovery(RecoveryManager *mgr)
     if (!recovery)
         return;
     for (const Stream &s : streams)
-        adoptStream(s);
-}
-
-void
-NetworkInterface::adoptStream(const Stream &s)
-{
-    if (!recovery)
-        return;
-    RecoverySpec spec;
-    spec.src = host;
-    spec.dst = s.dst;
-    if (s.isVbr) {
-        spec.klass = TrafficClass::VBR;
-        spec.rateOrMeanBps = s.profile.meanRateBps;
-        spec.peakBps = s.profile.meanRateBps * s.profile.peakToMean;
-        spec.priority = s.priority;
-    } else {
-        spec.klass = TrafficClass::CBR;
-        spec.rateOrMeanBps = s.rateBps;
-    }
-    recovery->adopt(s.conn, spec);
+        recovery->adopt(s.conn, s.spec);
 }
 
 bool
@@ -151,14 +133,14 @@ NetworkInterface::pollRecovery(Stream &s)
         s.backlog.clear();
         s.recovering = true;
     }
-    const RecoveryStatus *st = recovery->status(s.conn);
-    if (!st)
-        return false; // failed while unadopted: retire
-    switch (st->state) {
+    RecoveryStatus st;
+    if (!recovery || !recovery->pollStatus(s.conn, st))
+        return false; // no manager, or failed while unadopted: retire
+    switch (st.state) {
       case RecoveryState::Recovering:
         return true; // keep waiting; tick() drops arrivals meanwhile
       case RecoveryState::Recovered:
-        s.conn = st->replacement;
+        s.conn = st.replacement;
         s.ticket = net.ticket(s.conn);
         s.recovering = false;
         ++reestablished;
@@ -167,32 +149,6 @@ NetworkInterface::pollRecovery(Stream &s)
         return false;
     }
     return false;
-}
-
-bool
-NetworkInterface::recoverStream(Stream &s)
-{
-    ++lost;
-    s.backlog.clear(); // flits of the dead path are abandoned
-    if (!autoReestablish)
-        return false;
-    if (s.isVbr) {
-        const double peak = s.profile.meanRateBps * s.profile.peakToMean;
-        const auto o =
-            net.openVbr(host, s.dst, s.profile.meanRateBps, peak,
-                        s.priority);
-        if (!o.accepted)
-            return false;
-        s.conn = o.id;
-    } else {
-        const auto o = net.openCbr(host, s.dst, s.rateBps);
-        if (!o.accepted)
-            return false;
-        s.conn = o.id;
-    }
-    s.ticket = net.ticket(s.conn);
-    ++reestablished;
-    return true;
 }
 
 void
@@ -217,9 +173,7 @@ NetworkInterface::tick(Cycle now)
             ++i;
             continue;
         }
-        const bool survives =
-            recovery ? pollRecovery(s) : recoverStream(s);
-        if (survives) {
+        if (pollRecovery(s)) {
             ++i;
         } else {
             streams.erase(streams.begin() +

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/recovery.hh"
 #include "network/network.hh"
 #include "traffic/besteffort_source.hh"
 #include "traffic/cbr_source.hh"
@@ -28,8 +29,6 @@
 
 namespace mmr
 {
-
-class RecoveryManager;
 
 class NetworkInterface
 {
@@ -62,22 +61,16 @@ class NetworkInterface
 
     /**
      * Recovery policy after a link failure kills one of this host's
-     * streams (§4.2 pushes such decisions to the interfaces): when
-     * enabled, the interface re-runs connection establishment toward
-     * the same destination at the same rate and resumes transmission
-     * on the new path.
-     */
-    void setAutoReestablish(bool on) { autoReestablish = on; }
-
-    /**
-     * Delegate failure handling to a RecoveryManager (fault/
-     * recovery.hh) instead of the synchronous auto-reestablish above:
-     * every stream opened (and any already open) is adopted, and when
-     * one fails the interface waits on the manager's timed,
-     * backoff-scheduled re-setup — dropping the source's arrivals with
-     * accounting while recovery is in progress, resuming on the
-     * replacement connection, and retiring the stream if recovery is
-     * abandoned.  Pass nullptr to detach.
+     * streams (§4.2 pushes such decisions to the interfaces): hand it
+     * to a RecoveryManager (fault/recovery.hh).  Every stream opened
+     * (and any already open) is adopted.  When one fails, the
+     * interface polls the manager: while recovery is in progress the
+     * source's arrivals are dropped with accounting; once Recovered
+     * the stream resumes on the replacement connection, and once
+     * Abandoned it is retired.  A zero-time manager resolves the
+     * failure inside failLink(), so the swap lands in the next tick
+     * and nothing is dropped.  Without a manager (pass nullptr to
+     * detach) a failed stream is retired.
      */
     void attachRecovery(RecoveryManager *mgr);
 
@@ -108,11 +101,8 @@ class NetworkInterface
         ConnId conn;
         /** Injection ticket for conn; re-minted whenever conn changes. */
         Network::Ticket ticket;
-        NodeId dst = kInvalidNode;
-        double rateBps = 0.0; ///< for re-establishment after failure
-        bool isVbr = false;
-        VbrProfile profile;
-        int priority = 0;
+        /** What a re-establishment asks for; adopted with conn. */
+        RecoverySpec spec;
         std::unique_ptr<TrafficSource> source;
         std::deque<Flit> backlog; ///< flits refused by the router
         std::uint32_t seq = 0;
@@ -120,19 +110,19 @@ class NetworkInterface
         bool recovering = false;
     };
 
-    /** Handle a stream whose connection failed; true when replaced. */
-    bool recoverStream(Stream &s);
-
-    /** Mint @p s's ticket, keep the stream and adopt it for recovery. */
-    void addStream(Stream s);
-
-    /** Register a stream with the attached RecoveryManager. */
-    void adoptStream(const Stream &s);
+    /**
+     * Keep a new stream on connection @p conn (minting its ticket) and
+     * adopt it for recovery; @p spec's source is this host.
+     */
+    void addStream(ConnId conn, RecoverySpec spec,
+                   std::unique_ptr<TrafficSource> source);
 
     /**
-     * Managed-recovery health step for one failed stream: consume the
+     * Failure step for one stream whose ticket died: consume the
      * manager's status and return true when the stream survives (still
-     * recovering, or swapped onto its replacement connection).
+     * recovering, or swapped onto its replacement connection).  With
+     * no manager, or none that saw this connection fail, the stream
+     * is retired.
      */
     bool pollRecovery(Stream &s);
 
@@ -152,7 +142,6 @@ class NetworkInterface
     unsigned refused = 0;
     unsigned lost = 0;
     unsigned reestablished = 0;
-    bool autoReestablish = false;
     RecoveryManager *recovery = nullptr;
     std::uint64_t injected = 0;
     std::uint64_t droppedInRecovery = 0;

@@ -139,9 +139,10 @@ Network::failLink(NodeId a, NodeId b)
     // Mark and start draining every connection whose path crosses the
     // link, in either direction.  The ids are snapshotted and sorted
     // before any side effect: the failure hook draws backoff jitter
-    // from the recovery RNG and appends to its retry queue, so
-    // pool-slot iteration order must not leak into the recovery
-    // schedule and the result digest.
+    // from the recovery RNG and appends to its retry queue, or opens
+    // a zero-time replacement (which draws from `rand` and may take a
+    // pool slot), so pool-slot iteration order must not leak into the
+    // recovery schedule and the result digest.
     std::vector<ConnId> crossing;
     for (const PcsConnection &conn : pcsSlots) {
         if (!conn.live || conn.failed)

@@ -235,7 +235,9 @@ class Network : public Clocked
      * Invoked whenever a link failure marks a connection failed, with
      * (id, src, dst, class) — the subscription point for recovery
      * machinery (fault/recovery.hh) that re-routes affected
-     * connections.  Called from inside failLink().
+     * connections.  Called from inside failLink(), once per failed
+     * connection in ascending id order; the hook may open
+     * connections.
      */
     using ConnectionFailureFn =
         std::function<void(ConnId, NodeId, NodeId, TrafficClass)>;

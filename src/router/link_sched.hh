@@ -81,7 +81,7 @@ class LinkScheduler
 
     /**
      * The eligibility mask as a bit vector — the §4.1 status-vector
-     * AND, exposed for tests and the micro bench.
+     * AND, exposed for tests.
      */
     BitVector eligibleMask(Cycle now, const CreditManager &credits) const;
 

@@ -3,8 +3,9 @@
  * RecoveryManager tests: EPB re-route after a link failure, clean
  * abandonment when the only legal path vanished (all reservations
  * released), recovery after a mid-backoff repair, bounded retry
- * budgets, replacement re-adoption, and the NetworkInterface
- * integration (stream swaps onto the replacement connection).
+ * budgets, replacement re-adoption, the zero-time mode, the bounded
+ * status table, and the NetworkInterface integration (stream swaps
+ * onto the replacement connection).
  */
 
 #include <gtest/gtest.h>
@@ -102,18 +103,21 @@ TEST_F(RecoveryTest, ReroutesAroundFailedLink)
     EXPECT_EQ(mgr->failuresSeen(), 1u);
     kernel.run(4000);
 
-    const RecoveryStatus *st = mgr->status(o.id);
-    ASSERT_NE(st, nullptr);
-    ASSERT_EQ(st->state, RecoveryState::Recovered);
-    EXPECT_NE(st->replacement, o.id);
-    EXPECT_EQ(net->connectionState(st->replacement),
+    RecoveryStatus st;
+    ASSERT_TRUE(mgr->pollStatus(o.id, st));
+    ASSERT_EQ(st.state, RecoveryState::Recovered);
+    EXPECT_NE(st.replacement, o.id);
+    EXPECT_EQ(net->connectionState(st.replacement),
               Network::ConnState::Open);
     EXPECT_EQ(mgr->connectionsRecovered(), 1u);
     EXPECT_EQ(mgr->activeRecoveries(), 0u);
+    RecoveryStatus again;
+    EXPECT_FALSE(mgr->pollStatus(o.id, again))
+        << "a final status is dropped once read";
 
     // The replacement was found by EPB over the surviving ring: the
     // long way round, 0-3-2-1.
-    const auto path = net->connectionPath(st->replacement);
+    const auto path = net->connectionPath(st.replacement);
     ASSERT_EQ(path.size(), 4u);
     EXPECT_EQ(path[0], 0u);
     EXPECT_EQ(path[1], 3u);
@@ -144,10 +148,10 @@ TEST_F(RecoveryTest, OnlyPathVanishedAbandonsCleanly)
     ASSERT_TRUE(net->failLink(1, 2));
     kernel.run(4000);
 
-    const RecoveryStatus *st = mgr->status(o.id);
-    ASSERT_NE(st, nullptr);
-    EXPECT_EQ(st->state, RecoveryState::Abandoned);
-    EXPECT_EQ(st->attempts, cfg.maxRetries);
+    RecoveryStatus st;
+    ASSERT_TRUE(mgr->pollStatus(o.id, st));
+    EXPECT_EQ(st.state, RecoveryState::Abandoned);
+    EXPECT_EQ(st.attempts, cfg.maxRetries);
     EXPECT_EQ(mgr->retriesLaunched(), cfg.maxRetries);
     EXPECT_EQ(mgr->connectionsAbandoned(), 1u);
     EXPECT_EQ(mgr->connectionsRecovered(), 0u);
@@ -174,14 +178,19 @@ TEST_F(RecoveryTest, RepairMidBackoffLetsRecoverySucceed)
     ASSERT_TRUE(net->failLink(1, 2));
     kernel.run(300); // burn a few refused attempts
     EXPECT_GE(mgr->retriesLaunched(), 1u);
+    // An unresolved recovery stays readable.
+    RecoveryStatus st;
+    ASSERT_TRUE(mgr->pollStatus(o.id, st));
+    EXPECT_EQ(st.state, RecoveryState::Recovering);
+    ASSERT_TRUE(mgr->pollStatus(o.id, st));
+    EXPECT_EQ(st.state, RecoveryState::Recovering);
     ASSERT_TRUE(net->repairLink(1, 2));
     kernel.run(6000);
 
-    const RecoveryStatus *st = mgr->status(o.id);
-    ASSERT_NE(st, nullptr);
-    EXPECT_EQ(st->state, RecoveryState::Recovered);
-    EXPECT_LE(st->attempts, cfg.maxRetries);
-    EXPECT_EQ(net->connectionState(st->replacement),
+    ASSERT_TRUE(mgr->pollStatus(o.id, st));
+    EXPECT_EQ(st.state, RecoveryState::Recovered);
+    EXPECT_LE(st.attempts, cfg.maxRetries);
+    EXPECT_EQ(net->connectionState(st.replacement),
               Network::ConnState::Open);
 }
 
@@ -194,10 +203,10 @@ TEST_F(RecoveryTest, ReplacementIsAdoptedForTheNextFailure)
 
     ASSERT_TRUE(net->failLink(0, 1));
     kernel.run(4000);
-    const RecoveryStatus *first = mgr->status(o.id);
-    ASSERT_NE(first, nullptr);
-    ASSERT_EQ(first->state, RecoveryState::Recovered);
-    const ConnId second_id = first->replacement;
+    RecoveryStatus first;
+    ASSERT_TRUE(mgr->pollStatus(o.id, first));
+    ASSERT_EQ(first.state, RecoveryState::Recovered);
+    const ConnId second_id = first.replacement;
     EXPECT_TRUE(mgr->adopted(second_id))
         << "the replacement must be re-adopted automatically";
 
@@ -207,10 +216,10 @@ TEST_F(RecoveryTest, ReplacementIsAdoptedForTheNextFailure)
     ASSERT_TRUE(net->failLink(2, 3));
     kernel.run(4000);
 
-    const RecoveryStatus *chained = mgr->status(second_id);
-    ASSERT_NE(chained, nullptr);
-    EXPECT_EQ(chained->state, RecoveryState::Recovered);
-    const auto path = net->connectionPath(chained->replacement);
+    RecoveryStatus chained;
+    ASSERT_TRUE(mgr->pollStatus(second_id, chained));
+    EXPECT_EQ(chained.state, RecoveryState::Recovered);
+    const auto path = net->connectionPath(chained.replacement);
     ASSERT_EQ(path.size(), 2u);
     EXPECT_EQ(path[0], 0u);
     EXPECT_EQ(path[1], 1u);
@@ -226,7 +235,8 @@ TEST_F(RecoveryTest, UnadoptedConnectionsAreIgnored)
     ASSERT_TRUE(net->failLink(0, 1));
     kernel.run(1000);
     EXPECT_EQ(mgr->failuresSeen(), 0u);
-    EXPECT_EQ(mgr->status(o.id), nullptr);
+    RecoveryStatus st;
+    EXPECT_FALSE(mgr->pollStatus(o.id, st));
     EXPECT_EQ(mgr->retriesLaunched(), 0u);
 }
 
@@ -241,7 +251,8 @@ TEST_F(RecoveryTest, ForgetStopsRecovery)
     ASSERT_TRUE(net->failLink(0, 1));
     kernel.run(1000);
     EXPECT_EQ(mgr->failuresSeen(), 0u);
-    EXPECT_EQ(mgr->status(o.id), nullptr);
+    RecoveryStatus st;
+    EXPECT_FALSE(mgr->pollStatus(o.id, st));
 }
 
 TEST_F(RecoveryTest, DisabledManagerInstallsNoHook)
@@ -257,6 +268,41 @@ TEST_F(RecoveryTest, DisabledManagerInstallsNoHook)
     kernel.run(1000);
     EXPECT_EQ(mgr->failuresSeen(), 0u);
     EXPECT_EQ(mgr->retriesLaunched(), 0u);
+}
+
+TEST_F(RecoveryTest, ZeroTimeModeResolvesInsideFailLink)
+{
+    RecoveryConfig cfg;
+    cfg.zeroTime = true;
+    build(Topology::ring(4), cfg);
+    const auto o = net->openCbr(0, 1, 10 * kMbps);
+    ASSERT_TRUE(o.accepted);
+    mgr->adopt(o.id, cbrSpec(0, 1, 10 * kMbps));
+
+    // Recovered before failLink() returns: one zero-time EPB setup,
+    // no probe, no retry schedule, no setup timer installed.
+    ASSERT_TRUE(net->failLink(0, 1));
+    RecoveryStatus st;
+    ASSERT_TRUE(mgr->pollStatus(o.id, st));
+    ASSERT_EQ(st.state, RecoveryState::Recovered);
+    EXPECT_EQ(st.attempts, 1u);
+    EXPECT_EQ(mgr->retriesLaunched(), 1u);
+    EXPECT_EQ(mgr->activeRecoveries(), 0u);
+    EXPECT_EQ(net->pendingSetups(), 0u);
+    EXPECT_EQ(net->probes().setupTimeout(), 0u);
+    const auto path = net->connectionPath(st.replacement);
+    ASSERT_EQ(path.size(), 4u);
+    EXPECT_EQ(path[1], 3u) << "the long way round, 0-3-2-1";
+
+    // The replacement is adopted, so a second cut is repaired too.
+    EXPECT_TRUE(mgr->adopted(st.replacement));
+    ASSERT_TRUE(net->repairLink(0, 1));
+    ASSERT_TRUE(net->failLink(2, 3));
+    RecoveryStatus chained;
+    ASSERT_TRUE(mgr->pollStatus(st.replacement, chained));
+    EXPECT_EQ(chained.state, RecoveryState::Recovered);
+    EXPECT_EQ(net->connectionPath(chained.replacement).size(), 2u);
+    EXPECT_EQ(mgr->connectionsRecovered(), 2u);
 }
 
 TEST_F(RecoveryTest, InterfaceSwapsOntoReplacement)
@@ -290,6 +336,9 @@ TEST_F(RecoveryTest, InterfaceSwapsOntoReplacement)
     EXPECT_EQ(net->connectionState(now_id), Network::ConnState::Open);
     EXPECT_GT(host.flitsDroppedInRecovery(), 0u)
         << "arrivals during recovery are dropped with accounting";
+    RecoveryStatus st;
+    EXPECT_FALSE(mgr->pollStatus(orig, st))
+        << "the swap took the final status; nothing is left behind";
 
     // And the stream actually flows again on the new path.
     const auto delivered_then = net->flitsDelivered();

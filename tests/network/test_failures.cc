@@ -4,7 +4,8 @@
  * the dead wire, tear the affected connections down cleanly (all
  * admission and VC state released), reroute datagrams over the
  * surviving up*-down* structure, keep probes away from dead links,
- * and let interfaces re-establish their streams.
+ * and let interfaces re-establish their streams through a zero-time
+ * RecoveryManager.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/recovery.hh"
 #include "network/interface.hh"
 #include "network/network.hh"
 #include "sim/kernel.hh"
@@ -29,6 +31,15 @@ cfg()
     c.router.vcsPerPort = 16;
     c.router.candidates = 4;
     c.seed = 23;
+    return c;
+}
+
+/** Re-setup inside the failure hook, one zero-time EPB attempt. */
+RecoveryConfig
+zeroTimeRecovery()
+{
+    RecoveryConfig c;
+    c.zeroTime = true;
     return c;
 }
 
@@ -213,8 +224,9 @@ TEST_F(FailureTest, SetupRefusedAcrossAPartition)
 TEST_F(FailureTest, InterfaceReestablishesItsStreams)
 {
     build(Topology::ring(4));
+    RecoveryManager recovery(*net, zeroTimeRecovery(), 99);
     NetworkInterface ni(*net, 0, 99);
-    ni.setAutoReestablish(true);
+    ni.attachRecovery(&recovery);
     ASSERT_TRUE(ni.openCbrStream(1, 10 * kMbps));
 
     for (Cycle t = 0; t < 500; ++t) {
@@ -222,13 +234,22 @@ TEST_F(FailureTest, InterfaceReestablishesItsStreams)
         kernel.step();
     }
     ASSERT_TRUE(net->failLink(0, 1));
-    for (Cycle t = 0; t < 2000; ++t) {
+    // The replacement is set up inside failLink(), so the first tick
+    // after it swaps the stream over.
+    EXPECT_EQ(recovery.connectionsRecovered(), 1u);
+    EXPECT_EQ(recovery.activeRecoveries(), 0u);
+    ni.tick(kernel.now());
+    kernel.step();
+    EXPECT_EQ(ni.reestablishedStreams(), 1u);
+    for (Cycle t = 1; t < 2000; ++t) {
         ni.tick(kernel.now());
         kernel.step();
     }
     EXPECT_EQ(ni.lostStreams(), 1u);
     EXPECT_EQ(ni.reestablishedStreams(), 1u);
     EXPECT_EQ(ni.establishedStreams(), 1u);
+    EXPECT_EQ(ni.flitsDroppedInRecovery(), 0u)
+        << "zero-time recovery never leaves a stream waiting";
     // The replacement connection flows over the surviving path.
     const auto conns = ni.connections();
     ASSERT_EQ(conns.size(), 1u);
@@ -239,7 +260,7 @@ TEST_F(FailureTest, InterfaceReestablishesItsStreams)
     EXPECT_EQ(path[1], 3u) << "rerouted the long way round";
 }
 
-TEST_F(FailureTest, WithoutAutoReestablishStreamsAreRetired)
+TEST_F(FailureTest, WithoutRecoveryStreamsAreRetired)
 {
     build(Topology::ring(4));
     NetworkInterface ni(*net, 0, 100);
@@ -252,6 +273,29 @@ TEST_F(FailureTest, WithoutAutoReestablishStreamsAreRetired)
     EXPECT_EQ(ni.lostStreams(), 1u);
     EXPECT_EQ(ni.reestablishedStreams(), 0u);
     EXPECT_EQ(ni.establishedStreams(), 0u);
+}
+
+TEST_F(FailureTest, ZeroTimeRecoveryRefusedAcrossAPartitionRetires)
+{
+    Topology line(2);
+    line.addLink(0, 1);
+    build(line);
+    RecoveryManager recovery(*net, zeroTimeRecovery(), 101);
+    NetworkInterface ni(*net, 0, 101);
+    ni.attachRecovery(&recovery);
+    ASSERT_TRUE(ni.openCbrStream(1, 10 * kMbps));
+
+    ASSERT_TRUE(net->failLink(0, 1));
+    // One refused attempt inside failLink(), no retry schedule.
+    EXPECT_EQ(recovery.retriesLaunched(), 1u);
+    EXPECT_EQ(recovery.connectionsAbandoned(), 1u);
+    EXPECT_EQ(recovery.activeRecoveries(), 0u);
+    ni.tick(kernel.now());
+    kernel.step();
+    EXPECT_EQ(ni.lostStreams(), 1u);
+    EXPECT_EQ(ni.reestablishedStreams(), 0u);
+    EXPECT_EQ(ni.establishedStreams(), 0u);
+    EXPECT_EQ(ni.flitsDroppedInRecovery(), 0u);
 }
 
 TEST_F(FailureTest, SurvivingTrafficKeepsFlowing)

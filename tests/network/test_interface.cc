@@ -6,11 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "network/interface.hh"
 #include "sim/kernel.hh"
+#include "temp_file.hh"
 
 namespace mmr
 {
@@ -71,35 +69,26 @@ TEST_F(InterfaceTest, VbrStreamFlows)
 TEST_F(InterfaceTest, TraceStreamFlows)
 {
     // Write a tiny trace and replay it across the network.
-    const std::string path = "/tmp/mmr_iface_trace.txt";
-    {
-        std::ofstream out(path);
-        out << "# two-frame loop\n1280\n2560\n";
-    }
+    const TempFile trace("# two-frame loop\n1280\n2560\n");
     NetworkInterface ni(*net, 0, 52);
-    ASSERT_TRUE(ni.openTraceStream(3, path, 2000.0, 3.0, 1));
+    ASSERT_TRUE(ni.openTraceStream(3, trace.path(), 2000.0, 3.0, 1));
     EXPECT_EQ(ni.establishedStreams(), 1u);
     for (Cycle t = 0; t < 40000; ++t) {
         ni.tick(kernel.now());
         kernel.step();
     }
-    std::remove(path.c_str());
     // Mean rate 3.84 Mb/s -> ~120 flits in 40k cycles.
     EXPECT_GT(net->flitsDelivered(), 60u);
 }
 
 TEST_F(InterfaceTest, TraceHotterThanTheLinkIsRefused)
 {
-    const std::string path = "/tmp/mmr_iface_trace2.txt";
-    {
-        std::ofstream out(path);
-        out << "1280000\n"; // 1.28 Mb frames at 1000 fps = 1.28 Gb/s
-    }
+    // 1.28 Mb frames at 1000 fps = 1.28 Gb/s
+    const TempFile trace("1280000\n");
     NetworkInterface ni(*net, 0, 53);
-    EXPECT_FALSE(ni.openTraceStream(3, path, 1000.0, 2.0, 0))
+    EXPECT_FALSE(ni.openTraceStream(3, trace.path(), 1000.0, 2.0, 0))
         << "declared peak (2x mean) exceeds the link rate";
     EXPECT_EQ(ni.refusedStreams(), 1u);
-    std::remove(path.c_str());
 }
 
 TEST_F(InterfaceTest, RefusalIsCounted)

@@ -16,6 +16,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "harness/network_experiment.hh"
 #include "sim/invariant.hh"
@@ -133,6 +134,48 @@ TEST(ShardedNetwork, ExplicitFaultEventsReplayIdentically)
     const std::uint64_t serial = digestAtShards(cfg, 1);
     for (unsigned shards : kShardCounts)
         EXPECT_EQ(serial, digestAtShards(cfg, shards));
+}
+
+/**
+ * Large multistage networks with a lean per-router footprint (8 VCs, 4
+ * candidates, one 10 Mb/s CBR stream per host, 200 + 600 + 100
+ * cycles): the 256-router MIN at 2 and 4 shards and the 1280-router
+ * MIN at 2, 4 and 8 shards match their serial digests.
+ */
+TEST(ShardedNetwork, LargeMinDigestsMatchSerial)
+{
+    InvariantGuard guard;
+    struct Case
+    {
+        const char *topo;
+        unsigned routers;
+        std::vector<unsigned> shards;
+    };
+    const Case cases[] = {{"min:4:4", 256, {2, 4}},
+                          {"min:4:5", 1280, {2, 4, 8}}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.topo);
+        NetworkExperimentConfig cfg;
+        cfg.topologySpec = c.topo;
+        cfg.seed = 42;
+        cfg.net.router.vcsPerPort = 8;
+        cfg.net.router.candidates = 4;
+        cfg.cbrStreamsPerHost = 1;
+        cfg.cbrRateBps = 10 * kMbps;
+        cfg.beFlowsPerHost = 0;
+        cfg.warmupCycles = 200;
+        cfg.measureCycles = 600;
+        cfg.drainCycles = 100;
+        const auto serial = runNetworkExperiment(cfg);
+        ASSERT_EQ(serial.nodes, c.routers);
+        ASSERT_GT(serial.streamsAccepted, 0u);
+        const std::uint64_t want = networkResultDigest(serial);
+        for (const unsigned shards : c.shards) {
+            SCOPED_TRACE("shards " + std::to_string(shards));
+            EXPECT_EQ(want, digestAtShards(cfg, shards))
+                << "sharded run diverged from the serial digest";
+        }
+    }
 }
 
 TEST(ShardedNetwork, ShardPartitionIsContiguousAndBalanced)

@@ -7,10 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
+#include "temp_file.hh"
 #include "traffic/trace_source.hh"
 
 namespace mmr
@@ -19,27 +18,6 @@ namespace
 {
 
 constexpr double kLink = 1.24 * kGbps;
-
-/** RAII temp file helper. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &content)
-        : path_("/tmp/mmr_trace_test_" +
-                std::to_string(counter_++) + ".txt")
-    {
-        std::ofstream out(path_);
-        out << content;
-    }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    static int counter_;
-    std::string path_;
-};
-
-int TempFile::counter_ = 0;
 
 TEST(FrameTrace, ParsesSizesAndComments)
 {

@@ -21,6 +21,7 @@
 
 #include "harness/network_experiment.hh"
 #include "sim/invariant.hh"
+#include "workload/setup_path.hh"
 
 namespace mmr
 {
@@ -181,6 +182,25 @@ TEST(ChurnProperties, DigestReproducibleFromSeed)
             EXPECT_EQ(networkResultDigest(a), networkResultDigest(b))
                 << "same seed must reproduce the identical run";
         }
+    }
+}
+
+TEST(ChurnProperties, FaultedSetupPathDrainsAndReproduces)
+{
+    // The setup path near the acceptance knee under link faults: 400
+    // arrivals per 1k cycles over 2000 measured cycles, seeds from 42.
+    InvariantGuard guard;
+    const unsigned seeds = seedCount();
+    for (unsigned s = 0; s < seeds; ++s) {
+        SCOPED_TRACE("seed " + std::to_string(42 + s));
+        const auto cfg = setupPathConfig(42 + s, 400.0, 2000, true);
+        const auto r = runNetworkExperiment(cfg);
+        EXPECT_GT(r.sessionsAdmitted, 0u);
+        expectLedgerConsistent(r);
+        expectLeakFree(r);
+        EXPECT_EQ(networkResultDigest(r),
+                  networkResultDigest(runNetworkExperiment(cfg)))
+            << "same seed must reproduce the identical run";
     }
 }
 

@@ -4,15 +4,18 @@
  * engine runs coordinator-serial between host ticks, and all of its
  * draws live on seed-derived sub-RNGs, so a churning population must
  * produce a bit-identical networkResultDigest at shards {1, 2, 8} —
- * clean and under a fault plan.
+ * clean and under a fault plan — and on a worker thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <string>
+#include <thread>
 
 #include "harness/network_experiment.hh"
 #include "sim/invariant.hh"
+#include "workload/setup_path.hh"
 
 namespace mmr
 {
@@ -89,6 +92,45 @@ TEST(ChurnSharded, FaultedDigestsMatchAcrossShardCounts)
         const auto r = runNetworkExperiment(cfg);
         EXPECT_EQ(networkResultDigest(r), want)
             << "sharded faulted churn run diverged from serial";
+    }
+}
+
+TEST(ChurnSharded, SetupPathDigestMatchesOnShardsAndThreads)
+{
+    // 150 arrivals per 1k cycles over 4000 measured cycles: the serial
+    // run, the 2-shard core and a run on a fresh std::thread (the
+    // --jobs execution path, with its own thread-local clock and
+    // recorder) must agree bit for bit, clean and faulted.
+    InvariantGuard guard;
+    for (const bool faulted : {false, true}) {
+        SCOPED_TRACE(faulted ? "faulted" : "clean");
+        auto cfg = setupPathConfig(42, 150.0, 4000, faulted);
+        const auto serial = runNetworkExperiment(cfg);
+        EXPECT_GT(serial.sessionsAdmitted, 0u);
+        EXPECT_GT(serial.sessionSetupLatency.p99, 0.0);
+        EXPECT_EQ(serial.sessionsLeakedAtEnd, 0u);
+        EXPECT_EQ(serial.pendingSetupsAtEnd, 0u);
+        EXPECT_EQ(serial.openConnsAtEnd, 0u);
+        const auto want = networkResultDigest(serial);
+
+        std::uint64_t on_thread = 0;
+        std::exception_ptr thread_error;
+        std::thread worker([&] {
+            try {
+                on_thread = networkResultDigest(runNetworkExperiment(cfg));
+            } catch (...) {
+                thread_error = std::current_exception();
+            }
+        });
+        worker.join();
+        if (thread_error)
+            std::rethrow_exception(thread_error);
+        EXPECT_EQ(on_thread, want)
+            << "a worker-thread run diverged from the serial one";
+
+        cfg.net.shards = 2;
+        EXPECT_EQ(networkResultDigest(runNetworkExperiment(cfg)), want)
+            << "the 2-shard run diverged from the serial one";
     }
 }
 
