@@ -70,7 +70,6 @@ obsForRun(const ObsConfig &shared, const std::string &label, double load)
     c.tracePath = obsPathWithSuffix(c.tracePath, suffix);
     c.statsJsonPath = obsPathWithSuffix(c.statsJsonPath, suffix);
     c.statsCsvPath = obsPathWithSuffix(c.statsCsvPath, suffix);
-    c.vcdPath = obsPathWithSuffix(c.vcdPath, suffix);
     return c;
 }
 

@@ -20,12 +20,16 @@
  *             --fail-link=5,6
  */
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "base/cli.hh"
 #include "base/table.hh"
@@ -86,6 +90,41 @@ parseTopology(const std::string &spec, Rng &rng)
 }
 
 /**
+ * Parse --fail-link ("a,b") against @p topo before the run starts, so
+ * a bad value is a user error instead of a mid-run assertion or a
+ * failure that silently never happens.  Empty means no failure.
+ */
+std::optional<std::pair<NodeId, NodeId>>
+parseFailLink(const std::string &spec, const Topology &topo)
+{
+    if (spec.empty())
+        return std::nullopt;
+    const std::size_t comma = spec.find(',');
+    if (comma == std::string::npos)
+        mmr_fatal("--fail-link=", spec, ": want two node ids 'a,b'");
+    const std::string parts[2] = {spec.substr(0, comma),
+                                  spec.substr(comma + 1)};
+    NodeId ids[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string &p = parts[i];
+        char *end = nullptr;
+        const unsigned long v = std::strtoul(p.c_str(), &end, 10);
+        if (p.empty() || !std::isdigit(static_cast<unsigned char>(p[0])) ||
+            *end != '\0')
+            mmr_fatal("--fail-link=", spec, ": want two node ids 'a,b'");
+        if (v >= topo.numNodes())
+            mmr_fatal("--fail-link=", spec, ": node ", v,
+                      " is out of range (the topology has ",
+                      topo.numNodes(), " nodes)");
+        ids[i] = static_cast<NodeId>(v);
+    }
+    if (!topo.hasLink(ids[0], ids[1]))
+        mmr_fatal("--fail-link=", spec, ": no link joins nodes ", ids[0],
+                  " and ", ids[1]);
+    return std::make_pair(ids[0], ids[1]);
+}
+
+/**
  * Several --load values: run the points through the sweep runner on
  * --jobs workers and print one row per load.  Observability outputs
  * get a per-load path suffix so concurrent points never share a file.
@@ -104,7 +143,6 @@ runRouterSweep(ExperimentConfig base,
             obsPathWithSuffix(cfg.obs.statsJsonPath, l);
         cfg.obs.statsCsvPath =
             obsPathWithSuffix(cfg.obs.statsCsvPath, l);
-        cfg.obs.vcdPath = obsPathWithSuffix(cfg.obs.vcdPath, l);
         cfgs.push_back(std::move(cfg));
     }
     const auto results = runExperiments(
@@ -262,6 +300,7 @@ runNetworkMode(const Cli &cli)
     const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
     Rng rng(seed);
     const Topology topo = parseTopology(cli.str("topology"), rng);
+    const auto fail = parseFailLink(cli.str("fail-link"), topo);
 
     NetworkConfig ncfg;
     ncfg.router.vcsPerPort = static_cast<unsigned>(cli.integer("vcs"));
@@ -325,19 +364,15 @@ runNetworkMode(const Cli &cli)
     net.endToEnd().startMeasurement(cycles / 10);
 
     // Optional mid-run link failure.
-    const auto fail = cli.list("fail-link");
     const Cycle fail_at = cycles / 2;
-    bool failed = false;
 
     const auto wall_start = std::chrono::steady_clock::now();
     for (Cycle t = 0; t < cycles; ++t) {
-        if (!failed && fail.size() == 2 && t == fail_at) {
-            const NodeId a = static_cast<NodeId>(std::stoul(fail[0]));
-            const NodeId b = static_cast<NodeId>(std::stoul(fail[1]));
+        if (fail && t == fail_at) {
+            const auto [a, b] = *fail;
             if (net.failLink(a, b))
                 std::printf("cycle %llu: failed link %u-%u\n",
                             static_cast<unsigned long long>(t), a, b);
-            failed = true;
         }
         for (auto &h : hosts)
             h->tick(kernel.now());

@@ -182,7 +182,6 @@ runNetworkExperiment(const NetworkExperimentConfig &cfg)
         churn->registerInvariants(checker, cfg.invariantPeriod);
 
     Kernel kernel;
-    kernel.registerInvariants(checker);
     kernel.add(&injector, "fault-injector");
     kernel.add(&recovery, "recovery-manager");
     kernel.add(&net, "network");

@@ -366,7 +366,6 @@ SingleRouterExperiment::run()
     // The auditor ticks after the router so every cycle's committed
     // state satisfies the conservation laws before the next begins.
     dut->registerInvariants(auditor, 64);
-    kernel.registerInvariants(auditor);
     kernel.add(&auditor, "invariants");
 
     // Observability: register every stat before the sampler attaches

@@ -236,12 +236,14 @@ Network::wireRouter(NodeId n)
     // Every callback becomes a record in the emitting router's shard
     // mailbox instead of being applied inline: the handlers touch
     // other routers (credit upstream, link queues, end-to-end stats),
-    // which a worker thread must not do.  The coordinator replays the
-    // logs after each phase in shard order, which for a contiguous-id
-    // partition is ascending router id at every shard count.  The one
-    // callback that fires outside a phase — segment removal while
-    // processPendingCloses() tears a PCS path down — returns before
-    // logging, because PCS segments never set releaseWhenEmpty.
+    // which a worker thread must not do.  Routers emit them only while
+    // applying a matching, so the coordinator replays the logs once,
+    // after the advance phase, in shard order, which for a
+    // contiguous-id partition is ascending router id at every shard
+    // count.  The one callback that fires outside a phase — segment
+    // removal while processPendingCloses() tears a PCS path down —
+    // returns before logging, because PCS segments never set
+    // releaseWhenEmpty.
     const unsigned shard = shardOf[n];
     routers[n]->setSink(
         [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
@@ -1005,12 +1007,13 @@ Network::evaluate(Cycle now)
     processPendingCloses();
     phaseCycle = now;
     pool->runPhase(now, evalPhase);
-    drainMailboxes(now);
 }
 
 void
 Network::advance(Cycle now)
 {
+    // The mailboxes fill in this phase alone (see wireRouter), so one
+    // drain covers the cycle.
     phaseCycle = now;
     pool->runPhase(now, advPhase);
     drainMailboxes(now);

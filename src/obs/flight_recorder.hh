@@ -65,7 +65,7 @@ enum class TraceCat : std::uint8_t
     Admission, ///< bandwidth admission accept/reject
     Credit,    ///< credit consume/replenish (high volume)
     Setup,     ///< probe/EPB connection establishment phases
-    Control,   ///< VCT cut-throughs, control-word application
+    Control,   ///< control-plane events (no site emits one today)
     Fault,     ///< link fail/repair, corruption, recovery retries
     NumCats
 };

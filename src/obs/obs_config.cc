@@ -1,5 +1,7 @@
 #include "obs/obs_config.hh"
 
+#include <fstream>
+
 #include "base/cli.hh"
 #include "base/logging.hh"
 #include "sim/kernel.hh"
@@ -44,13 +46,6 @@ ObsSession::attach(Kernel &kernel)
             cfg.samplePeriod > 0 ? cfg.samplePeriod : 1000;
         sampl = std::make_unique<StatsSampler>(stats, period,
                                                cfg.sampleStats);
-        if (!cfg.vcdPath.empty()) {
-            vcdStream = std::make_unique<std::ofstream>(cfg.vcdPath);
-            if (!*vcdStream)
-                mmr_fatal("cannot open VCD output '", cfg.vcdPath, "'");
-            vcd = std::make_unique<VcdWriter>(*vcdStream);
-            sampl->attachVcd(vcd.get());
-        }
         kernel.add(sampl.get(), "obs-sampler");
     }
 
@@ -125,11 +120,6 @@ ObsSession::finish(Cycle now)
                       "'");
         sampl->dumpCsv(os);
     }
-
-    if (vcd != nullptr)
-        vcd->finish();
-    if (vcdStream != nullptr)
-        vcdStream->close();
 }
 
 void
@@ -143,10 +133,9 @@ addObsFlags(Cli &cli)
     cli.flag("trace-to", "0", "last cycle to trace (0 = unbounded)");
     cli.flag("stats-json", "", "stats registry + series JSON output");
     cli.flag("stats-csv", "", "sampled stats CSV output");
-    cli.flag("vcd", "", "sampled stats as VCD waveforms");
     cli.flag("sample-every", "0",
              "sample the stats registry every N cycles (0 = only when "
-             "a stats/VCD output needs it)");
+             "a stats output needs it)");
     cli.flag("sample-stats", "",
              "stat selection patterns for the sampler (prefix. or "
              "prefix*; default all)");
@@ -182,7 +171,6 @@ obsConfigFromCli(const Cli &cli)
         c.traceTo = static_cast<Cycle>(to);
     c.statsJsonPath = cli.str("stats-json");
     c.statsCsvPath = cli.str("stats-csv");
-    c.vcdPath = cli.str("vcd");
     c.samplePeriod = static_cast<Cycle>(cli.integer("sample-every"));
     c.sampleStats = cli.list("sample-stats");
     c.perVcStats = cli.boolean("stats-per-vc");

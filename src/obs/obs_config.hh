@@ -5,11 +5,11 @@
  * example front ends.
  *
  * ObsConfig is plain data filled from CLI flags (--trace=,
- * --stats-json=, --sample-every=, --vcd=, ...).  ObsSession owns the
- * live objects the config asks for — stats registry, sampler, flight
- * recorder, VCD stream — wires the sampler into a kernel, starts the
- * recorder's trace buffer, and writes every requested file in
- * finish().  A default-constructed ObsConfig leaves only the always-on
+ * --stats-json=, --sample-every=, ...).  ObsSession owns the live
+ * objects the config asks for — stats registry, sampler, flight
+ * recorder — wires the sampler into a kernel, starts the recorder's
+ * trace buffer, and writes every requested file in finish().  A
+ * default-constructed ObsConfig leaves only the always-on
  * flight-recorder ring running: nothing else is allocated and no trace
  * buffer grows.
  */
@@ -17,7 +17,6 @@
 #ifndef MMR_OBS_OBS_CONFIG_HH
 #define MMR_OBS_OBS_CONFIG_HH
 
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -28,7 +27,6 @@
 #include "obs/flight_recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/stats_registry.hh"
-#include "obs/vcd.hh"
 
 namespace mmr
 {
@@ -41,10 +39,9 @@ struct ObsConfig
     std::string tracePath;     ///< Chrome trace-event JSON output
     std::string statsJsonPath; ///< registry dump + sampler series
     std::string statsCsvPath;  ///< sampler series as CSV
-    std::string vcdPath;       ///< sampled stats as VCD waveforms
 
-    /** Sample the registry every N cycles; 0 = only if another
-     * output (stats file, VCD) needs the sampler, then every 1000. */
+    /** Sample the registry every N cycles; 0 = only if a stats file
+     * needs the sampler, then every 1000. */
     Cycle samplePeriod = 0;
 
     /** Stat selection patterns for the sampler (empty = all). */
@@ -85,7 +82,7 @@ struct ObsConfig
     bool wantsSampler() const
     {
         return samplePeriod > 0 || !statsJsonPath.empty() ||
-               !statsCsvPath.empty() || !vcdPath.empty();
+               !statsCsvPath.empty();
     }
     bool enabled() const
     {
@@ -109,11 +106,10 @@ class ObsSession
     StatsRegistry &registry() { return stats; }
 
     /**
-     * Create the sampler/VCD objects the config asks for, add the
-     * sampler to @p kernel (call after every registerStats) and start
-     * the trace on the thread's active recorder.  Also enables
-     * component profiling on the kernel if requested.  No-op when the
-     * config is empty.
+     * Create the sampler the config asks for, add it to @p kernel
+     * (call after every registerStats) and start the trace on the
+     * thread's active recorder.  Also enables component profiling on
+     * the kernel if requested.  No-op when the config is empty.
      */
     void attach(Kernel &kernel);
 
@@ -145,8 +141,6 @@ class ObsSession
     ObsConfig cfg;
     StatsRegistry stats;
     std::unique_ptr<StatsSampler> sampl;
-    std::unique_ptr<std::ofstream> vcdStream;
-    std::unique_ptr<VcdWriter> vcd;
     std::unique_ptr<FlightRecorder> flight;
     FlightRecorder *traced = nullptr; ///< recorder running our trace
     std::function<void(std::ostream &)> histDump;
@@ -157,9 +151,9 @@ class ObsSession
 
 /**
  * Declare the standard observability flags (--trace=, --trace-cats=,
- * --trace-from/-to=, --stats-json=, --stats-csv=, --vcd=,
- * --sample-every=, --sample-stats=, --stats-per-vc, --profile) on a
- * Cli, all defaulting to "off".
+ * --trace-from/-to=, --stats-json=, --stats-csv=, --sample-every=,
+ * --sample-stats=, --stats-per-vc, --profile) on a Cli, all
+ * defaulting to "off".
  */
 void addObsFlags(Cli &cli);
 

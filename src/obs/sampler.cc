@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "base/logging.hh"
-#include "obs/vcd.hh"
 
 namespace mmr
 {
@@ -22,29 +21,12 @@ StatsSampler::StatsSampler(const StatsRegistry &reg, Cycle period_,
 }
 
 void
-StatsSampler::attachVcd(VcdWriter *vcd)
-{
-    mmr_assert(vcd != nullptr, "attaching a null VCD writer");
-    vcdOut = vcd;
-    vcdIds.clear();
-    vcdIds.reserve(colNames.size());
-    for (const std::string &name : colNames)
-        vcdIds.push_back(vcd->addReal(name));
-}
-
-void
 StatsSampler::sampleNow(Cycle now)
 {
     std::vector<double> row;
     row.reserve(selected.size());
     for (std::size_t i : selected)
         row.push_back(registry.entry(i).probe());
-
-    if (vcdOut != nullptr) {
-        vcdOut->tick(now);
-        for (std::size_t c = 0; c < vcdIds.size(); ++c)
-            vcdOut->set(vcdIds[c], row[c]);
-    }
 
     if (rows.size() < cap) {
         cycles.push_back(now);

@@ -13,7 +13,6 @@
  * run outgrows it the oldest rows are dropped (and counted), keeping
  * memory bounded on arbitrarily long runs.  dumpCsv()/dumpJson()
  * produce deterministic, bit-identical output for same-seed runs.
- * An optional VcdWriter mirrors every sample into a VCD waveform.
  */
 
 #ifndef MMR_OBS_SAMPLER_HH
@@ -30,8 +29,6 @@
 
 namespace mmr
 {
-
-class VcdWriter;
 
 // mmr-lint: allow(clocked-invariants) pure observer: samples registry
 // values into a ring buffer and holds no simulation state to audit.
@@ -87,13 +84,6 @@ class StatsSampler : public Clocked
      */
     void dumpJson(std::ostream &os) const;
 
-    /**
-     * Mirror every sample into a VCD waveform as real-valued signals
-     * (one per column).  The writer must outlive the sampler and must
-     * not have been written to yet.
-     */
-    void attachVcd(VcdWriter *vcd);
-
   private:
     const StatsRegistry &registry;
     Cycle period;
@@ -106,9 +96,6 @@ class StatsSampler : public Clocked
     std::size_t head = 0; ///< index of the oldest retained row
     std::size_t taken = 0;
     std::size_t dropped = 0;
-
-    VcdWriter *vcdOut = nullptr;
-    std::vector<std::size_t> vcdIds;
 };
 
 } // namespace mmr

@@ -74,8 +74,6 @@ RouterConfig::validate() const
         mmr_fatal("linkRateBps must be positive");
     if (flitBits == 0 || flitBits % 8 != 0)
         mmr_fatal("flitBits must be a positive multiple of 8");
-    if (phitBits == 0 || flitBits % phitBits != 0)
-        mmr_fatal("flitBits must be a multiple of phitBits");
     if (vcBufferFlits == 0)
         mmr_fatal("vcBufferFlits must be positive");
     if (roundFactorK < 1)

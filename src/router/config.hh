@@ -50,7 +50,6 @@ struct RouterConfig
     unsigned vcsPerPort = 256;    ///< virtual channels per input link
     double linkRateBps = 1.24 * kGbps;
     unsigned flitBits = 128;
-    unsigned phitBits = 16;       ///< link phit (serial LAN links)
     unsigned vcBufferFlits = 64;  ///< per-VC buffer depth in flits
     unsigned roundFactorK = 2;    ///< round = K * vcsPerPort cycles
     unsigned candidates = 4;      ///< candidates per input port (1..8)

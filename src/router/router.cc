@@ -11,16 +11,29 @@
 namespace mmr
 {
 
+namespace
+{
+
+/** Runs validate() before any member initializer builds a part from
+ * @p c: the admission controller, routing unit and credit manager
+ * assert on the values validate() rejects with a message. */
+const RouterConfig &
+validated(const RouterConfig &c)
+{
+    c.validate();
+    return c;
+}
+
+} // namespace
+
 MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
-    : cfg(cfg_), metrics(metrics_), rand(cfg_.seed),
+    : cfg(validated(cfg_)), metrics(metrics_), rand(cfg_.seed),
       sched(SwitchScheduler::create(cfg_)),
       admit(cfg_.numPorts, cfg_.cyclesPerRound(), cfg_.concurrencyFactor,
             cfg_.bestEffortReserve),
       routes(cfg_.numPorts, cfg_.vcsPerPort),
-      creditMgr(cfg_.numPorts, cfg_.vcsPerPort, cfg_.vcBufferFlits),
-      bypassMasks(cfg_.numPorts)
+      creditMgr(cfg_.numPorts, cfg_.vcsPerPort, cfg_.vcBufferFlits)
 {
-    cfg.validate();
     // Anderson et al.'s iterative matching arbitrates randomly, but
     // each queue offers its *oldest* cell — so Autonet mode pairs the
     // random switch arbiter with age-ordered candidate selection
@@ -45,25 +58,15 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     else if (cfg.scheduler == SchedulerKind::AgePriority ||
              cfg.scheduler == SchedulerKind::Autonet)
         policy = PriorityPolicy::Age;
-    const unsigned phits_per_flit = cfg.flitBits / cfg.phitBits;
-    phitBufs.reserve(cfg.numPorts);
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         inputMems.emplace_back(cfg.vcsPerPort, cfg.vcBufferFlits);
         linkScheds.emplace_back(p, &inputMems.back(), cfg.numPorts,
                                 policy, cfg.cyclesPerRound(),
                                 random_candidates);
-        // §3.2: deep enough for the phits arriving during one decode
-        // period, plus headroom for a couple of back-to-back probes.
-        phitBufs.emplace_back(
-            PhitBuffer::requiredDepth(3, phits_per_flit),
-            phits_per_flit);
     }
-    phitBufOuts.resize(cfg.numPorts);
     candScratch.resize(cfg.numPorts);
     for (auto &cands : candScratch)
         cands.reserve(cfg.candidates);
-    bypassInBusy.resize(cfg.numPorts);
-    bypassOutBusy.resize(cfg.numPorts);
     // Stand-alone routers deliver to an infinite sink by default.
     creditMgr.setInfinite(true);
 }
@@ -327,23 +330,6 @@ MmrRouter::setConnectionPriority(ConnId id, int priority)
     return true;
 }
 
-bool
-MmrRouter::applyControlWord(const ControlWord &w)
-{
-    switch (w.op) {
-      case ControlOp::SetBandwidth:
-        // arg carries the new rate in Mb/s.
-        return renegotiateBandwidth(w.conn, w.arg * kMbps);
-      case ControlOp::SetPriority:
-        return setConnectionPriority(w.conn,
-                                     static_cast<int>(w.arg));
-      case ControlOp::Teardown:
-        return close(w.conn);
-      default:
-        return false;
-    }
-}
-
 // ---------------------------------------------------------------------
 // Data path
 // ---------------------------------------------------------------------
@@ -382,28 +368,6 @@ MmrRouter::injectRaw(PortId in, VcId vc, const Flit &f)
 }
 
 bool
-MmrRouter::offerControl(PortId in, PortId out, Flit f)
-{
-    mmr_assert(in < cfg.numPorts && out < cfg.numPorts,
-               "control ports out of range");
-    f.klass = TrafficClass::Control;
-    if (!phitBufs[in].push(f)) {
-        ++statControlDrops; // link back-pressure on the probe
-        return false;
-    }
-    phitBufOuts[in].push_back(out);
-    ++phitBuffered;
-    return true;
-}
-
-std::size_t
-MmrRouter::phitBufferDepth(PortId in) const
-{
-    mmr_assert(in < cfg.numPorts, "input port out of range");
-    return phitBufs[in].depth();
-}
-
-bool
 MmrRouter::creditAvailable(const VcState &vc) const
 {
     if (creditMgr.isInfinite())
@@ -416,107 +380,9 @@ MmrRouter::creditAvailable(const VcState &vc) const
 // Clocked
 // ---------------------------------------------------------------------
 
-// mmr-lint: allow(hot-path-alloc) control-channel bookkeeping grows
-// only while a setup/teardown is in flight; data-only cycles take the
-// early-out above the port-mask setup and never allocate.
-void
-MmrRouter::processBypass(Cycle now)
-{
-    // Control traffic is rare; with nothing buffered there is nothing
-    // to cut through or demote, so the common data-only cycle skips
-    // the port-mask setup entirely.
-    if (phitBuffered == 0)
-        return;
-
-    // Ports used by the matching that transmits during this cycle.
-    std::fill(bypassInBusy.begin(), bypassInBusy.end(), false);
-    std::fill(bypassOutBusy.begin(), bypassOutBusy.end(), false);
-    for (const Candidate &c : currentMatching) {
-        bypassInBusy[c.in] = true;
-        bypassOutBusy[c.out] = true;
-    }
-
-    // Drain the phit buffers (decoded control packets) in port order.
-    bypassPending.clear();
-    for (PortId p = 0; p < cfg.numPorts; ++p) {
-        while (!phitBufs[p].empty()) {
-            BypassReq req;
-            req.in = p;
-            req.flit = phitBufs[p].pop();
-            req.out = phitBufOuts[p].front();
-            phitBufOuts[p].pop_front();
-            --phitBuffered;
-            bypassPending.push_back(std::move(req));
-        }
-    }
-
-    for (BypassReq &req : bypassPending) {
-        if (!bypassInBusy[req.in] && !bypassOutBusy[req.out]) {
-            // Cut through right now; the ports stay busy for the
-            // arbitration of the next flit cycle (§3.4).
-            bypassInBusy[req.in] = true;
-            bypassOutBusy[req.out] = true;
-            bypassMasks.busyIn.set(req.in);
-            bypassMasks.busyOut.set(req.out);
-            ++statBypassHits;
-            ++statForwarded;
-            ++statByClass[static_cast<int>(TrafficClass::Control)];
-            MMR_OBS_EVENT(TraceCat::Control, "cut_through", now,
-                          req.out, req.flit.conn,
-                          static_cast<std::int32_t>(req.in));
-            if (metrics) {
-                // Cut-throughs bypass the VC pipeline: class delay
-                // only, no stage decomposition.
-                metrics->recordDeparture(
-                    req.flit.conn, now,
-                    static_cast<double>(now - req.flit.readyTime),
-                    TrafficClass::Control);
-            }
-            if (sink)
-                sink(req.out, kInvalidVc, req.flit, now);
-            continue;
-        }
-        // Blocked: buffer on a (lazily opened) control channel and let
-        // the synchronous scheduler move it (highest service tier).
-        ++statBypassMisses;
-        const unsigned key = req.in * cfg.numPorts + req.out;
-        auto it = controlChans.find(key);
-        ConnId chan = kInvalidConn;
-        if (it != controlChans.end()) {
-            chan = it->second;
-        } else {
-            SegmentParams p;
-            p.id = nextLocalConn();
-            p.klass = TrafficClass::Control;
-            p.in = req.in;
-            p.inVc = routes.allocInputVc(req.in);
-            p.out = req.out;
-            p.outVc = routes.allocOutputVc(req.out);
-            if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-                !installSegment(p)) {
-                if (p.inVc != kInvalidVc)
-                    routes.freeInputVc(req.in, p.inVc);
-                if (p.outVc != kInvalidVc)
-                    routes.freeOutputVc(req.out, p.outVc);
-                ++statControlDrops;
-                continue;
-            }
-            controlChans.emplace(key, p.id);
-            chan = p.id;
-        }
-        Flit f = req.flit;
-        if (!inject(chan, f))
-            ++statControlDrops;
-    }
-}
-
 void
 MmrRouter::evaluate(Cycle now)
 {
-    // Asynchronous VCT cut-throughs happen "within" the current flit
-    // cycle, before the arbitration for the next one sees the masks.
-    processBypass(now);
-
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         candScratch[p].clear();
         linkScheds[p].collectCandidates(now, cfg.candidates, creditMgr,
@@ -535,9 +401,7 @@ MmrRouter::evaluate(Cycle now)
         }
     }
 
-    sched->scheduleInto(candScratch, bypassMasks, rand, nextMatching);
-    bypassMasks.busyIn.clearAll();
-    bypassMasks.busyOut.clearAll();
+    sched->scheduleInto(candScratch, rand, nextMatching);
 
     nextStamps.clear();
     for (const Candidate &c : nextMatching) {
@@ -587,30 +451,16 @@ void
 MmrRouter::maybeAutoRelease(ConnId id, PortId in, VcId in_vc)
 {
     // Fast path for the steady state: with no release-when-empty
-    // connections installed (the common case — only VCT control
-    // packets set the flag), skip the per-forwarded-flit map lookup.
+    // connections installed (the common case — only VCT datagram
+    // segments set the flag), skip the per-forwarded-flit map lookup.
     if (autoReleaseConns == 0)
         return;
     const SegmentParams *found = conns.find(id);
     if (found == nullptr || !found->releaseWhenEmpty)
         return;
     const VcState &vc = inputMems[in].vc(in_vc);
-    if (vc.empty() && vc.pendingGrants() == 0) {
-        // Drop every control-channel cache entry pointing at this
-        // conn.  Erasing all matches (not just the first found) keeps
-        // the cache free of stale entries and makes the loop
-        // order-insensitive.
-        // mmr-lint: allow(unordered-iter) order-insensitive: erases
-        // every match; no observable effect depends on visit order.
-        for (auto cit = controlChans.begin();
-             cit != controlChans.end();) {
-            if (cit->second == id)
-                cit = controlChans.erase(cit);
-            else
-                ++cit;
-        }
+    if (vc.empty() && vc.pendingGrants() == 0)
         removeSegment(id);
-    }
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: configScratch is a member
@@ -698,25 +548,21 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
 {
     // Flit conservation (§3.1: credit-based flow control "guarantees
     // flits are never dropped").  Every flit that entered a VC memory
-    // is either still buffered or was forwarded through the crossbar;
-    // bypass cut-throughs never enter a VC memory and are excluded
-    // from both sides.  Occupancy is read from the per-memory counter
-    // (O(P) rather than O(P*V)); the vc-occupancy invariant below
-    // cross-checks that counter against the FIFO ground truth on the
-    // same stride, so a flit removed behind the router's back is still
-    // caught.
+    // is either still buffered or was forwarded through the crossbar.
+    // Occupancy is read from the per-memory counter (O(P) rather than
+    // O(P*V)); the vc-occupancy invariant below cross-checks that
+    // counter against the FIFO ground truth on the same stride, so a
+    // flit removed behind the router's back is still caught.
     chk.add(
         prefix + "flit-conservation",
         [this](Cycle) {
             std::uint64_t buffered = 0;
             for (const VcMemory &m : inputMems)
                 buffered += m.occupancy();
-            const std::uint64_t via_switch =
-                statForwarded - statBypassHits;
-            if (statInjected != via_switch + buffered) {
+            if (statInjected != statForwarded + buffered) {
                 mmr_invariant_violated(
                     "flit-conservation", statInjected,
-                    " flits injected != ", via_switch,
+                    " flits injected != ", statForwarded,
                     " forwarded through the switch + ", buffered,
                     " still buffered");
             }
@@ -836,9 +682,6 @@ MmrRouter::registerStats(StatsRegistry &reg, const std::string &prefix,
     reg.addCounter(
         prefix + "flits.control",
         &statByClass[static_cast<int>(TrafficClass::Control)]);
-    reg.addCounter(prefix + "bypass.hits", &statBypassHits);
-    reg.addCounter(prefix + "bypass.misses", &statBypassMisses);
-    reg.addCounter(prefix + "control.drops", &statControlDrops);
 
     reg.addGauge(prefix + "sched.matching_size.mean",
                  [this] { return statMatchSize.mean(); });
@@ -876,9 +719,6 @@ MmrRouter::registerStats(StatsRegistry &reg, const std::string &prefix,
         });
         reg.addCounter(in + "overflows", [this, p] {
             return static_cast<double>(inputMems[p].overflowCount());
-        });
-        reg.addGauge(in + "phit_depth", [this, p] {
-            return static_cast<double>(phitBufs[p].depth());
         });
 
         const std::string out =

@@ -2,27 +2,26 @@
  * @file
  * The MultiMedia Router (Figure 1).
  *
- * An NxN single-chip router with, per physical input link: a phit
- * buffer, a virtual channel memory (interleaved RAM banks holding V
- * virtual channels), and a link scheduler; plus a multiplexed crossbar
- * with a central switch scheduler, a routing and arbitration unit
- * holding channel mappings, per-output-link admission registers and
- * credit-based flow control.
+ * An NxN single-chip router with, per physical input link, a virtual
+ * channel memory (interleaved RAM banks holding V virtual channels)
+ * and a link scheduler; plus a multiplexed crossbar with a central
+ * switch scheduler, a routing and arbitration unit holding channel
+ * mappings, per-output-link admission registers and credit-based flow
+ * control.
  *
  * Time advances in flit cycles.  During cycle t the switch transmits
  * the flits of the matching computed in cycle t-1 while the schedulers
- * concurrently compute the matching for t+1 (§3.4); control packets
- * may cut through asynchronously when their ports are idle, making
- * those ports busy for the next arbitration.
+ * concurrently compute the matching for t+1 (§3.4).  The link phit
+ * buffers and the asynchronous control cut-through of §3.2/§3.4 are
+ * not modelled here: probes travel as timed messages in
+ * network/probe_protocol and datagrams as transient VCT segments.
  */
 
 #ifndef MMR_ROUTER_ROUTER_HH
 #define MMR_ROUTER_ROUTER_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/flat_map.hh"
@@ -35,7 +34,6 @@
 #include "router/crossbar.hh"
 #include "router/flow_control.hh"
 #include "router/link_sched.hh"
-#include "router/phit_buffer.hh"
 #include "router/routing_unit.hh"
 #include "router/switch_sched.hh"
 #include "router/vc_memory.hh"
@@ -129,9 +127,6 @@ class MmrRouter : public Clocked
     /** Change a VBR connection's user priority. */
     bool setConnectionPriority(ConnId id, int priority);
 
-    /** Apply a decoded link control word (§4.3 command channel). */
-    bool applyControlWord(const ControlWord &w);
-
     // ------------------------------------------------------------------
     // Data path
     // ------------------------------------------------------------------
@@ -142,20 +137,6 @@ class MmrRouter : public Clocked
 
     /** Link-side arrival into an explicit (port, VC). */
     bool injectRaw(PortId in, VcId vc, const Flit &f);
-
-    /**
-     * Offer a control packet for asynchronous VCT cut-through (§3.4).
-     * It enters the input link's phit buffer ("deep enough to store
-     * all the phits that arrive during a decoding period"); from
-     * there it is forwarded this cycle when the ports are idle,
-     * buffered on a control channel for synchronous scheduling when
-     * they are not, or — if even the phit buffer is full — refused
-     * (false), modelling link-level back-pressure on probes.
-     */
-    bool offerControl(PortId in, PortId out, Flit f);
-
-    /** Occupancy of an input link's phit buffer (flits). */
-    std::size_t phitBufferDepth(PortId in) const;
 
     void setSink(SinkFn fn) { sink = std::move(fn); }
     void setCreditReturn(CreditFn fn) { creditReturn = std::move(fn); }
@@ -238,9 +219,12 @@ class MmrRouter : public Clocked
     std::uint64_t flitsInjected() const { return statInjected; }
     std::uint64_t flitsForwarded() const { return statForwarded; }
     std::uint64_t forwardedByClass(TrafficClass c) const;
-    std::uint64_t bypassHits() const { return statBypassHits; }
-    std::uint64_t bypassMisses() const { return statBypassMisses; }
-    std::uint64_t controlDrops() const { return statControlDrops; }
+    /** Control cut-throughs are not modelled, so these three read 0;
+     * they stay only because benchmark/mmr_bench.cc still reports
+     * them. */
+    std::uint64_t bypassHits() const { return 0; }
+    std::uint64_t bypassMisses() const { return 0; }
+    std::uint64_t controlDrops() const { return 0; }
     std::uint64_t injectionRejects() const { return statInjectReject; }
     const StreamStat &matchingSize() const { return statMatchSize; }
     const ReconfigCounter &reconfigs() const { return reconfig; }
@@ -249,7 +233,6 @@ class MmrRouter : public Clocked
     ConnId nextLocalConn();
     bool creditAvailable(const VcState &vc) const;
     void applyMatching(Cycle now);
-    void processBypass(Cycle now);
     void deliver(const Candidate &grant, Flit &&flit, Cycle now,
                  const StageSample &stages);
     void maybeAutoRelease(ConnId id, PortId in, VcId in_vc);
@@ -266,8 +249,6 @@ class MmrRouter : public Clocked
     CreditManager creditMgr;
 
     FlatMap<ConnId, SegmentParams> conns;
-    /** Lazily-opened control channels keyed by in * P + out. */
-    std::unordered_map<unsigned, ConnId> controlChans;
     ConnId localConnSeq = 0;
 
     Matching currentMatching; ///< applied during this cycle
@@ -277,16 +258,6 @@ class MmrRouter : public Clocked
      * decomposition never has to live inside the scanned VC state. */
     std::vector<VcState::GrantStamp> currentStamps;
     std::vector<VcState::GrantStamp> nextStamps;
-    PortMasks bypassMasks;    ///< ports claimed by VCT cut-throughs
-
-    /**
-     * Per-input-link phit buffers for asynchronous control traffic
-     * (§3.2).  The requested output port rides alongside each
-     * buffered flit (in hardware it is part of the decoded header).
-     */
-    std::vector<PhitBuffer> phitBufs;
-    std::vector<std::deque<PortId>> phitBufOuts;
-    unsigned phitBuffered = 0; ///< total flits across all phit buffers
 
     /** Installed connections with releaseWhenEmpty set; when zero the
      * per-forwarded-flit auto-release probe is skipped entirely. */
@@ -296,19 +267,8 @@ class MmrRouter : public Clocked
     CreditFn creditReturn;
     SegmentFn segmentRemoved;
 
-    /** One buffered control packet awaiting cut-through or demotion. */
-    struct BypassReq
-    {
-        PortId in;
-        PortId out;
-        Flit flit;
-    };
-
     // Per-cycle scratch, reused so steady state allocates nothing.
     std::vector<std::vector<Candidate>> candScratch;
-    std::vector<bool> bypassInBusy;
-    std::vector<bool> bypassOutBusy;
-    std::vector<BypassReq> bypassPending;
     std::vector<std::pair<PortId, PortId>> configScratch;
     std::vector<std::pair<PortId, PortId>> lastConfig; ///< reconfig cmp
 
@@ -326,9 +286,6 @@ class MmrRouter : public Clocked
     alignas(64) std::uint64_t statInjected = 0;
     std::uint64_t statForwarded = 0;
     std::uint64_t statByClass[4] = {0, 0, 0, 0};
-    std::uint64_t statBypassHits = 0;
-    std::uint64_t statBypassMisses = 0;
-    std::uint64_t statControlDrops = 0;
     std::uint64_t statInjectReject = 0;
     StreamStat statMatchSize;
     ReconfigCounter reconfig;

@@ -8,9 +8,7 @@ namespace mmr
 RoutingUnit::RoutingUnit(unsigned num_ports, unsigned vcs_per_port)
     : ports(num_ports), vcs(vcs_per_port),
       direct(static_cast<std::size_t>(num_ports) * vcs_per_port),
-      reverse(static_cast<std::size_t>(num_ports) * vcs_per_port),
-      histories(static_cast<std::size_t>(num_ports) * vcs_per_port,
-                BitVector(num_ports))
+      reverse(static_cast<std::size_t>(num_ports) * vcs_per_port)
 {
     mmr_assert(ports > 0 && vcs > 0, "degenerate routing unit");
     inputFree.reserve(ports);
@@ -112,18 +110,6 @@ ChannelRef
 RoutingUnit::reverseMap(ChannelRef out) const
 {
     return reverse[index(out)];
-}
-
-BitVector &
-RoutingUnit::history(ChannelRef in)
-{
-    return histories[index(in)];
-}
-
-void
-RoutingUnit::clearHistory(ChannelRef in)
-{
-    histories[index(in)].clearAll();
 }
 
 } // namespace mmr

@@ -5,9 +5,9 @@
  * Keeps the channel mappings between input and output virtual channels
  * for established connections.  Direct mappings forward data flits;
  * reverse mappings serve backtracking headers and returned
- * acknowledgments, and propagate status information.  A history store
- * associated with each input virtual channel records the output links
- * a probe has already searched (EPB, Gaughan & Yalamanchili).
+ * acknowledgments, and propagate status information.  The EPB history
+ * store of §3.5 (the output links a probe has already searched) lives
+ * with the search itself, in network/epb's PathSearch.
  *
  * Also owns the free-VC bookkeeping per port, which both connection
  * establishment (PCS) and best-effort VC allocation (VCT) draw from.
@@ -64,10 +64,6 @@ class RoutingUnit
     /** Reverse mapping: which input VC feeds this output VC? */
     ChannelRef reverseMap(ChannelRef out) const;
 
-    /** EPB history store for an input VC (bits index output ports). */
-    BitVector &history(ChannelRef in);
-    void clearHistory(ChannelRef in);
-
     unsigned numPorts() const { return ports; }
     unsigned vcsPerPort() const { return vcs; }
 
@@ -80,7 +76,6 @@ class RoutingUnit
     std::vector<BitVector> outputFree; ///< per output port
     std::vector<ChannelRef> direct;    ///< indexed by input channel
     std::vector<ChannelRef> reverse;   ///< indexed by output channel
-    std::vector<BitVector> histories;  ///< indexed by input channel
 };
 
 } // namespace mmr

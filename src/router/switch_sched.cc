@@ -112,7 +112,7 @@ SwitchScheduler::create(const RouterConfig &cfg)
         return std::make_unique<IslipScheduler>(cfg.numPorts,
                                                 cfg.schedIterations);
       case SchedulerKind::Perfect:
-        return std::make_unique<PerfectSwitchScheduler>(cfg.numPorts);
+        return std::make_unique<PerfectSwitchScheduler>();
     }
     mmr_panic("unhandled scheduler kind");
 }
@@ -200,15 +200,12 @@ augmentRun(unsigned in,
 void
 GreedyPriorityScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
-    const PortMasks &masks, Rng &rng, Matching &out)
+    Rng &rng, Matching &out)
 {
     (void)rng; // tie-break randomness is pre-drawn in Candidate::tie
     out.clear();
-
-    for (PortId p = 0; p < numPorts; ++p) {
-        inTaken[p] = masks.busyIn.test(p);
-        outTaken[p] = masks.busyOut.test(p);
-    }
+    std::fill(inTaken.begin(), inTaken.end(), false);
+    std::fill(outTaken.begin(), outTaken.end(), false);
 
     // Router-shaped inputs — list p holds input port p's candidates,
     // already sorted by (tier, prio, tie) by the link scheduler, with
@@ -413,14 +410,12 @@ OutputDrivenScheduler::OutputDrivenScheduler(unsigned num_ports,
 void
 OutputDrivenScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
-    const PortMasks &masks, Rng &rng, Matching &out)
+    Rng &rng, Matching &out)
 {
     (void)rng;
     out.clear();
-    for (PortId p = 0; p < numPorts; ++p) {
-        inUsed[p] = masks.busyIn.test(p);
-        outUsed[p] = masks.busyOut.test(p);
-    }
+    std::fill(inUsed.begin(), inUsed.end(), false);
+    std::fill(outUsed.begin(), outUsed.end(), false);
 
     const auto better = [](const Candidate *a, const Candidate *b) {
         if (b == nullptr)
@@ -484,13 +479,11 @@ AutonetScheduler::AutonetScheduler(unsigned num_ports, unsigned iterations)
 void
 AutonetScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
-    const PortMasks &masks, Rng &rng, Matching &out)
+    Rng &rng, Matching &out)
 {
     out.clear();
-    for (PortId p = 0; p < numPorts; ++p) {
-        inUsed[p] = masks.busyIn.test(p);
-        outUsed[p] = masks.busyOut.test(p);
-    }
+    std::fill(inUsed.begin(), inUsed.end(), false);
+    std::fill(outUsed.begin(), outUsed.end(), false);
 
     for (unsigned it = 0; it < iters; ++it) {
         // Request phase: unmatched inputs request the outputs of all
@@ -555,14 +548,12 @@ IslipScheduler::IslipScheduler(unsigned num_ports, unsigned iterations)
 void
 IslipScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
-    const PortMasks &masks, Rng &rng, Matching &out)
+    Rng &rng, Matching &out)
 {
     (void)rng;
     out.clear();
-    for (PortId p = 0; p < numPorts; ++p) {
-        inUsed[p] = masks.busyIn.test(p);
-        outUsed[p] = masks.busyOut.test(p);
-    }
+    std::fill(inUsed.begin(), inUsed.end(), false);
+    std::fill(outUsed.begin(), outUsed.end(), false);
 
     for (unsigned it = 0; it < iters; ++it) {
         // Requests: candidate per (input, output); keep the best
@@ -625,18 +616,13 @@ IslipScheduler::scheduleInto(
     }
 }
 
-PerfectSwitchScheduler::PerfectSwitchScheduler(unsigned num_ports)
-    : numPorts(num_ports)
-{
-}
-
 // mmr-lint: allow(hot-path-alloc) amortized: the matching and
 // any per-call scratch reuse caller/member capacity across
 // cycles (verified dynamically by test_zero_alloc).
 void
 PerfectSwitchScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
-    const PortMasks &masks, Rng &rng, Matching &out)
+    Rng &rng, Matching &out)
 {
     (void)rng;
     // Output conflicts do not exist: each input link simply transmits
@@ -646,8 +632,6 @@ PerfectSwitchScheduler::scheduleInto(
     for (const auto &cands : per_input) {
         const Candidate *best = nullptr;
         for (const Candidate &c : cands) {
-            if (c.in < numPorts && masks.busyIn.test(c.in))
-                continue;
             if (best == nullptr || c.tier > best->tier ||
                 (c.tier == best->tier && c.prio > best->prio))
                 best = &c;

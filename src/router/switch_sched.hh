@@ -42,21 +42,6 @@ namespace mmr
 /** The computed input/output assignment for one flit cycle. */
 using Matching = std::vector<Candidate>;
 
-/**
- * Port-busy masks: ports consumed outside the synchronous matching
- * (asynchronous VCT cut-throughs of control packets, §3.4).
- */
-struct PortMasks
-{
-    BitVector busyIn;
-    BitVector busyOut;
-
-    explicit PortMasks(unsigned num_ports)
-        : busyIn(num_ports), busyOut(num_ports)
-    {
-    }
-};
-
 class SwitchScheduler
 {
   public:
@@ -68,21 +53,20 @@ class SwitchScheduler
      * reuse it across cycles so its capacity persists.
      *
      * @param per_input candidate sets, indexed by input port
-     * @param masks ports already claimed this cycle
      * @param rng arbitration randomness
      * @param out receives the matching
      */
     MMR_HOT_PATH virtual void scheduleInto(
-        const std::vector<std::vector<Candidate>> &per_input,
-        const PortMasks &masks, Rng &rng, Matching &out) = 0;
+        const std::vector<std::vector<Candidate>> &per_input, Rng &rng,
+        Matching &out) = 0;
 
     /** Convenience wrapper returning the matching by value. */
     Matching
     schedule(const std::vector<std::vector<Candidate>> &per_input,
-             const PortMasks &masks, Rng &rng)
+             Rng &rng)
     {
         Matching m;
-        scheduleInto(per_input, masks, rng, m);
+        scheduleInto(per_input, rng, m);
         return m;
     }
 
@@ -118,8 +102,7 @@ class GreedyPriorityScheduler : public SwitchScheduler
     explicit GreedyPriorityScheduler(unsigned num_ports);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
-                      const PortMasks &masks, Rng &rng,
-                      Matching &out) override;
+                      Rng &rng, Matching &out) override;
     std::string name() const override { return "greedy-priority"; }
 
   private:
@@ -177,8 +160,7 @@ class OutputDrivenScheduler : public SwitchScheduler
     OutputDrivenScheduler(unsigned num_ports, unsigned iterations);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
-                      const PortMasks &masks, Rng &rng,
-                      Matching &out) override;
+                      Rng &rng, Matching &out) override;
     std::string name() const override { return "output-driven"; }
 
   private:
@@ -205,8 +187,7 @@ class AutonetScheduler : public SwitchScheduler
     AutonetScheduler(unsigned num_ports, unsigned iterations);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
-                      const PortMasks &masks, Rng &rng,
-                      Matching &out) override;
+                      Rng &rng, Matching &out) override;
     std::string name() const override { return "autonet"; }
 
   private:
@@ -227,8 +208,7 @@ class IslipScheduler : public SwitchScheduler
     IslipScheduler(unsigned num_ports, unsigned iterations);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
-                      const PortMasks &masks, Rng &rng,
-                      Matching &out) override;
+                      Rng &rng, Matching &out) override;
     std::string name() const override { return "islip"; }
 
   private:
@@ -256,16 +236,10 @@ class IslipScheduler : public SwitchScheduler
 class PerfectSwitchScheduler : public SwitchScheduler
 {
   public:
-    explicit PerfectSwitchScheduler(unsigned num_ports);
-
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
-                      const PortMasks &masks, Rng &rng,
-                      Matching &out) override;
+                      Rng &rng, Matching &out) override;
     bool allowsOutputSharing() const override { return true; }
     std::string name() const override { return "perfect"; }
-
-  private:
-    unsigned numPorts;
 };
 
 } // namespace mmr

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/simclock.hh"
-#include "sim/invariant.hh"
 
 namespace mmr
 {
@@ -29,7 +28,6 @@ void
 Kernel::step()
 {
     simclock::set(currentCycle);
-    queue.runUntil(currentCycle);
     if (profiling) {
         stepProfiled();
     } else {
@@ -74,22 +72,6 @@ Kernel::componentNames() const
     for (const Item &item : components)
         names.push_back(item.name);
     return names;
-}
-
-void
-Kernel::registerInvariants(InvariantChecker &chk) const
-{
-    // schedule()/runUntil() already refuse to move time backwards;
-    // this audit additionally catches heap corruption that would leave
-    // an unfired event behind the processed cycle.
-    chk.add("event-monotonic", [this](Cycle) {
-        if (!queue.empty() && queue.nextCycle() < queue.lastRunCycle()) {
-            mmr_invariant_violated(
-                "event-monotonic", "pending event at cycle ",
-                queue.nextCycle(), " predates processed cycle ",
-                queue.lastRunCycle());
-        }
-    });
 }
 
 } // namespace mmr

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "sim/event_queue.hh"
 
 namespace mmr
 {
@@ -57,11 +56,9 @@ class Kernel
 
     Cycle now() const { return currentCycle; }
 
-    EventQueue &events() { return queue; }
-
-    /** Register the kernel's own invariants (event-queue time
-     * monotonicity) with an auditor. */
-    void registerInvariants(InvariantChecker &chk) const;
+    /** The kernel holds no state to audit, so this registers nothing;
+     * it stays only because benchmark/mmr_bench.cc still calls it. */
+    void registerInvariants(InvariantChecker &) const {}
 
     std::size_t componentCount() const { return components.size(); }
 
@@ -102,7 +99,6 @@ class Kernel
 
     std::vector<Item> components;
     std::vector<double> compSeconds;
-    EventQueue queue;
     Cycle currentCycle = 0;
     bool profiling = false;
 };

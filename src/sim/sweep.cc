@@ -51,7 +51,6 @@ withPointOutputs(const ExperimentConfig &cfg, std::size_t index,
     c.obs.tracePath = pointSuffixed(c.obs.tracePath, index);
     c.obs.statsJsonPath = pointSuffixed(c.obs.statsJsonPath, index);
     c.obs.statsCsvPath = pointSuffixed(c.obs.statsCsvPath, index);
-    c.obs.vcdPath = pointSuffixed(c.obs.vcdPath, index);
     c.obs.flightRecorderPath =
         pointSuffixed(c.obs.flightRecorderPath, index);
     return c;

@@ -27,59 +27,4 @@ PoissonSource::arrivals(Cycle now)
     return n;
 }
 
-OnOffSource::OnOffSource(double mean_rate_bps, double burst_rate_bps,
-                         double mean_burst_cycles, double link_rate_bps,
-                         Rng &rng_)
-    : meanRate(mean_rate_bps), burstRate(burst_rate_bps),
-      meanOn(mean_burst_cycles), rng(&rng_)
-{
-    mmr_assert(burstRate > meanRate,
-               "burst rate must exceed the mean rate");
-    emitPeriod = interArrivalCycles(burstRate, link_rate_bps);
-    mmr_assert(emitPeriod >= 1.0, "burst rate exceeds link rate");
-
-    // Duty cycle d = mean/burst; mean_off = mean_on * (1-d)/d.
-    const double duty = meanRate / burstRate;
-    meanOff = meanOn * (1.0 - duty) / duty;
-
-    on = rng->chance(duty);
-    stateEnd = rng->exponential(on ? meanOn : meanOff);
-    nextEmit = on ? 0.0 : stateEnd;
-}
-
-unsigned
-OnOffSource::arrivals(Cycle now)
-{
-    const double t = static_cast<double>(now);
-    unsigned n = 0;
-    for (;;) {
-        if (on) {
-            // Emit everything due before the on period ends or now.
-            while (nextEmit <= t && nextEmit < stateEnd) {
-                ++n;
-                nextEmit += emitPeriod;
-            }
-            if (stateEnd <= t) {
-                on = false;
-                const double off_end =
-                    stateEnd + rng->exponential(meanOff);
-                stateEnd = off_end;
-                nextEmit = off_end;
-                continue;
-            }
-            break;
-        }
-        // Off state: wait for the off period to end.
-        if (stateEnd <= t) {
-            const double on_start = stateEnd;
-            on = true;
-            stateEnd = on_start + rng->exponential(meanOn);
-            nextEmit = on_start;
-            continue;
-        }
-        break;
-    }
-    return n;
-}
-
 } // namespace mmr

@@ -2,17 +2,14 @@
  * @file
  * Best-effort datagram sources (§2, §3.4).
  *
- * Two arrival processes are provided: a Poisson source (classical
- * best-effort background) and a two-state Markov-modulated on/off
- * source for bursty traffic.  Packet size equals flit size (§3.4), so
- * one arrival is one flit.  A short-message control source reuses the
- * Poisson process at a low rate.
+ * A Poisson source provides the classical best-effort background.
+ * Packet size equals flit size (§3.4), so one arrival is one flit.  A
+ * short-message control source reuses the Poisson process at a low
+ * rate.
  */
 
 #ifndef MMR_TRAFFIC_BESTEFFORT_SOURCE_HH
 #define MMR_TRAFFIC_BESTEFFORT_SOURCE_HH
-
-#include <algorithm>
 
 #include "base/rng.hh"
 #include "traffic/source.hh"
@@ -38,51 +35,6 @@ class PoissonSource : public TrafficSource
     double nextArrival;
     Rng *rng;
     TrafficClass klass;
-};
-
-/**
- * On/off bursty source: exponentially distributed on and off periods;
- * while on, emits at the burst (peak) rate.
- */
-class OnOffSource : public TrafficSource
-{
-  public:
-    /**
-     * @param mean_rate_bps long-run average rate
-     * @param burst_rate_bps emission rate while in the on state
-     * @param mean_burst_cycles average duration of an on period
-     */
-    OnOffSource(double mean_rate_bps, double burst_rate_bps,
-                double mean_burst_cycles, double link_rate_bps, Rng &rng);
-
-    unsigned arrivals(Cycle now) override;
-
-    double
-    nextDueCycle() const override
-    {
-        // While on, the next event is an emission or the end of the
-        // burst, whichever comes first; while off, nothing happens
-        // until the off period expires.
-        return on ? std::min(nextEmit, stateEnd) : stateEnd;
-    }
-
-    double meanRateBps() const override { return meanRate; }
-    double peakRateBps() const override { return burstRate; }
-    TrafficClass trafficClass() const override
-    {
-        return TrafficClass::BestEffort;
-    }
-
-  private:
-    double meanRate;
-    double burstRate;
-    double meanOn;
-    double meanOff;
-    double emitPeriod;   ///< cycles between flits while on
-    bool on = false;
-    double stateEnd = 0; ///< cycle the current on/off period ends
-    double nextEmit = 0;
-    Rng *rng;
 };
 
 } // namespace mmr

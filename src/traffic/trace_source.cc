@@ -108,15 +108,6 @@ TraceVbrSource::TraceVbrSource(std::vector<std::uint64_t> frame_bits,
     nextFrameStart = rng.uniform() * frameInterval;
 }
 
-TraceVbrSource::TraceVbrSource(const std::string &path, double fps,
-                               double peak_rate_bps,
-                               double link_rate_bps, unsigned flit_bits,
-                               Rng &rng)
-    : TraceVbrSource(loadFrameTrace(path), fps, peak_rate_bps,
-                     link_rate_bps, flit_bits, rng)
-{
-}
-
 void
 TraceVbrSource::startNextFrame(double at_cycle)
 {

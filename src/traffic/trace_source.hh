@@ -49,11 +49,6 @@ class TraceVbrSource : public TrafficSource
                    double peak_rate_bps, double link_rate_bps,
                    unsigned flit_bits, Rng &rng);
 
-    /** Convenience: load the trace from a file. */
-    TraceVbrSource(const std::string &path, double fps,
-                   double peak_rate_bps, double link_rate_bps,
-                   unsigned flit_bits, Rng &rng);
-
     unsigned arrivals(Cycle now) override;
 
     double

@@ -2,8 +2,7 @@
  * @file
  * Integration tests for the complete MMR router: connection
  * lifecycle, the flit-cycle pipeline, per-connection ordering, flow
- * control, the asynchronous control cut-through, and dynamic
- * bandwidth management.
+ * control, and dynamic bandwidth management.
  */
 
 #include <gtest/gtest.h>
@@ -189,72 +188,6 @@ TEST_F(RouterTest, TwoInputsShareOneOutputFairly)
         EXPECT_LE(n, 1u) << "output over-subscribed at cycle " << t;
 }
 
-TEST_F(RouterTest, ControlCutThroughOnIdleRouter)
-{
-    Flit f;
-    f.conn = 999;
-    f.readyTime = 0;
-    router.offerControl(1, 3, f);
-    run(1);
-    ASSERT_EQ(deliveries.size(), 1u);
-    EXPECT_EQ(deliveries[0].when, 0u)
-        << "idle ports let control packets cut through immediately";
-    EXPECT_EQ(router.bypassHits(), 1u);
-    EXPECT_EQ(router.bypassMisses(), 0u);
-}
-
-TEST_F(RouterTest, BlockedControlFallsBackToScheduling)
-{
-    // Keep output 3 busy with a saturating stream.
-    const ConnId a = router.openCbr(0, 3, 1.0 * kGbps);
-    for (int i = 0; i < 8; ++i) {
-        Flit f;
-        f.seq = static_cast<std::uint32_t>(i);
-        ASSERT_TRUE(router.inject(a, f));
-    }
-    run(2); // stream occupies output 3
-    Flit ctl;
-    ctl.conn = 999;
-    ctl.readyTime = 2;
-    router.offerControl(1, 3, ctl);
-    run(20);
-    EXPECT_GE(router.bypassMisses(), 1u);
-    // The control packet still arrives, via the scheduled path, and
-    // is not lost.
-    bool control_seen = false;
-    for (const Delivery &d : deliveries)
-        control_seen |= (d.flit.klass == TrafficClass::Control);
-    EXPECT_TRUE(control_seen);
-    EXPECT_EQ(router.controlDrops(), 0u);
-}
-
-TEST_F(RouterTest, ControlPreemptsStreamsInScheduling)
-{
-    // With a busy router, a buffered control packet must leave ahead
-    // of queued stream flits on the same output.
-    const ConnId a = router.openCbr(0, 3, 1.0 * kGbps);
-    for (int i = 0; i < 8; ++i) {
-        Flit f;
-        f.seq = static_cast<std::uint32_t>(i);
-        ASSERT_TRUE(router.inject(a, f));
-    }
-    run(1);
-    Flit ctl;
-    ctl.conn = 999;
-    ctl.readyTime = 1;
-    router.offerControl(1, 3, ctl);
-    run(30);
-    // Find the control delivery and check stream flits still queued
-    // at its departure were delivered after it.
-    Cycle control_at = 0;
-    for (const Delivery &d : deliveries)
-        if (d.flit.klass == TrafficClass::Control)
-            control_at = d.when;
-    ASSERT_GT(control_at, 0u);
-    EXPECT_LE(control_at, 5u)
-        << "control should not wait behind the whole stream backlog";
-}
-
 TEST_F(RouterTest, RenegotiateBandwidthUpdatesAllocation)
 {
     const ConnId id = router.openCbr(0, 2, 10 * kMbps);
@@ -268,36 +201,6 @@ TEST_F(RouterTest, RenegotiateBandwidthUpdatesAllocation)
     const unsigned mid = router.admission().allocatedCycles(2);
     EXPECT_FALSE(router.renegotiateBandwidth(id, 1.0 * kGbps));
     EXPECT_EQ(router.admission().allocatedCycles(2), mid);
-}
-
-TEST_F(RouterTest, ControlWordsDriveDynamicManagement)
-{
-    const ConnId cbr = router.openCbr(0, 2, 10 * kMbps);
-    const ConnId vbr = router.openVbr(1, 3, 5 * kMbps, 20 * kMbps, 1);
-    ASSERT_NE(vbr, kInvalidConn);
-
-    ControlWord setbw;
-    setbw.op = ControlOp::SetBandwidth;
-    setbw.conn = cbr;
-    setbw.arg = 55.0; // Mb/s
-    EXPECT_TRUE(router.applyControlWord(setbw));
-
-    ControlWord setprio;
-    setprio.op = ControlOp::SetPriority;
-    setprio.conn = vbr;
-    setprio.arg = 3.0;
-    EXPECT_TRUE(router.applyControlWord(setprio));
-    EXPECT_EQ(router.connection(vbr)->priority, 3);
-
-    ControlWord down;
-    down.op = ControlOp::Teardown;
-    down.conn = cbr;
-    EXPECT_TRUE(router.applyControlWord(down));
-    EXPECT_EQ(router.connection(cbr), nullptr);
-
-    ControlWord bogus;
-    bogus.op = ControlOp::Probe;
-    EXPECT_FALSE(router.applyControlWord(bogus));
 }
 
 TEST_F(RouterTest, VbrAdmissionUsesConcurrencyFactor)

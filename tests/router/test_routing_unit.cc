@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the Routing and Arbitration Unit (§3.5): VC pools,
- * direct/reverse channel mappings and the EPB history store.
+ * Unit tests for the Routing and Arbitration Unit (§3.5): VC pools
+ * and direct/reverse channel mappings.
  */
 
 #include <gtest/gtest.h>
@@ -64,19 +64,6 @@ TEST(RoutingUnit, DirectAndReverseMappings)
     r.unmap(in);
     EXPECT_FALSE(r.directMap(in).valid());
     EXPECT_FALSE(r.reverseMap(out).valid());
-}
-
-TEST(RoutingUnit, HistoryStorePerInputChannel)
-{
-    RoutingUnit r(4, 8);
-    BitVector &h = r.history(ChannelRef{0, 1});
-    EXPECT_EQ(h.size(), 4u) << "one bit per output link";
-    h.set(2);
-    EXPECT_TRUE(r.history(ChannelRef{0, 1}).test(2));
-    EXPECT_FALSE(r.history(ChannelRef{0, 2}).test(2))
-        << "history is per input virtual channel";
-    r.clearHistory(ChannelRef{0, 1});
-    EXPECT_TRUE(r.history(ChannelRef{0, 1}).none());
 }
 
 TEST(RoutingUnitDeath, DoubleMapPanics)

@@ -2,7 +2,7 @@
  * @file
  * Unit and property tests for the switch scheduling algorithms (§4.4):
  * matching legality, priority preference, augmentation to maximum
- * matchings, busy-port masks and the perfect-switch semantics.
+ * matchings and the perfect-switch semantics.
  */
 
 #include <gtest/gtest.h>
@@ -53,12 +53,11 @@ contains(const Matching &m, PortId in, PortId out)
 TEST(GreedyPriority, SimpleConflictGoesToHigherPriority)
 {
     GreedyPriorityScheduler s(4);
-    PortMasks masks(4);
     Rng rng(1);
     // Both inputs want output 0; input 1 has the higher priority and
     // input 0 has no alternative.
     auto in = perInput(4, {cand(0, 0, 1.0), cand(1, 0, 2.0)});
-    const Matching m = s.schedule(in, masks, rng);
+    const Matching m = s.schedule(in, rng);
     ASSERT_TRUE(SwitchScheduler::validate(m, 4, false));
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0].in, 1u);
@@ -72,11 +71,10 @@ TEST(GreedyPriority, AugmentationFindsMaximumMatching)
     // augmenting arbiter must re-route input 0 to output 1 so both
     // transmit.
     GreedyPriorityScheduler s(2);
-    PortMasks masks(2);
     Rng rng(2);
     auto in = perInput(
         2, {cand(0, 0, 9.0), cand(0, 1, 1.0), cand(1, 0, 0.5)});
-    const Matching m = s.schedule(in, masks, rng);
+    const Matching m = s.schedule(in, rng);
     ASSERT_TRUE(SwitchScheduler::validate(m, 2, false));
     EXPECT_EQ(m.size(), 2u);
     EXPECT_TRUE(contains(m, 0, 1));
@@ -86,51 +84,30 @@ TEST(GreedyPriority, AugmentationFindsMaximumMatching)
 TEST(GreedyPriority, TierBeatsPriority)
 {
     GreedyPriorityScheduler s(2);
-    PortMasks masks(2);
     Rng rng(3);
     auto in = perInput(
         2, {cand(0, 0, 100.0, static_cast<int>(ServiceTier::BestEffort)),
             cand(1, 0, 0.1, static_cast<int>(ServiceTier::Control))});
-    const Matching m = s.schedule(in, masks, rng);
+    const Matching m = s.schedule(in, rng);
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0].in, 1u) << "control outranks any best-effort ratio";
-}
-
-TEST(GreedyPriority, BusyMasksExcludePorts)
-{
-    GreedyPriorityScheduler s(2);
-    PortMasks masks(2);
-    masks.busyOut.set(0);
-    Rng rng(4);
-    auto in = perInput(2, {cand(0, 0, 5.0), cand(1, 1, 1.0)});
-    const Matching m = s.schedule(in, masks, rng);
-    ASSERT_EQ(m.size(), 1u);
-    EXPECT_EQ(m[0].out, 1u);
-
-    masks.busyOut.clear(0);
-    masks.busyIn.set(1);
-    const Matching m2 = s.schedule(in, masks, rng);
-    ASSERT_EQ(m2.size(), 1u);
-    EXPECT_EQ(m2[0].in, 0u);
 }
 
 TEST(GreedyPriority, EmptyInput)
 {
     GreedyPriorityScheduler s(4);
-    PortMasks masks(4);
     Rng rng(5);
     std::vector<std::vector<Candidate>> in(4);
-    EXPECT_TRUE(s.schedule(in, masks, rng).empty());
+    EXPECT_TRUE(s.schedule(in, rng).empty());
 }
 
 TEST(Perfect, SharesOutputs)
 {
-    PerfectSwitchScheduler s(4);
-    PortMasks masks(4);
+    PerfectSwitchScheduler s;
     Rng rng(6);
     auto in = perInput(4, {cand(0, 2, 1.0), cand(1, 2, 2.0),
                            cand(2, 2, 3.0), cand(3, 2, 4.0)});
-    const Matching m = s.schedule(in, masks, rng);
+    const Matching m = s.schedule(in, rng);
     EXPECT_EQ(m.size(), 4u) << "no output conflicts in a perfect switch";
     EXPECT_TRUE(SwitchScheduler::validate(m, 4, true));
     EXPECT_FALSE(SwitchScheduler::validate(m, 4, false));
@@ -138,11 +115,10 @@ TEST(Perfect, SharesOutputs)
 
 TEST(Perfect, PicksBestCandidatePerInput)
 {
-    PerfectSwitchScheduler s(2);
-    PortMasks masks(2);
+    PerfectSwitchScheduler s;
     Rng rng(7);
     auto in = perInput(2, {cand(0, 0, 1.0), cand(0, 1, 5.0)});
-    const Matching m = s.schedule(in, masks, rng);
+    const Matching m = s.schedule(in, rng);
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0].out, 1u);
 }
@@ -231,16 +207,15 @@ TEST_P(SwitchSchedProperty, AllAlgorithmsProduceLegalMatchings)
     OutputDrivenScheduler outdrv(ports, 3);
     AutonetScheduler autonet(ports, 3);
     IslipScheduler islip(ports, 3);
-    PerfectSwitchScheduler perfect(ports);
-    PortMasks masks(ports);
+    PerfectSwitchScheduler perfect;
 
     for (int round = 0; round < 200; ++round) {
         const auto per = randomCandidates(rng, ports, 8);
-        const Matching mg = greedy.schedule(per, masks, rng);
-        const Matching mo = outdrv.schedule(per, masks, rng);
-        const Matching ma = autonet.schedule(per, masks, rng);
-        const Matching mi = islip.schedule(per, masks, rng);
-        const Matching mp = perfect.schedule(per, masks, rng);
+        const Matching mg = greedy.schedule(per, rng);
+        const Matching mo = outdrv.schedule(per, rng);
+        const Matching ma = autonet.schedule(per, rng);
+        const Matching mi = islip.schedule(per, rng);
+        const Matching mp = perfect.schedule(per, rng);
 
         ASSERT_TRUE(SwitchScheduler::validate(mg, ports, false));
         ASSERT_TRUE(SwitchScheduler::validate(mo, ports, false));

@@ -309,32 +309,5 @@ TEST(InvariantViolationDeath, CreditLedgerCensusMismatch)
                  "invariant 'credit-ledger' violated");
 }
 
-TEST(InvariantViolationDeath, EventMonotonicRunBackwards)
-{
-    EventQueue q;
-    q.runUntil(10);
-    EXPECT_DEATH(q.runUntil(5),
-                 "invariant 'event-monotonic' violated");
-}
-
-TEST(InvariantViolationDeath, EventMonotonicScheduleIntoPast)
-{
-    EventQueue q;
-    q.runUntil(10);
-    EXPECT_DEATH(q.schedule(3, [] {}),
-                 "invariant 'event-monotonic' violated");
-}
-
-TEST(KernelInvariants, EventMonotonicRegisteredAndHealthy)
-{
-    Kernel k;
-    InvariantChecker chk;
-    k.registerInvariants(chk);
-    EXPECT_TRUE(chk.has("event-monotonic"));
-    k.events().schedule(5, [] {});
-    k.run(3);
-    chk.run("event-monotonic", k.now()); // pending future event is fine
-}
-
 } // namespace
 } // namespace mmr

@@ -1,11 +1,10 @@
 /**
  * @file
- * Unit tests for the cycle kernel and the event queue.
+ * Unit tests for the cycle kernel.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,120 +14,6 @@ namespace mmr
 {
 namespace
 {
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(5, [&] { fired.push_back(5); });
-    q.schedule(2, [&] { fired.push_back(2); });
-    q.schedule(9, [&] { fired.push_back(9); });
-    q.runUntil(10);
-    EXPECT_EQ(fired, (std::vector<int>{2, 5, 9}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, SameCycleIsFifo)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(3, [&fired, i] { fired.push_back(i); });
-    q.runUntil(3);
-    EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilIsInclusiveAndPartial)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(3, [&] { ++fired; });
-    q.schedule(4, [&] { ++fired; });
-    q.runUntil(3);
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(q.empty());
-    EXPECT_EQ(q.nextCycle(), 4u);
-    q.runUntil(4);
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    int fired = 0;
-    const auto id = q.schedule(1, [&] { ++fired; });
-    q.schedule(1, [&] { ++fired; });
-    q.cancel(id);
-    EXPECT_EQ(q.pendingCount(), 1u);
-    q.runUntil(5);
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelAfterFireIsNoop)
-{
-    EventQueue q;
-    const auto id = q.schedule(1, [] {});
-    q.runUntil(2);
-    q.cancel(id); // must not underflow or crash
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelAfterFireKeepsPendingEventsAlive)
-{
-    // Regression: cancelling an already-fired event used to corrupt
-    // the live count, making the queue report empty while an event
-    // was still pending.
-    EventQueue q;
-    int fired = 0;
-    const auto early = q.schedule(1, [&] { ++fired; });
-    q.schedule(7, [&] { ++fired; });
-    q.runUntil(2);
-    q.cancel(early);
-    EXPECT_FALSE(q.empty());
-    EXPECT_EQ(q.pendingCount(), 1u);
-    EXPECT_EQ(q.nextCycle(), 7u);
-    q.runUntil(10);
-    EXPECT_EQ(fired, 2);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, DoubleCancelIsNoop)
-{
-    EventQueue q;
-    int fired = 0;
-    const auto id = q.schedule(2, [&] { ++fired; });
-    q.schedule(2, [&] { ++fired; });
-    q.cancel(id);
-    q.cancel(id);
-    EXPECT_EQ(q.pendingCount(), 1u);
-    q.runUntil(5);
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, TracksLastRunCycle)
-{
-    EventQueue q;
-    EXPECT_EQ(q.lastRunCycle(), 0u);
-    q.runUntil(42);
-    EXPECT_EQ(q.lastRunCycle(), 42u);
-    q.runUntil(42); // re-running the same cycle is legal
-    EXPECT_EQ(q.lastRunCycle(), 42u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(1, [&] {
-        fired.push_back(1);
-        q.schedule(2, [&] { fired.push_back(2); });
-    });
-    q.runUntil(1);
-    EXPECT_EQ(fired, (std::vector<int>{1}));
-    q.runUntil(2);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-}
 
 /** Probe component recording the phase call pattern. */
 class Probe : public Clocked
@@ -168,22 +53,6 @@ TEST(Kernel, TwoPhaseOrdering)
     EXPECT_EQ(log[3], "b:adv@0");
     EXPECT_EQ(log[4], "a:eval@1");
     EXPECT_EQ(k.now(), 2u);
-}
-
-TEST(Kernel, EventsRunBeforeComponents)
-{
-    Kernel k;
-    std::vector<std::string> log;
-    Probe a(&log, "a");
-    k.add(&a);
-    k.events().schedule(1, [&] { log.push_back("event@1"); });
-    k.run(2);
-    // Cycle 1 sequence: event first, then evaluate.
-    const auto ev = std::find(log.begin(), log.end(), "event@1");
-    const auto eval1 = std::find(log.begin(), log.end(), "a:eval@1");
-    ASSERT_NE(ev, log.end());
-    ASSERT_NE(eval1, log.end());
-    EXPECT_LT(ev - log.begin(), eval1 - log.begin());
 }
 
 TEST(Kernel, StepAdvancesClock)

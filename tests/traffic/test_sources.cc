@@ -1,18 +1,17 @@
 /**
  * @file
  * Unit and property tests for the traffic models (§2): CBR, the
- * MPEG-like VBR model, best-effort sources, and the leaky-bucket
- * policer.
+ * MPEG-like VBR model and the best-effort source.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/rng.hh"
 #include "traffic/besteffort_source.hh"
 #include "traffic/cbr_source.hh"
-#include "traffic/policer.hh"
 #include "traffic/vbr_source.hh"
 
 namespace mmr
@@ -195,87 +194,6 @@ TEST(PoissonSource, ClassOverride)
     Rng rng(11);
     PoissonSource src(1 * kMbps, kLink, rng, TrafficClass::Control);
     EXPECT_EQ(src.trafficClass(), TrafficClass::Control);
-}
-
-TEST(OnOffSource, LongRunMeanRate)
-{
-    Rng rng(12);
-    OnOffSource src(5 * kMbps, 50 * kMbps, 2000.0, kLink, rng);
-    const Cycle horizon = 2000000;
-    const auto n = drain(src, horizon);
-    const double expected = horizon / interArrivalCycles(5 * kMbps, kLink);
-    EXPECT_NEAR(static_cast<double>(n), expected, 0.2 * expected);
-    EXPECT_DOUBLE_EQ(src.peakRateBps(), 50 * kMbps);
-}
-
-TEST(OnOffSource, BurstsAtBurstRate)
-{
-    Rng rng(13);
-    OnOffSource src(5 * kMbps, 124 * kMbps, 5000.0, kLink, rng);
-    // Shortest observed gap inside a burst equals the burst period.
-    std::vector<Cycle> times;
-    drain(src, 1000000, &times);
-    ASSERT_GT(times.size(), 50u);
-    Cycle min_gap = ~Cycle{0};
-    for (std::size_t i = 1; i < times.size(); ++i)
-        min_gap = std::min(min_gap, times[i] - times[i - 1]);
-    const double burst_period = interArrivalCycles(124 * kMbps, kLink);
-    EXPECT_GE(static_cast<double>(min_gap), burst_period - 1.0);
-    EXPECT_LE(static_cast<double>(min_gap), burst_period + 2.0);
-}
-
-TEST(Policer, EnforcesLongRunRate)
-{
-    LeakyBucketPolicer pol(0.1, 4.0); // 0.1 flits/cycle, burst of 4
-    unsigned sent = 0;
-    for (Cycle t = 0; t < 1000; ++t) {
-        pol.advanceTo(t);
-        while (pol.conforming()) {
-            pol.consume();
-            ++sent;
-        }
-    }
-    // 4 initial tokens + 0.1 * 1000 accrued.
-    EXPECT_NEAR(static_cast<double>(sent), 104.0, 2.0);
-}
-
-TEST(Policer, AllowsBurstUpToDepth)
-{
-    LeakyBucketPolicer pol(0.01, 8.0);
-    pol.advanceTo(0);
-    unsigned burst = 0;
-    while (pol.conforming()) {
-        pol.consume();
-        ++burst;
-    }
-    EXPECT_EQ(burst, 8u);
-}
-
-TEST(Policer, RateChangeTakesEffect)
-{
-    LeakyBucketPolicer pol(0.01, 1.0);
-    pol.advanceTo(0);
-    while (pol.conforming())
-        pol.consume();
-    pol.setRate(1.0);
-    EXPECT_DOUBLE_EQ(pol.rate(), 1.0);
-    pol.advanceTo(10);
-    EXPECT_TRUE(pol.conforming());
-}
-
-TEST(PolicerDeath, TimeBackwardsPanics)
-{
-    LeakyBucketPolicer pol(0.5, 2.0);
-    pol.advanceTo(10);
-    EXPECT_DEATH(pol.advanceTo(5), "backwards");
-}
-
-TEST(PolicerDeath, ConsumeWithoutTokenPanics)
-{
-    LeakyBucketPolicer pol(0.001, 1.0);
-    pol.advanceTo(0);
-    pol.consume();
-    EXPECT_DEATH(pol.consume(), "token");
 }
 
 } // namespace

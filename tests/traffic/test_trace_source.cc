@@ -94,7 +94,7 @@ TEST(TraceVbrSource, LongRunRateConverges)
     TempFile dummy("");
     writeSyntheticTrace(dummy.path(), prof, 400, rng);
 
-    TraceVbrSource src(dummy.path(), prof.framesPerSecond,
+    TraceVbrSource src(loadFrameTrace(dummy.path()), prof.framesPerSecond,
                        prof.meanRateBps * 3.0, kLink, 128, rng);
     // The lognormal sampling keeps the empirical mean near the
     // profile's.
@@ -144,7 +144,7 @@ TEST(TraceVbrSource, GeneratedTraceMatchesGopStatistics)
     prof.framesPerSecond = 1000.0;
     TempFile f("");
     writeSyntheticTrace(f.path(), prof, 600, rng);
-    TraceVbrSource replay(f.path(), prof.framesPerSecond,
+    TraceVbrSource replay(loadFrameTrace(f.path()), prof.framesPerSecond,
                           prof.meanRateBps * prof.peakToMean, kLink,
                           128, rng);
     VbrSource live(prof, kLink, 128, rng);
