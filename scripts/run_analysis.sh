@@ -10,7 +10,7 @@
 #   5. clang-format --dry-run      (skipped when not installed)
 #
 # Every build exports build/compile_commands.json (CMake default in
-# this tree); clang-tidy and mmr-lint's libclang backend consume it.
+# this tree); clang-tidy consumes it.
 #
 # Usage:
 #   scripts/run_analysis.sh           # full matrix
@@ -73,15 +73,12 @@ run_stage "release build + ctest (invariants on)" \
 
 # ---------------------------------------------------------------- 2.
 # mmr-lint: project-semantic rules (determinism, hot-path allocation,
-# Clocked contracts, Cycle hygiene).  The auto backend upgrades itself
-# to libclang via build/compile_commands.json when available and falls
-# back to the bundled token backend otherwise.
+# Clocked contracts, Cycle hygiene), run by its bundled token backend.
 if command -v python3 >/dev/null 2>&1; then
     run_stage "mmr-lint fixture self-test" \
         python3 "$ROOT/tests/lint/run_fixtures.py"
     run_stage "mmr-lint over src/" \
-        python3 "$ROOT/tools/mmr-lint/mmr_lint.py" --root "$ROOT" \
-        --compile-commands "$ROOT/build/compile_commands.json" src
+        python3 "$ROOT/tools/mmr-lint/mmr_lint.py" --root "$ROOT" src
 else
     note "python3 not installed -- skipping mmr-lint"
 fi

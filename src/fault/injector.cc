@@ -1,7 +1,6 @@
 #include "fault/injector.hh"
 
 #include "base/logging.hh"
-#include "obs/stats_registry.hh"
 #include "sim/invariant.hh"
 
 namespace mmr
@@ -62,17 +61,6 @@ FaultInjector::evaluate(Cycle now)
                 ++statSkipped;
         }
     }
-}
-
-void
-FaultInjector::registerStats(StatsRegistry &reg,
-                             const std::string &prefix)
-{
-    reg.addCounter(prefix + "link_downs", &statDowns);
-    reg.addCounter(prefix + "link_ups", &statUps);
-    reg.addCounter(prefix + "events_skipped", &statSkipped);
-    reg.addCounter(prefix + "flits_corrupted", &statCorrupted);
-    reg.addCounter(prefix + "probe_msgs_dropped", &statDropped);
 }
 
 void

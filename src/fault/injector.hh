@@ -26,7 +26,6 @@ namespace mmr
 {
 
 class InvariantChecker;
-class StatsRegistry;
 
 class FaultInjector : public Clocked
 {
@@ -65,10 +64,6 @@ class FaultInjector : public Clocked
     /** Fall-back probe-protocol timeout installed when the plan drops
      * messages and nobody configured one. */
     static constexpr Cycle kDefaultSetupTimeout = 4096;
-
-    /** Register fault counters under @p prefix ("fault."). */
-    void registerStats(StatsRegistry &reg,
-                       const std::string &prefix = "fault.");
 
     /**
      * Register the injector's self-checks: the event cursor never

@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "base/simclock.hh"
 #include "obs/flight_recorder.hh"
-#include "obs/stats_registry.hh"
 #include "sim/invariant.hh"
 
 namespace mmr
@@ -90,11 +89,11 @@ RecoveryManager::backoffFor(unsigned attempt)
     Cycle delay = cfg.baseBackoffCycles << shift;
     if (delay > cfg.maxBackoffCycles || delay < cfg.baseBackoffCycles)
         delay = cfg.maxBackoffCycles; // cap (also catches overflow)
-    if (cfg.jitter > 0.0) {
-        const double f =
-            1.0 + cfg.jitter * (rng.uniform() * 2.0 - 1.0);
-        delay = static_cast<Cycle>(static_cast<double>(delay) * f);
-    }
+    // Scale by 1 ± U(0, kJitter) so simultaneous failures don't retry
+    // in lockstep.
+    constexpr double kJitter = 0.25;
+    const double f = 1.0 + kJitter * (rng.uniform() * 2.0 - 1.0);
+    delay = static_cast<Cycle>(static_cast<double>(delay) * f);
     return std::max<Cycle>(delay, 1);
 }
 
@@ -108,17 +107,16 @@ RecoveryManager::launch(Attempt &a, Cycle now)
     ConnId opened = kInvalidConn;
     if (cfg.zeroTime) {
         const Network::SetupOutcome o =
-            cbr ? net.openCbr(s.src, s.dst, s.rateOrMeanBps, cfg.policy)
+            cbr ? net.openCbr(s.src, s.dst, s.rateOrMeanBps)
                 : net.openVbr(s.src, s.dst, s.rateOrMeanBps, s.peakBps,
-                              s.priority, cfg.policy);
+                              s.priority);
         if (o.accepted)
             opened = o.id;
     } else {
         a.token = cbr ? net.openCbrTimed(s.src, s.dst, s.rateOrMeanBps,
-                                         now, cfg.policy)
+                                         now)
                       : net.openVbrTimed(s.src, s.dst, s.rateOrMeanBps,
-                                         s.peakBps, s.priority, now,
-                                         cfg.policy);
+                                         s.peakBps, s.priority, now);
         a.haveToken = true;
     }
     MMR_OBS_EVENT(TraceCat::Fault, "recovery_retry", now, s.src,
@@ -180,19 +178,6 @@ RecoveryManager::evaluate(Cycle now)
         }
         ++i;
     }
-}
-
-void
-RecoveryManager::registerStats(StatsRegistry &reg,
-                               const std::string &prefix)
-{
-    reg.addCounter(prefix + "failures", &statFailures);
-    reg.addCounter(prefix + "retries", &statRetries);
-    reg.addCounter(prefix + "recovered", &statRecovered);
-    reg.addCounter(prefix + "abandoned", &statAbandoned);
-    reg.addGauge(prefix + "active", [this] {
-        return static_cast<double>(active.size());
-    });
 }
 
 void

@@ -6,7 +6,7 @@
  * crossing it failed and fires the connection-failure hook.  The
  * RecoveryManager, the one re-establishment path, subscribes to that
  * hook and re-establishes adopted connections end to end: it re-runs
- * the timed probe/ack setup (EPB by default) over the surviving
+ * the timed EPB probe/ack setup over the surviving
  * topology — so the replacement path is found by the same distributed
  * protocol as the original, contending with live traffic and other
  * recoveries in simulated time — under a bounded exponential-backoff
@@ -46,7 +46,6 @@ namespace mmr
 {
 
 class InvariantChecker;
-class StatsRegistry;
 
 struct RecoveryConfig
 {
@@ -75,12 +74,6 @@ struct RecoveryConfig
      * re-setup attempt can hold reservations.
      */
     Cycle setupTimeoutCycles = 2048;
-
-    /** Backoff randomization: delay is scaled by 1 ± U(0,jitter) so
-     * simultaneous failures don't retry in lockstep. */
-    double jitter = 0.25;
-
-    SetupPolicy policy = SetupPolicy::Epb;
 };
 
 /** What to re-request when an adopted connection fails. */
@@ -158,10 +151,6 @@ class RecoveryManager : public Clocked
     std::uint64_t connectionsRecovered() const { return statRecovered; }
     std::uint64_t connectionsAbandoned() const { return statAbandoned; }
     std::size_t activeRecoveries() const { return active.size(); }
-
-    /** Register recovery counters under @p prefix ("recovery."). */
-    void registerStats(StatsRegistry &reg,
-                       const std::string &prefix = "recovery.");
 
     /**
      * Register the recovery ledger self-checks: every active attempt

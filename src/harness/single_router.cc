@@ -34,7 +34,6 @@ SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
 
     recorder.setQosBudget(TrafficClass::CBR, cfg.cbrDelayBudget);
     recorder.setQosBudget(TrafficClass::VBR, cfg.vbrDelayBudget);
-    recorder.setQosBudget(TrafficClass::BestEffort, cfg.beDelayBudget);
 
     // Frame-deadline accounting for VBR flits: the injection path
     // stamps each flit with its frame's deadline (Flit::arg); a flit

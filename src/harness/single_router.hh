@@ -90,7 +90,6 @@ struct ExperimentConfig
      */
     Cycle cbrDelayBudget = 0;
     Cycle vbrDelayBudget = 0;
-    Cycle beDelayBudget = 0;
 
     /** Deliberately trip an invariant at this cycle (0 = never).
      * Exercises the flight recorder's crash dump end to end; used by

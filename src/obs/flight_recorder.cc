@@ -83,8 +83,6 @@ to_string(TraceCat c)
         return "credit";
       case TraceCat::Setup:
         return "setup";
-      case TraceCat::Control:
-        return "control";
       case TraceCat::Fault:
         return "fault";
       default:

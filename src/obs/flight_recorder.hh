@@ -65,7 +65,6 @@ enum class TraceCat : std::uint8_t
     Admission, ///< bandwidth admission accept/reject
     Credit,    ///< credit consume/replenish (high volume)
     Setup,     ///< probe/EPB connection establishment phases
-    Control,   ///< control-plane events (no site emits one today)
     Fault,     ///< link fail/repair, corruption, recovery retries
     NumCats
 };
@@ -87,8 +86,7 @@ inline constexpr std::uint32_t kAllTraceCats =
  * triple the event rate for little post-mortem signal. */
 inline constexpr std::uint32_t kForensicTraceCats =
     catBit(TraceCat::Sched) | catBit(TraceCat::Admission) |
-    catBit(TraceCat::Setup) | catBit(TraceCat::Control) |
-    catBit(TraceCat::Fault);
+    catBit(TraceCat::Setup) | catBit(TraceCat::Fault);
 
 const char *to_string(TraceCat c);
 

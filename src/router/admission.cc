@@ -11,8 +11,7 @@ AdmissionController::AdmissionController(unsigned num_ports,
                                          unsigned cycles_per_round,
                                          double concurrency_factor,
                                          double best_effort_reserve)
-    : roundCycles(cycles_per_round), concurrencyFactor(concurrency_factor),
-      links(num_ports)
+    : concurrencyFactor(concurrency_factor), links(num_ports)
 {
     mmr_assert(num_ports > 0, "admission needs at least one port");
     mmr_assert(cycles_per_round > 0, "round length must be positive");
@@ -20,7 +19,8 @@ AdmissionController::AdmissionController(unsigned num_ports,
     mmr_assert(best_effort_reserve >= 0.0 && best_effort_reserve < 1.0,
                "best-effort reserve out of [0,1)");
     reservable = static_cast<unsigned>(std::floor(
-        static_cast<double>(roundCycles) * (1.0 - best_effort_reserve)));
+        static_cast<double>(cycles_per_round) *
+        (1.0 - best_effort_reserve)));
 }
 
 AdmissionController::LinkRegisters &

@@ -65,7 +65,6 @@ class AdmissionController
     /** Reservation ceiling per round (round minus the BE reserve). */
     unsigned reservableCycles() const { return reservable; }
 
-    unsigned roundLength() const { return roundCycles; }
     double concurrency() const { return concurrencyFactor; }
 
   private:
@@ -75,7 +74,6 @@ class AdmissionController
         unsigned peak = 0;      ///< sum of VBR peak cycles/round
     };
 
-    unsigned roundCycles;
     unsigned reservable;
     double concurrencyFactor;
     std::vector<LinkRegisters> links;

@@ -84,8 +84,6 @@ RouterConfig::validate() const
         mmr_fatal("concurrencyFactor must be >= 1");
     if (bestEffortReserve < 0.0 || bestEffortReserve >= 1.0)
         mmr_fatal("bestEffortReserve must be in [0, 1)");
-    if (memBanks == 0)
-        mmr_fatal("memBanks must be positive");
 }
 
 } // namespace mmr

@@ -53,12 +53,9 @@ struct RouterConfig
     unsigned vcBufferFlits = 64;  ///< per-VC buffer depth in flits
     unsigned roundFactorK = 2;    ///< round = K * vcsPerPort cycles
     unsigned candidates = 4;      ///< candidates per input port (1..8)
-    unsigned schedIterations = 3; ///< iterations for PIM/iSLIP
     SchedulerKind scheduler = SchedulerKind::BiasedPriority;
-    CrossbarOrg crossbar = CrossbarOrg::Multiplexed;
     double concurrencyFactor = 2.0; ///< VBR peak admission factor
     double bestEffortReserve = 0.0; ///< round fraction kept for BE
-    unsigned memBanks = 8;        ///< VC memory interleave factor
     std::uint64_t seed = 1;       ///< router-local RNG seed
 
     /** Flit cycles per scheduling round (§4.1). */

@@ -3,10 +3,10 @@
  * The unit of flow control (§3.1, §3.4).
  *
  * PCS data streams are sequences of flits on an established
- * connection; control and best-effort messages are single-flit packets
- * (packet size equals flit size), so one struct covers both.  Probes
- * and acknowledgments for connection establishment are control flits
- * with a ControlOp payload.
+ * connection; best-effort messages are single-flit packets (packet
+ * size equals flit size), so one struct covers both.  Connection-setup
+ * probes and acknowledgments are not flits: they travel as timed
+ * messages in network/probe_protocol.
  */
 
 #ifndef MMR_ROUTER_FLIT_HH
@@ -20,25 +20,10 @@
 namespace mmr
 {
 
-/** Operations carried by control words / control packets (§4.3). */
-enum class ControlOp : std::uint8_t
-{
-    None,         ///< plain data or best-effort payload
-    Probe,        ///< EPB routing probe (connection setup)
-    ProbeBack,    ///< backtracking probe
-    Ack,          ///< connection-established acknowledgment
-    Nack,         ///< connection refused / torn down
-    SetBandwidth, ///< dynamic bandwidth renegotiation
-    SetPriority,  ///< dynamic priority change for a VBR connection
-    AbortFrame,   ///< drop the rest of a late video frame
-    Teardown      ///< release an established connection
-};
-
 struct Flit
 {
     ConnId conn = kInvalidConn;
     TrafficClass klass = TrafficClass::CBR;
-    ControlOp op = ControlOp::None;
 
     std::uint32_t seq = 0;    ///< per-connection sequence number
 
@@ -48,7 +33,8 @@ struct Flit
     NodeId src = kInvalidNode; ///< network-level source node
     NodeId dst = kInvalidNode; ///< network-level destination node
 
-    /** Payload for control operations (rate, priority, ...). */
+    /** VBR frame deadline (cycles) set by the single-router harness;
+     * 0 elsewhere. */
     double arg = 0.0;
 
     std::uint16_t hops = 0;   ///< routers traversed so far
@@ -58,7 +44,6 @@ struct Flit
      * router's CRC check discards such flits with accounting. */
     bool corrupted = false;
 
-    bool isControl() const { return klass == TrafficClass::Control; }
     bool isStream() const
     {
         return klass == TrafficClass::CBR || klass == TrafficClass::VBR;

@@ -18,15 +18,6 @@ CreditManager::CreditManager(unsigned ports, unsigned vcs,
 }
 
 void
-CreditManager::reset(PortId port, VcId vc)
-{
-    unsigned &c = counters[index(port, vc)];
-    statResetReclaimed += initial - c;
-    c = initial;
-    ++ver;
-}
-
-void
 CreditManager::audit(const CensusFn &census) const
 {
     if (infinite)
@@ -52,13 +43,12 @@ CreditManager::audit(const CensusFn &census) const
             }
         }
     }
-    const std::uint64_t drained = statReplenished + statResetReclaimed;
-    if (statConsumed < drained ||
-        outstanding != statConsumed - drained) {
+    if (statConsumed < statReplenished ||
+        outstanding != statConsumed - statReplenished) {
         mmr_invariant_violated(
             "credit-ledger", "outstanding census ", outstanding,
             " != consumed ", statConsumed, " - replenished ",
-            statReplenished, " - reclaimed ", statResetReclaimed);
+            statReplenished);
     }
 }
 

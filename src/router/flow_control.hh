@@ -21,7 +21,6 @@
 
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "router/flit.hh"
 
 namespace mmr
 {
@@ -103,11 +102,6 @@ class CreditManager
         return counters[index(port, vc)];
     }
 
-    unsigned initialCredits() const { return initial; }
-
-    /** Reset one VC's credits to the initial value (VC released). */
-    void reset(PortId port, VcId vc);
-
     /** Lifetime credit ledger (conservation audit inputs). */
     std::uint64_t consumedCount() const { return statConsumed; }
     std::uint64_t replenishedCount() const { return statReplenished; }
@@ -122,10 +116,10 @@ class CreditManager
 
     /**
      * Audit credit conservation; panics on violation.  The internal
-     * ledger (credits outstanding == consumed - replenished - amounts
-     * reclaimed by reset()) is always checked; when @p census is
-     * provided, each counter is additionally checked against the
-     * actual downstream buffer: credits + occupancy == initial depth.
+     * ledger (credits outstanding == consumed - replenished) is
+     * always checked; when @p census is provided, each counter is
+     * additionally checked against the actual downstream buffer:
+     * credits + occupancy == initial depth.
      */
     void audit(const CensusFn &census = nullptr) const;
 
@@ -154,9 +148,21 @@ class CreditManager
 
     std::uint64_t statConsumed = 0;
     std::uint64_t statReplenished = 0;
-    /** Outstanding credits written off by reset() (VC teardown). */
-    std::uint64_t statResetReclaimed = 0;
     std::uint64_t ver = 0; ///< see schedVersion()
+};
+
+/** Operations carried by control words (§4.3). */
+enum class ControlOp : std::uint8_t
+{
+    None,         ///< no operation
+    Probe,        ///< EPB routing probe (connection setup)
+    ProbeBack,    ///< backtracking probe
+    Ack,          ///< connection-established acknowledgment
+    Nack,         ///< connection refused / torn down
+    SetBandwidth, ///< dynamic bandwidth renegotiation
+    SetPriority,  ///< dynamic priority change for a VBR connection
+    AbortFrame,   ///< drop the rest of a late video frame
+    Teardown      ///< release an established connection
 };
 
 /**

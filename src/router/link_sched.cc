@@ -11,11 +11,9 @@ namespace mmr
 LinkScheduler::LinkScheduler(PortId port, VcMemory *memory,
                              unsigned num_ports,
                              PriorityPolicy policy,
-                             unsigned cycles_per_round,
-                             bool random_candidates)
+                             unsigned cycles_per_round)
     : inPort(port), mem(memory), numOutPorts(num_ports),
       prioPolicy(policy), roundLen(cycles_per_round),
-      randomCandidates(random_candidates),
       nextRoundStart(cycles_per_round)
 {
     mmr_assert(mem != nullptr, "link scheduler needs a VC memory");
@@ -84,8 +82,7 @@ LinkScheduler::refreshEligMask(const CreditManager &credits, bool force)
         eligMask.resize(mem->numVcs());
 
     const std::uint64_t credit_ver = credits.schedVersion();
-    if (force || !eligValid || credit_ver != seenCreditVersion ||
-        mem->allSchedDirty()) {
+    if (force || !eligValid || credit_ver != seenCreditVersion) {
         // Full rebuild: the §4.1 AND over the status vectors, seeded
         // from flits_available (eligibility implies a buffered flit)
         // and narrowed per set bit.
@@ -130,7 +127,7 @@ LinkScheduler::refreshEligMask(const CreditManager &credits, bool force)
 // across cycles (verified dynamically by test_zero_alloc).
 void
 LinkScheduler::collectCandidates(Cycle now, unsigned max_candidates,
-                                 const CreditManager &credits, Rng &rng,
+                                 const CreditManager &credits,
                                  std::vector<Candidate> &out)
 {
     const bool rolled = rollRoundIfNeeded(now);
@@ -176,7 +173,7 @@ LinkScheduler::collectCandidates(Cycle now, unsigned max_candidates,
         } else {
             c.prio = headPriority(prioPolicy, vc, now);
         }
-        c.tie = randomCandidates ? rng.uniform() : vc.tieBreak();
+        c.tie = vc.tieBreak();
 
         const std::size_t slot = c.out;
         if (bestPerOutput[slot] == kInvalidVc) {
@@ -190,17 +187,7 @@ LinkScheduler::collectCandidates(Cycle now, unsigned max_candidates,
     for (std::size_t slot : touchedOutputs)
         bestPerOutput[slot] = kInvalidVc;
 
-    if (randomCandidates) {
-        // Autonet mode: the input link proposes a random subset of the
-        // eligible channels (control still pre-empts: sort tiers
-        // first, shuffle within by the random tie only).
-        std::sort(scratch.begin(), scratch.end(),
-                  [](const Candidate &a, const Candidate &b) {
-                      if (a.tier != b.tier)
-                          return a.tier > b.tier;
-                      return a.tie > b.tie;
-                  });
-    } else if (scratch.size() > max_candidates) {
+    if (scratch.size() > max_candidates) {
         std::partial_sort(scratch.begin(),
                           scratch.begin() + max_candidates, scratch.end(),
                           by_rank);

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "base/bitvector.hh"
-#include "base/rng.hh"
 #include "base/types.hh"
 #include "router/flow_control.hh"
 #include "router/priority.hh"
@@ -50,12 +49,9 @@ class LinkScheduler
      * @param num_ports router port count (output-port id range)
      * @param policy head-flit priority policy
      * @param cycles_per_round round length (K x V)
-     * @param random_candidates pick candidates uniformly among the
-     *        eligible VCs instead of by priority (Autonet mode)
      */
     LinkScheduler(PortId port, VcMemory *memory, unsigned num_ports,
-                  PriorityPolicy policy, unsigned cycles_per_round,
-                  bool random_candidates);
+                  PriorityPolicy policy, unsigned cycles_per_round);
 
     /**
      * Reset per-round serviced counters at round boundaries.  Rounds
@@ -68,15 +64,15 @@ class LinkScheduler
 
     /**
      * Collect up to @p max_candidates eligible candidates at cycle
-     * @p now, appending to @p out.
+     * @p now, appending to @p out.  The appended run is ranked best
+     * first by (tier, prio, tie) and names each output port at most
+     * once: the contract of SwitchScheduler::scheduleInto.
      *
      * @param credits downstream credit state (credits_available)
-     * @param rng tie-break randomness
      */
     MMR_HOT_PATH void collectCandidates(Cycle now,
                                         unsigned max_candidates,
                                         const CreditManager &credits,
-                                        Rng &rng,
                                         std::vector<Candidate> &out);
 
     /**
@@ -84,9 +80,6 @@ class LinkScheduler
      * AND, exposed for tests.
      */
     BitVector eligibleMask(Cycle now, const CreditManager &credits) const;
-
-    PriorityPolicy policy() const { return prioPolicy; }
-    void setPolicy(PriorityPolicy p) { prioPolicy = p; }
 
     /** Rounds completed so far. */
     std::uint64_t roundCount() const { return rounds; }
@@ -103,10 +96,10 @@ class LinkScheduler
 
     /**
      * Bring the cached eligibility mask up to date (§4.1 status-vector
-     * AND).  Full rebuild when forced (round roll), when any
-     * credits_available bit may have moved (credit version advanced),
-     * or when the memory flagged a wholesale change; otherwise only
-     * the VCs in the memory's dirty set are re-evaluated.
+     * AND).  Full rebuild when forced (round roll), before the first
+     * refresh, or when any credits_available bit may have moved
+     * (credit version advanced); otherwise only the VCs in the
+     * memory's dirty set are re-evaluated.
      */
     void refreshEligMask(const CreditManager &credits, bool force);
 
@@ -115,7 +108,6 @@ class LinkScheduler
     unsigned numOutPorts; ///< sizes the per-output dedup table
     PriorityPolicy prioPolicy;
     unsigned roundLen;
-    bool randomCandidates;
     Cycle nextRoundStart;
     std::uint64_t rounds = 0;
 

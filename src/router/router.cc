@@ -34,11 +34,6 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
       routes(cfg_.numPorts, cfg_.vcsPerPort),
       creditMgr(cfg_.numPorts, cfg_.vcsPerPort, cfg_.vcBufferFlits)
 {
-    // Anderson et al.'s iterative matching arbitrates randomly, but
-    // each queue offers its *oldest* cell — so Autonet mode pairs the
-    // random switch arbiter with age-ordered candidate selection
-    // rather than random selection.
-    const bool random_candidates = false;
     inputMems.reserve(cfg.numPorts);
     linkScheds.reserve(cfg.numPorts);
     // A matching holds at most one grant per input port.
@@ -52,6 +47,9 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     nextMatching.reserve(cfg.numPorts);
     configScratch.reserve(cfg.numPorts);
     lastConfig.reserve(cfg.numPorts);
+    // Anderson et al.'s iterative matching arbitrates randomly, but
+    // each queue offers its *oldest* cell — so Autonet mode pairs the
+    // random switch arbiter with age-ordered candidate selection.
     PriorityPolicy policy = PriorityPolicy::Biased;
     if (cfg.scheduler == SchedulerKind::FixedPriority)
         policy = PriorityPolicy::Fixed;
@@ -61,8 +59,7 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         inputMems.emplace_back(cfg.vcsPerPort, cfg.vcBufferFlits);
         linkScheds.emplace_back(p, &inputMems.back(), cfg.numPorts,
-                                policy, cfg.cyclesPerRound(),
-                                random_candidates);
+                                policy, cfg.cyclesPerRound());
     }
     candScratch.resize(cfg.numPorts);
     for (auto &cands : candScratch)
@@ -85,15 +82,25 @@ MmrRouter::linkScheduler(PortId p)
     return linkScheds[p];
 }
 
-ConnId
-MmrRouter::nextLocalConn()
-{
-    return localConnSeq++;
-}
-
 // ---------------------------------------------------------------------
 // Connection management
 // ---------------------------------------------------------------------
+
+ConnId
+MmrRouter::openLocal(SegmentParams &p)
+{
+    p.id = localConnSeq++;
+    p.inVc = routes.allocInputVc(p.in);
+    p.outVc = routes.allocOutputVc(p.out);
+    if (p.inVc != kInvalidVc && p.outVc != kInvalidVc &&
+        installSegment(p))
+        return p.id;
+    if (p.inVc != kInvalidVc)
+        routes.freeInputVc(p.in, p.inVc);
+    if (p.outVc != kInvalidVc)
+        routes.freeOutputVc(p.out, p.outVc);
+    return kInvalidConn;
+}
 
 ConnId
 MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
@@ -110,20 +117,12 @@ MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
     }
 
     SegmentParams p;
-    p.id = nextLocalConn();
     p.klass = TrafficClass::CBR;
     p.in = in;
-    p.inVc = routes.allocInputVc(in);
     p.out = out;
-    p.outVc = routes.allocOutputVc(out);
     p.allocCycles = cycles;
     p.interArrival = interArrivalCycles(rate_bps, cfg.linkRateBps);
-    if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-        !installSegment(p)) {
-        if (p.inVc != kInvalidVc)
-            routes.freeInputVc(in, p.inVc);
-        if (p.outVc != kInvalidVc)
-            routes.freeOutputVc(out, p.outVc);
+    if (openLocal(p) == kInvalidConn) {
         admit.releaseCbr(out, cycles);
         return kInvalidConn;
     }
@@ -151,22 +150,14 @@ MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
     }
 
     SegmentParams p;
-    p.id = nextLocalConn();
     p.klass = TrafficClass::VBR;
     p.in = in;
-    p.inVc = routes.allocInputVc(in);
     p.out = out;
-    p.outVc = routes.allocOutputVc(out);
     p.permCycles = perm;
     p.peakCycles = peak;
     p.interArrival = interArrivalCycles(mean_bps, cfg.linkRateBps);
     p.priority = priority;
-    if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-        !installSegment(p)) {
-        if (p.inVc != kInvalidVc)
-            routes.freeInputVc(in, p.inVc);
-        if (p.outVc != kInvalidVc)
-            routes.freeOutputVc(out, p.outVc);
+    if (openLocal(p) == kInvalidConn) {
         admit.releaseVbr(out, perm, peak);
         return kInvalidConn;
     }
@@ -180,21 +171,10 @@ ConnId
 MmrRouter::openBestEffort(PortId in, PortId out)
 {
     SegmentParams p;
-    p.id = nextLocalConn();
     p.klass = TrafficClass::BestEffort;
     p.in = in;
-    p.inVc = routes.allocInputVc(in);
     p.out = out;
-    p.outVc = routes.allocOutputVc(out);
-    if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-        !installSegment(p)) {
-        if (p.inVc != kInvalidVc)
-            routes.freeInputVc(in, p.inVc);
-        if (p.outVc != kInvalidVc)
-            routes.freeOutputVc(out, p.outVc);
-        return kInvalidConn;
-    }
-    return p.id;
+    return openLocal(p);
 }
 
 // mmr-lint: allow(hot-path-alloc) setup path: a segment is installed
@@ -386,7 +366,7 @@ MmrRouter::evaluate(Cycle now)
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         candScratch[p].clear();
         linkScheds[p].collectCandidates(now, cfg.candidates, creditMgr,
-                                        rand, candScratch[p]);
+                                        candScratch[p]);
         if (!creditMgr.isInfinite()) {
             // Re-check credits against pending grants (the coarse
             // credits_available bit cannot see in-flight grants).

@@ -213,7 +213,6 @@ class MmrRouter : public Clocked
     VcMemory &inputMemory(PortId p);
     LinkScheduler &linkScheduler(PortId p);
     CreditManager &credits() { return creditMgr; }
-    Rng &rng() { return rand; }
 
     // Statistics
     std::uint64_t flitsInjected() const { return statInjected; }
@@ -230,7 +229,14 @@ class MmrRouter : public Clocked
     const ReconfigCounter &reconfigs() const { return reconfig; }
 
   private:
-    ConnId nextLocalConn();
+    /**
+     * The shared tail of openCbr/openVbr/openBestEffort: draw the next
+     * local id into @p p (class, ports and rates already set), allocate
+     * its input and output VCs and install it.  On failure the VCs are
+     * freed again and kInvalidConn returned; releasing the admission
+     * charge is the caller's.
+     */
+    ConnId openLocal(SegmentParams &p);
     bool creditAvailable(const VcState &vc) const;
     void applyMatching(Cycle now);
     void deliver(const Candidate &grant, Flit &&flit, Cycle now,

@@ -64,9 +64,6 @@ class RoutingUnit
     /** Reverse mapping: which input VC feeds this output VC? */
     ChannelRef reverseMap(ChannelRef out) const;
 
-    unsigned numPorts() const { return ports; }
-    unsigned vcsPerPort() const { return vcs; }
-
   private:
     std::size_t index(ChannelRef c) const;
 

@@ -97,20 +97,23 @@ SwitchScheduler::auditMatching(const Matching &m, unsigned num_ports,
 std::unique_ptr<SwitchScheduler>
 SwitchScheduler::create(const RouterConfig &cfg)
 {
+    // The iterative matchers (output-driven, PIM, iSLIP) run a fixed
+    // three request/grant/accept iterations per flit cycle.
+    constexpr unsigned kIterations = 3;
     switch (cfg.scheduler) {
       case SchedulerKind::BiasedPriority:
       case SchedulerKind::FixedPriority:
       case SchedulerKind::AgePriority:
         return std::make_unique<GreedyPriorityScheduler>(cfg.numPorts);
       case SchedulerKind::OutputDriven:
-        return std::make_unique<OutputDrivenScheduler>(
-            cfg.numPorts, cfg.schedIterations);
+        return std::make_unique<OutputDrivenScheduler>(cfg.numPorts,
+                                                       kIterations);
       case SchedulerKind::Autonet:
         return std::make_unique<AutonetScheduler>(cfg.numPorts,
-                                                  cfg.schedIterations);
+                                                  kIterations);
       case SchedulerKind::Islip:
         return std::make_unique<IslipScheduler>(cfg.numPorts,
-                                                cfg.schedIterations);
+                                                kIterations);
       case SchedulerKind::Perfect:
         return std::make_unique<PerfectSwitchScheduler>();
     }
@@ -118,9 +121,8 @@ SwitchScheduler::create(const RouterConfig &cfg)
 }
 
 GreedyPriorityScheduler::GreedyPriorityScheduler(unsigned num_ports)
-    : numPorts(num_ports), req(num_ports), holder(num_ports),
-      choice(num_ports), tried(num_ports), visited(num_ports),
-      inTaken(num_ports), outTaken(num_ports)
+    : numPorts(num_ports), holder(num_ports), choice(num_ports),
+      visited(num_ports), inTaken(num_ports), outTaken(num_ports)
 {
 }
 
@@ -130,49 +132,19 @@ namespace
 /**
  * Kuhn-style augmenting search: try to route input @p in to one of
  * its candidate outputs, displacing lower-stage assignments along an
- * alternating path.  @p holder maps each output to the input holding
- * it (or numPorts when free), @p choice records which candidate each
- * input ended up with.
+ * alternating path.  Input @p in's request list is the contiguous run
+ * per_input[in][seg_begin[in], seg_end[in]) — the current tier's slice
+ * of its ranked candidate list — traversed in place.  @p holder maps
+ * each output to the input holding it (or numPorts when free),
+ * @p choice records which candidate each input ended up with.
  */
 bool
-augment(PortId in, const std::vector<std::vector<const Candidate *>> &req,
+augment(unsigned in, const std::vector<std::vector<Candidate>> &per_input,
+        const std::uint32_t *seg_begin, const std::uint32_t *seg_end,
         std::vector<unsigned> &holder,
         std::vector<const Candidate *> &choice,
         std::vector<bool> &visited, const std::vector<bool> &out_masked,
         unsigned num_ports)
-{
-    for (const Candidate *c : req[in]) {
-        const PortId out = c->out;
-        if (out_masked[out] || visited[out])
-            continue;
-        visited[out] = true;
-        if (holder[out] == num_ports ||
-            augment(static_cast<PortId>(holder[out]), req, holder, choice,
-                    visited, out_masked, num_ports)) {
-            holder[out] = in;
-            choice[in] = c;
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * Merge-path variant of augment(): input @p in's request list is the
- * contiguous run per_input[in][seg_begin[in], seg_end[in]) — the
- * current tier's slice of its pre-sorted candidate list — traversed in
- * place (no per-tier pointer vectors).  Skipping out_masked outputs
- * here is equivalent to filtering them while building req[]: both see
- * the tier-entry snapshot of out_masked, in the same candidate order.
- */
-bool
-augmentRun(unsigned in,
-           const std::vector<std::vector<Candidate>> &per_input,
-           const std::uint32_t *seg_begin, const std::uint32_t *seg_end,
-           std::vector<unsigned> &holder,
-           std::vector<const Candidate *> &choice,
-           std::vector<bool> &visited, const std::vector<bool> &out_masked,
-           unsigned num_ports)
 {
     const Candidate *base = per_input[in].data();
     for (std::uint32_t i = seg_begin[in]; i < seg_end[in]; ++i) {
@@ -182,8 +154,8 @@ augmentRun(unsigned in,
             continue;
         visited[out] = true;
         if (holder[out] == num_ports ||
-            augmentRun(holder[out], per_input, seg_begin, seg_end,
-                       holder, choice, visited, out_masked, num_ports)) {
+            augment(holder[out], per_input, seg_begin, seg_end, holder,
+                    choice, visited, out_masked, num_ports)) {
             holder[out] = in;
             choice[in] = c;
             return true;
@@ -194,9 +166,9 @@ augmentRun(unsigned in,
 
 } // namespace
 
-// mmr-lint: allow(hot-path-alloc) amortized: the matching and
-// any per-call scratch reuse caller/member capacity across
-// cycles (verified dynamically by test_zero_alloc).
+// mmr-lint: allow(hot-path-alloc) amortized: the matching and the
+// segPos/segBegin/segEnd/attemptOrder scratch reuse caller/member
+// capacity across cycles (verified dynamically by test_zero_alloc).
 void
 GreedyPriorityScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
@@ -207,53 +179,12 @@ GreedyPriorityScheduler::scheduleInto(
     std::fill(inTaken.begin(), inTaken.end(), false);
     std::fill(outTaken.begin(), outTaken.end(), false);
 
-    // Router-shaped inputs — list p holds input port p's candidates,
-    // already sorted by (tier, prio, tie) by the link scheduler, with
-    // in-range ports — take the merge path, which skips the global
-    // flat sort.  Anything else (hand-built test inputs) falls back to
-    // the general path.  The scan is cheap: the lists were written
-    // this cycle and are still cache-hot.
-    bool router_shaped = per_input.size() <= numPorts;
-    for (std::size_t p = 0; router_shaped && p < per_input.size(); ++p) {
-        const auto &cands = per_input[p];
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-            const Candidate &c = cands[i];
-            if (c.in != static_cast<PortId>(p) || c.out >= numPorts) {
-                router_shaped = false;
-                break;
-            }
-            if (i == 0)
-                continue;
-            const Candidate &prev = cands[i - 1];
-            const bool in_order =
-                c.tier < prev.tier ||
-                (c.tier == prev.tier &&
-                 (c.prio < prev.prio ||
-                  (c.prio == prev.prio && c.tie <= prev.tie)));
-            if (!in_order) {
-                router_shaped = false;
-                break;
-            }
-        }
-    }
-
-    if (router_shaped)
-        scheduleMerge(per_input, out);
-    else
-        scheduleFlat(per_input, out);
-}
-
-// mmr-lint: allow(hot-path-alloc) amortized: the matching and
-// any per-call scratch reuse caller/member capacity across
-// cycles (verified dynamically by test_zero_alloc).
-void
-GreedyPriorityScheduler::scheduleFlat(
-    const std::vector<std::vector<Candidate>> &per_input, Matching &out)
-{
-    flat.clear();
-    for (const auto &cands : per_input)
-        for (const Candidate &c : cands)
-            flat.push_back(&c);
+    const auto nin = static_cast<unsigned>(per_input.size());
+    segPos.assign(nin, 0);
+    segBegin.resize(nin);
+    segEnd.resize(nin);
+    if (attemptOrder.size() < nin)
+        attemptOrder.resize(nin);
 
     // Arbitrate by (tier, priority, stable tie).  Service tiers are
     // strict (§4.3): the matching is computed tier by tier, from
@@ -264,73 +195,10 @@ GreedyPriorityScheduler::scheduleFlat(
     // paths), yielding a maximum matching for the tier — the
     // "maximize the probability of assigning virtual channels to
     // every output link" goal of §4.4.
-    std::sort(flat.begin(), flat.end(),
-              [](const Candidate *a, const Candidate *b) {
-                  if (a->tier != b->tier)
-                      return a->tier > b->tier;
-                  if (a->prio != b->prio)
-                      return a->prio > b->prio;
-                  return a->tie > b->tie;
-              });
-
-    std::size_t tier_begin = 0;
-    while (tier_begin < flat.size()) {
-        const int tier = flat[tier_begin]->tier;
-        std::size_t tier_end = tier_begin;
-        while (tier_end < flat.size() && flat[tier_end]->tier == tier)
-            ++tier_end;
-
-        // Per-input candidate lists for this tier, in priority order,
-        // restricted to ports still free after the higher tiers.
-        for (PortId p = 0; p < numPorts; ++p) {
-            req[p].clear();
-            holder[p] = numPorts;
-            choice[p] = nullptr;
-            tried[p] = false;
-        }
-        for (std::size_t i = tier_begin; i < tier_end; ++i) {
-            const Candidate &c = *flat[i];
-            if (c.in < numPorts && !inTaken[c.in] && !outTaken[c.out])
-                req[c.in].push_back(&c);
-        }
-        for (std::size_t i = tier_begin; i < tier_end; ++i) {
-            const Candidate &c = *flat[i];
-            if (c.in >= numPorts || inTaken[c.in] || tried[c.in])
-                continue;
-            tried[c.in] = true; // one augmenting attempt per input
-            std::fill(visited.begin(), visited.end(), false);
-            augment(c.in, req, holder, choice, visited, outTaken,
-                    numPorts);
-        }
-        for (PortId in = 0; in < numPorts; ++in) {
-            if (choice[in] != nullptr) {
-                out.push_back(*choice[in]);
-                inTaken[in] = true;
-                outTaken[choice[in]->out] = true;
-            }
-        }
-        tier_begin = tier_end;
-    }
-}
-
-// mmr-lint: allow(hot-path-alloc) amortized: segPos/segBegin/segEnd/
-// attemptOrder are members sized once per port count; their capacity
-// persists across cycles (verified dynamically by test_zero_alloc).
-void
-GreedyPriorityScheduler::scheduleMerge(
-    const std::vector<std::vector<Candidate>> &per_input, Matching &out)
-{
-    const auto nin = static_cast<unsigned>(per_input.size());
-    segPos.assign(nin, 0);
-    segBegin.resize(nin);
-    segEnd.resize(nin);
-    if (attemptOrder.size() < nin)
-        attemptOrder.resize(nin);
-
-    // Tiers arrive in descending order within every list, so the
-    // highest tier among the per-input cursors is the next tier the
-    // flat sort would have produced; its candidates are exactly the
-    // per-input runs at the cursors.
+    //
+    // Every list is ranked, so tiers descend within it: the highest
+    // tier among the per-input cursors is the next tier to serve, and
+    // its candidates are exactly the per-input runs at the cursors.
     for (;;) {
         constexpr int kNoTier = std::numeric_limits<int>::min();
         int tier = kNoTier;
@@ -342,8 +210,7 @@ GreedyPriorityScheduler::scheduleMerge(
             break;
 
         // Slice this tier's run out of each list.  The runs double as
-        // the per-input request lists: they are already in (prio, tie)
-        // order, which is what the flat path's req[] held.
+        // the per-input request lists, already in (prio, tie) order.
         unsigned n_attempt = 0;
         for (unsigned p = 0; p < nin; ++p) {
             const auto &cands = per_input[p];
@@ -359,10 +226,8 @@ GreedyPriorityScheduler::scheduleMerge(
             }
         }
 
-        // The flat path attempts one augmenting search per input, in
-        // the order of each input's first appearance in the globally
-        // sorted candidate stream — i.e. by the rank of its best
-        // candidate.  Sorting one head per input reproduces it.
+        // One augmenting search per input, in the rank order of each
+        // input's best candidate in this tier.
         std::sort(attemptOrder.begin(),
                   attemptOrder.begin() + n_attempt,
                   [&](unsigned a, unsigned b) {
@@ -382,8 +247,8 @@ GreedyPriorityScheduler::scheduleMerge(
             if (inTaken[in])
                 continue;
             std::fill(visited.begin(), visited.end(), false);
-            augmentRun(in, per_input, segBegin.data(), segEnd.data(),
-                       holder, choice, visited, outTaken, numPorts);
+            augment(in, per_input, segBegin.data(), segEnd.data(), holder,
+                    choice, visited, outTaken, numPorts);
         }
         for (PortId in = 0; in < numPorts; ++in) {
             if (choice[in] != nullptr) {
@@ -556,24 +421,21 @@ IslipScheduler::scheduleInto(
     std::fill(outUsed.begin(), outUsed.end(), false);
 
     for (unsigned it = 0; it < iters; ++it) {
-        // Requests: candidate per (input, output); keep the best
-        // candidate per pair so the grant can return it.  The request
-        // matrix is shadowed by one bit per pair; req[] entries with a
-        // clear bit are stale and never read, so there is no O(N^2)
-        // pointer fill per iteration — only the N/64-word mask clears.
+        // Requests: an input names each output at most once, so each
+        // (input, output) pair holds at most one candidate for the
+        // grant to return.  The request matrix is shadowed by one bit
+        // per pair; req[] entries with a clear bit are stale and never
+        // read, so there is no O(N^2) pointer fill per iteration —
+        // only the N/64-word mask clears.
         for (BitVector &row : reqMask)
             row.clearAll();
         for (const auto &cands : per_input) {
             for (const Candidate &c : cands) {
                 if (inUsed[c.in] || outUsed[c.out])
                     continue;
-                const Candidate *&slot =
-                    req[static_cast<std::size_t>(c.out) * numPorts + c.in];
-                if (!reqMask[c.out].test(c.in) || c.tier > slot->tier ||
-                    (c.tier == slot->tier && c.prio > slot->prio)) {
-                    slot = &c;
-                    reqMask[c.out].set(c.in);
-                }
+                req[static_cast<std::size_t>(c.out) * numPorts + c.in] =
+                    &c;
+                reqMask[c.out].set(c.in);
             }
         }
 
@@ -626,18 +488,13 @@ PerfectSwitchScheduler::scheduleInto(
 {
     (void)rng;
     // Output conflicts do not exist: each input link simply transmits
-    // its best candidate (one flit per input link per cycle — link
-    // bandwidth still binds, switch bandwidth does not).
+    // its best candidate, the front of its ranked list (one flit per
+    // input link per cycle — link bandwidth still binds, switch
+    // bandwidth does not).
     out.clear();
     for (const auto &cands : per_input) {
-        const Candidate *best = nullptr;
-        for (const Candidate &c : cands) {
-            if (best == nullptr || c.tier > best->tier ||
-                (c.tier == best->tier && c.prio > best->prio))
-                best = &c;
-        }
-        if (best != nullptr)
-            out.push_back(*best);
+        if (!cands.empty())
+            out.push_back(cands.front());
     }
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Switch scheduling (§4.4, §5.1).
  *
- * Input-driven schemes: each link scheduler offers a candidate set,
- * and the switch scheduler resolves output-port conflicts to compute
+ * Input-driven schemes: each link scheduler offers a ranked candidate
+ * set, and the switch scheduler resolves output-port conflicts to compute
  * the input/output matching applied in the next flit cycle.  Four
  * algorithms from the paper plus one extension:
  *
@@ -52,7 +52,11 @@ class SwitchScheduler
      * (cleared first).  The caller owns @p out and is expected to
      * reuse it across cycles so its capacity persists.
      *
-     * @param per_input candidate sets, indexed by input port
+     * @param per_input candidate sets, indexed by input port: list p
+     *        holds input p's candidates ranked best first by (tier,
+     *        prio, tie), naming each output port (< the switch's port
+     *        count) at most once — the order
+     *        LinkScheduler::collectCandidates emits
      * @param rng arbitration randomness
      * @param out receives the matching
      */
@@ -106,40 +110,17 @@ class GreedyPriorityScheduler : public SwitchScheduler
     std::string name() const override { return "greedy-priority"; }
 
   private:
-    /**
-     * Fast path for router-shaped inputs: every per-input list is
-     * already sorted by (tier, prio, tie) — the link scheduler emits
-     * exactly this order — so the global sort collapses to walking
-     * per-input tier runs and ordering at most one head candidate per
-     * input.  Results are identical to the flat sort (same augmenting
-     * order, same grants); only the work to derive the order shrinks.
-     */
-    void scheduleMerge(
-        const std::vector<std::vector<Candidate>> &per_input,
-        Matching &out);
-
-    /** General path: arbitrary candidate lists (tests, adapters). */
-    void scheduleFlat(
-        const std::vector<std::vector<Candidate>> &per_input,
-        Matching &out);
-
     unsigned numPorts;
 
     // Per-cycle scratch, reused so steady state allocates nothing.
-    // flat holds pointers into the caller's candidate lists: sorting
-    // 8-byte pointers moves far less data per cycle than sorting the
-    // 40-byte Candidate values themselves.
-    std::vector<const Candidate *> flat;
-    std::vector<std::vector<const Candidate *>> req; ///< per input
-    std::vector<unsigned> holder;
-    std::vector<const Candidate *> choice;
-    std::vector<bool> tried;
+    std::vector<unsigned> holder;          ///< per output: holding input
+    std::vector<const Candidate *> choice; ///< per input: won candidate
     std::vector<bool> visited;
     std::vector<bool> inTaken;
     std::vector<bool> outTaken;
 
-    // Merge-path scratch: per-input cursors and the bounds of the
-    // current tier's run inside each (pre-sorted) candidate list.
+    // Per-input cursors and the bounds of the current tier's run
+    // inside each ranked candidate list.
     std::vector<std::uint32_t> segPos;
     std::vector<std::uint32_t> segBegin;
     std::vector<std::uint32_t> segEnd;

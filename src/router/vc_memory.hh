@@ -121,8 +121,6 @@ class VcMemory
         return d >= perVcDepth ? 0 : perVcDepth - d;
     }
 
-    unsigned depthLimit() const { return perVcDepth; }
-
     /** Bit vector of VCs with at least one buffered flit. */
     const BitVector &flitsAvailable() const { return flitsAvail; }
 
@@ -151,19 +149,9 @@ class VcMemory
      */
     void markSchedDirty(VcId v) { schedDirty.set(v); }
 
-    /** Conservative form: every VC must be re-evaluated. */
-    void markAllSchedDirty() { allDirty = true; }
-
     /** Dirty set accessors for the owning link scheduler. */
-    bool allSchedDirty() const { return allDirty; }
     const BitVector &schedDirtyMask() const { return schedDirty; }
-
-    void
-    clearSchedDirty()
-    {
-        schedDirty.clearAll();
-        allDirty = false;
-    }
+    void clearSchedDirty() { schedDirty.clearAll(); }
 
     /**
      * Occupancy conservation audit ('vc-occupancy'); panics when the
@@ -186,7 +174,6 @@ class VcMemory
     std::uint64_t overflows = 0;
     BitVector flitsAvail;
     BitVector schedDirty;
-    bool allDirty = true; ///< start conservative: full first rebuild
 };
 
 } // namespace mmr

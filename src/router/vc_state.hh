@@ -222,7 +222,7 @@ class VcState
     }
 
     /** Grant-accounting-only form for callers that do not keep the
-     * stage decomposition (unit tests, bypass paths). */
+     * stage decomposition (unit tests). */
     void
     noteGrantIssued(Cycle now = 0)
     {

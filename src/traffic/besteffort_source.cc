@@ -6,10 +6,9 @@ namespace mmr
 {
 
 PoissonSource::PoissonSource(double rate_bps, double link_rate_bps,
-                             Rng &rng_, TrafficClass cls)
+                             Rng &rng_)
     : rateBps(rate_bps),
-      meanGap(interArrivalCycles(rate_bps, link_rate_bps)), rng(&rng_),
-      klass(cls)
+      meanGap(interArrivalCycles(rate_bps, link_rate_bps)), rng(&rng_)
 {
     mmr_assert(meanGap >= 1.0, "Poisson rate exceeds link rate");
     nextArrival = rng->exponential(meanGap);

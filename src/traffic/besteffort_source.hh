@@ -3,9 +3,7 @@
  * Best-effort datagram sources (§2, §3.4).
  *
  * A Poisson source provides the classical best-effort background.
- * Packet size equals flit size (§3.4), so one arrival is one flit.  A
- * short-message control source reuses the Poisson process at a low
- * rate.
+ * Packet size equals flit size (§3.4), so one arrival is one flit.
  */
 
 #ifndef MMR_TRAFFIC_BESTEFFORT_SOURCE_HH
@@ -21,20 +19,21 @@ namespace mmr
 class PoissonSource : public TrafficSource
 {
   public:
-    PoissonSource(double rate_bps, double link_rate_bps, Rng &rng,
-                  TrafficClass cls = TrafficClass::BestEffort);
+    PoissonSource(double rate_bps, double link_rate_bps, Rng &rng);
 
     unsigned arrivals(Cycle now) override;
     double nextDueCycle() const override { return nextArrival; }
     double meanRateBps() const override { return rateBps; }
-    TrafficClass trafficClass() const override { return klass; }
+    TrafficClass trafficClass() const override
+    {
+        return TrafficClass::BestEffort;
+    }
 
   private:
     double rateBps;
     double meanGap;      ///< mean inter-arrival in flit cycles
     double nextArrival;
     Rng *rng;
-    TrafficClass klass;
 };
 
 } // namespace mmr

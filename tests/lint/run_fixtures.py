@@ -7,7 +7,7 @@ clean_suppressed.cc fixture exercises the annotation syntax and must
 produce zero findings.  Any drift — a rule that stops firing, fires
 twice, or leaks into another fixture — fails the test.
 
-Run from anywhere:  python3 tests/lint/run_fixtures.py [--backend=...]
+Run from anywhere:  python3 tests/lint/run_fixtures.py
 """
 
 import json
@@ -22,14 +22,14 @@ LINT = os.path.join(ROOT, "tools", "mmr-lint", "mmr_lint.py")
 FIXTURES = os.path.join(HERE, "fixtures")
 
 
-def run_lint(paths, backend):
+def run_lint(paths):
     with tempfile.NamedTemporaryFile(
             mode="r", suffix=".json", delete=False) as tmp:
         report = tmp.name
     try:
         proc = subprocess.run(
-            [sys.executable, LINT, f"--backend={backend}",
-             "--no-baseline", f"--report={report}", *paths],
+            [sys.executable, LINT, "--no-baseline", f"--report={report}",
+             *paths],
             capture_output=True, text=True, cwd=ROOT)
         if proc.returncode not in (0, 1):
             raise SystemExit(
@@ -42,11 +42,6 @@ def run_lint(paths, backend):
 
 
 def main():
-    backend = "text"
-    for arg in sys.argv[1:]:
-        if arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-
     failures = []
     bad = sorted(f for f in os.listdir(FIXTURES)
                  if f.startswith("bad_") and f.endswith(".cc"))
@@ -55,7 +50,7 @@ def main():
 
     for name in bad:
         expected_rule = name[len("bad_"):-len(".cc")].replace("_", "-")
-        payload = run_lint([os.path.join(FIXTURES, name)], backend)
+        payload = run_lint([os.path.join(FIXTURES, name)])
         findings = payload["findings"]
         rules = [f["rule"] for f in findings]
         if rules != [expected_rule]:
@@ -66,7 +61,7 @@ def main():
             print(f"PASS {name}: one {expected_rule} finding")
 
     clean = os.path.join(FIXTURES, "clean_suppressed.cc")
-    payload = run_lint([clean], backend)
+    payload = run_lint([clean])
     if payload["findings"]:
         rules = [f["rule"] for f in payload["findings"]]
         failures.append(

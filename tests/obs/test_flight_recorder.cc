@@ -74,7 +74,7 @@ TEST(FlightRecorder, ActivateInstallsThreadLocal)
 TEST(FlightRecorder, DefaultRingKeepsTheForensicSet)
 {
     EXPECT_EQ(traceCatNames(kForensicTraceCats),
-              "sched,admission,setup,control,fault");
+              "sched,admission,setup,fault");
     EXPECT_EQ(traceCatMaskFromString(ObsConfig{}.flightRecorderCats),
               kForensicTraceCats)
         << "the harness default must be the recorder default";
@@ -87,7 +87,7 @@ TEST(FlightRecorder, DefaultRingKeepsTheForensicSet)
         const auto cat = static_cast<TraceCat>(c);
         MMR_OBS_EVENT(cat, to_string(cat), Cycle{c}, 0u, kInvalidConn);
     }
-    EXPECT_EQ(fr.recorded(), 5u);
+    EXPECT_EQ(fr.recorded(), 4u);
     std::ostringstream os;
     fr.writeChromeJson(os, "unit_test");
     for (unsigned c = 0; c < static_cast<unsigned>(TraceCat::NumCats);

@@ -72,7 +72,7 @@ TEST(TraceCatMask, ParsesListsAndAll)
 
     // traceCatNames is the inverse, in enum order.
     EXPECT_EQ(traceCatNames(kAllTraceCats),
-              "flit,sched,admission,credit,setup,control,fault");
+              "flit,sched,admission,credit,setup,fault");
     EXPECT_EQ(traceCatNames(fs), "flit,sched");
     EXPECT_EQ(traceCatMaskFromString(traceCatNames(kForensicTraceCats)),
               kForensicTraceCats);
@@ -87,11 +87,12 @@ TEST(TraceCatMask, UnknownCategoryIsAUserError)
         FAIL() << "an unknown category must be fatal";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find(
-                      "flit,sched,admission,credit,setup,control,fault, "
-                      "or all"),
+                      "flit,sched,admission,credit,setup,fault, or all"),
                   std::string::npos)
             << e.what();
     }
+    EXPECT_THROW(traceCatMaskFromString("control"), std::runtime_error)
+        << "no category is named control";
 }
 
 TEST(FlightRecorderTrace, MacrosAreInertWithoutAnActiveRecorder)

@@ -77,7 +77,6 @@ TEST(Config, ValidationRejectsNonsense)
     expect_invalid([](RouterConfig &c) { c.concurrencyFactor = 0.5; });
     expect_invalid([](RouterConfig &c) { c.bestEffortReserve = 1.0; });
     expect_invalid([](RouterConfig &c) { c.bestEffortReserve = -0.1; });
-    expect_invalid([](RouterConfig &c) { c.memBanks = 0; });
 }
 
 TEST(Config, FlitCycleScalesWithLinkAndFlit)

@@ -52,15 +52,6 @@ TEST(Credits, InfiniteModeNeverBlocks)
     EXPECT_EQ(cm.credits(0, 0), 1u) << "infinite mode leaves counters";
 }
 
-TEST(Credits, ResetRestoresInitial)
-{
-    CreditManager cm(1, 1, 4);
-    cm.consume(0, 0);
-    cm.consume(0, 0);
-    cm.reset(0, 0);
-    EXPECT_EQ(cm.credits(0, 0), 4u);
-}
-
 TEST(Credits, LedgerCountsConsumeAndReplenish)
 {
     CreditManager cm(1, 2, 3);
@@ -71,17 +62,6 @@ TEST(Credits, LedgerCountsConsumeAndReplenish)
     EXPECT_EQ(cm.consumedCount(), 3u);
     EXPECT_EQ(cm.replenishedCount(), 1u);
     cm.audit(); // outstanding (2) == consumed (3) - replenished (1)
-}
-
-TEST(Credits, AuditSurvivesResetReclaim)
-{
-    CreditManager cm(1, 1, 4);
-    cm.consume(0, 0);
-    cm.consume(0, 0);
-    cm.reset(0, 0); // reclaims the 2 outstanding credits
-    cm.audit();     // ledger must account for the reclaim
-    cm.consume(0, 0);
-    cm.audit();
 }
 
 TEST(Credits, AuditWithHonestCensusPasses)

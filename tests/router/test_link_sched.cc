@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the per-input-link scheduler (§4.1, §4.3): candidate
- * eligibility, per-round quota enforcement, service tiering and
- * per-output candidate de-duplication.
+ * Unit and property tests for the per-input-link scheduler (§4.1,
+ * §4.3): candidate eligibility, per-round quota enforcement, service
+ * tiering, per-output candidate de-duplication, and the ranked-list
+ * contract the switch schedulers rely on.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,7 @@ class LinkSchedTest : public ::testing::Test
   protected:
     LinkSchedTest()
         : mem(16, 8), credits(4, 16, 2),
-          sched(0, &mem, 4, PriorityPolicy::Biased, 32, false), rng(9)
+          sched(0, &mem, 4, PriorityPolicy::Biased, 32)
     {
         credits.setInfinite(true);
     }
@@ -40,14 +41,13 @@ class LinkSchedTest : public ::testing::Test
     collect(Cycle now, unsigned max_c)
     {
         std::vector<Candidate> out;
-        sched.collectCandidates(now, max_c, credits, rng, out);
+        sched.collectCandidates(now, max_c, credits, out);
         return out;
     }
 
     VcMemory mem;
     CreditManager credits;
     LinkScheduler sched;
-    Rng rng;
 };
 
 TEST_F(LinkSchedTest, NoFlitsNoCandidates)
@@ -230,6 +230,138 @@ TEST_F(LinkSchedTest, RoundRolloverCatchesUpAfterGaps)
     // Jump several rounds ahead: rollRoundIfNeeded must catch up.
     EXPECT_EQ(collect(100, 8).size(), 1u);
     EXPECT_EQ(sched.roundCount(), 3u); // rounds at 32, 64, 96
+}
+
+/**
+ * Property: whatever mix of channels is eligible — CBR, VBR within and
+ * beyond its permanent bandwidth, best effort and control, under
+ * random credits and quotas — every list collectCandidates emits is
+ * ranked best first by (tier, prio, tie) and names each output at most
+ * once.  SwitchScheduler::scheduleInto relies on exactly this.
+ */
+TEST(LinkSchedProperty, ListsAreRankedAndNameEachOutputOnce)
+{
+    constexpr unsigned kPorts = 8;
+    constexpr unsigned kVcs = 96;
+    constexpr unsigned kDepth = 4;
+    constexpr unsigned kRound = 32;
+    const PriorityPolicy policies[] = {PriorityPolicy::Biased,
+                                       PriorityPolicy::Fixed,
+                                       PriorityPolicy::Age};
+    const double inter_arrivals[] = {10.0, 20.0, 40.0};
+
+    const auto ranked = [](const Candidate &a, const Candidate &b) {
+        if (a.tier != b.tier)
+            return a.tier > b.tier;
+        if (a.prio != b.prio)
+            return a.prio > b.prio;
+        return a.tie >= b.tie;
+    };
+
+    std::size_t checked = 0;
+    std::vector<bool> tiers_seen(6, false);
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        VcMemory mem(kVcs, kDepth);
+        CreditManager credits(kPorts, kVcs, 2);
+        LinkScheduler sched(0, &mem, kPorts, policies[seed % 3], kRound);
+
+        auto deposit = [&](VcId v, Cycle now) {
+            Flit f;
+            f.readyTime = now >= 8 ? now - rng.below(8) : now;
+            return mem.deposit(v, f);
+        };
+        for (VcId v = 0; v < kVcs; ++v) {
+            VcState &vc = mem.vc(v);
+            const auto conn = static_cast<ConnId>(1000 + v);
+            const double ia = inter_arrivals[rng.below(3)];
+            const auto kind = rng.below(6);
+            if (kind == 0)
+                continue; // free channel
+            if (kind == 1) {
+                vc.bindCbr(conn, static_cast<unsigned>(rng.below(6)), ia);
+            } else if (kind == 2 || kind == 3) {
+                // kind 3 has no permanent bandwidth: excess only.
+                const auto perm = kind == 2
+                                      ? 1 + static_cast<unsigned>(
+                                                rng.below(4))
+                                      : 0u;
+                vc.bindVbr(conn, perm,
+                           perm + static_cast<unsigned>(rng.below(4)), ia,
+                           static_cast<int>(rng.below(4)));
+            } else if (kind == 4) {
+                vc.bindBestEffort(conn);
+            } else {
+                vc.bindControl(conn);
+            }
+            const auto out = static_cast<PortId>(rng.below(kPorts));
+            vc.setMapping(out, v);
+            vc.setTieBreak(rng.uniform());
+            for (auto n = rng.below(kDepth + 1); n > 0; --n)
+                ASSERT_TRUE(deposit(v, 0));
+            for (auto n = rng.below(3); n > 0; --n)
+                credits.consume(out, v);
+            for (auto n = rng.below(3); n > 0; --n)
+                vc.noteServiced();
+            mem.markSchedDirty(v);
+        }
+
+        std::vector<Candidate> cands;
+        for (Cycle now = 0; now < 3 * kRound; ++now) {
+            cands.clear();
+            const auto max_c = 1 + static_cast<unsigned>(rng.below(8));
+            sched.collectCandidates(now, max_c, credits, cands);
+            ASSERT_LE(cands.size(), max_c);
+            std::vector<bool> out_named(kPorts, false);
+            for (std::size_t i = 0; i < cands.size(); ++i) {
+                const Candidate &c = cands[i];
+                ASSERT_EQ(c.in, 0u);
+                ASSERT_LT(c.out, kPorts);
+                ASSERT_FALSE(out_named[c.out])
+                    << "output " << c.out << " named twice at cycle "
+                    << now << ", seed " << seed;
+                out_named[c.out] = true;
+                tiers_seen[static_cast<std::size_t>(c.tier)] = true;
+                if (i > 0) {
+                    ASSERT_TRUE(ranked(cands[i - 1], c))
+                        << "candidate " << i << " outranks its "
+                        << "predecessor at cycle " << now << ", seed "
+                        << seed;
+                }
+            }
+            checked += cands.size();
+
+            // Serve the best candidate as the router would (grant,
+            // pop, charge the round quota) and let flits, credits and
+            // quotas move before the next cycle.
+            if (!cands.empty()) {
+                const Candidate &best = cands.front();
+                VcState &vc = mem.vc(best.vc);
+                vc.noteGrantIssued(now);
+                vc.pop();
+                vc.noteGrantApplied();
+                vc.noteServiced();
+                mem.noteDrained(best.vc);
+                credits.consume(best.out, best.outVc);
+            }
+            const auto v = static_cast<VcId>(rng.below(kVcs));
+            if (mem.vc(v).bound() && mem.vc(v).depth() < kDepth) {
+                ASSERT_TRUE(deposit(v, now));
+            }
+            const auto r = static_cast<VcId>(rng.below(kVcs));
+            const PortId r_out = mem.vc(r).outPort();
+            if (mem.vc(r).mapped() && credits.credits(r_out, r) < 2)
+                credits.replenish(r_out, r);
+        }
+    }
+    EXPECT_GT(checked, 1000u);
+    for (const ServiceTier t :
+         {ServiceTier::BestEffort, ServiceTier::VbrExcess,
+          ServiceTier::VbrPermanent, ServiceTier::Guaranteed,
+          ServiceTier::Control}) {
+        EXPECT_TRUE(tiers_seen[static_cast<std::size_t>(t)])
+            << "tier " << static_cast<int>(t) << " never offered";
+    }
 }
 
 } // namespace

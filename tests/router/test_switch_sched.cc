@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the switch scheduling algorithms (§4.4):
  * matching legality, priority preference, augmentation to maximum
- * matchings and the perfect-switch semantics.
+ * matchings and the perfect-switch semantics.  Every input list is
+ * ranked best first, as LinkScheduler::collectCandidates emits it.
  */
 
 #include <gtest/gtest.h>
@@ -33,12 +34,29 @@ cand(PortId in, PortId out, double prio,
     return c;
 }
 
+/** Rank @p cands best first by (tier, prio, tie): the order of
+ * SwitchScheduler::scheduleInto's contract. */
+void
+rank(std::vector<Candidate> &cands)
+{
+    std::sort(cands.begin(), cands.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  if (a.tier != b.tier)
+                      return a.tier > b.tier;
+                  if (a.prio != b.prio)
+                      return a.prio > b.prio;
+                  return a.tie > b.tie;
+              });
+}
+
 std::vector<std::vector<Candidate>>
 perInput(unsigned ports, std::initializer_list<Candidate> cs)
 {
     std::vector<std::vector<Candidate>> v(ports);
     for (const Candidate &c : cs)
         v[c.in].push_back(c);
+    for (auto &cands : v)
+        rank(cands);
     return v;
 }
 
@@ -176,6 +194,7 @@ class SwitchSchedProperty : public ::testing::TestWithParam<unsigned>
                 c.tie = rng.uniform();
                 per[in].push_back(c);
             }
+            rank(per[in]);
         }
         return per;
     }

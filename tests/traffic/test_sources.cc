@@ -189,12 +189,5 @@ TEST(PoissonSource, MeanRateConverges)
     EXPECT_NEAR(static_cast<double>(n), expected, 0.05 * expected);
 }
 
-TEST(PoissonSource, ClassOverride)
-{
-    Rng rng(11);
-    PoissonSource src(1 * kMbps, kLink, rng, TrafficClass::Control);
-    EXPECT_EQ(src.trafficClass(), TrafficClass::Control);
-}
-
 } // namespace
 } // namespace mmr

@@ -8,16 +8,13 @@ steady-state allocation on MMR_HOT_PATH-annotated per-cycle paths, the
 Clocked component contract, and Cycle-type API hygiene.  See DESIGN.md
 §10 for the rule catalog.
 
-Backends: prefers libclang (python3 clang.cindex) when importable and a
-compile_commands.json is supplied; otherwise falls back to the built-in
-token backend, which needs no toolchain at all.  Findings are
-backend-independent.
+The analysis runs on a built-in token backend (text_backend.py), which
+needs no toolchain at all, so every machine lints with the same
+implementation.
 
 Usage:
   tools/mmr-lint/mmr_lint.py [paths...]          # default: src/
       --root DIR                 repo root (default: auto-detect)
-      --backend auto|clang|text  (default: auto)
-      --compile-commands FILE    compile_commands.json for libclang
       --baseline FILE            suppress previously accepted findings
       --write-baseline           rewrite the baseline from this run
       --rules r1,r2              run a subset of rules
@@ -53,9 +50,8 @@ def find_root(start):
     return os.path.abspath(start)
 
 
-def collect_files(root, paths, compile_commands):
-    """{relpath: source} for every .cc/.hh under the given paths; a
-    compile database adds its translation units to the set."""
+def collect_files(root, paths):
+    """{relpath: source} for every .cc/.hh under the given paths."""
     rels = set()
     for p in paths:
         ap = p if os.path.isabs(p) else os.path.join(root, p)
@@ -67,20 +63,6 @@ def collect_files(root, paths, compile_commands):
                 if name.endswith((".cc", ".hh", ".cpp", ".hpp", ".h")):
                     rels.add(os.path.relpath(
                         os.path.join(dirpath, name), root))
-    if compile_commands:
-        try:
-            with open(compile_commands) as f:
-                for entry in json.load(f):
-                    ap = os.path.join(entry.get("directory", root),
-                                      entry["file"])
-                    rel = os.path.relpath(os.path.abspath(ap), root)
-                    if not rel.startswith("..") and any(
-                            rel.startswith(p.rstrip("/") + "/")
-                            for p in paths):
-                        rels.add(rel)
-        except (OSError, ValueError, KeyError) as e:
-            print(f"mmr-lint: warning: bad compile db: {e}",
-                  file=sys.stderr)
     files = {}
     for rel in sorted(rels):
         try:
@@ -91,24 +73,6 @@ def collect_files(root, paths, compile_commands):
             print(f"mmr-lint: warning: cannot read {rel}: {e}",
                   file=sys.stderr)
     return files
-
-
-def make_backend(choice, compile_commands):
-    """Instantiate the requested backend, honouring --backend=auto by
-    degrading to the token backend when libclang is missing."""
-    if choice in ("auto", "clang"):
-        try:
-            from clang_backend import ClangBackend
-            return ClangBackend(compile_commands)
-        except Exception as e:  # ImportError, libclang load failure
-            if choice == "clang":
-                print(f"mmr-lint: error: libclang backend unavailable: "
-                      f"{e}", file=sys.stderr)
-                sys.exit(2)
-            print(f"mmr-lint: note: libclang unavailable "
-                  f"({e.__class__.__name__}); using token backend",
-                  file=sys.stderr)
-    return TextBackend()
 
 
 def finding_key(root, f: Finding, line_cache):
@@ -158,9 +122,6 @@ def main(argv=None):
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("paths", nargs="*", default=None)
     ap.add_argument("--root", default=None)
-    ap.add_argument("--backend", choices=["auto", "clang", "text"],
-                    default="auto")
-    ap.add_argument("--compile-commands", default=None)
     ap.add_argument("--baseline", default=None)
     ap.add_argument("--no-baseline", action="store_true",
                     help="ignore any baseline file (report everything)")
@@ -196,13 +157,12 @@ def main(argv=None):
     if args.no_baseline:
         baseline_path = None
 
-    files = collect_files(root, paths, args.compile_commands)
+    files = collect_files(root, paths)
     if not files:
         print("mmr-lint: no input files", file=sys.stderr)
         return 2
 
-    backend = (TextBackend() if args.backend == "text"
-               else make_backend(args.backend, args.compile_commands))
+    backend = TextBackend()
     obs = backend.analyze(files)
     findings = rules_mod.run_rules(obs, enabled)
 

@@ -1,8 +1,7 @@
-"""Shared intermediate model between mmr-lint backends and rules.
+"""Intermediate model between the mmr-lint backend and its rules.
 
-Both the libclang backend and the token backend reduce a source tree to
-the same set of *observations*; the rules in rules.py only ever see
-this model, so findings are backend-independent by construction.
+The token backend (text_backend.py) reduces a source tree to a set of
+*observations*; the rules in rules.py only ever see this model.
 """
 
 from __future__ import annotations

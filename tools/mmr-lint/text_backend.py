@@ -1,8 +1,7 @@
 """Self-contained token-based backend for mmr-lint.
 
-Used whenever the libclang backend is unavailable (no python3-clang /
-libclang in the environment) or explicitly selected with
-``--backend=text``.  It performs a structural scan of the token stream:
+It needs no compiler toolchain.  It performs a structural scan of the
+token stream:
 namespaces, classes (with bases and members), function definitions
 (with constructor initializer lists), and function bodies (calls,
 allocations, range-for loops, ``.begin()`` iterator loops, container
@@ -11,8 +10,8 @@ of members, locals, parameters, aliases, and method return types, so a
 ``for (auto &[k, v] : pcs)`` in a ``.cc`` file resolves against the
 ``std::unordered_map`` member declared in the header.
 
-The model it emits is the same Observations structure the clang
-backend produces; rules never see backend-specific data.
+It emits the Observations structure of project_model.py; rules see
+only that model.
 """
 
 from __future__ import annotations
