@@ -4,7 +4,7 @@
  *
  * The control plane keeps several id -> record tables that churn one
  * insert + one erase per session (Network's timed-setup ledgers and
- * PCS index, each router's segment table, the end-to-end recorder's
+ * PCS index, each router's segment index, the end-to-end recorder's
  * overflow slots).  std::unordered_map pays a node allocation per
  * insert — a million heap round-trips per churn run — and exposes
  * hash-bucket iteration order, which mmr-lint's unordered-iter rule

@@ -1,7 +1,10 @@
 #include "harness/network_experiment.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -70,14 +73,25 @@ topologyFromSpec(const std::string &spec, std::uint64_t seed)
     const std::string kind = spec.substr(0, colon);
     const std::string args = spec.substr(colon + 1);
 
+    // A positive decimal that fits an unsigned.  strtoull alone would
+    // skip blanks, take a sign ("-1" wraps to a huge value) and let the
+    // cast wrap anything above UINT_MAX.
     auto parse_uint = [&](const std::string &s) -> unsigned {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(s.c_str(), &end, 10);
-        if (end == s.c_str() || *end != '\0' || v == 0)
+        unsigned long long v = 0;
+        if (!s.empty() && s.find_first_not_of("0123456789") == s.npos)
+            v = std::strtoull(s.c_str(), nullptr, 10);
+        if (v == 0 || v > std::numeric_limits<unsigned>::max())
             mmr_fatal("bad number '", s, "' in topology spec '", spec,
-                      "'");
+                      "' (want a positive integer below 2^32)");
         return static_cast<unsigned>(v);
     };
+    // The generators assert their bounds (a bug if a caller breaks
+    // them); a spec that breaks one is the user's error.
+    auto require = [&](bool ok, const char *what) {
+        if (!ok)
+            mmr_fatal("topology spec '", spec, "': ", what);
+    };
+    constexpr std::uint64_t kMaxNodes = std::numeric_limits<unsigned>::max();
 
     if (kind == "mesh" || kind == "torus") {
         const auto x = args.find('x');
@@ -85,29 +99,62 @@ topologyFromSpec(const std::string &spec, std::uint64_t seed)
             mmr_fatal("'", kind, "' spec needs WxH: '", spec, "'");
         const unsigned w = parse_uint(args.substr(0, x));
         const unsigned h = parse_uint(args.substr(x + 1));
-        return kind == "mesh" ? Topology::mesh2d(w, h)
-                              : Topology::torus2d(w, h);
+        require(std::uint64_t{w} * h <= kMaxNodes,
+                "W x H overflows the node ids");
+        if (kind == "mesh")
+            return Topology::mesh2d(w, h);
+        require(w > 2 && h > 2,
+                "a torus needs W and H above 2 (no duplicate links)");
+        return Topology::torus2d(w, h);
     }
-    if (kind == "ring")
-        return Topology::ring(parse_uint(args));
-    if (kind == "star")
-        return Topology::star(parse_uint(args));
+    if (kind == "ring") {
+        const unsigned n = parse_uint(args);
+        require(n >= 3, "a ring needs at least 3 nodes");
+        return Topology::ring(n);
+    }
+    if (kind == "star") {
+        const unsigned leaves = parse_uint(args);
+        require(leaves < kMaxNodes, "leaves + hub overflow the node ids");
+        return Topology::star(leaves);
+    }
     if (kind == "min") {
         const auto c = args.find(':');
         if (c == std::string::npos)
             mmr_fatal("'min' spec needs RADIX:STAGES: '", spec, "'");
-        return Topology::multistage(parse_uint(args.substr(0, c)),
-                                    parse_uint(args.substr(c + 1)));
+        const unsigned radix = parse_uint(args.substr(0, c));
+        const unsigned stages = parse_uint(args.substr(c + 1));
+        require(radix >= 2, "MIN radix must be at least 2");
+        require(stages >= 2, "a MIN needs at least 2 stages");
+        // Topology::multistage's bound: radix^(stages-1) switches per
+        // stage, at most 2^24.
+        std::uint64_t width = 1;
+        for (unsigned i = 1; i < stages; ++i) {
+            require(width <= (1u << 24) / radix,
+                    "MIN size overflows (radix^(stages-1) > 2^24)");
+            width *= radix;
+        }
+        return Topology::multistage(radix, stages);
     }
-    if (kind == "fattree")
-        return Topology::fatTree(parse_uint(args));
+    if (kind == "fattree") {
+        const unsigned radix = parse_uint(args);
+        require(radix >= 4 && radix % 2 == 0,
+                "fat-tree radix must be even and at least 4");
+        // radix^2 / 4 cores plus radix pods of radix switches.
+        const std::uint64_t sq = std::uint64_t{radix} * radix;
+        require(sq <= kMaxNodes && sq + sq / 4 <= kMaxNodes,
+                "fat-tree size overflows the node ids");
+        return Topology::fatTree(radix);
+    }
     if (kind == "leafspine") {
         const auto c = args.find(':');
         if (c == std::string::npos)
             mmr_fatal("'leafspine' spec needs SPINES:LEAVES: '", spec,
                       "'");
-        return Topology::leafSpine(parse_uint(args.substr(0, c)),
-                                   parse_uint(args.substr(c + 1)));
+        const unsigned spines = parse_uint(args.substr(0, c));
+        const unsigned leaves = parse_uint(args.substr(c + 1));
+        require(std::uint64_t{spines} + leaves <= kMaxNodes,
+                "spines + leaves overflow the node ids");
+        return Topology::leafSpine(spines, leaves);
     }
     if (kind == "irregular") {
         const auto c1 = args.find(':');
@@ -120,6 +167,8 @@ topologyFromSpec(const std::string &spec, std::uint64_t seed)
         const unsigned extra =
             parse_uint(args.substr(c1 + 1, c2 - c1 - 1));
         const unsigned maxdeg = parse_uint(args.substr(c2 + 1));
+        require(n >= 2, "an irregular topology needs at least 2 nodes");
+        require(maxdeg >= 2, "the degree bound must be at least 2");
         Rng trng(seed ^ 0x7090109fca17e5ULL);
         return Topology::irregular(n, extra, maxdeg, trng);
     }

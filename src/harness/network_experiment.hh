@@ -34,8 +34,11 @@ namespace mmr
 
 /**
  * Build a topology from a spec string: "mesh:4x4", "torus:4x4",
- * "ring:8", "star:8", or "irregular:N:EXTRA:MAXDEG" (randomized from
- * @p seed).  Fatal on malformed specs.
+ * "ring:8", "star:8", "min:RADIX:STAGES", "fattree:RADIX",
+ * "leafspine:SPINES:LEAVES" or "irregular:N:EXTRA:MAXDEG" (randomized
+ * from @p seed).  Fatal, naming the spec, on malformed specs and on
+ * sizes its generator cannot build (a ring of 2, an odd fat-tree
+ * radix, a node count above the unsigned node ids, ...).
  */
 Topology topologyFromSpec(const std::string &spec, std::uint64_t seed);
 

@@ -186,7 +186,7 @@ MmrRouter::installSegment(const SegmentParams &p)
         p.out >= cfg.numPorts || p.inVc >= cfg.vcsPerPort ||
         p.outVc >= cfg.vcsPerPort)
         return false;
-    if (conns.contains(p.id))
+    if (segIndex.contains(p.id))
         return false;
 
     VcState &vc = inputMems[p.in].vc(p.inVc);
@@ -216,7 +216,8 @@ MmrRouter::installSegment(const SegmentParams &p)
     vc.setTieBreak(rand.uniform());
     routes.map(ChannelRef{p.in, p.inVc}, ChannelRef{p.out, p.outVc});
     inputMems[p.in].markSchedDirty(p.inVc);
-    conns.insert(p.id, p);
+    segIndex.insert(p.id, static_cast<std::uint32_t>(segs.size()));
+    segs.push_back(p);
     if (p.releaseWhenEmpty)
         ++autoReleaseConns;
     MMR_OBS_EVENT(TraceCat::Setup, "vc_alloc", simclock::now(),
@@ -228,9 +229,10 @@ MmrRouter::installSegment(const SegmentParams &p)
 void
 MmrRouter::removeSegment(ConnId id)
 {
-    const SegmentParams *found = conns.find(id);
-    mmr_assert(found != nullptr, "removing unknown connection ", id);
-    const SegmentParams p = *found;
+    const std::uint32_t *slot = segIndex.find(id);
+    mmr_assert(slot != nullptr, "removing unknown connection ", id);
+    const std::uint32_t i = *slot;
+    const SegmentParams p = segs[i];
 
     VcState &vc = inputMems[p.in].vc(p.inVc);
     mmr_assert(vc.empty() && vc.pendingGrants() == 0,
@@ -248,7 +250,14 @@ MmrRouter::removeSegment(ConnId id)
     else if (p.klass == TrafficClass::VBR)
         admit.releaseVbr(p.out, p.permCycles, p.peakCycles);
 
-    conns.erase(id);
+    // Swap-remove: the last segment fills the freed slot, so the
+    // table stays dense and its index must follow the move.
+    if (i + 1 != segs.size()) {
+        segs[i] = segs.back();
+        *segIndex.find(segs[i].id) = i;
+    }
+    segs.pop_back();
+    segIndex.erase(id);
     if (p.releaseWhenEmpty) {
         mmr_assert(autoReleaseConns > 0,
                    "release-when-empty count underflow");
@@ -261,7 +270,7 @@ MmrRouter::removeSegment(ConnId id)
 bool
 MmrRouter::close(ConnId id)
 {
-    if (!conns.contains(id))
+    if (!segIndex.contains(id))
         return false;
     removeSegment(id);
     return true;
@@ -270,7 +279,15 @@ MmrRouter::close(ConnId id)
 const SegmentParams *
 MmrRouter::connection(ConnId id) const
 {
-    return conns.find(id);
+    const std::uint32_t *i = segIndex.find(id);
+    return i == nullptr ? nullptr : &segs[*i];
+}
+
+SegmentParams *
+MmrRouter::findSegment(ConnId id)
+{
+    const std::uint32_t *i = segIndex.find(id);
+    return i == nullptr ? nullptr : &segs[*i];
 }
 
 // ---------------------------------------------------------------------
@@ -280,7 +297,7 @@ MmrRouter::connection(ConnId id) const
 bool
 MmrRouter::renegotiateBandwidth(ConnId id, double new_rate_bps)
 {
-    SegmentParams *found = conns.find(id);
+    SegmentParams *found = findSegment(id);
     if (found == nullptr || found->klass != TrafficClass::CBR)
         return false;
     if (new_rate_bps <= 0.0 || new_rate_bps > cfg.linkRateBps)
@@ -302,7 +319,7 @@ MmrRouter::renegotiateBandwidth(ConnId id, double new_rate_bps)
 bool
 MmrRouter::setConnectionPriority(ConnId id, int priority)
 {
-    SegmentParams *p = conns.find(id);
+    SegmentParams *p = findSegment(id);
     if (p == nullptr || p->klass != TrafficClass::VBR)
         return false;
     p->priority = priority;
@@ -317,7 +334,7 @@ MmrRouter::setConnectionPriority(ConnId id, int priority)
 bool
 MmrRouter::inject(ConnId id, Flit f)
 {
-    const SegmentParams *found = conns.find(id);
+    const SegmentParams *found = connection(id);
     mmr_assert(found != nullptr, "inject on unknown connection ", id);
     const SegmentParams &p = *found;
     f.conn = id;
@@ -363,8 +380,29 @@ MmrRouter::creditAvailable(const VcState &vc) const
 void
 MmrRouter::evaluate(Cycle now)
 {
+    // A router that buffers no flit (every injected flit forwarded:
+    // the flit-conservation ledger) offers no candidate, so its
+    // matching is empty and scheduling is skipped.  The pass itself
+    // still counts, quiet or not.
+    if (statInjected != statForwarded)
+        scheduleBuffered(now);
+    statMatchSize.add(static_cast<double>(nextMatching.size()));
+    if (FlightRecorder *fr = FlightRecorder::active())
+        fr->counter(TraceCat::Sched, "sched.matching_size", now,
+                    static_cast<std::int32_t>(nextMatching.size()));
+}
+
+void
+MmrRouter::scheduleBuffered(Cycle now)
+{
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         candScratch[p].clear();
+        // An empty VC memory has no eligible VC.  Its link scheduler
+        // catches up on its next pass: the round roll covers every
+        // boundary crossed meanwhile, and the dirty bits and credit
+        // version kept every eligibility change since its last pass.
+        if (inputMems[p].occupancy() == 0)
+            continue;
         linkScheds[p].collectCandidates(now, cfg.candidates, creditMgr,
                                         candScratch[p]);
         if (!creditMgr.isInfinite()) {
@@ -399,11 +437,6 @@ MmrRouter::evaluate(Cycle now)
                       static_cast<std::int32_t>(c.vc),
                       static_cast<std::int32_t>(c.out));
     }
-
-    statMatchSize.add(static_cast<double>(nextMatching.size()));
-    if (FlightRecorder *fr = FlightRecorder::active())
-        fr->counter(TraceCat::Sched, "sched.matching_size", now,
-                    static_cast<std::int32_t>(nextMatching.size()));
 }
 
 void
@@ -435,7 +468,7 @@ MmrRouter::maybeAutoRelease(ConnId id, PortId in, VcId in_vc)
     // segments set the flag), skip the per-forwarded-flit map lookup.
     if (autoReleaseConns == 0)
         return;
-    const SegmentParams *found = conns.find(id);
+    const SegmentParams *found = connection(id);
     if (found == nullptr || !found->releaseWhenEmpty)
         return;
     const VcState &vc = inputMems[in].vc(in_vc);
@@ -582,16 +615,17 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
             std::fill(peak.begin(), peak.end(), 0u);
             if (extra_demand)
                 extra_demand(alloc, peak);
-            // Slot order; commutative integer sums into per-port
-            // accumulators, so visit order cannot leak into results.
-            conns.forEach([&](ConnId, const SegmentParams &p) {
+            // Live segments only, in table order; commutative integer
+            // sums into per-port accumulators, so visit order cannot
+            // leak into results.
+            for (const SegmentParams &p : segs) {
                 if (p.klass == TrafficClass::CBR) {
                     alloc[p.out] += p.allocCycles;
                 } else if (p.klass == TrafficClass::VBR) {
                     alloc[p.out] += p.permCycles;
                     peak[p.out] += p.peakCycles;
                 }
-            });
+            }
             const double peak_limit =
                 static_cast<double>(admit.reservableCycles()) *
                 admit.concurrency();
@@ -686,7 +720,7 @@ MmrRouter::registerStats(StatsRegistry &reg, const std::string &prefix,
                    });
 
     reg.addGauge(prefix + "connections", [this] {
-        return static_cast<double>(conns.size());
+        return static_cast<double>(segs.size());
     });
 
     if (detail == StatsDetail::Aggregate)

@@ -104,18 +104,30 @@ class MmrRouter : public Clocked
     /** Remove a segment, releasing VCs and admission state. */
     void removeSegment(ConnId id);
 
+    /**
+     * The installed segment @p id, or nullptr.  The pointer is valid
+     * until the next installSegment or removeSegment on this router
+     * (an install may grow the dense table, a remove moves its last
+     * segment into the freed slot).
+     */
     const SegmentParams *connection(ConnId id) const;
 
     /** Number of installed segments. */
-    std::size_t connectionCount() const { return conns.size(); }
+    std::size_t connectionCount() const { return segs.size(); }
 
     /**
-     * Pre-size the segment table for @p n simultaneous connections so
-     * steady-state setup/teardown never grows it.  Growth-only (the
-     * table never shrinks), so calling this cannot change rehash
-     * history for tables already at or above the target capacity.
+     * Pre-size the segment table and its index for @p n simultaneous
+     * connections so steady-state setup/teardown never grows them.
+     * Growth-only (neither ever shrinks), so calling this cannot
+     * change rehash history for an index already at or above the
+     * target capacity.
      */
-    void reserveConnections(std::size_t n) { conns.reserve(n); }
+    void
+    reserveConnections(std::size_t n)
+    {
+        segs.reserve(n);
+        segIndex.reserve(n);
+    }
 
     // ------------------------------------------------------------------
     // Dynamic bandwidth management (§4.3 control words)
@@ -148,6 +160,12 @@ class MmrRouter : public Clocked
     // ------------------------------------------------------------------
     // Clocked interface
     // ------------------------------------------------------------------
+    /**
+     * Compute the next cycle's matching.  A router that buffers no
+     * flit skips scheduling, and a busy one skips the input ports
+     * that buffer none; every pass is still counted (matchingSize(),
+     * the sched.matching_size trace counter).
+     */
     MMR_HOT_PATH void evaluate(Cycle now) override;
     MMR_HOT_PATH void advance(Cycle now) override;
 
@@ -237,6 +255,10 @@ class MmrRouter : public Clocked
      * charge is the caller's.
      */
     ConnId openLocal(SegmentParams &p);
+    SegmentParams *findSegment(ConnId id);
+    /** Link + switch scheduling of the buffered flits: the matching
+     * for the next cycle, skipping input ports that hold no flit. */
+    void scheduleBuffered(Cycle now);
     bool creditAvailable(const VcState &vc) const;
     void applyMatching(Cycle now);
     void deliver(const Candidate &grant, Flit &&flit, Cycle now,
@@ -254,7 +276,12 @@ class MmrRouter : public Clocked
     RoutingUnit routes;
     CreditManager creditMgr;
 
-    FlatMap<ConnId, SegmentParams> conns;
+    /** The installed segments, dense in no particular order (a
+     * remove moves the last segment into the freed slot), and each
+     * one's position by id: only live segments are stored, so the
+     * admission-ledger audit reads nothing else. */
+    std::vector<SegmentParams> segs;
+    FlatMap<ConnId, std::uint32_t> segIndex;
     ConnId localConnSeq = 0;
 
     Matching currentMatching; ///< applied during this cycle

@@ -1,11 +1,18 @@
 /**
  * @file
- * Unit and property tests for the topology builders and graph queries.
+ * Unit and property tests for the topology builders and graph
+ * queries, and for the spec strings that select them.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <string>
+
 #include "base/rng.hh"
+#include "harness/network_experiment.hh"
 #include "network/topology.hh"
 
 namespace mmr
@@ -170,6 +177,58 @@ TEST(Topology, LeafSpineShape)
         EXPECT_EQ(t.degree(l), 3u) << "leaf " << l;
     EXPECT_FALSE(t.hasLink(0, 1)) << "no spine-spine links";
     EXPECT_FALSE(t.hasLink(3, 4)) << "no leaf-leaf links";
+}
+
+/**
+ * Build @p spec the way a bench or example main() does: a fatal error
+ * is printed and exits 1 when it names the spec (2 when it does not),
+ * a built topology exits 0, and a panic aborts.
+ */
+[[noreturn]] void
+buildAsMain(const std::string &spec)
+{
+    try {
+        topologyFromSpec(spec, 1);
+    } catch (const std::exception &e) {
+        const std::string msg = e.what();
+        std::fprintf(stderr, "%s\n", msg.c_str());
+        const bool names_spec = msg.find("'" + spec + "'") != msg.npos;
+        std::exit(names_spec ? 1 : 2);
+    }
+    std::exit(0);
+}
+
+TEST(TopologySpec, OutOfBoundSpecsAreUserErrors)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *spec : {
+             // generator bounds
+             "ring:2", "torus:2x2", "torus:3x2", "min:1:4", "min:2:1",
+             "fattree:3", "fattree:2", "irregular:1:1:4",
+             "irregular:8:1:1",
+             // a sign, blanks, junk, nothing, or a number above UINT_MAX
+             "mesh:-1x4", "mesh:4x-1", "ring:+5", "ring: 5", "fattree:6x",
+             "mesh:4x", "ring:4294967296", "ring:18446744073709551617",
+             // sizes whose node count overflows the node ids
+             "mesh:65536x65536", "torus:65536x65537", "star:4294967295",
+             "min:2:26", "min:16777216:3", "fattree:65536",
+             "leafspine:4294967295:1"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_EXIT(buildAsMain(spec), testing::ExitedWithCode(1),
+                    "fatal: ");
+    }
+}
+
+TEST(TopologySpec, SpecsAtTheBoundsBuild)
+{
+    EXPECT_EQ(topologyFromSpec("ring:3", 1).numNodes(), 3u);
+    EXPECT_EQ(topologyFromSpec("torus:3x3", 1).numNodes(), 9u);
+    EXPECT_EQ(topologyFromSpec("mesh:1x1", 1).numNodes(), 1u);
+    EXPECT_EQ(topologyFromSpec("star:1", 1).numNodes(), 2u);
+    EXPECT_EQ(topologyFromSpec("min:2:2", 1).numNodes(), 4u);
+    EXPECT_EQ(topologyFromSpec("fattree:4", 1).numNodes(), 20u);
+    EXPECT_EQ(topologyFromSpec("leafspine:1:1", 1).numNodes(), 2u);
+    EXPECT_EQ(topologyFromSpec("irregular:2:1:2", 1).numNodes(), 2u);
 }
 
 } // namespace

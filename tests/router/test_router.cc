@@ -2,14 +2,18 @@
  * @file
  * Integration tests for the complete MMR router: connection
  * lifecycle, the flit-cycle pipeline, per-connection ordering, flow
- * control, and dynamic bandwidth management.
+ * control, dynamic bandwidth management, and the passes of routers
+ * and input ports that hold no flit.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "obs/flight_recorder.hh"
 #include "router/router.hh"
 #include "sim/kernel.hh"
 
@@ -315,6 +319,127 @@ TEST_F(RouterTest, VcExhaustionFailsCleanly)
     for (ConnId id : ids)
         ASSERT_TRUE(router.close(id));
     EXPECT_EQ(router.admission().allocatedCycles(1), 0u);
+}
+
+/** Occurrences of @p needle in @p hay. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/**
+ * A skipped input port's link scheduler catches up on its next pass.
+ * A CBR VC spends its whole round quota, its port drains, and three
+ * round boundaries pass while the port holds nothing: once with the
+ * whole router quiet, once with port 1 kept busy so that only port 0
+ * is skipped.  The flit that then arrives is granted in the cycle it
+ * arrives, and the catch-up lands in the current round: the wake
+ * round grants exactly the quota and the rest waits for the next
+ * boundary.
+ */
+TEST(RouterActivity, QuietPortRollsItsRoundOnWake)
+{
+    for (const bool neighbour_busy : {false, true}) {
+        SCOPED_TRACE(neighbour_busy ? "port 1 busy" : "router quiet");
+        const RouterConfig cfg = smallConfig();
+        const Cycle round = cfg.cyclesPerRound();
+        MmrRouter router(cfg);
+        std::vector<Cycle> sent; // departures of the CBR VC
+        router.setSink([&](PortId out, VcId, const Flit &, Cycle t) {
+            if (out == 2)
+                sent.push_back(t);
+        });
+        Kernel kernel;
+        kernel.add(&router);
+
+        const ConnId cbr =
+            router.openCbr(0, 2, 2.0 / round * cfg.linkRateBps);
+        ASSERT_NE(cbr, kInvalidConn);
+        const unsigned quota = router.connection(cbr)->allocCycles;
+        ASSERT_EQ(quota, 2u);
+        const ConnId be = router.openBestEffort(1, 3);
+        ASSERT_NE(be, kInvalidConn);
+
+        // Inject @p n CBR flits (plus one on port 1 when it is kept
+        // busy) ready at the current cycle, then run that cycle.
+        const auto step = [&](unsigned n) {
+            Flit f;
+            f.readyTime = kernel.now();
+            for (unsigned i = 0; i < n; ++i) {
+                ASSERT_TRUE(router.inject(cbr, f));
+            }
+            if (neighbour_busy) {
+                ASSERT_TRUE(router.inject(be, f));
+            }
+            kernel.step();
+        };
+
+        step(quota); // granted at cycles 0 and 1: the round's quota
+        const Cycle wake = 3 * round + 5;
+        while (kernel.now() < wake)
+            step(0);
+        ASSERT_EQ(sent, (std::vector<Cycle>{1, 2}));
+        EXPECT_EQ(router.linkScheduler(0).roundCount(), 0u)
+            << "port 0 was skipped from cycle 3 on";
+
+        step(quota + 1);
+        EXPECT_EQ(router.linkScheduler(0).roundCount(), 3u)
+            << "the wake pass rolls every boundary it missed";
+        while (kernel.now() < 4 * round + 3)
+            step(0);
+        EXPECT_EQ(sent, (std::vector<Cycle>{1, 2, wake + 1, wake + 2,
+                                            4 * round + 1}));
+    }
+}
+
+/**
+ * A router whose VCs are bound but hold no flit skips scheduling, yet
+ * each of its cycles still counts as a pass: one matching-size sample,
+ * one crossbar cycle and one sched.matching_size trace sample, all of
+ * size 0.  The window opens one cycle after a flit crossed, so its
+ * first cycle is the one reconfiguration (to the empty crossbar).
+ */
+TEST(RouterActivity, QuietCyclesStillCountAsPasses)
+{
+    MmrRouter router(smallConfig());
+    Kernel kernel;
+    kernel.add(&router);
+    const ConnId cbr = router.openCbr(0, 2, 10 * kMbps);
+    ASSERT_NE(cbr, kInvalidConn);
+    ASSERT_NE(router.openVbr(1, 3, 10 * kMbps, 20 * kMbps, 1),
+              kInvalidConn);
+    ASSERT_NE(router.openBestEffort(2, 0), kInvalidConn);
+    ASSERT_TRUE(router.inject(cbr, Flit{}));
+    kernel.run(2); // granted in cycle 0, crosses in cycle 1
+    ASSERT_EQ(router.flitsForwarded(), 1u);
+
+    const std::uint64_t passes = router.matchingSize().count();
+    const std::uint64_t cycles = router.reconfigs().cycles();
+    const std::uint64_t changes = router.reconfigs().reconfigurations();
+    FlightRecorder fr;
+    fr.setCategoryMask(0);
+    fr.startTrace(catBit(TraceCat::Sched));
+    fr.activate();
+    constexpr Cycle kQuiet = 40;
+    kernel.run(kQuiet);
+    fr.deactivate();
+
+    EXPECT_EQ(router.matchingSize().count() - passes, kQuiet);
+    EXPECT_EQ(router.reconfigs().cycles() - cycles, kQuiet);
+    EXPECT_EQ(router.reconfigs().reconfigurations() - changes, 1u);
+    std::ostringstream os;
+    fr.writeTraceJson(os);
+    const std::string trace = os.str();
+    EXPECT_EQ(fr.traceSize(), kQuiet);
+    EXPECT_EQ(countOf(trace, "{\"name\":\"sched.matching_size\","
+                             "\"cat\":\"sched\",\"ph\":\"C\""),
+              kQuiet);
+    EXPECT_EQ(countOf(trace, "\"args\":{\"value\":0}"), kQuiet);
 }
 
 } // namespace

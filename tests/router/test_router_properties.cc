@@ -3,15 +3,21 @@
  * End-to-end property tests: for every scheduler kind and candidate
  * count, a loaded router must conserve flits, keep per-connection
  * order, respect CBR round quotas, and carry the offered load below
- * saturation.  These are the invariants behind the §5 study.
+ * saturation.  These are the invariants behind the §5 study.  A
+ * last property holds the router's segment table to a map reference
+ * under random install/remove/renegotiate churn.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "harness/single_router.hh"
+#include "sim/invariant.hh"
+#include "traffic/rates.hh"
 
 namespace mmr
 {
@@ -170,6 +176,132 @@ TEST(CbrQuotaProperty, AllocationIsAlsoDeliveredWhenBacklogged)
     // Interior rounds deliver exactly the allocation.
     for (unsigned r = 1; r + 1 < 8; ++r)
         EXPECT_EQ(per_round[r], alloc) << "round " << r;
+}
+
+/** Field-by-field equality of two installed segments. */
+void
+expectSameSegment(const SegmentParams &got, const SegmentParams &want)
+{
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.klass, want.klass);
+    EXPECT_EQ(got.in, want.in);
+    EXPECT_EQ(got.inVc, want.inVc);
+    EXPECT_EQ(got.out, want.out);
+    EXPECT_EQ(got.outVc, want.outVc);
+    EXPECT_EQ(got.allocCycles, want.allocCycles);
+    EXPECT_EQ(got.permCycles, want.permCycles);
+    EXPECT_EQ(got.peakCycles, want.peakCycles);
+    EXPECT_EQ(got.interArrival, want.interArrival);
+    EXPECT_EQ(got.priority, want.priority);
+}
+
+/**
+ * The segment table is dense with swap-remove: removing a segment
+ * from the middle moves the last one into its slot.  Random install
+ * (admission charged and VCs allocated as the network does),
+ * remove-anywhere and CBR renegotiate sequences are checked against a
+ * std::map after every operation: every live id finds its own
+ * segment, every removed id finds none, the count matches, and the
+ * admission-ledger audit holds.
+ */
+TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(seed);
+        RouterConfig rc;
+        rc.numPorts = 4;
+        rc.vcsPerPort = 8;
+        rc.roundFactorK = 4;
+        MmrRouter router(rc);
+        InvariantChecker chk;
+        router.registerInvariants(chk);
+        Rng rng(seed);
+        const unsigned round = rc.cyclesPerRound();
+
+        std::map<ConnId, SegmentParams> ref;
+        std::vector<ConnId> removed;
+        ConnId next_id = 100;
+        const auto pick = [&] {
+            auto it = ref.begin();
+            std::advance(it, static_cast<long>(rng.below(ref.size())));
+            return it;
+        };
+
+        for (Cycle op = 0; op < 1500; ++op) {
+            const std::uint64_t kind = ref.empty() ? 0 : rng.below(3);
+            if (kind == 0) {
+                SegmentParams p;
+                p.id = next_id;
+                next_id += 1 + static_cast<ConnId>(rng.below(7));
+                p.in = static_cast<PortId>(rng.below(rc.numPorts));
+                p.out = static_cast<PortId>(rng.below(rc.numPorts));
+                p.klass = static_cast<TrafficClass>(rng.below(3));
+                p.priority = static_cast<int>(rng.below(4));
+                bool admitted = true;
+                if (p.klass == TrafficClass::CBR) {
+                    p.allocCycles = 1 + static_cast<unsigned>(rng.below(6));
+                    p.interArrival = double(round) / p.allocCycles;
+                    admitted = router.admission().tryAdmitCbr(
+                        p.out, p.allocCycles);
+                } else if (p.klass == TrafficClass::VBR) {
+                    p.permCycles = 1 + static_cast<unsigned>(rng.below(4));
+                    p.peakCycles =
+                        p.permCycles + static_cast<unsigned>(rng.below(4));
+                    p.interArrival = double(round) / p.permCycles;
+                    admitted = router.admission().tryAdmitVbr(
+                        p.out, p.permCycles, p.peakCycles);
+                }
+                if (!admitted)
+                    continue;
+                p.inVc = router.routing().allocInputVc(p.in);
+                p.outVc = router.routing().allocOutputVc(p.out);
+                if (p.inVc == kInvalidVc || p.outVc == kInvalidVc) {
+                    if (p.inVc != kInvalidVc)
+                        router.routing().freeInputVc(p.in, p.inVc);
+                    if (p.outVc != kInvalidVc)
+                        router.routing().freeOutputVc(p.out, p.outVc);
+                    if (p.klass == TrafficClass::CBR)
+                        router.admission().releaseCbr(p.out,
+                                                      p.allocCycles);
+                    else if (p.klass == TrafficClass::VBR)
+                        router.admission().releaseVbr(
+                            p.out, p.permCycles, p.peakCycles);
+                    continue;
+                }
+                ASSERT_TRUE(router.installSegment(p));
+                ref[p.id] = p;
+            } else if (kind == 1) {
+                const auto it = pick();
+                router.removeSegment(it->first);
+                removed.push_back(it->first);
+                ref.erase(it);
+            } else {
+                SegmentParams &p = pick()->second;
+                const double rate = rng.uniform(0.01, 0.3) * rc.linkRateBps;
+                const bool ok = router.renegotiateBandwidth(p.id, rate);
+                if (p.klass != TrafficClass::CBR) {
+                    EXPECT_FALSE(ok);
+                } else if (ok) {
+                    p.allocCycles =
+                        cyclesPerRound(rate, rc.linkRateBps, round);
+                    p.interArrival =
+                        interArrivalCycles(rate, rc.linkRateBps);
+                }
+            }
+
+            ASSERT_EQ(router.connectionCount(), ref.size()) << "op " << op;
+            for (const auto &[id, want] : ref) {
+                const SegmentParams *got = router.connection(id);
+                ASSERT_NE(got, nullptr) << "op " << op << " id " << id;
+                expectSameSegment(*got, want);
+            }
+            for (const ConnId id : removed)
+                ASSERT_EQ(router.connection(id), nullptr)
+                    << "op " << op << " id " << id;
+            chk.run("admission-ledger", op);
+        }
+        EXPECT_GT(removed.size(), 100u) << "the churn removed little";
+    }
 }
 
 } // namespace
