@@ -1,6 +1,11 @@
 #include "router/vc_memory.hh"
 
+#include <sys/mman.h>
+
+#include <bit>
 #include <cmath>
+#include <new>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "sim/invariant.hh"
@@ -56,17 +61,39 @@ VcMemoryModel::minBanksFor(double link_rate_bps, unsigned flit_bits,
               " b/s with ", word_bits, "-bit words at ", access_ns, " ns");
 }
 
+// Slots are raw mapped memory: a flit lands there by plain copy.
+static_assert(std::is_trivially_copyable_v<Flit> &&
+              std::is_trivially_destructible_v<Flit>);
+
 VcMemory::VcMemory(unsigned nvcs, unsigned per_vc_depth)
     : vcs(nvcs), perVcDepth(per_vc_depth), flitsAvail(nvcs),
       schedDirty(nvcs)
 {
     mmr_assert(nvcs > 0, "VC memory needs at least one VC");
     mmr_assert(per_vc_depth > 0, "per-VC depth must be positive");
-    // The paper's VC memory is a fixed-size interleaved RAM (§3.2):
-    // give every ring its full depth up front so the data path never
-    // allocates, not even on a VC's first-ever deposit.
-    for (VcState &state : vcs)
-        state.reserveFifo(per_vc_depth);
+    // The paper's VC memory is a fixed-size RAM (§3.2): reserve every
+    // slot up front so the data path never allocates, but as a fresh
+    // private mapping, so a page costs host memory only once a flit
+    // lands in it.
+    const std::size_t slots = std::bit_ceil(std::size_t{per_vc_depth});
+    const std::size_t bytes = nvcs * slots * sizeof(Flit);
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    slab = std::unique_ptr<Flit, FlitSlabUnmap>(static_cast<Flit *>(p),
+                                                FlitSlabUnmap{bytes});
+    // Huge pages would back a whole 2 MiB run on its first flit.  Only
+    // advice: if it fails, pages cost more memory, never correctness.
+    madvise(p, bytes, MADV_NOHUGEPAGE);
+    for (unsigned v = 0; v < nvcs; ++v)
+        vcs[v].setFifo(FlitFifo(slab.get() + v, nvcs, slots));
+}
+
+void
+FlitSlabUnmap::operator()(Flit *p) const
+{
+    munmap(p, bytes);
 }
 
 void

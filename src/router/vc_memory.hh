@@ -8,16 +8,25 @@
  * address comes from the flow-control circuitry and the read address
  * from the link scheduler.
  *
- * This class provides (a) the functional storage — per-VC FIFOs with a
- * shared capacity pool and per-VC depth limits — and (b) the timing
- * model used to balance "memory access time, link speed, and crossbar
- * switching delay": a static analysis of the bandwidth a bank
- * configuration sustains, exercised by bench_vc_memory.
+ * This file provides (a) the functional storage — one FIFO per VC,
+ * each bounded by the per-VC depth limit, all in one flit slab per
+ * input port — and (b) the timing model used to balance "memory
+ * access time, link speed, and crossbar switching delay": a static
+ * analysis of the bandwidth a bank configuration sustains, exercised
+ * by bench_vc_memory.
+ *
+ * The slab is an anonymous page mapping laid out slot-major (slot k
+ * of every VC is adjacent) and never written at construction, so the
+ * host backs only the pages flits have landed in: since a drained
+ * FIFO restarts at slot 0, a VC that never holds two flits at once
+ * touches one slot, and only a VC that fills toward its depth touches
+ * its whole column.
  */
 
 #ifndef MMR_ROUTER_VC_MEMORY_HH
 #define MMR_ROUTER_VC_MEMORY_HH
 
+#include <memory>
 #include <vector>
 
 #include "base/bitvector.hh"
@@ -59,11 +68,21 @@ struct VcMemoryModel
                                 unsigned ports_per_bank = 1);
 };
 
-/** Functional per-input-port VC buffer pool. */
+/** Unmaps a VcMemory's flit slab of @c bytes bytes. */
+struct FlitSlabUnmap
+{
+    std::size_t bytes = 0;
+    void operator()(Flit *p) const;
+};
+
+/** Functional per-input-port VC buffer memory. */
 class VcMemory
 {
   public:
     /**
+     * Maps (but does not touch) the flit slab; throws std::bad_alloc
+     * when the mapping fails.
+     *
      * @param vcs number of virtual channels at this input port
      * @param per_vc_depth per-VC depth limit in flits
      */
@@ -90,8 +109,6 @@ class VcMemory
      * VC is at its depth limit — upstream flow control should have
      * prevented this.
      */
-    // mmr-lint: allow(hot-path-alloc) state.push is VcState::push into
-    // the FlitFifo ring, which keeps its capacity once grown.
     bool
     deposit(VcId v, const Flit &f)
     {
@@ -170,6 +187,9 @@ class VcMemory
   private:
     std::vector<VcState> vcs;
     unsigned perVcDepth;
+    /** numVcs() x ring slots, slot-major.  The VCs' FIFOs point into
+     * it; a move hands over both, so they stay valid. */
+    std::unique_ptr<Flit, FlitSlabUnmap> slab;
     std::size_t occupied = 0;
     std::uint64_t overflows = 0;
     BitVector flitsAvail;

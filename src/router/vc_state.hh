@@ -7,8 +7,8 @@
  * its service class, the bandwidth allocated in flit cycles per round
  * (CBR), the permanent and peak bandwidth (VBR), the dynamic user
  * priority, and the per-round serviced counter the link scheduler uses
- * to enforce allocations.  The flit queue itself lives in the
- * VirtualChannelMemory; this class tracks the logical FIFO.
+ * to enforce allocations.  The flit slots themselves live in the
+ * VcMemory; this class tracks the logical FIFO over them.
  */
 
 #ifndef MMR_ROUTER_VC_STATE_HH
@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -26,76 +25,66 @@ namespace mmr
 {
 
 /**
- * Fixed-layout flit FIFO: a power-of-two ring over a flat vector.
- * Unlike std::deque it never allocates once grown to its working
- * depth, so the per-cycle evaluate/advance path stays heap-free in
- * steady state (capacity persists across empty/non-empty transitions).
+ * One VC's flit FIFO: a non-owning power-of-two ring over the slots
+ * its VcMemory reserved for it.  Slot k lives at base[k * stride], so
+ * the VC memory can lay the slots of all its VCs out slot-major.  A
+ * FIFO that drains restarts at slot 0: a VC that never holds two
+ * flits at once only ever touches its first slot.  It never
+ * allocates; a push with no storage or into a full ring panics.
  */
 class FlitFifo
 {
   public:
+    /** No storage: every push panics. */
+    FlitFifo() = default;
+
+    /** @p slots must be a power of two. */
+    FlitFifo(Flit *base_, std::uint32_t stride_, std::size_t slots)
+        : base(base_), stride(stride_),
+          mask(static_cast<std::uint32_t>(slots - 1))
+    {
+    }
+
     bool empty() const { return used == 0; }
     std::size_t size() const { return used; }
 
     void
     push_back(const Flit &f)
     {
-        if (used == buf.size())
-            grow();
-        buf[(head + used) & (buf.size() - 1)] = f;
+        if (base == nullptr)
+            mmr_panic("push() on a VC with no flit storage (flit seq ",
+                      f.seq, ")");
+        if (used > mask)
+            mmr_panic("push() on a full VC ring of ", mask + 1,
+                      " slots (flit seq ", f.seq, ")");
+        slot((head + used) & mask) = f;
         ++used;
     }
 
     void
     pop_front()
     {
-        head = (head + 1) & (buf.size() - 1);
         --used;
+        head = used == 0 ? 0 : (head + 1) & mask;
     }
 
-    const Flit &front() const { return buf[head]; }
-
-    /** Preallocate capacity for @p n flits (next power of two).  The
-     * hardware VC RAM is fixed-size (§3.2); sizing the ring to the
-     * configured depth up front means deposit() never allocates, on
-     * any VC, warmed up or not. */
-    void
-    reserve(std::size_t n)
-    {
-        std::size_t cap = buf.empty() ? 4 : buf.size();
-        while (cap < n)
-            cap *= 2;
-        if (cap != buf.size())
-            growTo(cap);
-    }
+    const Flit &front() const { return slot(head); }
 
     /** @p i counted from the front (0 = head). */
     const Flit &
     operator[](std::size_t i) const
     {
-        return buf[(head + i) & (buf.size() - 1)];
+        return slot((head + i) & mask);
     }
 
   private:
-    void
-    grow()
-    {
-        growTo(buf.empty() ? 4 : buf.size() * 2);
-    }
+    Flit &slot(std::size_t k) const { return base[k * stride]; }
 
-    void
-    growTo(std::size_t cap)
-    {
-        std::vector<Flit> next(cap);
-        for (std::size_t i = 0; i < used; ++i)
-            next[i] = buf[(head + i) & (buf.size() - 1)];
-        buf.swap(next);
-        head = 0;
-    }
-
-    std::vector<Flit> buf; ///< size is always zero or a power of two
-    std::size_t head = 0;
-    std::size_t used = 0;
+    Flit *base = nullptr;
+    std::uint32_t stride = 0;
+    std::uint32_t mask = 0; ///< ring slots - 1
+    std::uint32_t head = 0;
+    std::uint32_t used = 0;
 };
 
 class VcState
@@ -122,6 +111,11 @@ class VcState
         std::uint32_t arbWait = 0;    ///< head of VC -> grant issued
     };
 
+    VcState() = default;
+    /** A VC lives in its VcMemory: a copy would share its flit ring. */
+    VcState(const VcState &) = delete;
+    VcState &operator=(const VcState &) = delete;
+
     /** Reset to the unbound (free) state. */
     void release();
 
@@ -137,8 +131,8 @@ class VcState
     ConnId conn() const { return connId; }
     TrafficClass trafficClass() const { return klass; }
 
-    /** Preallocate the flit ring to the configured VC depth. */
-    void reserveFifo(std::size_t n) { fifo.reserve(n); }
+    /** Give this VC its ring of flit slots (VcMemory does, once). */
+    void setFifo(const FlitFifo &f) { fifo = f; }
 
     /** FIFO interface backed by the VC memory.  Push/pop/head on an
      * unbound VC, or pop/head on an empty one, panic: silently

@@ -3,7 +3,8 @@
  * Steady-state allocation audit: once warmed up, a cycle of
  * MmrRouter::evaluate/advance must perform no heap allocation at all
  * — every per-cycle container (candidate lists, matching, scheduler
- * scratch, eligibility masks, VC rings) is preallocated and reused.
+ * scratch, eligibility masks) is preallocated and reused, and flits
+ * land in the slots each VC memory maps once, at construction.
  *
  * This lives in its own test binary because it replaces the global
  * operator new/delete with counting versions; the counter is only

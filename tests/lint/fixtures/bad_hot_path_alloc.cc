@@ -1,5 +1,8 @@
 // mmr-lint fixture: the hot-path-alloc rule must fire exactly once,
 // on the push_back reached transitively from the MMR_HOT_PATH root.
+// The Ring pushes share a name with the std container API, but their
+// receivers are declared as Ring, so the closure follows them into
+// Ring::push and finds it allocation-free.
 #include <vector>
 
 #define MMR_HOT_PATH __attribute__((hot))
@@ -7,9 +10,22 @@
 namespace mmr
 {
 
+struct Ring
+{
+    unsigned slots[4] = {};
+    unsigned used = 0;
+
+    void
+    push(unsigned g)
+    {
+        slots[used++ & 3] = g;
+    }
+};
+
 struct Arbiter
 {
     std::vector<unsigned> grants;
+    Ring recent;
 
     void
     recordGrant(unsigned g)
@@ -21,6 +37,9 @@ struct Arbiter
     MMR_HOT_PATH void
     evaluateCycle(unsigned winner)
     {
+        recent.push(winner);
+        Ring &ring = recent;
+        ring.push(winner);
         recordGrant(winner);
     }
 };

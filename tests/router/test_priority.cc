@@ -6,16 +6,17 @@
 #include <gtest/gtest.h>
 
 #include "router/priority.hh"
+#include "router/vc_memory.hh"
 
 namespace mmr
 {
 namespace
 {
 
-VcState
-cbrVc(double inter_arrival, Cycle ready)
+/** Bind @p vc (a VC of some VcMemory) to CBR and buffer one flit. */
+VcState &
+cbrVc(VcState &vc, double inter_arrival, Cycle ready)
 {
-    VcState vc;
     vc.bindCbr(1, 4, inter_arrival);
     Flit f;
     f.readyTime = ready;
@@ -25,7 +26,8 @@ cbrVc(double inter_arrival, Cycle ready)
 
 TEST(Priority, BiasedGrowsWithWaitingTime)
 {
-    VcState vc = cbrVc(100.0, 10);
+    VcMemory mem(1, 4);
+    VcState &vc = cbrVc(mem.vc(0), 100.0, 10);
     const double p1 = headPriority(PriorityPolicy::Biased, vc, 20);
     const double p2 = headPriority(PriorityPolicy::Biased, vc, 60);
     EXPECT_DOUBLE_EQ(p1, 0.1);
@@ -37,15 +39,17 @@ TEST(Priority, BiasedScalesWithConnectionSpeed)
 {
     // "High speed connections clearly have their priorities grow at a
     // faster rate": same wait, smaller inter-arrival, higher ratio.
-    VcState fast = cbrVc(10.0, 0);
-    VcState slow = cbrVc(1000.0, 0);
+    VcMemory mem(2, 4);
+    VcState &fast = cbrVc(mem.vc(0), 10.0, 0);
+    VcState &slow = cbrVc(mem.vc(1), 1000.0, 0);
     EXPECT_GT(headPriority(PriorityPolicy::Biased, fast, 50),
               headPriority(PriorityPolicy::Biased, slow, 50));
 }
 
 TEST(Priority, FixedIsConstantOverTime)
 {
-    VcState vc = cbrVc(100.0, 0);
+    VcMemory mem(1, 4);
+    VcState &vc = cbrVc(mem.vc(0), 100.0, 0);
     const double p1 = headPriority(PriorityPolicy::Fixed, vc, 10);
     const double p2 = headPriority(PriorityPolicy::Fixed, vc, 10000);
     EXPECT_DOUBLE_EQ(p1, p2);
@@ -54,28 +58,32 @@ TEST(Priority, FixedIsConstantOverTime)
 
 TEST(Priority, FixedOrdersByRate)
 {
-    VcState fast = cbrVc(10.0, 0);
-    VcState slow = cbrVc(1000.0, 0);
+    VcMemory mem(2, 4);
+    VcState &fast = cbrVc(mem.vc(0), 10.0, 0);
+    VcState &slow = cbrVc(mem.vc(1), 1000.0, 0);
     EXPECT_GT(headPriority(PriorityPolicy::Fixed, fast, 0),
               headPriority(PriorityPolicy::Fixed, slow, 0));
 }
 
 TEST(Priority, AgeIsRawWait)
 {
-    VcState vc = cbrVc(100.0, 5);
+    VcMemory mem(1, 4);
+    VcState &vc = cbrVc(mem.vc(0), 100.0, 5);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Age, vc, 25), 20.0);
 }
 
 TEST(Priority, ClockBeforeReadyClampsToZero)
 {
-    VcState vc = cbrVc(100.0, 50);
+    VcMemory mem(1, 4);
+    VcState &vc = cbrVc(mem.vc(0), 100.0, 50);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Biased, vc, 10), 0.0);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Age, vc, 10), 0.0);
 }
 
 TEST(Priority, ZeroInterArrivalFallsBackToAge)
 {
-    VcState vc;
+    VcMemory mem(1, 4);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     Flit f;
     f.readyTime = 0;

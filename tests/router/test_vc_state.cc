@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "router/vc_memory.hh"
 #include "router/vc_state.hh"
 
 namespace mmr
@@ -63,7 +64,8 @@ TEST(VcState, BestEffortAndControlHaveNoQuota)
 
 TEST(VcState, FifoOrderPreserved)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     for (std::uint32_t i = 0; i < 5; ++i)
         vc.push(makeFlit(i));
@@ -77,7 +79,8 @@ TEST(VcState, FifoOrderPreserved)
 
 TEST(VcState, PendingGrantsTrackUngrantedFlits)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 4, 10.0);
     vc.push(makeFlit(0));
     EXPECT_TRUE(vc.hasUngrantedFlit());
@@ -158,7 +161,8 @@ TEST(VcStateDeath, DoubleBindPanics)
 
 TEST(VcStateDeath, ReleaseWithFlitsPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     vc.push(makeFlit(0));
     EXPECT_DEATH(vc.release(), "buffered flits");

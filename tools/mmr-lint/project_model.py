@@ -35,6 +35,9 @@ class FunctionInfo:
     map_subscripts: list["SiteNote"] = field(default_factory=list)
     # Direct allocation expressions in the body: ("new", line), etc.
     alloc_sites: list["SiteNote"] = field(default_factory=list)
+    # Parameter/local name -> the type name it was declared with
+    # (`VcState &state` -> "VcState"), for typed member-call receivers.
+    var_types: dict[str, str] = field(default_factory=dict)
 
     @property
     def qualname(self) -> str:
@@ -100,6 +103,9 @@ class Observations:
     ident_uses: list[IdentUse] = field(default_factory=list)
     # (file, line) -> set of rules suppressed there (from comments)
     suppressions: dict[str, dict[int, set[str]]] = field(default_factory=dict)
+    # (class or "", member name) -> the type name it was declared with
+    member_var_types: dict[tuple[str, str], str] = field(
+        default_factory=dict)
 
     def function_index(self) -> dict[str, list[FunctionInfo]]:
         """simple name -> definitions with that name."""

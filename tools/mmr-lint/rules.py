@@ -187,8 +187,11 @@ def _resolve_call(obs: Observations, index, fn, call):
     - bare `f()` inside a method: same-class methods first (implicit
       this->), else free functions named f.
     - `x.f()` / `x->f()`: followed only when exactly one project class
-      defines f — and never for names shared with the std container
-      API, which would otherwise alias (`q.push` is not VcState::push).
+      defines f.  A name shared with the std container API would
+      otherwise alias (`q.push` is not VcState::push), so it is
+      followed only when x was declared with a project class type (a
+      local, parameter or member of fn's class): `state.push` with
+      `VcState &state` is VcState::push.
     """
     cands = index.get(call.name, ())
     if not cands:
@@ -201,7 +204,9 @@ def _resolve_call(obs: Observations, index, fn, call):
             return own
         return [c for c in cands if c.cls is None]
     if call.name in STD_MEMBER_NAMES:
-        return []
+        owner = fn.var_types.get(call.qualifier) or \
+            obs.member_var_types.get((fn.cls or "", call.qualifier))
+        return [c for c in cands if owner and c.cls == owner]
     classes = {c.cls for c in cands if c.cls}
     if len(classes) == 1:
         return [c for c in cands if c.cls]
@@ -221,6 +226,10 @@ def _closure(obs: Observations, roots):
     while work:
         fn = work.pop()
         for call in fn.calls:
+            if call.is_member and call.name in ALLOC_MEMBER_CALLS and \
+                    _supp(obs, "hot-path-alloc", fn.file, call.line,
+                          fn.line, fn.head_line):
+                continue  # the annotation vouches for this growth call
             for cand in _resolve_call(obs, index, fn, call):
                 key = (cand.cls, cand.name, cand.file, cand.line)
                 if key not in seen:

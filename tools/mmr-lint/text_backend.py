@@ -362,6 +362,9 @@ class TextBackend:
         """Member or file-scope variable declaration."""
         kind = self._container_kind(head)
         name = self._declared_name(head)
+        tname = self._declared_type(head, name)
+        if tname:
+            self.obs.member_var_types[(cls or "", name)] = tname
         if kind and name:
             scope = f"member:{cls}" if cls else "global:"
             self.member_types[(cls or "", name)] = kind
@@ -375,24 +378,8 @@ class TextBackend:
                 self.path, head[0].line))
 
     def _param_decls(self, params, fn_name):
-        """Split a parameter list on top-level commas and record
-        parameter declarations of interest."""
-        groups = [[]]
-        pd = ad = 0
-        for t in params:
-            if t.text == "(":
-                pd += 1
-            elif t.text == ")":
-                pd -= 1
-            elif t.text == "<":
-                ad += 1
-            elif t.text == ">" and ad:
-                ad -= 1
-            if t.text == "," and pd == 0 and ad == 0:
-                groups.append([])
-            else:
-                groups[-1].append(t)
-        for g in groups:
+        """Record the parameter declarations of interest."""
+        for g in self._param_groups(params):
             if not g:
                 continue
             name = self._declared_name(g)
@@ -408,6 +395,21 @@ class TextBackend:
                 self.obs.decls.append(VarDecl(
                     name, self._int_type_text(g), f"param:{fn_name}",
                     self.path, g[0].line))
+
+    @staticmethod
+    def _declared_type(head, name):
+        """Type name directly before the declared @p name, skipping
+        `&`, `*` and `const` (`const VcState &vc` -> "VcState");
+        None when a template argument list or nothing precedes it."""
+        k = next((k for k, t in enumerate(head) if t.text == name), None)
+        if k is None:
+            return None
+        k -= 1
+        while k >= 0 and head[k].text in ("&", "*", "&&", "const"):
+            k -= 1
+        if k >= 0 and head[k].kind == IDENT:
+            return head[k].text
+        return None
 
     @staticmethod
     def _int_type_text(head):
@@ -597,8 +599,16 @@ class TextBackend:
             ci = self._class(fn_cls)
             ci.methods.add(name)
         self._param_decls(head[lo + 1:hi], name)
-        for g_name, g_kind in self._param_container_map(head[lo + 1:hi]):
-            fn._locals[g_name] = g_kind
+        for g in self._param_groups(head[lo + 1:hi]):
+            g_name = self._declared_name(g)
+            if not g_name:
+                continue
+            g_kind = self._container_kind(g)
+            if g_kind:
+                fn._locals[g_name] = g_kind
+            g_type = self._declared_type(g, g_name)
+            if g_type:
+                fn.var_types[g_name] = g_type
         end = self._scan_body(i, fn)
         fn.end_line = toks[end - 1].line if end - 1 < len(toks) else \
             toks[-1].line
@@ -606,8 +616,9 @@ class TextBackend:
         self.scan.functions.append(fn)
         return end
 
-    def _param_container_map(self, params):
-        out = []
+    @staticmethod
+    def _param_groups(params):
+        """A parameter list split on its top-level commas."""
         groups = [[]]
         pd = ad = 0
         for t in params:
@@ -623,12 +634,7 @@ class TextBackend:
                 groups.append([])
             else:
                 groups[-1].append(t)
-        for g in groups:
-            name = self._declared_name(g)
-            kind = self._container_kind(g)
-            if name and kind:
-                out.append((name, kind))
-        return out
+        return groups
 
     def _class(self, name) -> ClassInfo:
         return self.obs.classes.setdefault(
@@ -684,8 +690,21 @@ class TextBackend:
                         (x, fn, t.line, fn._locals))
                 elif x in ("make_unique", "make_shared") and nxt == "<":
                     fn.alloc_sites.append(SiteNote(x, self.path, t.line))
+                elif x[:1].isupper() and prev not in (".", "->"):
+                    self._typed_local(i, fn)
             i += 1
         return i
+
+    def _typed_local(self, i, fn):
+        """Token i names a (CamelCase, i.e. project) type inside a body:
+        if `Type [const] [&*] name` declares a local, record its type."""
+        toks = self.toks
+        j = i + 1
+        while j < len(toks) and toks[j].text in ("&", "*", "&&", "const"):
+            j += 1
+        if j + 1 < len(toks) and toks[j].kind == IDENT and \
+                toks[j + 1].text in ("=", ";", "(", "{", ":"):
+            fn.var_types[toks[j].text] = toks[i].text
 
     def _local_decl(self, i, fn):
         """Token i names a container type inside a body: if this is a
