@@ -65,12 +65,7 @@ obsForRun(const ObsConfig &shared, const std::string &label, double load)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.2f", load);
-    const std::string suffix = label + "-" + buf;
-    ObsConfig c = shared;
-    c.tracePath = obsPathWithSuffix(c.tracePath, suffix);
-    c.statsJsonPath = obsPathWithSuffix(c.statsJsonPath, suffix);
-    c.statsCsvPath = obsPathWithSuffix(c.statsCsvPath, suffix);
-    return c;
+    return obsConfigWithSuffix(shared, label + "-" + buf);
 }
 
 /** Run one series over the load grid, on opts.jobs worker threads. */

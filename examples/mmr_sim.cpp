@@ -8,15 +8,16 @@
  *   --mode=router   the §5 single-router study with arbitrary knobs
  *                   (ports, VCs, K, candidates, scheduler, traffic
  *                   mix, late-frame aborts, automatic warm-up);
- *   --mode=network  an end-to-end network of MMRs (mesh/torus/ring/
- *                   irregular), CBR load via EPB-established paths
- *                   plus best-effort background, optional link
- *                   failure injection mid-run.
+ *   --mode=network  an end-to-end network of MMRs (a kind:args
+ *                   --topology spec, as topologyFromSpec reads it),
+ *                   CBR load via EPB-established paths plus
+ *                   best-effort background, optional link failure
+ *                   injection mid-run.
  *
  * Examples:
  *   ./mmr_sim --mode=router --load=0.9 --sched=biased --candidates=8
  *   ./mmr_sim --mode=router --vbr=0.5 --be=0.2 --abort-late=true
- *   ./mmr_sim --mode=network --topology=mesh4x4 --load=0.5 \
+ *   ./mmr_sim --mode=network --topology=mesh:4x4 --load=0.5 \
  *             --fail-link=5,6
  */
 
@@ -34,6 +35,7 @@
 #include "base/cli.hh"
 #include "base/table.hh"
 #include "fault/recovery.hh"
+#include "harness/network_experiment.hh"
 #include "harness/single_router.hh"
 #include "network/interface.hh"
 #include "network/network.hh"
@@ -60,33 +62,6 @@ reportProfile(const Cli &cli, const SimProfile &prof)
     }
     if (cli.boolean("profile") || !path.empty())
         printProfile(std::cerr, prof);
-}
-
-Topology
-parseTopology(const std::string &spec, Rng &rng)
-{
-    if (spec.rfind("mesh", 0) == 0) {
-        const auto x = spec.find('x', 4);
-        if (x == std::string::npos)
-            mmr_fatal("mesh spec must be meshWxH, got '", spec, "'");
-        return Topology::mesh2d(std::stoul(spec.substr(4, x - 4)),
-                                std::stoul(spec.substr(x + 1)));
-    }
-    if (spec.rfind("torus", 0) == 0) {
-        const auto x = spec.find('x', 5);
-        if (x == std::string::npos)
-            mmr_fatal("torus spec must be torusWxH, got '", spec, "'");
-        return Topology::torus2d(std::stoul(spec.substr(5, x - 5)),
-                                 std::stoul(spec.substr(x + 1)));
-    }
-    if (spec.rfind("ring", 0) == 0)
-        return Topology::ring(std::stoul(spec.substr(4)));
-    if (spec.rfind("irregular", 0) == 0) {
-        const unsigned n = std::stoul(spec.substr(9));
-        return Topology::irregular(n, n / 2, 4, rng);
-    }
-    mmr_fatal("unknown topology '", spec,
-              "' (want meshWxH|torusWxH|ringN|irregularN)");
 }
 
 /**
@@ -126,8 +101,8 @@ parseFailLink(const std::string &spec, const Topology &topo)
 
 /**
  * Several --load values: run the points through the sweep runner on
- * --jobs workers and print one row per load.  Observability outputs
- * get a per-load path suffix so concurrent points never share a file.
+ * --jobs workers and print one row per load.  Every observability
+ * output gets a per-load path suffix, so no two points share a file.
  */
 int
 runRouterSweep(ExperimentConfig base,
@@ -138,11 +113,7 @@ runRouterSweep(ExperimentConfig base,
     for (const std::string &l : loads) {
         ExperimentConfig cfg = base;
         cfg.offeredLoad = std::stod(l);
-        cfg.obs.tracePath = obsPathWithSuffix(cfg.obs.tracePath, l);
-        cfg.obs.statsJsonPath =
-            obsPathWithSuffix(cfg.obs.statsJsonPath, l);
-        cfg.obs.statsCsvPath =
-            obsPathWithSuffix(cfg.obs.statsCsvPath, l);
+        cfg.obs = obsConfigWithSuffix(cfg.obs, l);
         cfgs.push_back(std::move(cfg));
     }
     const auto results = runExperiments(
@@ -299,7 +270,7 @@ runNetworkMode(const Cli &cli)
 {
     const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
     Rng rng(seed);
-    const Topology topo = parseTopology(cli.str("topology"), rng);
+    const Topology topo = topologyFromSpec(cli.str("topology"), seed);
     const auto fail = parseFailLink(cli.str("fail-link"), topo);
 
     NetworkConfig ncfg;
@@ -463,8 +434,10 @@ main(int argc, char **argv)
                  "force an invariant violation at this cycle to "
                  "exercise the flight-recorder crash dump (0 = off)");
         // network mode
-        cli.flag("topology", "mesh3x3",
-                 "meshWxH | torusWxH | ringN | irregularN");
+        cli.flag("topology", "mesh:3x3",
+                 "mesh:WxH | torus:WxH | ring:N | star:N | "
+                 "irregular:N:EXTRA:MAXDEG | min:RADIX:STAGES | "
+                 "fattree:RADIX | leafspine:SPINES:LEAVES");
         cli.flag("fail-link", "", "a,b: fail this link mid-run");
         // observability
         addObsFlags(cli);

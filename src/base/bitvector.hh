@@ -176,67 +176,8 @@ class BitVector
         }
     }
 
-    /**
-     * Word-parallel form of forEachSet: visit every non-zero word as
-     * (word_index, word) instead of one call per set bit.  Consumers
-     * that can combine a whole word with other status vectors (mask
-     * algebra, wholesale clears) process 64 channels per call — the
-     * word-level counterpart of the §4.1 parallel candidate
-     * extraction.  Bit i of the delivered word is channel
-     * word_index * kWordBits + i.
-     */
-    template <typename Fn>
-    void
-    forEachSetWord(Fn &&fn) const
-    {
-        for (std::size_t wi = 0; wi < words.size(); ++wi) {
-            if (words[wi])
-                fn(wi, words[wi]);
-        }
-    }
-
-    /** Clear every bit of word @p wi that is set in @p mask. */
-    void
-    clearWordBits(std::size_t wi, std::uint64_t mask)
-    {
-        mmr_assert(wi < words.size(), "word index ", wi,
-                   " out of range ", words.size());
-        words[wi] &= ~mask;
-    }
-
-    /**
-     * Visit every bit set in both this vector and @p o (ascending),
-     * without materializing the intersection: the word-at-a-time AND
-     * scan used by the link scheduler's eligibility walk.
-     */
-    template <typename Fn>
-    void
-    forEachSetAnd(const BitVector &o, Fn &&fn) const
-    {
-        mmr_assert(numBits == o.numBits, "bit vector size mismatch");
-        for (std::size_t wi = 0; wi < words.size(); ++wi) {
-            std::uint64_t w = words[wi] & o.words[wi];
-            while (w) {
-                fn(wi * kWordBits +
-                   static_cast<std::size_t>(std::countr_zero(w)));
-                w &= w - 1;
-            }
-        }
-    }
-
     /** Collect the indices of all set bits (ascending). */
     std::vector<std::size_t> setBits() const;
-
-    /** Raw word access (tests, word-level consumers). */
-    std::size_t wordCount() const { return words.size(); }
-
-    std::uint64_t
-    word(std::size_t wi) const
-    {
-        mmr_assert(wi < words.size(), "word index ", wi,
-                   " out of range ", words.size());
-        return words[wi];
-    }
 
     /** Word-parallel boolean algebra (operands must match in size). */
     BitVector &

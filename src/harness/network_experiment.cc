@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "base/logging.hh"
 #include "fault/injector.hh"
+#include "harness/fnv1a.hh"
 #include "network/interface.hh"
 #include "obs/flight_recorder.hh"
 #include "sim/invariant.hh"
@@ -30,37 +30,6 @@ dstFor(NodeId n, unsigned k, unsigned nodes)
         d = (d + 1) % nodes;
     return d;
 }
-
-/** FNV-1a over raw field bytes (same shape as the single-router
- * digest: order-sensitive, canonicalized doubles). */
-class Fnv1a
-{
-  public:
-    void
-    addU64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    addDouble(double v)
-    {
-        if (v == 0.0)
-            v = 0.0; // merge -0.0 and 0.0 bit patterns
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        addU64(bits);
-    }
-
-    std::uint64_t value() const { return hash; }
-
-  private:
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-};
 
 } // namespace
 

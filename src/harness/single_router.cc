@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <functional>
 
 #include "base/logging.hh"
 #include "base/simclock.hh"
+#include "harness/fnv1a.hh"
 #include "metrics/steady_state.hh"
 #include "obs/obs_config.hh"
 #include "sim/kernel.hh"
@@ -270,9 +270,7 @@ constexpr const char *kClassKeys[kNumTrafficClasses] = {
     "cbr", "vbr", "best_effort", "control"};
 
 /** First integer cycle at which a source with fractional due time
- * `due` can fire, never earlier than `floor_cycle`.  A source that
- * reports 0.0 (the opt-out default) lands on `floor_cycle` and is
- * polled every cycle, exactly like the naive loop. */
+ * `due` can fire, never earlier than `floor_cycle`. */
 inline Cycle
 dueCycleFor(double due, Cycle floor_cycle)
 {
@@ -581,36 +579,6 @@ runSingleRouter(const ExperimentConfig &cfg)
 
 namespace
 {
-
-/** FNV-1a, folded field by field so every statistic participates. */
-class Fnv1a
-{
-  public:
-    void addU64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    addDouble(double v)
-    {
-        // Canonicalize: -0.0 == 0.0 but their bit patterns differ.
-        if (v == 0.0)
-            v = 0.0;
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        addU64(bits);
-    }
-
-    std::uint64_t value() const { return hash; }
-
-  private:
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-};
 
 void
 digestHistogram(Fnv1a &h, const LatencyHistogram &hist)

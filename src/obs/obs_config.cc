@@ -196,4 +196,15 @@ obsPathWithSuffix(const std::string &path, const std::string &suffix)
     return path.substr(0, dot) + "-" + suffix + path.substr(dot);
 }
 
+ObsConfig
+obsConfigWithSuffix(ObsConfig cfg, const std::string &suffix)
+{
+    cfg.tracePath = obsPathWithSuffix(cfg.tracePath, suffix);
+    cfg.statsJsonPath = obsPathWithSuffix(cfg.statsJsonPath, suffix);
+    cfg.statsCsvPath = obsPathWithSuffix(cfg.statsCsvPath, suffix);
+    cfg.flightRecorderPath =
+        obsPathWithSuffix(cfg.flightRecorderPath, suffix);
+    return cfg;
+}
+
 } // namespace mmr

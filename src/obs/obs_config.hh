@@ -169,6 +169,14 @@ ObsConfig obsConfigFromCli(const Cli &cli);
 std::string obsPathWithSuffix(const std::string &path,
                               const std::string &suffix);
 
+/**
+ * @p cfg with every output path — trace, stats JSON, stats CSV and
+ * flight-recorder dump — passed through obsPathWithSuffix: how a
+ * sweep names each point's files (runExperiments refuses two points
+ * that share one).
+ */
+ObsConfig obsConfigWithSuffix(ObsConfig cfg, const std::string &suffix);
+
 } // namespace mmr
 
 #endif // MMR_OBS_OBS_CONFIG_HH

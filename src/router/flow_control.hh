@@ -42,14 +42,12 @@ class CreditManager
      * Single-router (§5) experiments attach infinite sinks: credits
      * never run out.
      */
-    void
-    setInfinite(bool inf)
-    {
-        infinite = inf;
-        ++ver;
-    }
+    void setInfinite(bool inf) { infinite = inf; }
     bool isInfinite() const { return infinite; }
 
+    /** The §4.1 credits_available bit of output VC (@p port, @p vc).
+     * Link schedulers read it afresh on every pass, so a counter
+     * change needs no notification. */
     bool
     hasCredit(PortId port, VcId vc) const
     {
@@ -68,7 +66,6 @@ class CreditManager
         }
         --c;
         ++statConsumed;
-        ++ver;
     }
 
     void
@@ -84,17 +81,7 @@ class CreditManager
         }
         ++c;
         ++statReplenished;
-        ++ver;
     }
-
-    /**
-     * Monotonic change counter over everything hasCredit() can see.
-     * Link schedulers compare it against the value captured when they
-     * last rebuilt their eligibility masks: an unchanged version means
-     * no credits_available bit has moved.  With infinite credits the
-     * version never advances, so the cached masks stay warm.
-     */
-    std::uint64_t schedVersion() const { return ver; }
 
     unsigned
     credits(PortId port, VcId vc) const
@@ -148,7 +135,6 @@ class CreditManager
 
     std::uint64_t statConsumed = 0;
     std::uint64_t statReplenished = 0;
-    std::uint64_t ver = 0; ///< see schedVersion()
 };
 
 /** Operations carried by control words (§4.3). */

@@ -1,7 +1,6 @@
 #include "router/link_sched.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "base/logging.hh"
 
@@ -25,11 +24,11 @@ LinkScheduler::LinkScheduler(PortId port, VcMemory *memory,
     touchedOutputs.reserve(numOutPorts);
 }
 
-bool
+void
 LinkScheduler::rollRoundIfNeeded(Cycle now)
 {
     if (now < nextRoundStart)
-        return false;
+        return;
     do {
         nextRoundStart += roundLen;
         ++rounds;
@@ -39,7 +38,6 @@ LinkScheduler::rollRoundIfNeeded(Cycle now)
     // once is equivalent.
     for (VcId v = 0; v < mem->numVcs(); ++v)
         mem->vc(v).newRound();
-    return true;
 }
 
 bool
@@ -73,55 +71,6 @@ LinkScheduler::eligibleMask(Cycle now, const CreditManager &credits) const
     return mask;
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: eligMask is sized once
-// for the VC count and only reassigned in place thereafter.
-void
-LinkScheduler::refreshEligMask(const CreditManager &credits, bool force)
-{
-    if (eligMask.size() != mem->numVcs())
-        eligMask.resize(mem->numVcs());
-
-    const std::uint64_t credit_ver = credits.schedVersion();
-    if (force || !eligValid || credit_ver != seenCreditVersion) {
-        // Full rebuild: the §4.1 AND over the status vectors, seeded
-        // from flits_available (eligibility implies a buffered flit)
-        // and narrowed per set bit.
-        eligMask.clearAll();
-        mem->flitsAvailable().forEachSet([this, &credits](std::size_t v) {
-            if (eligible(mem->vc(static_cast<VcId>(v)), credits))
-                eligMask.set(v);
-        });
-        eligValid = true;
-        ++fullRebuilds;
-    } else {
-        // Incremental, word-parallel: only the VCs whose scheduling
-        // inputs moved since the last refresh can have changed their
-        // bit.  A dirty VC with no buffered flit cannot be eligible
-        // (eligible() requires an ungranted flit, which requires a
-        // buffered one), so whole words of drained channels are
-        // cleared with one AND-NOT and only the dirty VCs that still
-        // hold flits pay the per-channel eligibility test — the
-        // word-level form of the §4.1 status-vector AND.
-        const BitVector &avail = mem->flitsAvailable();
-        mem->schedDirtyMask().forEachSetWord(
-            [this, &credits, &avail](std::size_t wi, std::uint64_t d) {
-                eligMask.clearWordBits(wi, d);
-                std::uint64_t live = d & avail.word(wi);
-                while (live) {
-                    const auto v = static_cast<VcId>(
-                        wi * BitVector::kWordBits +
-                        static_cast<std::size_t>(std::countr_zero(live)));
-                    if (eligible(mem->vc(v), credits))
-                        eligMask.set(v);
-                    live &= live - 1;
-                }
-            });
-        ++incrementalRefreshes;
-    }
-    seenCreditVersion = credit_ver;
-    mem->clearSchedDirty();
-}
-
 // mmr-lint: allow(hot-path-alloc) amortized: scratch/touchedOutputs/
 // bestPerOutput and the caller-owned `out` all keep their capacity
 // across cycles (verified dynamically by test_zero_alloc).
@@ -130,8 +79,7 @@ LinkScheduler::collectCandidates(Cycle now, unsigned max_candidates,
                                  const CreditManager &credits,
                                  std::vector<Candidate> &out)
 {
-    const bool rolled = rollRoundIfNeeded(now);
-    refreshEligMask(credits, rolled);
+    rollRoundIfNeeded(now);
 
     const auto by_rank = [](const Candidate &a, const Candidate &b) {
         if (a.tier != b.tier)
@@ -151,9 +99,14 @@ LinkScheduler::collectCandidates(Cycle now, unsigned max_candidates,
     scratch.clear();
     touchedOutputs.clear();
 
-    eligMask.forEachSet([&](std::size_t i) {
+    // The §4.1 status-vector AND, computed where it is used: every
+    // eligible VC holds a flit, so walk flits_available in VC order
+    // and test the rest of the conjunction per set bit.
+    mem->flitsAvailable().forEachSet([&](std::size_t i) {
         const auto v = static_cast<VcId>(i);
         const VcState &vc = mem->vc(v);
+        if (!eligible(vc, credits))
+            return;
 
         Candidate c;
         c.in = inPort;

@@ -6,8 +6,10 @@
  * cycle, derives the set of virtual channels eligible to transmit
  * (status bit-vector algebra: flits_available AND credits_available
  * AND not over quota) and offers the switch scheduler a small set of
- * candidates (1-8).  Bandwidth is accounted per round (K x V flit
- * cycles): CBR connections may not exceed their allocation, VBR
+ * candidates (1-8).  The set is computed afresh on every pass from
+ * the VC state and credit counters themselves, so a change to a VC
+ * needs no notification.  Bandwidth is accounted per round (K x V
+ * flit cycles): CBR connections may not exceed their allocation, VBR
  * connections get their permanent bandwidth at the guaranteed tier and
  * compete for excess up to their peak by user priority, best-effort
  * uses whatever is left.
@@ -56,11 +58,8 @@ class LinkScheduler
     /**
      * Reset per-round serviced counters at round boundaries.  Rounds
      * are aligned across the router (synchronous link operation).
-     * Returns true when at least one round boundary was crossed (the
-     * serviced counters were reset, so every cached eligibility bit
-     * is stale).
      */
-    bool rollRoundIfNeeded(Cycle now);
+    void rollRoundIfNeeded(Cycle now);
 
     /**
      * Collect up to @p max_candidates eligible candidates at cycle
@@ -84,24 +83,8 @@ class LinkScheduler
     /** Rounds completed so far. */
     std::uint64_t roundCount() const { return rounds; }
 
-    /** Cache-refresh statistics (perf accounting, tests). */
-    std::uint64_t maskFullRebuilds() const { return fullRebuilds; }
-    std::uint64_t maskIncrementalRefreshes() const
-    {
-        return incrementalRefreshes;
-    }
-
   private:
     bool eligible(const VcState &vc, const CreditManager &credits) const;
-
-    /**
-     * Bring the cached eligibility mask up to date (§4.1 status-vector
-     * AND).  Full rebuild when forced (round roll), before the first
-     * refresh, or when any credits_available bit may have moved
-     * (credit version advanced); otherwise only the VCs in the
-     * memory's dirty set are re-evaluated.
-     */
-    void refreshEligMask(const CreditManager &credits, bool force);
 
     PortId inPort;
     VcMemory *mem;
@@ -110,13 +93,6 @@ class LinkScheduler
     unsigned roundLen;
     Cycle nextRoundStart;
     std::uint64_t rounds = 0;
-
-    /** Cached eligibility mask + the versions it was computed from. */
-    BitVector eligMask;
-    std::uint64_t seenCreditVersion = 0;
-    bool eligValid = false;
-    std::uint64_t fullRebuilds = 0;
-    std::uint64_t incrementalRefreshes = 0;
 
     /** Scratch space reused across cycles to avoid allocation. */
     std::vector<Candidate> scratch;

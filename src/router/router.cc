@@ -214,12 +214,10 @@ MmrRouter::installSegment(const SegmentParams &p)
     // downstream).
     vc.setMapping(p.out, p.outVc);
     vc.setTieBreak(rand.uniform());
+    vc.setReleaseWhenEmpty(p.releaseWhenEmpty);
     routes.map(ChannelRef{p.in, p.inVc}, ChannelRef{p.out, p.outVc});
-    inputMems[p.in].markSchedDirty(p.inVc);
     segIndex.insert(p.id, static_cast<std::uint32_t>(segs.size()));
     segs.push_back(p);
-    if (p.releaseWhenEmpty)
-        ++autoReleaseConns;
     MMR_OBS_EVENT(TraceCat::Setup, "vc_alloc", simclock::now(),
                   p.in, p.id, static_cast<std::int32_t>(p.inVc),
                   static_cast<std::int32_t>(p.outVc));
@@ -238,7 +236,6 @@ MmrRouter::removeSegment(ConnId id)
     mmr_assert(vc.empty() && vc.pendingGrants() == 0,
                "removing segment with in-flight flits on conn ", id);
     vc.release();
-    inputMems[p.in].markSchedDirty(p.inVc);
     routes.unmap(ChannelRef{p.in, p.inVc});
     if (p.ownsInputVc)
         routes.freeInputVc(p.in, p.inVc);
@@ -258,11 +255,6 @@ MmrRouter::removeSegment(ConnId id)
     }
     segs.pop_back();
     segIndex.erase(id);
-    if (p.releaseWhenEmpty) {
-        mmr_assert(autoReleaseConns > 0,
-                   "release-when-empty count underflow");
-        --autoReleaseConns;
-    }
     if (segmentRemoved)
         segmentRemoved(p);
 }
@@ -312,7 +304,6 @@ MmrRouter::renegotiateBandwidth(ConnId id, double new_rate_bps)
     VcState &vc = inputMems[p.in].vc(p.inVc);
     vc.setCbrAlloc(cycles);
     vc.setInterArrival(p.interArrival);
-    inputMems[p.in].markSchedDirty(p.inVc); // quota moved
     return true;
 }
 
@@ -399,8 +390,8 @@ MmrRouter::scheduleBuffered(Cycle now)
         candScratch[p].clear();
         // An empty VC memory has no eligible VC.  Its link scheduler
         // catches up on its next pass: the round roll covers every
-        // boundary crossed meanwhile, and the dirty bits and credit
-        // version kept every eligibility change since its last pass.
+        // boundary crossed meanwhile, and eligibility is read from the
+        // VCs on every pass, so nothing else can be stale.
         if (inputMems[p].occupancy() == 0)
             continue;
         linkScheds[p].collectCandidates(now, cfg.candidates, creditMgr,
@@ -429,10 +420,6 @@ MmrRouter::scheduleBuffered(Cycle now)
         nextStamps.emplace_back();
         inputMems[c.in].vc(c.vc).noteGrantIssued(now,
                                                  nextStamps.back());
-        // The pending grant shrinks the ungranted-flit count and eats
-        // round quota: the link scheduler must re-derive this VC's
-        // eligibility bit.
-        inputMems[c.in].markSchedDirty(c.vc);
         MMR_OBS_EVENT(TraceCat::Sched, "grant", now, c.in, c.conn,
                       static_cast<std::int32_t>(c.vc),
                       static_cast<std::int32_t>(c.out));
@@ -461,19 +448,11 @@ MmrRouter::deliver(const Candidate &grant, Flit &&flit, Cycle now,
 }
 
 void
-MmrRouter::maybeAutoRelease(ConnId id, PortId in, VcId in_vc)
+MmrRouter::maybeAutoRelease(PortId in, VcId in_vc)
 {
-    // Fast path for the steady state: with no release-when-empty
-    // connections installed (the common case — only VCT datagram
-    // segments set the flag), skip the per-forwarded-flit map lookup.
-    if (autoReleaseConns == 0)
-        return;
-    const SegmentParams *found = connection(id);
-    if (found == nullptr || !found->releaseWhenEmpty)
-        return;
     const VcState &vc = inputMems[in].vc(in_vc);
-    if (vc.empty() && vc.pendingGrants() == 0)
-        removeSegment(id);
+    if (vc.releaseWhenEmpty() && vc.empty() && vc.pendingGrants() == 0)
+        removeSegment(vc.conn());
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: configScratch is a member
@@ -512,7 +491,7 @@ MmrRouter::applyMatching(Cycle now)
                       static_cast<std::int32_t>(
                           creditMgr.credits(grant.out, grant.outVc)));
         deliver(grant, std::move(flit), now, stages);
-        maybeAutoRelease(grant.conn, grant.in, grant.vc);
+        maybeAutoRelease(grant.in, grant.vc);
     }
 
     if (metrics) {

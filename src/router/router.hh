@@ -263,7 +263,8 @@ class MmrRouter : public Clocked
     void applyMatching(Cycle now);
     void deliver(const Candidate &grant, Flit &&flit, Cycle now,
                  const StageSample &stages);
-    void maybeAutoRelease(ConnId id, PortId in, VcId in_vc);
+    /** Remove a VCT segment whose input VC just drained. */
+    void maybeAutoRelease(PortId in, VcId in_vc);
 
     RouterConfig cfg;
     MetricsRecorder *metrics;
@@ -291,10 +292,6 @@ class MmrRouter : public Clocked
      * decomposition never has to live inside the scanned VC state. */
     std::vector<VcState::GrantStamp> currentStamps;
     std::vector<VcState::GrantStamp> nextStamps;
-
-    /** Installed connections with releaseWhenEmpty set; when zero the
-     * per-forwarded-flit auto-release probe is skipped entirely. */
-    unsigned autoReleaseConns = 0;
 
     SinkFn sink;
     CreditFn creditReturn;

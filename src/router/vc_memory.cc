@@ -66,8 +66,7 @@ static_assert(std::is_trivially_copyable_v<Flit> &&
               std::is_trivially_destructible_v<Flit>);
 
 VcMemory::VcMemory(unsigned nvcs, unsigned per_vc_depth)
-    : vcs(nvcs), perVcDepth(per_vc_depth), flitsAvail(nvcs),
-      schedDirty(nvcs)
+    : vcs(nvcs), perVcDepth(per_vc_depth), flitsAvail(nvcs)
 {
     mmr_assert(nvcs > 0, "VC memory needs at least one VC");
     mmr_assert(per_vc_depth > 0, "per-VC depth must be positive");

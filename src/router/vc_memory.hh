@@ -120,7 +120,6 @@ class VcMemory
         state.push(f);
         ++occupied;
         flitsAvail.set(v);
-        schedDirty.set(v);
         return true;
     }
 
@@ -138,7 +137,10 @@ class VcMemory
         return d >= perVcDepth ? 0 : perVcDepth - d;
     }
 
-    /** Bit vector of VCs with at least one buffered flit. */
+    /** Bit vector of VCs with at least one buffered flit (§4.1
+     * flits_available).  It is the only status vector the memory
+     * keeps: the link scheduler walks it on every pass and reads the
+     * rest of each VC's eligibility from the VC itself. */
     const BitVector &flitsAvailable() const { return flitsAvail; }
 
     /** Called by the router when a flit leaves a VC. */
@@ -149,26 +151,7 @@ class VcMemory
         --occupied;
         if (vc(v).empty())
             flitsAvail.clear(v);
-        schedDirty.set(v);
     }
-
-    // ------------------------------------------------------------------
-    // Scheduling-state change tracking (link-scheduler mask cache)
-    // ------------------------------------------------------------------
-
-    /**
-     * Record that VC @p v's scheduling inputs changed (flit count,
-     * pending grants, serviced counter, binding, mapping or quota),
-     * so the link scheduler must re-evaluate its eligibility bit.
-     * deposit() and noteDrained() mark automatically; the router marks
-     * explicitly when it mutates the VcState behind the memory's back
-     * (grant bookkeeping, segment install/remove, renegotiation).
-     */
-    void markSchedDirty(VcId v) { schedDirty.set(v); }
-
-    /** Dirty set accessors for the owning link scheduler. */
-    const BitVector &schedDirtyMask() const { return schedDirty; }
-    void clearSchedDirty() { schedDirty.clearAll(); }
 
     /**
      * Occupancy conservation audit ('vc-occupancy'); panics when the
@@ -193,7 +176,6 @@ class VcMemory
     std::size_t occupied = 0;
     std::uint64_t overflows = 0;
     BitVector flitsAvail;
-    BitVector schedDirty;
 };
 
 } // namespace mmr

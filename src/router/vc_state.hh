@@ -106,6 +106,8 @@ class VcState
      */
     struct GrantStamp
     {
+        // mmr-lint: allow(cycle-type) the low 32 bits of a cycle,
+        // recovered by wrap-around subtraction (see above)
         std::uint32_t grantCycle = 0; ///< low bits of the issue cycle
         std::uint32_t vcWait = 0;     ///< arrival -> head of the VC
         std::uint32_t arbWait = 0;    ///< head of VC -> grant issued
@@ -188,6 +190,11 @@ class VcState
 
     /** Grants issued but not yet applied (pipelined arbitration). */
     unsigned pendingGrants() const { return grantsPending; }
+
+    /** A VCT datagram segment frees this VC once it drains (§3.4);
+     * the router reads the flag on the grant-apply path. */
+    bool releaseWhenEmpty() const { return releaseEmpty; }
+    void setReleaseWhenEmpty(bool r) { releaseEmpty = r; }
 
     /**
      * Record a switch grant for the current ungranted head.  Stamps
@@ -300,6 +307,8 @@ class VcState
 
     unsigned servicedThisRound = 0;
     unsigned grantsPending = 0;
+    /** Fills the 4-byte hole before `tie`: VcState stays 88 bytes. */
+    bool releaseEmpty = false;
     double tie = 0.0;
 
     /** Saturate a cycle delta into a 32-bit stamp field. */

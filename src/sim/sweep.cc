@@ -2,8 +2,12 @@
 
 #include <atomic>
 #include <exception>
+#include <map>
 #include <mutex>
+#include <string>
 #include <thread>
+
+#include "base/logging.hh"
 
 namespace mmr
 {
@@ -18,48 +22,31 @@ defaultJobs()
 namespace
 {
 
-/** Insert ".point<N>" before the extension ("out/run.json" ->
- * "out/run.point3.json"; no extension just appends). */
-std::string
-pointSuffixed(const std::string &path, std::size_t index)
-{
-    if (path.empty())
-        return path;
-    const std::string suffix =
-        ".point" + std::to_string(index);
-    const std::size_t slash = path.find_last_of('/');
-    const std::size_t dot = path.find_last_of('.');
-    if (dot == std::string::npos ||
-        (slash != std::string::npos && dot < slash))
-        return path + suffix;
-    return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
 /**
- * Sweep points sharing one --stats-json/--trace/... flag would all
- * write the same file, last writer winning (and racing under
- * --jobs=N); give every point its own ".point<N>" output instead.
- * Single-point "sweeps" keep the caller's exact path.
+ * Two points of one sweep writing one file would race on it (parallel)
+ * or overwrite each other (serial).  Callers name each point's outputs
+ * (obsConfigWithSuffix); a sweep in which two points share a path is
+ * refused before any point runs.
  */
-ExperimentConfig
-withPointOutputs(const ExperimentConfig &cfg, std::size_t index,
-                 std::size_t points)
+void
+requireDistinctOutputs(const std::vector<ExperimentConfig> &cfgs)
 {
-    if (points <= 1)
-        return cfg;
-    ExperimentConfig c = cfg;
-    c.obs.tracePath = pointSuffixed(c.obs.tracePath, index);
-    c.obs.statsJsonPath = pointSuffixed(c.obs.statsJsonPath, index);
-    c.obs.statsCsvPath = pointSuffixed(c.obs.statsCsvPath, index);
-    c.obs.flightRecorderPath =
-        pointSuffixed(c.obs.flightRecorderPath, index);
-    return c;
+    std::map<std::string, std::size_t> writer;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const ObsConfig &o = cfgs[i].obs;
+        for (const std::string *path :
+             {&o.tracePath, &o.statsJsonPath, &o.statsCsvPath,
+              &o.flightRecorderPath}) {
+            if (path->empty())
+                continue;
+            const auto [it, fresh] = writer.emplace(*path, i);
+            if (!fresh && it->second != i)
+                mmr_fatal("sweep points ", it->second, " and ", i,
+                          " both write '", *path,
+                          "': give each point its own output path");
+        }
+    }
 }
-
-} // namespace
-
-namespace
-{
 
 /**
  * Per-point result slot, cache-line padded: neighboring points are
@@ -83,12 +70,12 @@ runExperiments(
 {
     if (cfgs.empty())
         return {};
+    requireDistinctOutputs(cfgs);
 
     if (jobs <= 1) {
         std::vector<ExperimentResult> results(cfgs.size());
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            results[i] = runSingleRouter(
-                withPointOutputs(cfgs[i], i, cfgs.size()));
+            results[i] = runSingleRouter(cfgs[i]);
             if (onDone)
                 onDone(i, results[i]);
         }
@@ -110,8 +97,7 @@ runExperiments(
             if (i >= cfgs.size())
                 return;
             try {
-                slots[i].r = runSingleRouter(
-                    withPointOutputs(cfgs[i], i, cfgs.size()));
+                slots[i].r = runSingleRouter(cfgs[i]);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(doneMutex);
                 if (!firstError)

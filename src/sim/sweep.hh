@@ -42,8 +42,11 @@ unsigned defaultJobs();
  *        point with (index, result); calls are serialized, but may
  *        arrive out of index order
  *
- * The first exception thrown by an experiment is rethrown on the
- * caller's thread after the pool drains.
+ * Fatal, naming the path, when two points share a non-empty output
+ * path (trace, stats or flight-recorder dump): the runner never
+ * renames a point's outputs, so callers give each point its own
+ * (obsConfigWithSuffix).  The first exception thrown by an experiment
+ * is rethrown on the caller's thread after the pool drains.
  */
 std::vector<ExperimentResult> runExperiments(
     const std::vector<ExperimentConfig> &cfgs, unsigned jobs,

@@ -32,10 +32,9 @@ class TrafficSource
      * polling arrivals() until that cycle: sources guarantee that
      * polls strictly before the due cycle return 0 and have no side
      * effects (no state change, no RNG draw), so skipping them is
-     * bit-exact with polling every cycle.  The default of 0.0 opts
-     * out: the source is polled every cycle.
+     * bit-exact with polling every cycle.
      */
-    virtual double nextDueCycle() const { return 0.0; }
+    virtual double nextDueCycle() const = 0;
 
     /** Long-run average rate in bits/s. */
     virtual double meanRateBps() const = 0;

@@ -20,7 +20,7 @@ class DriftCounter : public Clocked
     void advance(Cycle) override {}
 
   private:
-    unsigned long long ticks = 0;
+    Cycle ticks = 0;
 };
 
 } // namespace mmr

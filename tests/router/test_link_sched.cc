@@ -142,10 +142,8 @@ TEST_F(LinkSchedTest, CbrQuotaEnforcedWithinRound)
     }
     EXPECT_EQ(collect(0, 8).size(), 1u);
     mem.vc(0).noteServiced();
-    mem.markSchedDirty(0); // direct mutation: flag for the mask cache
     EXPECT_EQ(collect(1, 8).size(), 1u);
     mem.vc(0).noteServiced();
-    mem.markSchedDirty(0);
     EXPECT_TRUE(collect(2, 8).empty()) << "allocation exhausted";
     // Round length is 32: at cycle 32 the quota resets.
     EXPECT_EQ(collect(32, 8).size(), 1u);
@@ -156,7 +154,6 @@ TEST_F(LinkSchedTest, PendingGrantsCountAgainstQuotaAndQueue)
 {
     cbr(0, 1, 1, 10.0);
     mem.vc(0).noteGrantIssued();
-    mem.markSchedDirty(0); // direct mutation: flag for the mask cache
     EXPECT_TRUE(collect(0, 8).empty())
         << "the only flit is already granted";
 }
@@ -303,7 +300,6 @@ TEST(LinkSchedProperty, ListsAreRankedAndNameEachOutputOnce)
                 credits.consume(out, v);
             for (auto n = rng.below(3); n > 0; --n)
                 vc.noteServiced();
-            mem.markSchedDirty(v);
         }
 
         std::vector<Candidate> cands;

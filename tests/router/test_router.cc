@@ -2,8 +2,8 @@
  * @file
  * Integration tests for the complete MMR router: connection
  * lifecycle, the flit-cycle pipeline, per-connection ordering, flow
- * control, dynamic bandwidth management, and the passes of routers
- * and input ports that hold no flit.
+ * control, dynamic bandwidth management, the passes of routers and
+ * input ports that hold no flit, and the self-release of VCT segments.
  */
 
 #include <gtest/gtest.h>
@@ -440,6 +440,67 @@ TEST(RouterActivity, QuietCyclesStillCountAsPasses)
                              "\"cat\":\"sched\",\"ph\":\"C\""),
               kQuiet);
     EXPECT_EQ(countOf(trace, "\"args\":{\"value\":0}"), kQuiet);
+}
+
+/**
+ * A VCT segment (releaseWhenEmpty, as the network installs for a
+ * datagram hop) removes itself when the flit that drains its input VC
+ * crosses the switch: its connection is gone, its input and output
+ * VCs are free and segmentRemoved fires once.  A VCT segment that
+ * still buffers a flit survives a departure, and a plain segment —
+ * here on the very VC a VCT segment just freed — never goes by itself.
+ */
+TEST(RouterVctRelease, SegmentGoesWhenItsLastFlitLeaves)
+{
+    const RouterConfig cfg = smallConfig();
+    MmrRouter router(cfg);
+    Kernel kernel;
+    kernel.add(&router);
+    std::vector<ConnId> removed;
+    router.setSegmentRemoved(
+        [&](const SegmentParams &p) { removed.push_back(p.id); });
+
+    const auto install = [&](ConnId id, PortId in, PortId out,
+                             bool vct) {
+        SegmentParams p;
+        p.id = id;
+        p.klass = TrafficClass::BestEffort;
+        p.in = in;
+        p.out = out;
+        p.inVc = router.routing().allocInputVc(in);
+        p.outVc = router.routing().allocOutputVc(out);
+        p.releaseWhenEmpty = vct;
+        EXPECT_TRUE(router.installSegment(p));
+        return p;
+    };
+    const SegmentParams one = install(100, 0, 2, true);
+    const SegmentParams two = install(101, 1, 3, true);
+    ASSERT_TRUE(router.inject(one.id, Flit{}));
+    ASSERT_TRUE(router.inject(two.id, Flit{}));
+    ASSERT_TRUE(router.inject(two.id, Flit{}));
+
+    kernel.run(2); // the first flits are granted in cycle 0, cross in 1
+    ASSERT_EQ(router.flitsForwarded(), 2u);
+    EXPECT_EQ(router.connection(one.id), nullptr);
+    EXPECT_FALSE(router.inputMemory(one.in).vc(one.inVc).bound());
+    EXPECT_EQ(router.routing().freeInputVcCount(one.in), cfg.vcsPerPort);
+    EXPECT_EQ(router.routing().freeOutputVcCount(one.out),
+              cfg.vcsPerPort);
+    EXPECT_EQ(removed, std::vector<ConnId>{one.id});
+    EXPECT_NE(router.connection(two.id), nullptr)
+        << "a VCT segment still buffering a flit stays";
+
+    const SegmentParams plain = install(102, one.in, one.out, false);
+    ASSERT_EQ(plain.inVc, one.inVc);
+    ASSERT_TRUE(router.inject(plain.id, Flit{}));
+    kernel.run(2); // two's second flit crosses in 2, plain's in 3
+    ASSERT_EQ(router.flitsForwarded(), 4u);
+    EXPECT_EQ(router.connection(two.id), nullptr);
+    EXPECT_EQ(removed, (std::vector<ConnId>{one.id, two.id}));
+    ASSERT_NE(router.connection(plain.id), nullptr)
+        << "a plain segment outlives its drained VC";
+    EXPECT_TRUE(router.inputMemory(plain.in).vc(plain.inVc).bound());
+    EXPECT_EQ(router.connectionCount(), 1u);
 }
 
 } // namespace

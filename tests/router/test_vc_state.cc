@@ -124,11 +124,13 @@ TEST(VcState, ReleaseRestoresFreshState)
     VcState vc;
     vc.bindVbr(9, 2, 4, 25.0, 1);
     vc.setMapping(1, 2);
+    vc.setReleaseWhenEmpty(true);
     vc.release();
     EXPECT_FALSE(vc.bound());
     EXPECT_FALSE(vc.mapped());
     EXPECT_EQ(vc.permCycles(), 0u);
     EXPECT_EQ(vc.userPriority(), 0);
+    EXPECT_FALSE(vc.releaseWhenEmpty());
     // Reusable for a different class.
     vc.bindControl(11);
     EXPECT_EQ(vc.trafficClass(), TrafficClass::Control);

@@ -12,8 +12,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "obs/obs_config.hh"
 #include "sim/sweep.hh"
 
 namespace mmr
@@ -127,27 +130,41 @@ TEST(Sweep, HistogramsIdenticalSerialVsFourJobs)
 
 /**
  * Regression: points of one sweep sharing an observability output path
- * used to race (parallel) or silently overwrite each other (serial),
- * leaving one winner's file.  The runner now gives every point its own
- * ".point<N>" path; the caller's exact path is reserved for
- * single-point runs.
+ * used to race (parallel) or silently overwrite each other (serial).
+ * The runner renames nothing: it refuses the sweep, naming the path,
+ * before any point runs, and points named by obsConfigWithSuffix each
+ * write their own file.
  */
-TEST(Sweep, SharedStatsPathFansOutPerPoint)
+TEST(Sweep, SharedStatsPathIsRejected)
 {
     const std::string base =
         ::testing::TempDir() + "sweep_stats.json";
+    std::remove(base.c_str());
     auto cfgs = smallGrid();
     cfgs.resize(3);
     for (auto &cfg : cfgs)
         cfg.obs.statsJsonPath = base;
-    const auto results = runExperiments(cfgs, 3);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_FALSE(std::ifstream(base).good())
-        << "multi-point sweep must not write the bare shared path";
+    for (const unsigned jobs : {1u, 3u}) {
+        try {
+            runExperiments(cfgs, jobs);
+            ADD_FAILURE() << "a sweep whose points share " << base
+                          << " ran with " << jobs << " jobs";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + base + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(std::ifstream(base).good())
+            << "a refused sweep must not run any point";
+    }
+
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        cfgs[i].obs = obsConfigWithSuffix(cfgs[i].obs, std::to_string(i));
+    ASSERT_EQ(runExperiments(cfgs, 3).size(), 3u);
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        const std::string path = ::testing::TempDir() +
-                                 "sweep_stats.point" +
+        const std::string path = ::testing::TempDir() + "sweep_stats-" +
                                  std::to_string(i) + ".json";
+        EXPECT_EQ(cfgs[i].obs.statsJsonPath, path);
         std::ifstream in(path);
         EXPECT_TRUE(in.good()) << "missing per-point file " << path;
         std::string text((std::istreambuf_iterator<char>(in)),

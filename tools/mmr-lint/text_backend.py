@@ -29,6 +29,7 @@ UNORDERED = {"unordered_map", "unordered_set", "unordered_multimap",
 # Node-based ordered maps: subscripting may insert (allocate).
 MAP_LIKE = {"map", "multimap"} | {"unordered_map", "unordered_multimap"}
 SET_LIKE = {"set", "multiset"}
+ACCESS_SPECIFIERS = {"public", "protected", "private"}
 
 # Identifiers whose very presence (outside the RNG module) breaks
 # reproducibility.  "call0" entries only fire as nullary calls.
@@ -194,7 +195,9 @@ class TextBackend:
 
     def _collect_head(self, i):
         """Collect declaration-head tokens until a top-level ';', '{'
-        or '}' (not consumed).  Skips attributes and template intros."""
+        or '}' (not consumed).  Skips attributes, template intros and
+        leading access specifiers ("public:"), which belong to no
+        declaration."""
         toks = self.toks
         n = len(toks)
         head = []
@@ -203,6 +206,10 @@ class TextBackend:
             t = toks[i]
             if t.kind == PP:
                 i += 1
+                continue
+            if not head and t.text in ACCESS_SPECIFIERS and \
+                    i + 1 < n and toks[i + 1].text == ":":
+                i += 2
                 continue
             if t.text == "(":
                 depth += 1
