@@ -213,13 +213,8 @@ sweepOptions(const Cli &cli)
 inline std::vector<double>
 loadsFromCli(const Cli &cli)
 {
-    const auto parts = cli.list("loads");
-    if (parts.empty())
-        return defaultLoads();
-    std::vector<double> loads;
-    for (const auto &p : parts)
-        loads.push_back(std::stod(p));
-    return loads;
+    const std::vector<double> loads = cli.reals("loads");
+    return loads.empty() ? defaultLoads() : loads;
 }
 
 /** main() wrapper: converts mmr_fatal into a clean error exit. */

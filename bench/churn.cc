@@ -146,9 +146,7 @@ main(int argc, char **argv)
         k.maxLive = static_cast<std::uint32_t>(cli.integer("max-live"));
         k.cbrBudget = static_cast<Cycle>(cli.integer("cbr-budget"));
 
-        std::vector<double> rates;
-        for (const auto &p : cli.list("arrivals"))
-            rates.push_back(std::stod(p));
+        std::vector<double> rates = cli.reals("arrivals");
         if (smoke) {
             rates = {50.0, 400.0};
             k.measure = 6000;

@@ -105,9 +105,7 @@ main(int argc, char **argv)
             static_cast<unsigned>(cli.integer("prop-seeds"));
         const auto cbr_budget =
             static_cast<Cycle>(cli.integer("cbr-budget"));
-        std::vector<double> rates;
-        for (const auto &p : cli.list("rates"))
-            rates.push_back(std::stod(p));
+        const std::vector<double> rates = cli.reals("rates");
 
         // ---- single-scenario mode ---------------------------------
         // Reproduce one fault scenario — either a stochastic model

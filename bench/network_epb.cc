@@ -57,7 +57,7 @@ demandSweep(SetupPolicy policy, unsigned total_demand,
             ++cur.accepted;
             fwd += o.forwardSteps;
             bwd += o.backtrackSteps;
-            setup += o.setupLatencyCycles;
+            setup += static_cast<double>(o.setupCycles);
         }
         if (cur.offered % batch == 0) {
             cur.acceptance =

@@ -53,7 +53,7 @@ timedSweep(SetupPolicy policy, unsigned total, unsigned batch,
         const auto token =
             net.openCbrTimed(src, dst, rate, kernel.now(), policy);
         // Drive the clock until the probe resolves.
-        Network::TimedOutcome r;
+        Network::SetupOutcome r;
         bool done = false;
         for (Cycle c = 0; c < 50000 && !done; ++c) {
             kernel.step();

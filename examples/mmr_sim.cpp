@@ -102,18 +102,20 @@ parseFailLink(const std::string &spec, const Topology &topo)
 /**
  * Several --load values: run the points through the sweep runner on
  * --jobs workers and print one row per load.  Every observability
- * output gets a per-load path suffix, so no two points share a file.
+ * output gets a per-load path suffix (the load as written), so no two
+ * points share a file.
  */
 int
 runRouterSweep(ExperimentConfig base,
-               const std::vector<std::string> &loads, unsigned jobs)
+               const std::vector<std::string> &loads,
+               const std::vector<double> &values, unsigned jobs)
 {
     std::vector<ExperimentConfig> cfgs;
     cfgs.reserve(loads.size());
-    for (const std::string &l : loads) {
+    for (std::size_t i = 0; i < loads.size(); ++i) {
         ExperimentConfig cfg = base;
-        cfg.offeredLoad = std::stod(l);
-        cfg.obs = obsConfigWithSuffix(cfg.obs, l);
+        cfg.offeredLoad = values[i];
+        cfg.obs = obsConfigWithSuffix(cfg.obs, loads[i]);
         cfgs.push_back(std::move(cfg));
     }
     const auto results = runExperiments(
@@ -183,7 +185,7 @@ runRouterMode(const Cli &cli)
                       : static_cast<unsigned>(jobsFlag < 1 ? 1
                                                            : jobsFlag);
     if (loads.size() > 1)
-        return runRouterSweep(cfg, loads, jobs);
+        return runRouterSweep(cfg, loads, cli.reals("load"), jobs);
     cfg.offeredLoad = cli.real("load");
 
     const ExperimentResult r = runSingleRouter(cfg);

@@ -66,15 +66,25 @@ Cli::integer(const std::string &name) const
     return x;
 }
 
-double
-Cli::real(const std::string &name) const
+namespace
 {
-    const std::string v = str(name);
+
+double
+parseReal(const std::string &name, const std::string &v)
+{
     char *end = nullptr;
     const double x = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0')
         mmr_fatal("flag --", name, " expects a number, got '", v, "'");
     return x;
+}
+
+} // namespace
+
+double
+Cli::real(const std::string &name) const
+{
+    return parseReal(name, str(name));
 }
 
 bool
@@ -106,6 +116,15 @@ Cli::list(const std::string &name) const
         start = comma + 1;
     }
     return parts;
+}
+
+std::vector<double>
+Cli::reals(const std::string &name) const
+{
+    std::vector<double> xs;
+    for (const std::string &part : list(name))
+        xs.push_back(parseReal(name, part));
+    return xs;
 }
 
 void

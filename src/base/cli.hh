@@ -40,6 +40,11 @@ class Cli
     /** Split a comma-separated flag value into parts. */
     std::vector<std::string> list(const std::string &name) const;
 
+    /** A comma-separated flag value as numbers, each element checked
+     * as real() checks one; a bad element is fatal, naming the flag
+     * and the element. */
+    std::vector<double> reals(const std::string &name) const;
+
     const std::vector<std::string> &positional() const { return args; }
 
     void printUsage(const std::string &prog) const;

@@ -162,8 +162,8 @@ class FlatMap
     static constexpr std::size_t kNoSlot = ~std::size_t{0};
     static constexpr std::size_t kMinCapacity = 16;
 
-    /** Fibonacci multiplicative hash: integer keys (conn ids, setup
-     * tokens) are near-sequential, so mix before masking. */
+    /** Fibonacci multiplicative hash: integer keys (conn ids) are
+     * near-sequential, so mix before masking. */
     std::size_t
     indexOf(K key) const
     {

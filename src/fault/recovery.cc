@@ -152,7 +152,7 @@ RecoveryManager::evaluate(Cycle now)
     for (std::size_t i = 0; i < active.size();) {
         Attempt &a = active[i];
         if (a.haveToken) {
-            Network::TimedOutcome r;
+            Network::SetupOutcome r;
             if (!net.takeTimedResult(a.token, r)) {
                 ++i; // probe still in flight
                 continue;

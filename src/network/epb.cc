@@ -106,7 +106,7 @@ PathSearch::step(Rng &rng)
         // failed try has no side effects and the search holds nothing
         // on this port, so a revisit would fail the same way: it is
         // tried once.
-        const PortId ni = fabric->niPortOf(at);
+        const auto ni = static_cast<PortId>(topo.degree(at));
         if (!searched(at, ni)) {
             markSearched(at, ni);
             VcId vc = kInvalidVc;

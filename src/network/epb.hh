@@ -41,7 +41,7 @@ enum class SetupPolicy
     Greedy ///< first profitable link only; fail on a dead end
 };
 
-/** Resource demand of the connection being established. */
+/** The connection being established and what it demands. */
 struct SetupRequest
 {
     NodeId src = kInvalidNode;
@@ -50,6 +50,8 @@ struct SetupRequest
     unsigned allocCycles = 0; ///< CBR demand (cycles/round)
     unsigned permCycles = 0;  ///< VBR permanent demand
     unsigned peakCycles = 0;  ///< VBR peak demand
+    double rateBps = 0.0;     ///< CBR rate or VBR mean
+    int priority = 0;         ///< VBR priority
 };
 
 /** One reserved hop: the output side of a router along the path. */
@@ -68,15 +70,14 @@ struct ReservedHop
 
 /**
  * What a search walks over: the router graph, each node's router
- * (whose admission registers and output VCs it reserves), the port
- * its host interface hangs off, and the link-health filter; plus what
- * every search over it shares.
+ * (whose admission registers and output VCs it reserves; its host
+ * interface hangs off port degree(n)), and the link-health filter;
+ * plus what every search over it shares.
  */
 struct SearchFabric
 {
     const Topology *topo = nullptr;
     std::function<MmrRouter &(NodeId)> routerAt;
-    std::function<PortId(NodeId)> niPortOf;
     /** False once the directed link out of (node, port) has failed;
      * empty = every link healthy. */
     std::function<bool(NodeId, PortId)> linkAlive;

@@ -65,7 +65,6 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
 
     probeMgr = std::make_unique<ProbeSetupManager>(
         topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
-        [this](NodeId n) { return niPort(n); },
         [this](TimedSetup &s) { onTimedSetupComplete(s); },
         cfg.seed ^ 0xabcdef12ULL);
     probeMgr->setHopLatency(cfg.probeHopCycles);
@@ -128,11 +127,8 @@ Network::failLink(NodeId a, NodeId b)
         ++statLostFlits;
         if (!lf.flit.isStream())
             ++statDatagramsLost;
-        const NodeId upstream = lf.toNode == b ? a : b;
-        const PortId up_port = lf.toNode == b ? pa : pb;
-        routers[upstream]->credits().replenish(up_port, lf.vc);
-        if (!lf.flit.isStream())
-            routers[upstream]->routing().freeOutputVc(up_port, lf.vc);
+        const Topology::PortInfo &up = topo.ports(lf.toNode)[lf.toPort];
+        returnLostFlit(up.neighbor, up.remotePort, lf.vc, lf.flit);
     }
     linkQueue.resize(kept);
 
@@ -275,9 +271,16 @@ Network::wireRouter(NodeId n)
 void
 Network::handleSegmentRemoved(NodeId n, PortId in, VcId in_vc)
 {
-    const NodeId upstream = topo.neighborAt(n, in);
-    const PortId up_port = topo.portTowards(upstream, n);
-    routers[upstream]->routing().freeOutputVc(up_port, in_vc);
+    const Topology::PortInfo &up = topo.ports(n)[in];
+    routers[up.neighbor]->routing().freeOutputVc(up.remotePort, in_vc);
+}
+
+void
+Network::returnLostFlit(NodeId up, PortId out, VcId vc, const Flit &f)
+{
+    routers[up]->credits().replenish(out, vc);
+    if (!f.isStream())
+        routers[up]->routing().freeOutputVc(out, vc);
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: linkQueue is a member
@@ -302,11 +305,8 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
         ++statLostFlits;
         if (!f.isStream())
             ++statDatagramsLost;
-        if (out_vc != kInvalidVc) {
-            routers[n]->credits().replenish(out, out_vc);
-            if (!f.isStream())
-                routers[n]->routing().freeOutputVc(out, out_vc);
-        }
+        if (out_vc != kInvalidVc)
+            returnLostFlit(n, out, out_vc, f);
         return;
     }
     const auto &ports = topo.ports(n);
@@ -327,9 +327,8 @@ Network::handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now)
     (void)now;
     if (in >= topo.degree(n))
         return; // NI-side injection is limited by deposit space
-    const NodeId upstream = topo.neighborAt(n, in);
-    const PortId up_port = topo.portTowards(upstream, n);
-    routers[upstream]->credits().replenish(up_port, vc);
+    const Topology::PortInfo &up = topo.ports(n)[in];
+    routers[up.neighbor]->credits().replenish(up.remotePort, vc);
 }
 
 void
@@ -371,8 +370,6 @@ Network::reserveSessions(std::size_t n)
             pcsFreeSlots.push_back(static_cast<std::uint32_t>(i));
     }
     pcsIndex.reserve(n);
-    timedInfo.reserve(n);
-    timedDone.reserve(n);
     closingIds.reserve(n);
     probeMgr->reservePools(n);
     e2e.reserveConnections(n);
@@ -389,8 +386,7 @@ Network::reserveSessions(std::size_t n)
 }
 
 ConnId
-Network::installReservedPath(PathSearch &search, double rate_or_mean,
-                             int priority)
+Network::installReservedPath(PathSearch &search)
 {
     const SetupRequest &req = search.request;
     const std::vector<ReservedHop> &hops = search.hops;
@@ -416,8 +412,8 @@ Network::installReservedPath(PathSearch &search, double rate_or_mean,
         p.allocCycles = req.allocCycles;
         p.permCycles = req.permCycles;
         p.peakCycles = req.peakCycles;
-        p.interArrival = interArrivalCycles(rate_or_mean, link);
-        p.priority = priority;
+        p.interArrival = interArrivalCycles(req.rateBps, link);
+        p.priority = req.priority;
         p.ownsOutputVc = true;
         if (k == 0) {
             p.in = src_ni;
@@ -461,42 +457,81 @@ Network::installReservedPath(PathSearch &search, double rate_or_mean,
     return id;
 }
 
+namespace
+{
+
+/** A finished search's outcome: @p id is its installed connection
+ * (kInvalidConn when refused), @p cycles its setup latency. */
 Network::SetupOutcome
-Network::openNow(const SetupRequest &req, SetupPolicy policy,
-                 double rate_or_mean, int priority)
+outcomeOf(const PathSearch &search, ConnId id, Cycle cycles)
+{
+    Network::SetupOutcome out;
+    out.id = id;
+    out.accepted = id != kInvalidConn;
+    out.forwardSteps = search.forwardSteps;
+    out.backtrackSteps = search.backtrackSteps;
+    if (out.accepted)
+        out.pathLength = static_cast<unsigned>(search.hops.size());
+    out.setupCycles = cycles;
+    return out;
+}
+
+} // namespace
+
+SetupRequest
+Network::cbrRequest(NodeId src, NodeId dst, double rate_bps) const
+{
+    SetupRequest req;
+    req.src = src;
+    req.dst = dst;
+    req.klass = TrafficClass::CBR;
+    req.allocCycles = cyclesPerRound(rate_bps, cfg.router.linkRateBps,
+                                     cfg.router.cyclesPerRound());
+    req.rateBps = rate_bps;
+    return req;
+}
+
+SetupRequest
+Network::vbrRequest(NodeId src, NodeId dst, double mean_bps,
+                    double peak_bps, int priority) const
+{
+    SetupRequest req;
+    req.src = src;
+    req.dst = dst;
+    req.klass = TrafficClass::VBR;
+    req.permCycles = cyclesPerRound(mean_bps, cfg.router.linkRateBps,
+                                    cfg.router.cyclesPerRound());
+    req.peakCycles = cyclesPerRound(peak_bps, cfg.router.linkRateBps,
+                                    cfg.router.cyclesPerRound());
+    req.rateBps = mean_bps;
+    req.priority = priority;
+    return req;
+}
+
+Network::SetupOutcome
+Network::openNow(const SetupRequest &req, SetupPolicy policy)
 {
     const bool found =
         probeMgr->establish(req, policy, rand, setupSearch);
-    SetupOutcome out;
-    out.forwardSteps = setupSearch.forwardSteps;
-    out.backtrackSteps = setupSearch.backtrackSteps;
     // One hop latency per forward or backtrack step, plus one per
     // path hop for the ack's walk back (a refused search holds none).
     const Cycle actions = setupSearch.forwardSteps +
                           setupSearch.backtrackSteps +
                           setupSearch.hops.size();
-    out.setupLatencyCycles =
-        static_cast<double>(probeMgr->hopCycles() * actions);
+    const SetupOutcome out = outcomeOf(
+        setupSearch, found ? installReservedPath(setupSearch) : kInvalidConn,
+        probeMgr->hopCycles() * actions);
     if (!found) {
         MMR_OBS_EVENT(TraceCat::Setup, "setup_reject",
                       simclock::now(), req.src, kInvalidConn,
                       static_cast<std::int32_t>(req.dst),
                       static_cast<std::int32_t>(out.backtrackSteps));
-        return out;
+    } else if (out.accepted) {
+        MMR_OBS_EVENT(TraceCat::Setup, "setup_accept", simclock::now(),
+                      req.src, out.id,
+                      static_cast<std::int32_t>(req.dst),
+                      static_cast<std::int32_t>(out.pathLength));
     }
-
-    const ConnId id =
-        installReservedPath(setupSearch, rate_or_mean, priority);
-    if (id == kInvalidConn)
-        return out;
-
-    out.id = id;
-    out.accepted = true;
-    out.pathLength = static_cast<unsigned>(setupSearch.hops.size());
-    MMR_OBS_EVENT(TraceCat::Setup, "setup_accept", simclock::now(),
-                  req.src, id,
-                  static_cast<std::int32_t>(req.dst),
-                  static_cast<std::int32_t>(out.pathLength));
     return out;
 }
 
@@ -506,15 +541,7 @@ Network::openCbrTimed(NodeId src, NodeId dst, double rate_bps, Cycle now,
 {
     mmr_assert(rate_bps > 0.0 && rate_bps <= cfg.router.linkRateBps,
                "timed setup with an uncarriable rate");
-    SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::CBR;
-    req.allocCycles = cyclesPerRound(rate_bps, cfg.router.linkRateBps,
-                                     cfg.router.cyclesPerRound());
-    const std::uint64_t token = probeMgr->begin(req, policy, now);
-    timedInfo.insert(token, TimedRequestInfo{rate_bps, 0});
-    return token;
+    return probeMgr->begin(cbrRequest(src, dst, rate_bps), policy, now);
 }
 
 std::uint64_t
@@ -525,66 +552,31 @@ Network::openVbrTimed(NodeId src, NodeId dst, double mean_bps,
     mmr_assert(mean_bps > 0.0 && peak_bps >= mean_bps &&
                    peak_bps <= cfg.router.linkRateBps,
                "timed setup with an uncarriable rate");
-    SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::VBR;
-    req.permCycles = cyclesPerRound(mean_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    req.peakCycles = cyclesPerRound(peak_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    const std::uint64_t token = probeMgr->begin(req, policy, now);
-    timedInfo.insert(token, TimedRequestInfo{mean_bps, priority});
-    return token;
+    return probeMgr->begin(
+        vbrRequest(src, dst, mean_bps, peak_bps, priority), policy, now);
 }
 
 void
 Network::onTimedSetupComplete(TimedSetup &s)
 {
-    const TimedRequestInfo *info_p = timedInfo.find(s.token);
-    mmr_assert(info_p != nullptr,
-               "completion for an unknown setup token");
-    const TimedRequestInfo info = *info_p;
-    timedInfo.erase(s.token);
-
-    TimedOutcome out;
-    out.token = s.token;
-    out.forwardSteps = s.forwardSteps;
-    out.backtrackSteps = s.backtrackSteps;
-    out.setupCycles = s.finishedAt - s.startedAt;
-    if (s.state == SetupState::Established) {
-        const ConnId id =
-            installReservedPath(s, info.rateOrMean, info.priority);
-        if (id != kInvalidConn) {
-            out.accepted = true;
-            out.id = id;
-            out.pathLength = static_cast<unsigned>(s.hops.size());
-        }
-    }
+    if (s.state == SetupState::Established)
+        s.conn = installReservedPath(s);
     MMR_OBS_EVENT(TraceCat::Setup,
-                  out.accepted ? "probe_established"
-                               : "probe_failed",
-                  s.finishedAt, s.request.src, out.id,
+                  s.conn != kInvalidConn ? "probe_established"
+                                         : "probe_failed",
+                  s.finishedAt, s.request.src, s.conn,
                   static_cast<std::int32_t>(s.request.dst),
-                  static_cast<std::int32_t>(out.setupCycles));
-    timedDone.insert(s.token, out);
+                  static_cast<std::int32_t>(s.finishedAt - s.startedAt));
 }
 
 bool
-Network::takeTimedResult(std::uint64_t token, TimedOutcome &out)
+Network::takeTimedResult(std::uint64_t token, SetupOutcome &out)
 {
-    const TimedOutcome *r = timedDone.find(token);
-    if (r == nullptr)
+    const TimedSetup *s = probeMgr->take(token);
+    if (s == nullptr)
         return false;
-    out = *r;
-    timedDone.erase(token);
+    out = outcomeOf(*s, s->conn, s->finishedAt - s->startedAt);
     return true;
-}
-
-std::size_t
-Network::pendingSetups() const
-{
-    return probeMgr->inFlight();
 }
 
 Network::SetupOutcome
@@ -593,13 +585,7 @@ Network::openCbr(NodeId src, NodeId dst, double rate_bps,
 {
     if (rate_bps <= 0.0 || rate_bps > cfg.router.linkRateBps)
         return SetupOutcome{}; // no link can carry this rate
-    SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::CBR;
-    req.allocCycles = cyclesPerRound(rate_bps, cfg.router.linkRateBps,
-                                     cfg.router.cyclesPerRound());
-    return openNow(req, policy, rate_bps, 0);
+    return openNow(cbrRequest(src, dst, rate_bps), policy);
 }
 
 Network::SetupOutcome
@@ -609,15 +595,8 @@ Network::openVbr(NodeId src, NodeId dst, double mean_bps,
     if (mean_bps <= 0.0 || peak_bps < mean_bps ||
         peak_bps > cfg.router.linkRateBps)
         return SetupOutcome{};
-    SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::VBR;
-    req.permCycles = cyclesPerRound(mean_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    req.peakCycles = cyclesPerRound(peak_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    return openNow(req, policy, mean_bps, priority);
+    return openNow(vbrRequest(src, dst, mean_bps, peak_bps, priority),
+                   policy);
 }
 
 bool
@@ -837,12 +816,8 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
             if (!ni_injection) {
                 // The packet was holding a link VC and its credit at
                 // the upstream router; hand both back.
-                const NodeId upstream = topo.neighborAt(p.node, p.inPort);
-                const PortId up_port =
-                    topo.portTowards(upstream, p.node);
-                routers[upstream]->credits().replenish(up_port, p.inVc);
-                routers[upstream]->routing().freeOutputVc(up_port,
-                                                          p.inVc);
+                const Topology::PortInfo &up = topo.ports(p.node)[p.inPort];
+                returnLostFlit(up.neighbor, up.remotePort, p.inVc, p.flit);
             }
             mmr_warn("datagram at node ", p.node, " for ", p.flit.dst,
                      " has no legal route; dropping");
@@ -944,11 +919,8 @@ Network::processArrivals(Cycle now)
             ++statFlitsCorrupted;
             if (!lf.flit.isStream())
                 ++statDatagramsLost;
-            const NodeId upstream = topo.neighborAt(lf.toNode, lf.toPort);
-            const PortId up_port = topo.portTowards(upstream, lf.toNode);
-            routers[upstream]->credits().replenish(up_port, lf.vc);
-            if (!lf.flit.isStream())
-                routers[upstream]->routing().freeOutputVc(up_port, lf.vc);
+            const Topology::PortInfo &up = topo.ports(lf.toNode)[lf.toPort];
+            returnLostFlit(up.neighbor, up.remotePort, lf.vc, lf.flit);
             MMR_OBS_EVENT(TraceCat::Fault, "crc_drop", now,
                           lf.toNode, lf.flit.conn,
                           static_cast<std::int32_t>(lf.flit.src));

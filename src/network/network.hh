@@ -87,6 +87,7 @@ class Network : public Clocked
     // ------------------------------------------------------------------
     // Connection-oriented traffic (PCS)
     // ------------------------------------------------------------------
+    /** Outcome of a zero-time setup, or of a timed one once taken. */
     struct SetupOutcome
     {
         ConnId id = kInvalidConn;
@@ -94,7 +95,7 @@ class Network : public Clocked
         unsigned forwardSteps = 0;
         unsigned backtrackSteps = 0;
         unsigned pathLength = 0; ///< routers on the final path
-        double setupLatencyCycles = 0.0;
+        Cycle setupCycles = 0; ///< probe + ack (zero-time: estimated)
     };
 
     SetupOutcome openCbr(NodeId src, NodeId dst, double rate_bps,
@@ -104,21 +105,6 @@ class Network : public Clocked
                          SetupPolicy policy = SetupPolicy::Epb);
 
     // ---- timed (distributed) establishment ---------------------------
-    /**
-     * Outcome of a timed setup, taken with takeTimedResult() once the
-     * probe/ack protocol finishes.
-     */
-    struct TimedOutcome
-    {
-        std::uint64_t token = 0;
-        bool accepted = false;
-        ConnId id = kInvalidConn;
-        Cycle setupCycles = 0; ///< measured probe + ack latency
-        unsigned forwardSteps = 0;
-        unsigned backtrackSteps = 0;
-        unsigned pathLength = 0;
-    };
-
     /**
      * Launch a probe at cycle @p now; the connection (if accepted)
      * becomes injectable once takeTimedResult(token) succeeds.  Unlike
@@ -134,15 +120,15 @@ class Network : public Clocked
                                SetupPolicy policy = SetupPolicy::Epb);
 
     /**
-     * Destructive poll: copy the token's outcome into @p out and drop
-     * the stored entry.  False while the probe is still in flight and
-     * after the outcome was taken, so the completed-setup table holds
-     * only outcomes nobody has claimed yet.
+     * Destructive poll: copy the token's outcome into @p out and free
+     * the probe slot that held it.  False while the probe is still in
+     * flight and after the outcome was taken, so a finished setup
+     * holds its slot only until somebody claims its outcome.
      */
-    bool takeTimedResult(std::uint64_t token, TimedOutcome &out);
+    bool takeTimedResult(std::uint64_t token, SetupOutcome &out);
 
     /** Probes still in flight. */
-    std::size_t pendingSetups() const;
+    std::size_t pendingSetups() const { return probeMgr->inFlight(); }
 
     /**
      * Begin tearing a connection down; the per-router segments are
@@ -306,13 +292,13 @@ class Network : public Clocked
     /**
      * Pre-seed every setup-path pool for @p n concurrent sessions:
      * the PCS connection slots (with hop capacity), the probe slot
-     * pool, the timed-setup ledgers, the PCS index and the recorder's
-     * overflow table.  Pool pre-seeding hands out the same slot
-     * indices lazy growth would (the free lists are stacked so pops
-     * ascend), so results are bit-identical — only the allocations
-     * move from steady state to this call.  Workload drivers with a
-     * known session ceiling (the churn engine) call this up front;
-     * without it the pools still work, growing amortized instead.
+     * pool, the PCS index and the recorder's overflow table.  PCS
+     * slots go out in the order lazy growth would use (the free list
+     * is stacked so pops ascend) and no result reads a probe slot, so
+     * results are bit-identical — only the allocations move from
+     * steady state to this call.  A workload with a known session
+     * ceiling (the churn engine) calls this up front; without it the
+     * pools still work, growing amortized instead.
      */
     void reserveSessions(std::size_t n);
 
@@ -393,6 +379,9 @@ class Network : public Clocked
                       Cycle now);
     void handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now);
     void handleSegmentRemoved(NodeId n, PortId in, VcId in_vc);
+    /** A flit lost after leaving @p up through (@p out, @p vc): return
+     * its credit and, for a datagram, the link VC it held. */
+    void returnLostFlit(NodeId up, PortId out, VcId vc, const Flit &f);
     void deliverToHost(NodeId n, const Flit &f, Cycle now);
 
     // ------------------------------------------------------------------
@@ -459,18 +448,21 @@ class Network : public Clocked
     void processArrivals(Cycle now);
     void processPendingCloses();
 
+    SetupRequest cbrRequest(NodeId src, NodeId dst, double rate_bps) const;
+    SetupRequest vbrRequest(NodeId src, NodeId dst, double mean_bps,
+                            double peak_bps, int priority) const;
+
     /** Zero-time setup of @p req: search, then install the path. */
-    SetupOutcome openNow(const SetupRequest &req, SetupPolicy policy,
-                         double rate_or_mean, int priority);
+    SetupOutcome openNow(const SetupRequest &req, SetupPolicy policy);
 
     /**
-     * Install the per-router segments of the path @p search reserved;
-     * returns the connection id, or kInvalidConn with every hop
-     * released.
+     * Install the per-router segments of the path @p search reserved,
+     * at its request's rate and priority; returns the connection id,
+     * or kInvalidConn with every hop released.
      */
-    ConnId installReservedPath(PathSearch &search, double rate_or_mean,
-                               int priority);
+    ConnId installReservedPath(PathSearch &search);
 
+    /** Install an Established setup's path; record it on the setup. */
     void onTimedSetupComplete(TimedSetup &s);
 
     Topology topo;
@@ -487,14 +479,6 @@ class Network : public Clocked
     std::vector<unsigned> probeAlloc;
     std::vector<unsigned> probePeak;
     std::uint64_t probeTableStamp = ~std::uint64_t{0};
-
-    struct TimedRequestInfo
-    {
-        double rateOrMean = 0.0;
-        int priority = 0;
-    };
-    FlatMap<std::uint64_t, TimedRequestInfo> timedInfo;
-    FlatMap<std::uint64_t, TimedOutcome> timedDone;
 
     /**
      * Open PCS connections: a slot pool indexed by a flat id map.

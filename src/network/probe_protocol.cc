@@ -5,34 +5,17 @@
 namespace mmr
 {
 
-std::string
-to_string(SetupState s)
-{
-    switch (s) {
-      case SetupState::Probing:
-        return "probing";
-      case SetupState::Returning:
-        return "returning";
-      case SetupState::Established:
-        return "established";
-      case SetupState::Refused:
-        return "refused";
-    }
-    return "?";
-}
-
 ProbeSetupManager::ProbeSetupManager(const Topology &topo_,
                                      RouterAccess router_at,
-                                     NiPortOf ni_port_of,
                                      CompletionFn on_complete,
                                      std::uint64_t seed)
     : topo(topo_),
-      fabric{&topo_, std::move(router_at), std::move(ni_port_of), {},
+      fabric{&topo_, std::move(router_at), {},
              (topo_.maxDegree() + 1 + 63) / 64, {}},
       onComplete(std::move(on_complete)), rng(seed),
       distCache(topo_.numNodes()), distCacheEpoch(topo_.numNodes(), 0)
 {
-    mmr_assert(fabric.routerAt && fabric.niPortOf && onComplete,
+    mmr_assert(fabric.routerAt && onComplete,
                "probe manager needs router access and a callback");
     fabric.cands.reserve(topo.maxDegree());
 }
@@ -102,20 +85,16 @@ ProbeSetupManager::establish(const SetupRequest &req, SetupPolicy policy,
 void
 ProbeSetupManager::reservePools(std::size_t n)
 {
+    const std::size_t minted = slots.size();
     while (slots.size() < n) {
         slots.emplace_back();
         slots.back().setup.reserve(fabric);
     }
-    // Rebuild the free list only when the pool is idle (construction
-    // time).  Indices are stacked descending so pops hand out
-    // 0, 1, 2, ... — the same sequence lazy emplace_back growth
-    // produces, keeping slot assignment (and digests) unchanged.
-    if (order.empty()) {
-        freeSlots.clear();
-        freeSlots.reserve(slots.size());
-        for (std::size_t i = slots.size(); i-- > 0;)
-            freeSlots.push_back(static_cast<std::uint32_t>(i));
-    }
+    // The new slots are stacked descending, so pops hand them out in
+    // ascending index order.
+    freeSlots.reserve(slots.size());
+    for (std::size_t i = slots.size(); i-- > minted;)
+        freeSlots.push_back(static_cast<std::uint32_t>(i));
     order.reserve(n);
 }
 
@@ -139,18 +118,33 @@ ProbeSetupManager::begin(const SetupRequest &req, SetupPolicy policy,
     // The search snapshots the surviving distances as of launch;
     // faults that land mid-flight do not retarget a probe.
     launch(s, req, policy);
-    s.token = nextToken++;
     s.state = SetupState::Probing;
     s.startedAt = now;
     s.finishedAt = 0;
     s.timedOut = false;
+    s.conn = kInvalidConn;
     p.nextAction = now; // first hop attempt happens this cycle
     p.deadline = timeoutCycles ? now + timeoutCycles : 0;
     p.lost = false;
     p.ackIndex = 0;
     order.push_back(idx);
     ++holdStamp;
-    return s.token;
+    return (std::uint64_t{idx} << 32) | p.epoch;
+}
+
+const TimedSetup *
+ProbeSetupManager::take(std::uint64_t token)
+{
+    const std::uint64_t idx = token >> 32;
+    if (idx >= slots.size())
+        return nullptr;
+    Probe &p = slots[idx];
+    if (!p.finished || p.epoch != static_cast<std::uint32_t>(token))
+        return nullptr;
+    p.finished = false;
+    ++p.epoch;
+    freeSlots.push_back(static_cast<std::uint32_t>(idx));
+    return &p.setup;
 }
 
 void
@@ -245,8 +239,9 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
 void
 ProbeSetupManager::step(Cycle now)
 {
-    // Probes are serviced in launch order; a finished probe frees its
-    // slot and leaves the order list (erasing a u32, not a Probe).
+    // Probes are serviced in launch order; a finished probe leaves
+    // the order list (erasing a u32, not a Probe) and keeps its slot
+    // until take().
     for (std::size_t i = 0; i < order.size();) {
         const std::uint32_t idx = order[i];
         Probe &p = slots[idx];
@@ -263,12 +258,10 @@ ProbeSetupManager::step(Cycle now)
             continue;
         }
         order.erase(order.begin() + static_cast<std::ptrdiff_t>(i));
+        p.finished = true;
         // Leaving the in-flight set retires the probe's hops from the
         // table (an Established path is now installed segments).
         ++holdStamp;
-        // mmr-lint: allow(hot-path-alloc) amortized: free list grows
-        // to the probe high-water mark, then recycles.
-        freeSlots.push_back(idx);
     }
 }
 

@@ -49,16 +49,14 @@ enum class SetupState
     Refused      ///< probe backtracked out of the source node
 };
 
-std::string to_string(SetupState s);
-
 /**
- * Handle + result of a timed setup: the probe's search (request,
- * hops reserved so far or the final path, step counts) plus the
- * protocol's timing.
+ * The one record of a timed setup, from begin() until its outcome is
+ * taken: the probe's search (request, hops reserved so far or the
+ * final path, step counts), the protocol's timing, and the connection
+ * the owner installed for it.
  */
 struct TimedSetup : PathSearch
 {
-    std::uint64_t token = 0;
     SetupState state = SetupState::Probing;
     Cycle startedAt = 0;
     Cycle finishedAt = 0; ///< valid once Established/Refused
@@ -66,24 +64,26 @@ struct TimedSetup : PathSearch
      * its ack was lost, or establishment simply took too long), not
      * because the search was exhausted. */
     bool timedOut = false;
+    /** The connection the owner installed (kInvalidConn if none). */
+    ConnId conn = kInvalidConn;
 };
 
 /**
  * Drives every path search.  The owner (Network) calls establish()
  * for a zero-time setup, and step() once per flit cycle for the
  * timed probes; on a timed completion the manager invokes the
- * owner's callback so it can install the segments (Established) or
- * record the refusal.
+ * owner's callback so it can install the segments (Established) and
+ * record the connection on the setup.  A finished setup keeps its
+ * slot until its outcome is taken with take().
  */
 class ProbeSetupManager
 {
   public:
     using RouterAccess = std::function<MmrRouter &(NodeId)>;
-    using NiPortOf = std::function<PortId(NodeId)>;
     /** Invoked exactly once per timed setup when it leaves the
      * in-flight set (state Established or Refused).  An Established
-     * setup still holds its hops: the owner installs them, or
-     * releases them with releaseAll(). */
+     * setup still holds its hops: the owner installs them and sets
+     * TimedSetup::conn, or releases them with releaseAll(). */
     using CompletionFn = std::function<void(TimedSetup &)>;
     /** Whether the directed link from @p node through @p port is
      * usable (false once failed). */
@@ -93,8 +93,7 @@ class ProbeSetupManager
     using MessageLoss = std::function<bool(const TimedSetup &)>;
 
     ProbeSetupManager(const Topology &topo, RouterAccess router_at,
-                      NiPortOf ni_port_of, CompletionFn on_complete,
-                      std::uint64_t seed);
+                      CompletionFn on_complete, std::uint64_t seed);
 
     /** Searches hold the address of the manager's fabric. */
     ProbeSetupManager(const ProbeSetupManager &) = delete;
@@ -176,8 +175,9 @@ class ProbeSetupManager
     }
 
     /**
-     * Launch a probe.  Returns a token to correlate with the
-     * completion callback.
+     * Launch a probe.  Returns its token: slot index << 32 | the
+     * slot's epoch, which take() bumps before it frees the slot, so a
+     * taken token stays dead after a later setup reuses the slot.
      */
     std::uint64_t begin(const SetupRequest &req, SetupPolicy policy,
                         Cycle now);
@@ -187,13 +187,25 @@ class ProbeSetupManager
 
     std::size_t inFlight() const { return order.size(); }
 
+    /** Take the finished setup @p token names: free its slot and
+     * return the setup, readable until the next begin().  Null while
+     * the probe is in flight and once its outcome was taken. */
+    const TimedSetup *take(std::uint64_t token);
+
+    /** Finished setups whose outcome nobody has taken yet. */
+    std::size_t
+    untakenOutcomes() const
+    {
+        return slots.size() - freeSlots.size() - order.size();
+    }
+
     /**
-     * Pre-seed the probe slot pool for @p n concurrent setups: slots
-     * are minted (their searches sized for the topology) and pushed
-     * onto the free list in the exact order lazy growth would have
-     * assigned them, so behavior — and therefore every digest — is
-     * unchanged; only the heap traffic moves from steady state to
-     * construction time.
+     * Pre-seed the probe slot pool for @p n setups in flight or
+     * waiting for their outcome to be taken: slots are minted (their
+     * searches sized for the topology) and pushed onto the free list,
+     * so a steady churn of setups allocates nothing.  Nothing
+     * observable reads a slot index, so behavior is unchanged; only
+     * the heap traffic moves from steady state to construction time.
      */
     void reservePools(std::size_t n);
 
@@ -209,14 +221,18 @@ class ProbeSetupManager
 
   private:
     /**
-     * In-flight probe state, pooled: finished probes return their
-     * slot (and every container's capacity) to a free list, so a
-     * steady churn of setups allocates nothing once the pool and its
-     * slots have reached their high-water marks.
+     * Probe state, pooled: a slot holds its setup from begin() until
+     * take(), which returns the slot (and every container's capacity)
+     * to the free list, so a steady churn of setups allocates nothing
+     * once the pool and its slots have reached their high-water marks.
      */
     struct Probe
     {
         TimedSetup setup;
+        /** Token epoch (see begin()): bumped at take, never reset. */
+        std::uint32_t epoch = 0;
+        /** Finished, and its outcome not taken yet. */
+        bool finished = false;
         Cycle nextAction = 0;
         /** Source-timer expiry (0 = no timer). */
         Cycle deadline = 0;
@@ -250,15 +266,15 @@ class ProbeSetupManager
     Rng rng;
     Cycle hopLatency = 2;
     Cycle timeoutCycles = 0;
-    std::uint64_t nextToken = 1;
     std::uint64_t statMessagesLost = 0;
     std::uint64_t statTimeouts = 0;
     std::uint64_t holdStamp = 0; ///< see reservationStamp()
 
-    /** Probe slot pool: order holds the indices of live slots in
-     * launch order (the protocol's service order); freeSlots holds
-     * the rest.  Completing a probe erases its order entry — a cheap
-     * u32 memmove instead of shifting whole Probe objects. */
+    /** Probe slot pool: order holds the indices of in-flight slots
+     * in launch order (the protocol's service order), freeSlots the
+     * slots take() returned; the rest hold finished setups.
+     * Completing a probe erases its order entry — a cheap u32 memmove
+     * instead of shifting whole Probe objects. */
     std::vector<Probe> slots;
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint32_t> order;

@@ -11,7 +11,7 @@ namespace
 {
 
 /** Injection-ticket packing into a Session's token bytes (the timed
- * setup token is dead once the setup resolves; see Session::token). */
+ * setup token is dead once its outcome is taken; see Session::token). */
 constexpr std::uint64_t
 packTicket(Network::Ticket t)
 {
@@ -158,7 +158,7 @@ ChurnEngine::pollSetups(Cycle now)
     while (idx != kNil) {
         Session &s = slots[idx];
         const std::uint32_t nxt = s.next;
-        Network::TimedOutcome out;
+        Network::SetupOutcome out;
         if (!net.takeTimedResult(s.token, out)) {
             prev = idx;
             idx = nxt;
@@ -180,11 +180,10 @@ ChurnEngine::pollSetups(Cycle now)
                 retire(idx, true);
             } else {
                 // Mint the injection ticket into the token's bytes
-                // (the setup token is dead once resolved).  A link
-                // fault in the cycles between establishment and this
-                // poll can have already killed the connection; its
-                // ticket is then dead and the first inject scan sees
-                // it.
+                // (the setup token died at the take).  A link fault
+                // in the cycles between establishment and this poll
+                // can have already killed the connection; its ticket
+                // is then dead and the first inject scan sees it.
                 s.token = packTicket(net.ticket(s.conn));
                 s.state = Active;
                 s.departAt = now + s.departAt; // rebase drawn hold

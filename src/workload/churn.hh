@@ -23,8 +23,10 @@
  *    the engine performs no steady-state heap allocation;
  *  - completed sessions release their MetricsRecorder entry
  *    (releaseConnection folds the stats into retired aggregates), and
- *    setup outcomes are consumed destructively (takeTimedResult), so
- *    neither side table grows with cumulative session count.
+ *    each setup outcome is taken on the tick after it lands
+ *    (takeTimedResult frees the probe slot that held it), so neither
+ *    the recorder nor the probe pool grows with cumulative session
+ *    count.
  *
  * Bookkeeping is audited by the named invariant
  * "workload.session-ledger", a conservation law over the whole
@@ -179,9 +181,9 @@ class ChurnEngine
     {
         /** While Pending: the timed-setup token.  While Active: the
          * injection ticket (Network::ticket) packed as
-         * slot << 32 | epoch — the token dies the moment the setup
-         * resolves, so the ticket reuses its bytes and the record
-         * stays at 56 of the budgeted 64 bytes. */
+         * slot << 32 | epoch — the setup token dies the moment its
+         * outcome is taken, so the ticket reuses its bytes and the
+         * record stays at 56 of the budgeted 64 bytes. */
         std::uint64_t token = 0;
         Cycle departAt = 0;
         ConnId conn = kInvalidConn;

@@ -162,7 +162,7 @@ TEST_F(InjectorTest, LostProbesTimeOutAndReleaseReservations)
     const auto token = net->openCbrTimed(0, 2, 10 * kMbps, kernel.now());
     kernel.run(FaultInjector::kDefaultSetupTimeout + 16);
 
-    Network::TimedOutcome r;
+    Network::SetupOutcome r;
     ASSERT_TRUE(net->takeTimedResult(token, r))
         << "timeout must complete the setup attempt";
     EXPECT_FALSE(r.accepted);

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Self-test for mmr-lint against the fixture corpus.
 
-Each bad_<rule-with-underscores>.cc fixture must produce exactly one
-finding, and that finding must be of the rule named by the file.  The
-clean_suppressed.cc fixture exercises the annotation syntax and must
-produce zero findings.  Any drift — a rule that stops firing, fires
-twice, or leaks into another fixture — fails the test.
+Each bad_<rule-with-underscores>.cc fixture, and each
+bad_<rule-with-underscores>.<case>.cc fixture when a rule has more
+than one, must produce exactly one finding, and that finding must be
+of the rule named by the file.  The clean_suppressed.cc fixture
+exercises the annotation syntax and must produce zero findings.  Any
+drift — a rule that stops firing, fires twice, or leaks into another
+fixture — fails the test.
 
 Run from anywhere:  python3 tests/lint/run_fixtures.py
 """
@@ -49,7 +51,7 @@ def main():
         raise SystemExit("no bad_*.cc fixtures found")
 
     for name in bad:
-        expected_rule = name[len("bad_"):-len(".cc")].replace("_", "-")
+        expected_rule = name[len("bad_"):].split(".")[0].replace("_", "-")
         payload = run_lint([os.path.join(FIXTURES, name)])
         findings = payload["findings"]
         rules = [f["rule"] for f in findings]

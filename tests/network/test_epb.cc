@@ -49,7 +49,6 @@ class EpbTest : public ::testing::Test
         }
         probes = std::make_unique<ProbeSetupManager>(
             *topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
-            [this](NodeId n) { return static_cast<PortId>(topo->degree(n)); },
             [](TimedSetup &) {}, /*seed=*/1);
     }
 

@@ -201,7 +201,7 @@ TEST_F(FailureTest, NewSetupsAvoidDeadLinks)
     // Timed probe: same avoidance.
     const auto token = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
     kernel.run(200);
-    Network::TimedOutcome r;
+    Network::SetupOutcome r;
     ASSERT_TRUE(net->takeTimedResult(token, r));
     EXPECT_TRUE(r.accepted);
     EXPECT_EQ(r.pathLength, 4u);
@@ -216,7 +216,7 @@ TEST_F(FailureTest, SetupRefusedAcrossAPartition)
     EXPECT_FALSE(net->openCbr(0, 1, 10 * kMbps).accepted);
     const auto token = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
     kernel.run(50);
-    Network::TimedOutcome r;
+    Network::SetupOutcome r;
     ASSERT_TRUE(net->takeTimedResult(token, r));
     EXPECT_FALSE(r.accepted);
 }

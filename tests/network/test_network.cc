@@ -56,7 +56,7 @@ TEST_F(NetworkTest, CbrStreamDeliversEndToEndInOrder)
     const auto outcome = net->openCbr(0, 8, 100 * kMbps);
     ASSERT_TRUE(outcome.accepted);
     EXPECT_EQ(outcome.pathLength, 5u); // 4 links + destination NI
-    EXPECT_GT(outcome.setupLatencyCycles, 0.0);
+    EXPECT_GT(outcome.setupCycles, 0u);
 
     net->endToEnd().startMeasurement(0);
     for (std::uint32_t i = 0; i < 10; ++i) {
@@ -172,6 +172,51 @@ TEST_F(NetworkTest, TicketLifecycle)
     ASSERT_TRUE(net->failLink(path[0], path[1]));
     EXPECT_FALSE(net->live(tb));
     EXPECT_FALSE(net->live(net->ticket(b.id)));
+}
+
+TEST_F(NetworkTest, SetupTokenLifecycle)
+{
+    build(Topology::mesh2d(2, 2));
+    auto settle = [this] {
+        for (int i = 0; i < 200 && net->pendingSetups() != 0; ++i)
+            run(1);
+        ASSERT_EQ(net->pendingSetups(), 0u);
+    };
+    Network::SetupOutcome out;
+
+    // In flight: there is nothing to take yet.
+    const std::uint64_t ta =
+        net->openCbrTimed(0, 3, 200 * kMbps, kernel.now());
+    EXPECT_FALSE(net->takeTimedResult(ta, out));
+    settle();
+    EXPECT_EQ(net->probes().untakenOutcomes(), 1u);
+
+    // The first take succeeds, and only once.
+    ASSERT_TRUE(net->takeTimedResult(ta, out));
+    ASSERT_TRUE(out.accepted);
+    EXPECT_EQ(out.pathLength, 3u);
+    const ConnId a = out.id;
+    EXPECT_EQ(net->probes().untakenOutcomes(), 0u);
+    EXPECT_FALSE(net->takeTimedResult(ta, out));
+    EXPECT_FALSE(net->takeTimedResult(ta + 1, out))
+        << "the free slot's next token must not take it";
+
+    // The next setup reuses the freed slot (the pool holds one); the
+    // taken token stays dead while it runs and after it lands, and
+    // the new token reads its own outcome.
+    const std::uint64_t tb =
+        net->openCbrTimed(0, 1, 200 * kMbps, kernel.now());
+    EXPECT_EQ(tb >> 32, ta >> 32) << "same probe slot";
+    EXPECT_NE(tb, ta);
+    EXPECT_FALSE(net->takeTimedResult(ta, out));
+    settle();
+    EXPECT_FALSE(net->takeTimedResult(ta, out));
+    ASSERT_TRUE(net->takeTimedResult(tb, out));
+    ASSERT_TRUE(out.accepted);
+    EXPECT_EQ(out.pathLength, 2u);
+    EXPECT_NE(out.id, a);
+    EXPECT_FALSE(net->takeTimedResult(tb, out));
+    EXPECT_EQ(net->probes().untakenOutcomes(), 0u);
 }
 
 TEST_F(NetworkTest, RenegotiateAlongWholePath)

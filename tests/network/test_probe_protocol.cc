@@ -42,10 +42,10 @@ class TimedSetupTest : public ::testing::Test
     }
 
     /** Run until the token completes (bounded) and take its outcome. */
-    std::optional<Network::TimedOutcome>
+    std::optional<Network::SetupOutcome>
     await(std::uint64_t token, Cycle bound = 10000)
     {
-        Network::TimedOutcome r;
+        Network::SetupOutcome r;
         for (Cycle i = 0; !net->takeTimedResult(token, r); ++i) {
             if (i == bound)
                 return std::nullopt;
@@ -146,7 +146,6 @@ struct RouterBank
         }
         probes = std::make_unique<ProbeSetupManager>(
             topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
-            [this](NodeId n) { return static_cast<PortId>(topo.degree(n)); },
             [this](TimedSetup &s) { done = s; }, seed);
     }
 
@@ -376,7 +375,7 @@ TEST_F(TimedSetupTest, ManyConcurrentSetupsAllComplete)
     EXPECT_EQ(net->pendingSetups(), 0u);
     unsigned accepted = 0;
     for (auto t : tokens) {
-        Network::TimedOutcome r;
+        Network::SetupOutcome r;
         ASSERT_TRUE(net->takeTimedResult(t, r));
         accepted += r.accepted;
     }

@@ -141,7 +141,7 @@ TEST(ReservationTable, ByNameAuditSeesSameCycleProbeChanges)
 
     // Completion turns the held hops into installed segments; a table
     // still holding them would count the bandwidth twice.
-    Network::TimedOutcome r;
+    Network::SetupOutcome r;
     while (!net.takeTimedResult(token, r))
         kernel.step();
     ASSERT_TRUE(r.accepted);

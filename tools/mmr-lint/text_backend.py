@@ -41,6 +41,8 @@ NONDET_CALL0 = {"rand", "clock"}
 ALLOC_FREE_CALLS = {"malloc", "calloc", "realloc", "strdup",
                     "aligned_alloc", "make_unique", "make_shared",
                     "to_string"}
+# std containers that allocate when constructed with arguments.
+SIZED_CONTAINERS = {"vector", "deque", "string", "list"}
 
 BUILTIN_INT = {"int", "long", "short", "unsigned", "signed", "int32_t",
                "uint32_t", "int16_t", "uint16_t", "int64_t", "size_t"}
@@ -667,6 +669,9 @@ class TextBackend:
             elif t.kind == IDENT:
                 nxt = toks[i + 1].text if i + 1 < n else ""
                 prev = toks[i - 1].text if i else ""
+                if x in SIZED_CONTAINERS and prev == "::" and \
+                        toks[i - 2].text == "std":
+                    self._sized_construction(i, fn)
                 if x == "new" and prev not in (".", "->", "::"):
                     what = "placement-new" if nxt == "(" else "new"
                     fn.alloc_sites.append(
@@ -713,6 +718,47 @@ class TextBackend:
                 toks[j + 1].text in ("=", ";", "(", "{", ":"):
             fn.var_types[toks[j].text] = toks[i].text
 
+    def _after_angles(self, j):
+        """Index just past the template argument list whose '<' is at
+        j, or None when a ';' or a brace comes first."""
+        toks = self.toks
+        depth = 0
+        while j < len(toks):
+            x = toks[j].text
+            if x == "<":
+                depth += 1
+            elif x == ">":
+                depth -= 1
+            elif x == ">>":
+                depth -= 2
+            elif x in (";", "{", "}"):
+                return None
+            if depth <= 0:
+                return j + 1
+            j += 1
+        return None
+
+    def _sized_construction(self, i, fn):
+        """Token i names a SIZED_CONTAINERS type after `std::` inside a
+        body: a local or a temporary constructed with arguments
+        (`std::vector<T> v(n)`, `std::string{p, n}`) is an allocation
+        site.  Declarations without arguments, references and
+        `::`-qualified names (`std::string::npos`) are not."""
+        toks = self.toks
+        if i >= 3 and toks[i - 3].text == "->":
+            return  # a lambda's trailing return type
+        j = i + 1
+        if j < len(toks) and toks[j].text == "<":
+            j = self._after_angles(j)
+            if j is None:
+                return
+        if j < len(toks) and toks[j].kind == IDENT:
+            j += 1  # the local's name
+        if j + 1 < len(toks) and toks[j].text in ("(", "{") and \
+                toks[j + 1].text not in (")", "}"):
+            fn.alloc_sites.append(SiteNote(
+                f"std::{toks[i].text}(...)", self.path, toks[i].line))
+
     def _local_decl(self, i, fn):
         """Token i names a container type inside a body: if this is a
         local declaration, record its name -> kind."""
@@ -720,23 +766,9 @@ class TextBackend:
         kind = toks[i].text
         j = i + 1
         if j < len(toks) and toks[j].text == "<":
-            depth = 0
-            while j < len(toks):
-                if toks[j].text == "<":
-                    depth += 1
-                elif toks[j].text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        j += 1
-                        break
-                elif toks[j].text == ">>":
-                    depth -= 2
-                    if depth <= 0:
-                        j += 1
-                        break
-                elif toks[j].text in (";", "{", "}"):
-                    return
-                j += 1
+            j = self._after_angles(j)
+            if j is None:
+                return
         while j < len(toks) and toks[j].text in ("&", "*", "const"):
             j += 1
         if j < len(toks) and toks[j].kind == IDENT:
