@@ -73,15 +73,14 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  %s done\n", pol.name.c_str());
 
             std::map<double, StreamStat> jitter, delay;
-            for (ConnId conn : exp.metrics().connections()) {
-                const SegmentParams *seg = exp.router().connection(conn);
+            for (const ChannelRef in : exp.channels()) {
+                const SegmentParams seg = exp.router().segment(in);
                 const ConnectionRecorder *rec =
-                    exp.metrics().connection(conn);
-                if (seg == nullptr || rec == nullptr ||
-                    seg->interArrival <= 0.0)
+                    exp.metrics().connection(seg.id);
+                if (rec == nullptr || seg.interArrival <= 0.0)
                     continue;
                 const double mbps =
-                    link / seg->interArrival / kMbps;
+                    link / seg.interArrival / kMbps;
                 // Round to the ladder value to group identical rates.
                 const double key =
                     std::round(mbps * 1000.0) / 1000.0;

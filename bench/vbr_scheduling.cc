@@ -59,20 +59,19 @@ main(int argc, char **argv)
         std::map<int, StreamStat> jitter_by_prio;
         std::map<int, std::pair<std::uint64_t, std::uint64_t>>
             deadline_by_prio;
-        for (ConnId conn : exp.metrics().connections()) {
-            const SegmentParams *seg = exp.router().connection(conn);
+        for (const ChannelRef in : exp.channels()) {
+            const SegmentParams seg = exp.router().segment(in);
             const ConnectionRecorder *rec =
-                exp.metrics().connection(conn);
-            if (seg == nullptr || rec == nullptr ||
-                seg->klass != TrafficClass::VBR)
+                exp.metrics().connection(seg.id);
+            if (rec == nullptr || seg.klass != TrafficClass::VBR)
                 continue;
-            delay_by_prio[seg->priority].merge(rec->delay());
-            jitter_by_prio[seg->priority].merge(rec->jitter());
-            auto it = exp.deadlineStats().find(conn);
+            delay_by_prio[seg.priority].merge(rec->delay());
+            jitter_by_prio[seg.priority].merge(rec->jitter());
+            auto it = exp.deadlineStats().find(seg.id);
             if (it != exp.deadlineStats().end()) {
-                deadline_by_prio[seg->priority].first +=
+                deadline_by_prio[seg.priority].first +=
                     it->second.first;
-                deadline_by_prio[seg->priority].second +=
+                deadline_by_prio[seg.priority].second +=
                     it->second.second;
             }
         }

@@ -56,8 +56,9 @@ main(int argc, char **argv)
         Table t({"event", "requested_mbps", "outcome",
                  "alloc_cycles@hop0"});
         auto alloc_now = [&] {
-            const NodeId first = net.connectionPath(video.id).front();
-            return net.routerAt(first).connection(video.id)->allocCycles;
+            const Network::PathHop first =
+                net.connectionPath(video.id).front();
+            return net.routerAt(first.node).segment(first.in).allocCycles;
         };
 
         // Step upward while there is head room — the interface would
@@ -82,7 +83,7 @@ main(int argc, char **argv)
         // A competitor appears on the video's own path and takes a
         // slice; scaling further must now fail, and the source backs
         // off.
-        const NodeId mid = net.connectionPath(video.id)[1];
+        const NodeId mid = net.connectionPath(video.id)[1].node;
         const auto rival = net.openCbr(mid, 2, 300 * kMbps);
         std::printf("rival stream (300 Mb/s from node %u, sharing the "
                     "video's second hop) %s\n", mid,

@@ -22,11 +22,7 @@ SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
 {
     if (cfg.rateLadder.empty())
         cfg.rateLadder = paperRateLadder();
-    if (cfg.offeredLoad < 0.0 || cfg.offeredLoad > 1.0)
-        mmr_fatal("offered load must be in [0,1], got ", cfg.offeredLoad);
-    const double mix_total = cfg.mix.total();
-    if (mix_total <= 0.0)
-        mmr_fatal("workload mix shares must sum to a positive value");
+    cfg.validate();
 
     RouterConfig rc = cfg.router;
     rc.seed = cfg.seed ^ 0x5eedf00dULL;
@@ -60,6 +56,26 @@ SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
 
 SingleRouterExperiment::~SingleRouterExperiment() = default;
 
+void
+ExperimentConfig::validate() const
+{
+    if (offeredLoad < 0.0 || offeredLoad > 1.0)
+        mmr_fatal("offered load must be in [0,1], got ", offeredLoad);
+    if (mix.total() <= 0.0)
+        mmr_fatal("workload mix shares must sum to a positive value");
+    router.validate();
+}
+
+std::vector<ChannelRef>
+SingleRouterExperiment::channels() const
+{
+    std::vector<ChannelRef> in;
+    in.reserve(streams.size());
+    for (const Stream &s : streams)
+        in.push_back(s.in);
+    return in;
+}
+
 bool
 SingleRouterExperiment::addCbrConnection(double rate_bps)
 {
@@ -73,17 +89,16 @@ SingleRouterExperiment::addCbrConnection(double rate_bps)
         if (inputDemand[in] + rate_bps > link ||
             outputDemand[out] + rate_bps > link)
             continue;
-        const ConnId id = dut->openCbr(in, out, rate_bps);
-        if (id == kInvalidConn)
+        const ChannelRef bound = dut->openCbr(in, out, rate_bps);
+        if (!bound.valid())
             continue;
         inputDemand[in] += rate_bps;
         outputDemand[out] += rate_bps;
         admittedBps += rate_bps;
         Stream s;
-        s.conn = id;
+        s.conn = dut->segment(bound).id;
         s.klass = TrafficClass::CBR;
-        s.in = in;
-        s.inVc = dut->connection(id)->inVc;
+        s.in = bound;
         s.source = std::make_unique<CbrSource>(rate_bps, link, rng);
         streams.push_back(std::move(s));
         return true;
@@ -107,9 +122,9 @@ SingleRouterExperiment::addVbrConnection(double mean_rate_bps)
             continue;
         const int prio = static_cast<int>(
             rng.below(std::max(1, cfg.mix.vbrPriorityLevels)));
-        const ConnId id = dut->openVbr(in, out, mean_rate_bps, peak_bps,
-                                       prio);
-        if (id == kInvalidConn)
+        const ChannelRef bound =
+            dut->openVbr(in, out, mean_rate_bps, peak_bps, prio);
+        if (!bound.valid())
             continue;
         inputDemand[in] += mean_rate_bps;
         outputDemand[out] += mean_rate_bps;
@@ -117,10 +132,9 @@ SingleRouterExperiment::addVbrConnection(double mean_rate_bps)
         VbrProfile prof = cfg.mix.vbrProfile;
         prof.meanRateBps = mean_rate_bps;
         Stream s;
-        s.conn = id;
+        s.conn = dut->segment(bound).id;
         s.klass = TrafficClass::VBR;
-        s.in = in;
-        s.inVc = dut->connection(id)->inVc;
+        s.in = bound;
         auto src = std::make_unique<VbrSource>(prof, link,
                                                cfg.router.flitBits, rng);
         s.vbr = src.get();
@@ -142,17 +156,16 @@ SingleRouterExperiment::addBestEffortFlow(double rate_bps)
         if (inputDemand[in] + rate_bps > link ||
             outputDemand[out] + rate_bps > link)
             continue;
-        const ConnId id = dut->openBestEffort(in, out);
-        if (id == kInvalidConn)
+        const ChannelRef bound = dut->openBestEffort(in, out);
+        if (!bound.valid())
             continue;
         inputDemand[in] += rate_bps;
         outputDemand[out] += rate_bps;
         admittedBps += rate_bps;
         Stream s;
-        s.conn = id;
+        s.conn = dut->segment(bound).id;
         s.klass = TrafficClass::BestEffort;
-        s.in = in;
-        s.inVc = dut->connection(id)->inVc;
+        s.in = bound;
         s.source = std::make_unique<PoissonSource>(rate_bps, link, rng);
         streams.push_back(std::move(s));
         return true;
@@ -248,16 +261,12 @@ SingleRouterExperiment::pollStream(std::size_t idx, Cycle now)
             continue;
         }
         Flit f;
-        f.conn = s.conn;
-        f.klass = s.klass;
         f.seq = s.seq++;
         f.createTime = now;
         f.readyTime = now;
         if (s.vbr != nullptr)
             f.arg = s.vbr->currentFrameDeadline();
-        // Raw injection at the cached endpoint: same deposit path as
-        // inject(conn, ...) minus the per-flit connection-map lookup.
-        dut->injectRaw(s.in, s.inVc, f);
+        dut->inject(s.in, f);
     }
 }
 

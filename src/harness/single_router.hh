@@ -95,6 +95,12 @@ struct ExperimentConfig
      * Exercises the flight recorder's crash dump end to end; used by
      * the CI observability-smoke job, never by real experiments. */
     Cycle forcePanicAt = 0;
+
+    /** Fatal on a value no experiment can run: an offered load outside
+     * [0,1], an empty mix or a router configuration that
+     * RouterConfig::validate() rejects.  The experiment's constructor
+     * and the sweep runner (before any point runs) both call it. */
+    void validate() const;
 };
 
 /** Per-service-class aggregate results. */
@@ -185,11 +191,10 @@ class SingleRouterExperiment
      * registered; whether checks execute follows invariant::enabled(). */
     InvariantChecker &invariants() { return auditor; }
 
-    /** Connections established by buildWorkload (after run()). */
-    unsigned connectionCount() const
-    {
-        return static_cast<unsigned>(streams.size());
-    }
+    /** Input channels of the connections buildWorkload established
+     * (after run()), in open (= ascending id) order: read each with
+     * router().segment(). */
+    std::vector<ChannelRef> channels() const;
 
     /** Per-connection VBR deadline stats: conn -> {misses, total}. */
     const std::unordered_map<ConnId,
@@ -204,10 +209,7 @@ class SingleRouterExperiment
     {
         ConnId conn;
         TrafficClass klass;
-        /** Input endpoint of the connection, captured at open time so
-         * per-flit injection bypasses the router's connection map. */
-        PortId in = kInvalidPort;
-        VcId inVc = kInvalidVc;
+        ChannelRef in; ///< the input VC the connection is bound to
         std::unique_ptr<TrafficSource> source;
         VbrSource *vbr = nullptr; ///< non-owning view for deadlines
         std::uint32_t seq = 0;

@@ -159,7 +159,7 @@ class MetricsRecorder
     std::uint64_t retiredConnections() const { return retiredConns; }
 
     /** Pre-size the overflow table for @p n concurrent connections. */
-    void reserveConnections(std::size_t n) { overflow.reserve(n); }
+    void reserveOverflow(std::size_t n) { overflow.reserve(n); }
 
   private:
     /**

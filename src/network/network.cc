@@ -214,6 +214,23 @@ Network::pcsFind(ConnId id) const
     return slot ? &pcsSlots[*slot] : nullptr;
 }
 
+ChannelRef
+Network::hopInput(const PcsConnection &conn, std::size_t k) const
+{
+    if (k == 0)
+        return ChannelRef{niPort(conn.src), conn.srcVc};
+    const ReservedHop &prev = conn.hops[k - 1];
+    return ChannelRef{topo.ports(prev.node)[prev.out].remotePort,
+                      prev.outVc};
+}
+
+const VcState &
+Network::hopVc(const PcsConnection &conn, std::size_t k) const
+{
+    const ChannelRef in = hopInput(conn, k);
+    return routers[conn.hops[k].node]->inputMemory(in.port).vc(in.vc);
+}
+
 Network::~Network() = default;
 
 MmrRouter &
@@ -372,63 +389,22 @@ Network::reserveSessions(std::size_t n)
     pcsIndex.reserve(n);
     closingIds.reserve(n);
     probeMgr->reservePools(n);
-    e2e.reserveConnections(n);
-    // Per-router segment tables: a router can carry at most one
-    // segment per output VC, so cap the pre-size at its VC count
-    // rather than charging every router for the global session limit.
-    for (NodeId node = 0; node < topo.numNodes(); ++node) {
-        MmrRouter &r = routerAt(node);
-        const std::size_t vcCap =
-            static_cast<std::size_t>(r.config().numPorts) *
-            r.config().vcsPerPort;
-        r.reserveConnections(std::min(n, vcCap));
-    }
+    e2e.reserveOverflow(n);
 }
 
 ConnId
 Network::installReservedPath(PathSearch &search)
 {
     const SetupRequest &req = search.request;
-    const std::vector<ReservedHop> &hops = search.hops;
-    mmr_assert(!hops.empty(), "installing an empty path");
+    mmr_assert(!search.hops.empty(), "installing an empty path");
     const ConnId id = nextPcsId++;
-    const double link = cfg.router.linkRateBps;
 
     // Source-side input VC on the NI port.
-    const PortId src_ni = niPort(req.src);
-    const VcId src_vc = routers[req.src]->routing().allocInputVc(src_ni);
+    const VcId src_vc =
+        routers[req.src]->routing().allocInputVc(niPort(req.src));
     if (src_vc == kInvalidVc) {
         search.releaseAll();
         return kInvalidConn;
-    }
-
-    for (std::size_t k = 0; k < hops.size(); ++k) {
-        const ReservedHop &hop = hops[k];
-        SegmentParams p;
-        p.id = id;
-        p.klass = req.klass;
-        p.out = hop.out;
-        p.outVc = hop.outVc;
-        p.allocCycles = req.allocCycles;
-        p.permCycles = req.permCycles;
-        p.peakCycles = req.peakCycles;
-        p.interArrival = interArrivalCycles(req.rateBps, link);
-        p.priority = req.priority;
-        p.ownsOutputVc = true;
-        if (k == 0) {
-            p.in = src_ni;
-            p.inVc = src_vc;
-            p.ownsInputVc = true;
-        } else {
-            const NodeId prev = hops[k - 1].node;
-            p.in = topo.portTowards(hop.node, prev);
-            p.inVc = hops[k - 1].outVc;
-            p.ownsInputVc = false;
-        }
-        if (!routers[hop.node]->installSegment(p)) {
-            mmr_panic("segment install failed at node ", hop.node,
-                      " for reserved connection ", id);
-        }
     }
 
     // Pool-slotted connection record: reuse a freed slot (and its
@@ -449,10 +425,33 @@ Network::installReservedPath(PathSearch &search)
     conn.dst = req.dst;
     conn.klass = req.klass;
     conn.srcVc = src_vc;
-    conn.hops = hops;
+    conn.hops = search.hops;
     conn.closing = false;
     conn.failed = false;
     conn.live = true;
+
+    for (std::size_t k = 0; k < conn.hops.size(); ++k) {
+        const ChannelRef in = hopInput(conn, k);
+        SegmentParams p;
+        p.id = id;
+        p.klass = req.klass;
+        p.in = in.port;
+        p.inVc = in.vc;
+        p.out = conn.hops[k].out;
+        p.outVc = conn.hops[k].outVc;
+        p.allocCycles = req.allocCycles;
+        p.permCycles = req.permCycles;
+        p.peakCycles = req.peakCycles;
+        p.interArrival =
+            interArrivalCycles(req.rateBps, cfg.router.linkRateBps);
+        p.priority = req.priority;
+        // A link input VC came from the upstream router's output pool.
+        p.ownsInputVc = k == 0;
+        if (!routers[conn.hops[k].node]->installSegment(p)) {
+            mmr_panic("segment install failed at node ",
+                      conn.hops[k].node, " for reserved connection ", id);
+        }
+    }
     pcsIndex.insert(id, slot);
     return id;
 }
@@ -632,12 +631,9 @@ Network::processPendingCloses()
     for (const ConnId id : closingIds) {
         PcsConnection &conn = *pcsFind(id);
         bool drained = true;
-        for (const ReservedHop &hop : conn.hops) {
-            const SegmentParams *seg =
-                routers[hop.node]->connection(conn.id);
-            mmr_assert(seg != nullptr, "missing segment during close");
-            const VcState &vc =
-                routers[hop.node]->inputMemory(seg->in).vc(seg->inVc);
+        for (std::size_t k = 0; k < conn.hops.size(); ++k) {
+            const VcState &vc = hopVc(conn, k);
+            mmr_assert(vc.conn() == id, "missing segment during close");
             if (!vc.empty() || vc.pendingGrants() != 0) {
                 drained = false;
                 break;
@@ -656,8 +652,11 @@ Network::processPendingCloses()
             closingIds[kept++] = id;
             continue;
         }
-        for (const ReservedHop &hop : conn.hops)
-            routers[hop.node]->removeSegment(conn.id);
+        for (std::size_t k = 0; k < conn.hops.size(); ++k) {
+            const bool removed = routers[conn.hops[k].node]->removeSegment(
+                hopInput(conn, k));
+            mmr_assert(removed, "missing segment during close");
+        }
         conn.live = false;
         ++conn.epoch; // a reused slot must not revive stale tickets
         conn.hops.clear();
@@ -688,12 +687,11 @@ Network::inject(Ticket t, Flit f, Cycle now)
     if (!live(t))
         return false; // torn down (possibly by a link failure)
     const PcsConnection &conn = pcsSlots[t.slot];
-    f.conn = conn.id;
-    f.klass = conn.klass;
     f.src = conn.src;
     f.dst = conn.dst;
     f.readyTime = now;
-    if (!routers[conn.src]->injectRaw(niPort(conn.src), conn.srcVc, f)) {
+    if (!routers[conn.src]->inject(ChannelRef{niPort(conn.src), conn.srcVc},
+                                   f)) {
         ++statInjectRejects;
         return false;
     }
@@ -708,26 +706,26 @@ Network::renegotiateBandwidth(ConnId id, double new_rate_bps)
         return false;
     const PcsConnection &conn = *it;
 
-    // Remember the old rate (identical at each hop) for rollback.
-    const SegmentParams *seg0 =
-        routers[conn.hops.front().node]->connection(id);
-    mmr_assert(seg0 != nullptr, "connection without a first segment");
-    const double old_rate =
-        cfg.router.linkRateBps / seg0->interArrival;
-
+    // Each hop's reservation as its VC held it, for the rollback.
+    std::vector<std::pair<unsigned, double>> held;
+    held.reserve(conn.hops.size());
     std::size_t done = 0;
     for (; done < conn.hops.size(); ++done) {
+        const VcState &vc = hopVc(conn, done);
+        held.emplace_back(vc.allocCycles(), vc.interArrival());
         if (!routers[conn.hops[done].node]->renegotiateBandwidth(
-                id, new_rate_bps))
+                hopInput(conn, done), new_rate_bps))
             break;
     }
     if (done == conn.hops.size())
         return true;
-    // Rollback the hops that already accepted the new rate.
+    // Roll the hops that already accepted the new rate back to exactly
+    // what they held: re-deriving a rate from the inter-arrival time
+    // can round up to one cycle more than was granted.
     for (std::size_t k = 0; k < done; ++k) {
-        const bool ok = routers[conn.hops[k].node]->renegotiateBandwidth(
-            id, old_rate);
-        mmr_assert(ok, "rollback to the old rate must always fit");
+        const bool ok = routers[conn.hops[k].node]->renegotiateCycles(
+            hopInput(conn, k), held[k].first, held[k].second);
+        mmr_assert(ok, "rollback to the held reservation must always fit");
     }
     return false;
 }
@@ -738,21 +736,22 @@ Network::setConnectionPriority(ConnId id, int priority)
     const PcsConnection *it = pcsFind(id);
     if (it == nullptr || it->klass != TrafficClass::VBR)
         return false;
-    for (const ReservedHop &hop : it->hops)
-        routers[hop.node]->setConnectionPriority(id, priority);
+    for (std::size_t k = 0; k < it->hops.size(); ++k)
+        routers[it->hops[k].node]->setConnectionPriority(hopInput(*it, k),
+                                                         priority);
     return true;
 }
 
-std::vector<NodeId>
+std::vector<Network::PathHop>
 Network::connectionPath(ConnId id) const
 {
-    std::vector<NodeId> path;
+    std::vector<PathHop> path;
     const PcsConnection *it = pcsFind(id);
     if (it == nullptr)
         return path;
     path.reserve(it->hops.size());
-    for (const ReservedHop &hop : it->hops)
-        path.push_back(hop.node);
+    for (std::size_t k = 0; k < it->hops.size(); ++k)
+        path.push_back(PathHop{it->hops[k].node, hopInput(*it, k)});
     return path;
 }
 
@@ -769,6 +768,8 @@ Network::sendDatagram(NodeId src, NodeId dst, TrafficClass klass,
     mmr_assert(klass == TrafficClass::BestEffort ||
                    klass == TrafficClass::Control,
                "datagrams are best-effort or control packets");
+    mmr_assert(flow != kInvalidConn,
+               "a datagram's flow tag names its segments");
     ++statDatagramsSent;
     MMR_OBS_EVENT(TraceCat::Flit, "dgram_send", now, src, flow,
                   static_cast<std::int32_t>(dst));
@@ -863,7 +864,7 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     }
 
     SegmentParams seg;
-    seg.id = nextTransient++;
+    seg.id = p.flit.conn;
     seg.klass = p.flit.klass;
     seg.in = in;
     seg.inVc = in_vc;
@@ -889,7 +890,7 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
         ++f.hops;
     }
     f.readyTime = now;
-    const bool ok = router.injectRaw(in, in_vc, f);
+    const bool ok = router.inject(ChannelRef{in, in_vc}, f);
     mmr_assert(ok, "deposit into a fresh datagram VC cannot fail");
     return true;
 }
@@ -933,7 +934,8 @@ Network::processArrivals(Cycle now)
         e2e.recordLinkTransit(cfg.linkLatency + (now - lf.arriveAt),
                               now);
         if (f.isStream()) {
-            if (!routers[lf.toNode]->injectRaw(lf.toPort, lf.vc, f))
+            if (!routers[lf.toNode]->inject(ChannelRef{lf.toPort, lf.vc},
+                                            f))
                 ++statInjectRejects;
             continue;
         }
@@ -1057,9 +1059,9 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
         },
         sweep_period);
 
-    // Every open PCS connection still has its segment installed in
-    // every router along its path — teardown never leaves a
-    // half-removed path behind.
+    // Every open PCS connection still has its segment bound to the
+    // input VC of every hop along its path — teardown never leaves a
+    // half-removed path behind, and no other segment took the VC.
     chk.add(
         "net-pcs-segments",
         [this](Cycle) {
@@ -1068,13 +1070,15 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
             for (const PcsConnection &conn : pcsSlots) {
                 if (!conn.live)
                     continue;
-                for (const ReservedHop &hop : conn.hops) {
-                    if (routers[hop.node]->connection(conn.id) ==
-                        nullptr) {
+                for (std::size_t k = 0; k < conn.hops.size(); ++k) {
+                    if (hopVc(conn, k).conn() != conn.id) {
+                        const ChannelRef in = hopInput(conn, k);
                         mmr_invariant_violated(
                             "net-pcs-segments", "connection ", conn.id,
                             " (", conn.src, "->", conn.dst,
-                            ") has no segment at node ", hop.node);
+                            ") has no segment at node ",
+                            conn.hops[k].node, " input (", in.port, ",",
+                            in.vc, ")");
                     }
                 }
             }

@@ -178,8 +178,17 @@ class Network : public Clocked
     /** Change a VBR connection's priority along its path. */
     bool setConnectionPriority(ConnId id, int priority);
 
-    /** Routers on the path of an open connection (empty if unknown). */
-    std::vector<NodeId> connectionPath(ConnId id) const;
+    /** One router of a connection's path: the node and the input
+     * channel its segment is bound to there. */
+    struct PathHop
+    {
+        NodeId node = kInvalidNode;
+        ChannelRef in;
+    };
+
+    /** The path of an open connection, source first (empty if
+     * unknown). */
+    std::vector<PathHop> connectionPath(ConnId id) const;
 
     std::size_t openConnectionCount() const { return pcsIndex.size(); }
 
@@ -278,7 +287,8 @@ class Network : public Clocked
 
     /**
      * Send a single-flit best-effort or control packet.  @p flow tags
-     * the packet for end-to-end statistics.
+     * the packet for end-to-end statistics and names each hop's
+     * segment; it must not be kInvalidConn.
      */
     void sendDatagram(NodeId src, NodeId dst, TrafficClass klass,
                       ConnId flow, Cycle now, std::uint32_t seq = 0);
@@ -292,7 +302,8 @@ class Network : public Clocked
     /**
      * Pre-seed every setup-path pool for @p n concurrent sessions:
      * the PCS connection slots (with hop capacity), the probe slot
-     * pool, the PCS index and the recorder's overflow table.  PCS
+     * pool, the PCS index and the recorder's overflow table (a
+     * router's segments need no pool: they live in its VCs).  PCS
      * slots go out in the order lazy growth would use (the free list
      * is stacked so pops ascend) and no result reads a probe slot, so
      * results are bit-identical — only the allocations move from
@@ -492,8 +503,15 @@ class Network : public Clocked
     PcsConnection *pcsFind(ConnId id);
     const PcsConnection *pcsFind(ConnId id) const;
 
-    ConnId nextPcsId = 0x100000;   ///< global PCS connection ids
-    ConnId nextTransient = 0x8000000; ///< per-packet segment ids
+    /** Input channel of hop @p k's segment: the source's NI port and
+     * srcVc for hop 0, else the far end of hop k-1's output link and
+     * hop k-1's output VC. */
+    ChannelRef hopInput(const PcsConnection &conn, std::size_t k) const;
+
+    /** The VC hop @p k's segment is bound to. */
+    const VcState &hopVc(const PcsConnection &conn, std::size_t k) const;
+
+    ConnId nextPcsId = 0x100000; ///< global PCS connection ids
 
     /** In-flight link flits (FIFO by emission; processArrivals keeps
      * not-yet-due flits by compacting into linkQueueNext and

@@ -1,5 +1,7 @@
 #include "router/config.hh"
 
+#include <limits>
+
 #include "base/logging.hh"
 
 namespace mmr
@@ -68,8 +70,9 @@ RouterConfig::validate() const
 {
     if (numPorts == 0 || numPorts > 1024)
         mmr_fatal("numPorts must be in [1, 1024], got ", numPorts);
-    if (vcsPerPort == 0)
-        mmr_fatal("vcsPerPort must be positive");
+    if (vcsPerPort == 0 || vcsPerPort > kInvalidVc)
+        mmr_fatal("vcsPerPort must be in [1, ", kInvalidVc, "], got ",
+                  vcsPerPort);
     if (linkRateBps <= 0.0)
         mmr_fatal("linkRateBps must be positive");
     if (flitBits == 0 || flitBits % 8 != 0)
@@ -78,6 +81,9 @@ RouterConfig::validate() const
         mmr_fatal("vcBufferFlits must be positive");
     if (roundFactorK < 1)
         mmr_fatal("roundFactorK must be >= 1 (paper: K > 1 preferred)");
+    if (roundFactorK > std::numeric_limits<unsigned>::max() / vcsPerPort)
+        mmr_fatal("roundFactorK x vcsPerPort (", roundFactorK, " x ",
+                  vcsPerPort, ") overflows the round length");
     if (candidates < 1 || candidates > vcsPerPort)
         mmr_fatal("candidates must be in [1, vcsPerPort]");
     if (concurrencyFactor < 1.0)

@@ -64,6 +64,9 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     candScratch.resize(cfg.numPorts);
     for (auto &cands : candScratch)
         cands.reserve(cfg.candidates);
+    // One segment per input VC at most.
+    liveSegs.resize(static_cast<std::size_t>(cfg.numPorts) *
+                    cfg.vcsPerPort);
     // Stand-alone routers deliver to an infinite sink by default.
     creditMgr.setInfinite(true);
 }
@@ -86,7 +89,7 @@ MmrRouter::linkScheduler(PortId p)
 // Connection management
 // ---------------------------------------------------------------------
 
-ConnId
+ChannelRef
 MmrRouter::openLocal(SegmentParams &p)
 {
     p.id = localConnSeq++;
@@ -94,26 +97,26 @@ MmrRouter::openLocal(SegmentParams &p)
     p.outVc = routes.allocOutputVc(p.out);
     if (p.inVc != kInvalidVc && p.outVc != kInvalidVc &&
         installSegment(p))
-        return p.id;
+        return ChannelRef{p.in, p.inVc};
     if (p.inVc != kInvalidVc)
         routes.freeInputVc(p.in, p.inVc);
     if (p.outVc != kInvalidVc)
         routes.freeOutputVc(p.out, p.outVc);
-    return kInvalidConn;
+    return ChannelRef{};
 }
 
-ConnId
+ChannelRef
 MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
 {
     if (rate_bps <= 0.0 || rate_bps > cfg.linkRateBps)
-        return kInvalidConn; // a link can never carry this rate
+        return ChannelRef{}; // a link can never carry this rate
     const unsigned cycles =
         cyclesPerRound(rate_bps, cfg.linkRateBps, cfg.cyclesPerRound());
     if (!admit.tryAdmitCbr(out, cycles)) {
         MMR_OBS_EVENT(TraceCat::Admission, "admit_reject",
                       simclock::now(), out, kInvalidConn,
                       static_cast<std::int32_t>(cycles));
-        return kInvalidConn;
+        return ChannelRef{};
     }
 
     SegmentParams p;
@@ -122,22 +125,23 @@ MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
     p.out = out;
     p.allocCycles = cycles;
     p.interArrival = interArrivalCycles(rate_bps, cfg.linkRateBps);
-    if (openLocal(p) == kInvalidConn) {
+    const ChannelRef bound = openLocal(p);
+    if (!bound.valid()) {
         admit.releaseCbr(out, cycles);
-        return kInvalidConn;
+        return bound;
     }
     MMR_OBS_EVENT(TraceCat::Admission, "admit_cbr", simclock::now(),
                   out, p.id, static_cast<std::int32_t>(cycles));
-    return p.id;
+    return bound;
 }
 
-ConnId
+ChannelRef
 MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
                    double peak_bps, int priority)
 {
     if (mean_bps <= 0.0 || peak_bps < mean_bps ||
         peak_bps > cfg.linkRateBps)
-        return kInvalidConn;
+        return ChannelRef{};
     const unsigned round = cfg.cyclesPerRound();
     const unsigned perm = cyclesPerRound(mean_bps, cfg.linkRateBps, round);
     const unsigned peak = cyclesPerRound(peak_bps, cfg.linkRateBps, round);
@@ -146,7 +150,7 @@ MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
                       simclock::now(), out, kInvalidConn,
                       static_cast<std::int32_t>(perm),
                       static_cast<std::int32_t>(peak));
-        return kInvalidConn;
+        return ChannelRef{};
     }
 
     SegmentParams p;
@@ -157,17 +161,18 @@ MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
     p.peakCycles = peak;
     p.interArrival = interArrivalCycles(mean_bps, cfg.linkRateBps);
     p.priority = priority;
-    if (openLocal(p) == kInvalidConn) {
+    const ChannelRef bound = openLocal(p);
+    if (!bound.valid()) {
         admit.releaseVbr(out, perm, peak);
-        return kInvalidConn;
+        return bound;
     }
     MMR_OBS_EVENT(TraceCat::Admission, "admit_vbr", simclock::now(),
                   out, p.id, static_cast<std::int32_t>(perm),
                   static_cast<std::int32_t>(peak));
-    return p.id;
+    return bound;
 }
 
-ConnId
+ChannelRef
 MmrRouter::openBestEffort(PortId in, PortId out)
 {
     SegmentParams p;
@@ -177,16 +182,12 @@ MmrRouter::openBestEffort(PortId in, PortId out)
     return openLocal(p);
 }
 
-// mmr-lint: allow(hot-path-alloc) setup path: a segment is installed
-// once per connection/probe hop, never on the steady-state data path.
 bool
 MmrRouter::installSegment(const SegmentParams &p)
 {
     if (p.id == kInvalidConn || p.in >= cfg.numPorts ||
         p.out >= cfg.numPorts || p.inVc >= cfg.vcsPerPort ||
         p.outVc >= cfg.vcsPerPort)
-        return false;
-    if (segIndex.contains(p.id))
         return false;
 
     VcState &vc = inputMems[p.in].vc(p.inVc);
@@ -215,28 +216,50 @@ MmrRouter::installSegment(const SegmentParams &p)
     vc.setMapping(p.out, p.outVc);
     vc.setTieBreak(rand.uniform());
     vc.setReleaseWhenEmpty(p.releaseWhenEmpty);
-    routes.map(ChannelRef{p.in, p.inVc}, ChannelRef{p.out, p.outVc});
-    segIndex.insert(p.id, static_cast<std::uint32_t>(segs.size()));
-    segs.push_back(p);
+    vc.setOwnership(p.ownsInputVc, p.ownsOutputVc);
+    liveSegs[liveCount++] = ChannelRef{p.in, p.inVc};
     MMR_OBS_EVENT(TraceCat::Setup, "vc_alloc", simclock::now(),
                   p.in, p.id, static_cast<std::int32_t>(p.inVc),
                   static_cast<std::int32_t>(p.outVc));
     return true;
 }
 
-void
-MmrRouter::removeSegment(ConnId id)
+SegmentParams
+MmrRouter::segment(ChannelRef in) const
 {
-    const std::uint32_t *slot = segIndex.find(id);
-    mmr_assert(slot != nullptr, "removing unknown connection ", id);
-    const std::uint32_t i = *slot;
-    const SegmentParams p = segs[i];
+    mmr_assert(in.port < inputMems.size(), "input port out of range");
+    const VcState &vc = inputMems[in.port].vc(in.vc);
+    SegmentParams p;
+    if (!vc.bound())
+        return p;
+    p.id = vc.conn();
+    p.klass = vc.trafficClass();
+    p.in = in.port;
+    p.inVc = in.vc;
+    p.out = vc.outPort();
+    p.outVc = vc.outVc();
+    p.allocCycles = vc.allocCycles();
+    p.permCycles = vc.permCycles();
+    p.peakCycles = vc.peakCycles();
+    p.interArrival = vc.interArrival();
+    p.priority = vc.userPriority();
+    p.releaseWhenEmpty = vc.releaseWhenEmpty();
+    p.ownsInputVc = vc.ownsInputVc();
+    p.ownsOutputVc = vc.ownsOutputVc();
+    return p;
+}
+
+bool
+MmrRouter::removeSegment(ChannelRef in)
+{
+    const SegmentParams p = segment(in);
+    if (p.id == kInvalidConn)
+        return false;
 
     VcState &vc = inputMems[p.in].vc(p.inVc);
     mmr_assert(vc.empty() && vc.pendingGrants() == 0,
-               "removing segment with in-flight flits on conn ", id);
+               "removing segment with in-flight flits on conn ", p.id);
     vc.release();
-    routes.unmap(ChannelRef{p.in, p.inVc});
     if (p.ownsInputVc)
         routes.freeInputVc(p.in, p.inVc);
     if (p.ownsOutputVc)
@@ -247,39 +270,16 @@ MmrRouter::removeSegment(ConnId id)
     else if (p.klass == TrafficClass::VBR)
         admit.releaseVbr(p.out, p.permCycles, p.peakCycles);
 
-    // Swap-remove: the last segment fills the freed slot, so the
-    // table stays dense and its index must follow the move.
-    if (i + 1 != segs.size()) {
-        segs[i] = segs.back();
-        *segIndex.find(segs[i].id) = i;
-    }
-    segs.pop_back();
-    segIndex.erase(id);
+    // Swap-remove keeps the list dense.
+    const auto live_end = liveSegs.begin() +
+                          static_cast<std::ptrdiff_t>(liveCount);
+    const auto at = std::find(liveSegs.begin(), live_end, in);
+    mmr_assert(at != live_end, "bound VC (", in.port, ",", in.vc,
+               ") missing from the live-segment list");
+    *at = liveSegs[--liveCount];
     if (segmentRemoved)
         segmentRemoved(p);
-}
-
-bool
-MmrRouter::close(ConnId id)
-{
-    if (!segIndex.contains(id))
-        return false;
-    removeSegment(id);
     return true;
-}
-
-const SegmentParams *
-MmrRouter::connection(ConnId id) const
-{
-    const std::uint32_t *i = segIndex.find(id);
-    return i == nullptr ? nullptr : &segs[*i];
-}
-
-SegmentParams *
-MmrRouter::findSegment(ConnId id)
-{
-    const std::uint32_t *i = segIndex.find(id);
-    return i == nullptr ? nullptr : &segs[*i];
 }
 
 // ---------------------------------------------------------------------
@@ -287,34 +287,39 @@ MmrRouter::findSegment(ConnId id)
 // ---------------------------------------------------------------------
 
 bool
-MmrRouter::renegotiateBandwidth(ConnId id, double new_rate_bps)
+MmrRouter::renegotiateBandwidth(ChannelRef in, double new_rate_bps)
 {
-    SegmentParams *found = findSegment(id);
-    if (found == nullptr || found->klass != TrafficClass::CBR)
-        return false;
     if (new_rate_bps <= 0.0 || new_rate_bps > cfg.linkRateBps)
         return false;
-    SegmentParams &p = *found;
-    const unsigned cycles = cyclesPerRound(new_rate_bps, cfg.linkRateBps,
-                                           cfg.cyclesPerRound());
-    if (!admit.renegotiateCbr(p.out, p.allocCycles, cycles))
+    return renegotiateCycles(
+        in,
+        cyclesPerRound(new_rate_bps, cfg.linkRateBps,
+                       cfg.cyclesPerRound()),
+        interArrivalCycles(new_rate_bps, cfg.linkRateBps));
+}
+
+bool
+MmrRouter::renegotiateCycles(ChannelRef in, unsigned alloc_cycles,
+                             double inter_arrival)
+{
+    VcState &vc = inputMemory(in.port).vc(in.vc);
+    if (!vc.bound() || vc.trafficClass() != TrafficClass::CBR)
         return false;
-    p.allocCycles = cycles;
-    p.interArrival = interArrivalCycles(new_rate_bps, cfg.linkRateBps);
-    VcState &vc = inputMems[p.in].vc(p.inVc);
-    vc.setCbrAlloc(cycles);
-    vc.setInterArrival(p.interArrival);
+    if (!admit.renegotiateCbr(vc.outPort(), vc.allocCycles(),
+                              alloc_cycles))
+        return false;
+    vc.setCbrAlloc(alloc_cycles);
+    vc.setInterArrival(inter_arrival);
     return true;
 }
 
 bool
-MmrRouter::setConnectionPriority(ConnId id, int priority)
+MmrRouter::setConnectionPriority(ChannelRef in, int priority)
 {
-    SegmentParams *p = findSegment(id);
-    if (p == nullptr || p->klass != TrafficClass::VBR)
+    VcState &vc = inputMemory(in.port).vc(in.vc);
+    if (!vc.bound() || vc.trafficClass() != TrafficClass::VBR)
         return false;
-    p->priority = priority;
-    inputMems[p->in].vc(p->inVc).setUserPriority(priority);
+    vc.setUserPriority(priority);
     return true;
 }
 
@@ -323,35 +328,19 @@ MmrRouter::setConnectionPriority(ConnId id, int priority)
 // ---------------------------------------------------------------------
 
 bool
-MmrRouter::inject(ConnId id, Flit f)
+MmrRouter::inject(ChannelRef in, Flit f)
 {
-    const SegmentParams *found = connection(id);
-    mmr_assert(found != nullptr, "inject on unknown connection ", id);
-    const SegmentParams &p = *found;
-    f.conn = id;
-    f.klass = p.klass;
-    if (!inputMems[p.in].deposit(p.inVc, f)) {
+    VcMemory &mem = inputMemory(in.port);
+    const VcState &vc = mem.vc(in.vc);
+    f.conn = vc.conn();
+    f.klass = vc.trafficClass();
+    if (!mem.deposit(in.vc, f)) {
         ++statInjectReject;
         return false;
     }
     ++statInjected;
-    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime, p.in, id,
-                  static_cast<std::int32_t>(p.inVc));
-    return true;
-}
-
-bool
-MmrRouter::injectRaw(PortId in, VcId vc, const Flit &f)
-{
-    mmr_assert(in < cfg.numPorts && vc < cfg.vcsPerPort,
-               "injectRaw target out of range");
-    if (!inputMems[in].deposit(vc, f)) {
-        ++statInjectReject;
-        return false;
-    }
-    ++statInjected;
-    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime, in, f.conn,
-                  static_cast<std::int32_t>(vc));
+    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime, in.port, f.conn,
+                  static_cast<std::int32_t>(in.vc));
     return true;
 }
 
@@ -452,7 +441,7 @@ MmrRouter::maybeAutoRelease(PortId in, VcId in_vc)
 {
     const VcState &vc = inputMems[in].vc(in_vc);
     if (vc.releaseWhenEmpty() && vc.empty() && vc.pendingGrants() == 0)
-        removeSegment(vc.conn());
+        removeSegment(ChannelRef{in, in_vc});
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: configScratch is a member
@@ -594,15 +583,17 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
             std::fill(peak.begin(), peak.end(), 0u);
             if (extra_demand)
                 extra_demand(alloc, peak);
-            // Live segments only, in table order; commutative integer
-            // sums into per-port accumulators, so visit order cannot
-            // leak into results.
-            for (const SegmentParams &p : segs) {
-                if (p.klass == TrafficClass::CBR) {
-                    alloc[p.out] += p.allocCycles;
-                } else if (p.klass == TrafficClass::VBR) {
-                    alloc[p.out] += p.permCycles;
-                    peak[p.out] += p.peakCycles;
+            // Live segments only, read from their VCs in list order;
+            // commutative integer sums into per-port accumulators, so
+            // visit order cannot leak into results.
+            for (std::size_t i = 0; i < liveCount; ++i) {
+                const VcState &vc =
+                    inputMems[liveSegs[i].port].vc(liveSegs[i].vc);
+                if (vc.trafficClass() == TrafficClass::CBR) {
+                    alloc[vc.outPort()] += vc.allocCycles();
+                } else if (vc.trafficClass() == TrafficClass::VBR) {
+                    alloc[vc.outPort()] += vc.permCycles();
+                    peak[vc.outPort()] += vc.peakCycles();
                 }
             }
             const double peak_limit =
@@ -699,7 +690,7 @@ MmrRouter::registerStats(StatsRegistry &reg, const std::string &prefix,
                    });
 
     reg.addGauge(prefix + "connections", [this] {
-        return static_cast<double>(segs.size());
+        return static_cast<double>(liveCount);
     });
 
     if (detail == StatsDetail::Aggregate)

@@ -5,9 +5,11 @@
  * An NxN single-chip router with, per physical input link, a virtual
  * channel memory (interleaved RAM banks holding V virtual channels)
  * and a link scheduler; plus a multiplexed crossbar with a central
- * switch scheduler, a routing and arbitration unit holding channel
- * mappings, per-output-link admission registers and credit-based flow
- * control.
+ * switch scheduler, a routing and arbitration unit holding the VC
+ * pools, per-output-link admission registers and credit-based flow
+ * control.  Each connection's segment lives in the state of the input
+ * VC it is bound to (§3.2), which also holds its channel mapping
+ * (§3.5); the router addresses a segment by that input channel.
  *
  * Time advances in flit cycles.  During cycle t the switch transmits
  * the flits of the matching computed in cycle t-1 while the schedulers
@@ -24,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/flat_map.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
 #include "metrics/recorder.hh"
@@ -43,7 +44,10 @@
 namespace mmr
 {
 
-/** Everything needed to install one router's share of a connection. */
+/**
+ * One router's share of a connection: what installSegment binds into
+ * the input VC (in, inVc), and what segment() reads back from it.
+ */
 struct SegmentParams
 {
     ConnId id = kInvalidConn;
@@ -56,7 +60,7 @@ struct SegmentParams
     unsigned permCycles = 0;  ///< VBR permanent (cycles/round)
     unsigned peakCycles = 0;  ///< VBR peak (cycles/round)
     double interArrival = 0.0;
-    int priority = 0;
+    int priority = 0; ///< VBR user priority
     bool releaseWhenEmpty = false; ///< VCT packets free their VC
     bool ownsInputVc = true;  ///< input VC came from this router's pool
     bool ownsOutputVc = true; ///< output VC came from this router's pool
@@ -79,76 +83,66 @@ class MmrRouter : public Clocked
                        MetricsRecorder *metrics = nullptr);
 
     // ------------------------------------------------------------------
-    // Connection management (§4.2) — local convenience API.  The
-    // network layer performs admission and VC allocation hop by hop
-    // (EPB) and calls installSegment directly.
+    // Connection management (§4.2).  A segment is addressed by its
+    // input channel: the VC it is bound into is its only record.  The
+    // open calls are a local convenience API; the network layer
+    // performs admission and VC allocation hop by hop (EPB) and calls
+    // installSegment directly.
     // ------------------------------------------------------------------
 
-    /** Open a CBR connection through this router; kInvalidConn on
-     * admission or VC exhaustion failure. */
-    ConnId openCbr(PortId in, PortId out, double rate_bps);
+    /** Open a CBR connection through this router: the input channel it
+     * bound, or an invalid ChannelRef on admission or VC exhaustion
+     * failure. */
+    ChannelRef openCbr(PortId in, PortId out, double rate_bps);
 
     /** Open a VBR connection (permanent + peak rates, §4.2). */
-    ConnId openVbr(PortId in, PortId out, double mean_bps,
-                   double peak_bps, int priority);
+    ChannelRef openVbr(PortId in, PortId out, double mean_bps,
+                       double peak_bps, int priority);
 
     /** Open an unreserved best-effort channel between two ports. */
-    ConnId openBestEffort(PortId in, PortId out);
+    ChannelRef openBestEffort(PortId in, PortId out);
 
-    /** Close a locally-opened connection and release its resources. */
-    bool close(ConnId id);
-
-    /** Install a pre-reserved segment (admission already charged). */
+    /** Install a pre-reserved segment (admission already charged);
+     * false when a port or VC is out of range, the id is kInvalidConn
+     * or the input VC is already bound. */
     bool installSegment(const SegmentParams &p);
 
-    /** Remove a segment, releasing VCs and admission state. */
-    void removeSegment(ConnId id);
+    /** Remove the segment bound to input channel @p in, releasing the
+     * VCs it owns and its admission charge; false when none is. */
+    bool removeSegment(ChannelRef in);
 
-    /**
-     * The installed segment @p id, or nullptr.  The pointer is valid
-     * until the next installSegment or removeSegment on this router
-     * (an install may grow the dense table, a remove moves its last
-     * segment into the freed slot).
-     */
-    const SegmentParams *connection(ConnId id) const;
+    /** The segment bound to input channel @p in, read back from its
+     * VC; id is kInvalidConn when the VC is free. */
+    SegmentParams segment(ChannelRef in) const;
 
     /** Number of installed segments. */
-    std::size_t connectionCount() const { return segs.size(); }
-
-    /**
-     * Pre-size the segment table and its index for @p n simultaneous
-     * connections so steady-state setup/teardown never grows them.
-     * Growth-only (neither ever shrinks), so calling this cannot
-     * change rehash history for an index already at or above the
-     * target capacity.
-     */
-    void
-    reserveConnections(std::size_t n)
-    {
-        segs.reserve(n);
-        segIndex.reserve(n);
-    }
+    std::size_t connectionCount() const { return liveCount; }
 
     // ------------------------------------------------------------------
     // Dynamic bandwidth management (§4.3 control words)
     // ------------------------------------------------------------------
 
-    /** Renegotiate a CBR connection's bandwidth; false if infeasible. */
-    bool renegotiateBandwidth(ConnId id, double new_rate_bps);
+    /** Renegotiate a CBR segment's bandwidth; false if infeasible. */
+    bool renegotiateBandwidth(ChannelRef in, double new_rate_bps);
 
-    /** Change a VBR connection's user priority. */
-    bool setConnectionPriority(ConnId id, int priority);
+    /** Set a CBR segment's reservation to exactly @p alloc_cycles
+     * per round and its inter-arrival time to @p inter_arrival (a
+     * rollback restores what the VC held); false if infeasible. */
+    bool renegotiateCycles(ChannelRef in, unsigned alloc_cycles,
+                           double inter_arrival);
+
+    /** Change a VBR segment's user priority. */
+    bool setConnectionPriority(ChannelRef in, int priority);
 
     // ------------------------------------------------------------------
     // Data path
     // ------------------------------------------------------------------
 
-    /** Inject a flit on an established connection (readyTime must be
-     * set by the caller). False when the VC buffer is full. */
-    bool inject(ConnId id, Flit f);
-
-    /** Link-side arrival into an explicit (port, VC). */
-    bool injectRaw(PortId in, VcId vc, const Flit &f);
+    /** Deposit a flit into the segment bound to @p in, stamped with
+     * the segment's id and class (readyTime must be set by the
+     * caller): a host injection or a link arrival.  False when the VC
+     * buffer is full; panics when no segment is bound there. */
+    bool inject(ChannelRef in, Flit f);
 
     void setSink(SinkFn fn) { sink = std::move(fn); }
     void setCreditReturn(CreditFn fn) { creditReturn = std::move(fn); }
@@ -251,11 +245,10 @@ class MmrRouter : public Clocked
      * The shared tail of openCbr/openVbr/openBestEffort: draw the next
      * local id into @p p (class, ports and rates already set), allocate
      * its input and output VCs and install it.  On failure the VCs are
-     * freed again and kInvalidConn returned; releasing the admission
-     * charge is the caller's.
+     * freed again and an invalid channel returned; releasing the
+     * admission charge is the caller's.
      */
-    ConnId openLocal(SegmentParams &p);
-    SegmentParams *findSegment(ConnId id);
+    ChannelRef openLocal(SegmentParams &p);
     /** Link + switch scheduling of the buffered flits: the matching
      * for the next cycle, skipping input ports that hold no flit. */
     void scheduleBuffered(Cycle now);
@@ -277,12 +270,14 @@ class MmrRouter : public Clocked
     RoutingUnit routes;
     CreditManager creditMgr;
 
-    /** The installed segments, dense in no particular order (a
-     * remove moves the last segment into the freed slot), and each
-     * one's position by id: only live segments are stored, so the
-     * admission-ledger audit reads nothing else. */
-    std::vector<SegmentParams> segs;
-    FlatMap<ConnId, std::uint32_t> segIndex;
+    /** The installed segments' input channels: the first liveCount
+     * entries, in no particular order (a remove moves the last one
+     * into the freed entry), so the admission-ledger audit reads only
+     * live VCs.  Sized P x V at construction, one entry per input VC,
+     * so an install never grows it. */
+    std::vector<ChannelRef> liveSegs;
+    std::size_t liveCount = 0;
+    /** Creation-ordered labels of the locally opened connections. */
     ConnId localConnSeq = 0;
 
     Matching currentMatching; ///< applied during this cycle

@@ -6,9 +6,7 @@ namespace mmr
 {
 
 RoutingUnit::RoutingUnit(unsigned num_ports, unsigned vcs_per_port)
-    : ports(num_ports), vcs(vcs_per_port),
-      direct(static_cast<std::size_t>(num_ports) * vcs_per_port),
-      reverse(static_cast<std::size_t>(num_ports) * vcs_per_port)
+    : ports(num_ports), vcs(vcs_per_port)
 {
     mmr_assert(ports > 0 && vcs > 0, "degenerate routing unit");
     inputFree.reserve(ports);
@@ -19,14 +17,6 @@ RoutingUnit::RoutingUnit(unsigned num_ports, unsigned vcs_per_port)
         inputFree.back().setAll();
         outputFree.back().setAll();
     }
-}
-
-std::size_t
-RoutingUnit::index(ChannelRef c) const
-{
-    mmr_assert(c.port < ports && c.vc < vcs, "channel (", c.port, ",",
-               c.vc, ") out of range");
-    return static_cast<std::size_t>(c.port) * vcs + c.vc;
 }
 
 VcId
@@ -79,37 +69,6 @@ RoutingUnit::freeOutputVcCount(PortId port) const
 {
     mmr_assert(port < ports, "port out of range");
     return static_cast<unsigned>(outputFree[port].count());
-}
-
-void
-RoutingUnit::map(ChannelRef in, ChannelRef out)
-{
-    mmr_assert(!direct[index(in)].valid(), "input channel already mapped");
-    mmr_assert(!reverse[index(out)].valid(),
-               "output channel already mapped");
-    direct[index(in)] = out;
-    reverse[index(out)] = in;
-}
-
-void
-RoutingUnit::unmap(ChannelRef in)
-{
-    const ChannelRef out = direct[index(in)];
-    mmr_assert(out.valid(), "unmapping a channel with no mapping");
-    direct[index(in)] = ChannelRef{};
-    reverse[index(out)] = ChannelRef{};
-}
-
-ChannelRef
-RoutingUnit::directMap(ChannelRef in) const
-{
-    return direct[index(in)];
-}
-
-ChannelRef
-RoutingUnit::reverseMap(ChannelRef out) const
-{
-    return reverse[index(out)];
 }
 
 } // namespace mmr

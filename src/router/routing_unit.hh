@@ -1,16 +1,17 @@
 /**
  * @file
- * Routing and Arbitration Unit (§3.5).
+ * Routing and Arbitration Unit (§3.5): the free-VC pools per port,
+ * which both connection establishment (PCS) and best-effort VC
+ * allocation (VCT) draw from.
  *
- * Keeps the channel mappings between input and output virtual channels
- * for established connections.  Direct mappings forward data flits;
- * reverse mappings serve backtracking headers and returned
- * acknowledgments, and propagate status information.  The EPB history
- * store of §3.5 (the output links a probe has already searched) lives
- * with the search itself, in network/epb's PathSearch.
- *
- * Also owns the free-VC bookkeeping per port, which both connection
- * establishment (PCS) and best-effort VC allocation (VCT) draw from.
+ * The unit's channel mappings live elsewhere.  The direct mapping of
+ * an input VC (where its flits go) is the output port and VC held in
+ * that VC's own VcState.  The reverse mappings would serve
+ * backtracking headers and returned acknowledgments, which travel as
+ * timed messages in network/probe_protocol; the EPB history store
+ * lives with the search (network/epb's PathSearch).  An output VC has
+ * one holder because every mapped output VC comes from allocOutputVc,
+ * whose bitmap hands a VC out once until it is freed.
  */
 
 #ifndef MMR_ROUTER_ROUTING_UNIT_HH
@@ -52,27 +53,11 @@ class RoutingUnit
     unsigned freeInputVcCount(PortId port) const;
     unsigned freeOutputVcCount(PortId port) const;
 
-    /** Record a direct + reverse mapping for a connection. */
-    void map(ChannelRef in, ChannelRef out);
-
-    /** Tear a mapping down (both directions). */
-    void unmap(ChannelRef in);
-
-    /** Direct mapping: where do flits of this input VC go? */
-    ChannelRef directMap(ChannelRef in) const;
-
-    /** Reverse mapping: which input VC feeds this output VC? */
-    ChannelRef reverseMap(ChannelRef out) const;
-
   private:
-    std::size_t index(ChannelRef c) const;
-
     unsigned ports;
     unsigned vcs;
     std::vector<BitVector> inputFree;  ///< per input port
     std::vector<BitVector> outputFree; ///< per output port
-    std::vector<ChannelRef> direct;    ///< indexed by input channel
-    std::vector<ChannelRef> reverse;   ///< indexed by output channel
 };
 
 } // namespace mmr

@@ -19,7 +19,7 @@ VcState::release()
     interArrivalCycles_ = 0.0;
     priority = 0;
     servicedThisRound = 0;
-    releaseEmpty = false;
+    releaseEmpty = ownsIn = ownsOut = false;
     headEligibleAt = 0;
 }
 

@@ -196,6 +196,18 @@ class VcState
     bool releaseWhenEmpty() const { return releaseEmpty; }
     void setReleaseWhenEmpty(bool r) { releaseEmpty = r; }
 
+    /** Which of the segment's two VCs came from this router's pools
+     * (a link input VC belongs to the upstream router's output pool);
+     * removing the segment frees only those. */
+    bool ownsInputVc() const { return ownsIn; }
+    bool ownsOutputVc() const { return ownsOut; }
+    void
+    setOwnership(bool input_vc, bool output_vc)
+    {
+        ownsIn = input_vc;
+        ownsOut = output_vc;
+    }
+
     /**
      * Record a switch grant for the current ungranted head.  Stamps
      * the head's stage waits (VC residency, arbitration wait) into
@@ -307,8 +319,10 @@ class VcState
 
     unsigned servicedThisRound = 0;
     unsigned grantsPending = 0;
-    /** Fills the 4-byte hole before `tie`: VcState stays 88 bytes. */
+    /** The three flags fill the 4-byte hole before `tie`. */
     bool releaseEmpty = false;
+    bool ownsIn = false;
+    bool ownsOut = false;
     double tie = 0.0;
 
     /** Saturate a cycle delta into a 32-bit stamp field. */
@@ -325,6 +339,9 @@ class VcState
      * was granted). */
     Cycle headEligibleAt = 0;
 };
+
+/** The link scheduler scans VcStates every pass: keep them small. */
+static_assert(sizeof(VcState) == 88, "VcState grew past 88 bytes");
 
 } // namespace mmr
 

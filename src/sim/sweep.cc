@@ -70,6 +70,9 @@ runExperiments(
 {
     if (cfgs.empty())
         return {};
+    // Refuse a bad point before any point runs.
+    for (const ExperimentConfig &c : cfgs)
+        c.validate();
     requireDistinctOutputs(cfgs);
 
     if (jobs <= 1) {

@@ -42,11 +42,13 @@ unsigned defaultJobs();
  *        point with (index, result); calls are serialized, but may
  *        arrive out of index order
  *
- * Fatal, naming the path, when two points share a non-empty output
- * path (trace, stats or flight-recorder dump): the runner never
- * renames a point's outputs, so callers give each point its own
- * (obsConfigWithSuffix).  The first exception thrown by an experiment
- * is rethrown on the caller's thread after the pool drains.
+ * Fatal before any point runs when a point's configuration is invalid
+ * (ExperimentConfig::validate), and, naming the path, when two points
+ * share a non-empty output path (trace, stats or flight-recorder
+ * dump): the runner never renames a point's outputs, so callers give
+ * each point its own (obsConfigWithSuffix).  The first exception
+ * thrown by an experiment is rethrown on the caller's thread after
+ * the pool drains.
  */
 std::vector<ExperimentResult> runExperiments(
     const std::vector<ExperimentConfig> &cfgs, unsigned jobs,

@@ -117,10 +117,10 @@ TEST_F(RecoveryTest, ReroutesAroundFailedLink)
     // long way round, 0-3-2-1.
     const auto path = net->connectionPath(st.replacement);
     ASSERT_EQ(path.size(), 4u);
-    EXPECT_EQ(path[0], 0u);
-    EXPECT_EQ(path[1], 3u);
-    EXPECT_EQ(path[2], 2u);
-    EXPECT_EQ(path[3], 1u);
+    EXPECT_EQ(path[0].node, 0u);
+    EXPECT_EQ(path[1].node, 3u);
+    EXPECT_EQ(path[2].node, 2u);
+    EXPECT_EQ(path[3].node, 1u);
     expectAllOutcomesTaken();
 }
 
@@ -219,8 +219,8 @@ TEST_F(RecoveryTest, ReplacementIsAdoptedForTheNextFailure)
     EXPECT_EQ(chained.state, RecoveryState::Recovered);
     const auto path = net->connectionPath(chained.replacement);
     ASSERT_EQ(path.size(), 2u);
-    EXPECT_EQ(path[0], 0u);
-    EXPECT_EQ(path[1], 1u);
+    EXPECT_EQ(path[0].node, 0u);
+    EXPECT_EQ(path[1].node, 1u);
     EXPECT_EQ(mgr->connectionsRecovered(), 2u);
 }
 
@@ -290,7 +290,7 @@ TEST_F(RecoveryTest, ZeroTimeModeResolvesInsideFailLink)
     EXPECT_EQ(net->probes().setupTimeout(), 0u);
     const auto path = net->connectionPath(st.replacement);
     ASSERT_EQ(path.size(), 4u);
-    EXPECT_EQ(path[1], 3u) << "the long way round, 0-3-2-1";
+    EXPECT_EQ(path[1].node, 3u) << "the long way round, 0-3-2-1";
 
     // The replacement is adopted, so a second cut is repaired too.
     EXPECT_TRUE(mgr->adopted(st.replacement));
@@ -319,7 +319,7 @@ TEST_F(RecoveryTest, InterfaceSwapsOntoReplacement)
     }
     const auto path = net->connectionPath(orig);
     ASSERT_GE(path.size(), 2u);
-    ASSERT_TRUE(net->failLink(path[0], path[1]));
+    ASSERT_TRUE(net->failLink(path[0].node, path[1].node));
 
     for (Cycle c = 0; c < 6000; ++c) {
         host.tick(kernel.now());

@@ -149,10 +149,10 @@ TEST(Harness, CustomRateLadderIsHonored)
     const double link = cfg.router.linkRateBps;
     const double expected_ia = interArrivalCycles(20 * kMbps, link);
     unsigned checked = 0;
-    for (ConnId conn : exp.metrics().connections()) {
-        const SegmentParams *seg = exp.router().connection(conn);
-        ASSERT_NE(seg, nullptr);
-        EXPECT_NEAR(seg->interArrival, expected_ia, 0.5);
+    for (const ChannelRef in : exp.channels()) {
+        const SegmentParams seg = exp.router().segment(in);
+        ASSERT_NE(seg.id, kInvalidConn);
+        EXPECT_NEAR(seg.interArrival, expected_ia, 0.5);
         ++checked;
     }
     EXPECT_GT(checked, 10u) << "0.5 load of 20 Mb/s streams on 4 ports";

@@ -95,12 +95,12 @@ TEST(ZeroAlloc, SteadyStateCycleAllocatesNothing)
 
     // A saturating mesh of CBR connections so every port arbitrates
     // every cycle.
-    std::vector<ConnId> conns;
+    std::vector<ChannelRef> conns;
     for (PortId in = 0; in < 4; ++in) {
         for (PortId out = 0; out < 4; ++out) {
-            const ConnId id =
+            const ChannelRef id =
                 router.openCbr(in, out, 60 * kMbps);
-            ASSERT_NE(id, kInvalidConn);
+            ASSERT_TRUE(id.valid());
             conns.push_back(id);
         }
     }
@@ -166,11 +166,11 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
         ++delivered;
     });
 
-    std::vector<ConnId> conns;
+    std::vector<ChannelRef> conns;
     for (PortId in = 0; in < 4; ++in)
         for (PortId out = 0; out < 4; ++out) {
-            const ConnId id = router.openCbr(in, out, 60 * kMbps);
-            ASSERT_NE(id, kInvalidConn);
+            const ChannelRef id = router.openCbr(in, out, 60 * kMbps);
+            ASSERT_TRUE(id.valid());
             conns.push_back(id);
         }
 

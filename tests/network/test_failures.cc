@@ -196,7 +196,7 @@ TEST_F(FailureTest, NewSetupsAvoidDeadLinks)
     ASSERT_TRUE(o.accepted);
     const auto path = net->connectionPath(o.id);
     ASSERT_EQ(path.size(), 4u); // 0, 3, 2, 1
-    EXPECT_EQ(path[1], 3u);
+    EXPECT_EQ(path[1].node, 3u);
 
     // Timed probe: same avoidance.
     const auto token = net->openCbrTimed(0, 1, 10 * kMbps, kernel.now());
@@ -257,7 +257,7 @@ TEST_F(FailureTest, InterfaceReestablishesItsStreams)
               Network::ConnState::Open);
     const auto path = net->connectionPath(conns[0]);
     ASSERT_GE(path.size(), 2u);
-    EXPECT_EQ(path[1], 3u) << "rerouted the long way round";
+    EXPECT_EQ(path[1].node, 3u) << "rerouted the long way round";
 }
 
 TEST_F(FailureTest, WithoutRecoveryStreamsAreRetired)

@@ -154,10 +154,9 @@ TEST_F(NetworkTest, TicketLifecycle)
 
     // Injecting through it deposits nothing into the new connection's
     // source VC and counts no back-pressure reject.
-    const SegmentParams *seg = net->routerAt(0).connection(b.id);
-    ASSERT_NE(seg, nullptr);
-    const VcState &vc =
-        net->routerAt(0).inputMemory(seg->in).vc(seg->inVc);
+    const ChannelRef src = net->connectionPath(b.id).front().in;
+    const VcState &vc = net->routerAt(0).inputMemory(src.port).vc(src.vc);
+    ASSERT_EQ(vc.conn(), b.id);
     const std::uint64_t rejects = net->injectRejects();
     EXPECT_FALSE(net->inject(ta, Flit{}, kernel.now()));
     EXPECT_FALSE(net->inject(Network::Ticket{}, Flit{}, kernel.now()));
@@ -169,7 +168,7 @@ TEST_F(NetworkTest, TicketLifecycle)
     // A link failure on the path kills the ticket.
     const auto path = net->connectionPath(b.id);
     ASSERT_GE(path.size(), 2u);
-    ASSERT_TRUE(net->failLink(path[0], path[1]));
+    ASSERT_TRUE(net->failLink(path[0].node, path[1].node));
     EXPECT_FALSE(net->live(tb));
     EXPECT_FALSE(net->live(net->ticket(b.id)));
 }
@@ -226,19 +225,62 @@ TEST_F(NetworkTest, RenegotiateAlongWholePath)
     ASSERT_TRUE(o.accepted);
     ASSERT_TRUE(net->renegotiateBandwidth(o.id, 400 * kMbps));
     // Every router on the path now carries the bigger reservation.
-    for (NodeId n : net->connectionPath(o.id)) {
-        const SegmentParams *seg = net->routerAt(n).connection(o.id);
-        ASSERT_NE(seg, nullptr);
-        EXPECT_GT(seg->allocCycles, 3u);
+    for (const Network::PathHop &hop : net->connectionPath(o.id)) {
+        const SegmentParams seg = net->routerAt(hop.node).segment(hop.in);
+        ASSERT_EQ(seg.id, o.id);
+        EXPECT_GT(seg.allocCycles, 3u);
     }
     // An impossible renegotiation fails atomically.
     EXPECT_FALSE(net->renegotiateBandwidth(o.id, 2.0 * kGbps));
-    for (NodeId n : net->connectionPath(o.id)) {
-        const SegmentParams *seg = net->routerAt(n).connection(o.id);
+    for (const Network::PathHop &hop : net->connectionPath(o.id)) {
+        const SegmentParams seg = net->routerAt(hop.node).segment(hop.in);
         const double granted =
-            net->routerAt(n).config().linkRateBps / seg->interArrival;
+            net->routerAt(hop.node).config().linkRateBps / seg.interArrival;
         EXPECT_NEAR(granted, 400 * kMbps, 1.0)
             << "rollback must restore the previous rate";
+    }
+}
+
+/**
+ * A renegotiation refused past the first hop rolls every hop that
+ * accepted it back to the reservation it held, to the cycle.  On a
+ * 64-cycle round, 49/64 of the link re-derived from the inter-arrival
+ * time would round up to 50 cycles.
+ */
+TEST_F(NetworkTest, RefusedRenegotiationRestoresEveryHop)
+{
+    NetworkConfig ncfg = smallNetConfig();
+    ncfg.router.vcsPerPort = 32; // round = 64 cycles
+    net = std::make_unique<Network>(Topology::mesh2d(3, 1), ncfg);
+    kernel.add(net.get(), "net");
+    const double link = ncfg.router.linkRateBps;
+    const unsigned round = ncfg.router.cyclesPerRound();
+    ASSERT_EQ(round, 64u);
+
+    const auto stream = net->openCbr(0, 2, 49.0 / round * link);
+    ASSERT_TRUE(stream.accepted);
+    const auto rival = net->openCbr(1, 2, 10.0 / round * link);
+    ASSERT_TRUE(rival.accepted);
+    const auto path = net->connectionPath(stream.id);
+    ASSERT_EQ(path.size(), 3u);
+    std::vector<SegmentParams> before;
+    std::vector<unsigned> registers;
+    for (const Network::PathHop &hop : path) {
+        before.push_back(net->routerAt(hop.node).segment(hop.in));
+        ASSERT_EQ(before.back().allocCycles, 49u);
+        registers.push_back(net->routerAt(hop.node).admission()
+                                .allocatedCycles(before.back().out));
+    }
+
+    // Hop 0 accepts 60 cycles; hop 1 carries the rival's 10 as well.
+    EXPECT_FALSE(net->renegotiateBandwidth(stream.id, 60.0 / round * link));
+    for (std::size_t k = 0; k < path.size(); ++k) {
+        SCOPED_TRACE(k);
+        MmrRouter &r = net->routerAt(path[k].node);
+        const SegmentParams seg = r.segment(path[k].in);
+        EXPECT_EQ(seg.allocCycles, before[k].allocCycles);
+        EXPECT_EQ(seg.interArrival, before[k].interArrival);
+        EXPECT_EQ(r.admission().allocatedCycles(seg.out), registers[k]);
     }
 }
 
@@ -248,8 +290,8 @@ TEST_F(NetworkTest, VbrPriorityPropagates)
     const auto o = net->openVbr(0, 3, 4 * kMbps, 12 * kMbps, 1);
     ASSERT_TRUE(o.accepted);
     ASSERT_TRUE(net->setConnectionPriority(o.id, 5));
-    for (NodeId n : net->connectionPath(o.id))
-        EXPECT_EQ(net->routerAt(n).connection(o.id)->priority, 5);
+    for (const Network::PathHop &hop : net->connectionPath(o.id))
+        EXPECT_EQ(net->routerAt(hop.node).segment(hop.in).priority, 5);
 }
 
 TEST_F(NetworkTest, DatagramsDeliverAcrossTheNetwork)

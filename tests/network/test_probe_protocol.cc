@@ -398,15 +398,15 @@ TEST_F(TimedSetupTest, VbrTimedSetupReservesBothRegisters)
     const auto path = net->connectionPath(r->id);
     ASSERT_GE(path.size(), 2u);
     for (std::size_t k = 0; k + 1 < path.size(); ++k) {
-        const SegmentParams *seg =
-            net->routerAt(path[k]).connection(r->id);
-        ASSERT_NE(seg, nullptr);
-        EXPECT_EQ(seg->klass, TrafficClass::VBR);
-        EXPECT_GT(seg->permCycles, 0u);
-        EXPECT_GT(seg->peakCycles, seg->permCycles);
-        EXPECT_EQ(seg->priority, 2);
-        EXPECT_GT(net->routerAt(path[k]).admission().peakCycles(
-                      seg->out),
+        const SegmentParams seg =
+            net->routerAt(path[k].node).segment(path[k].in);
+        ASSERT_EQ(seg.id, r->id);
+        EXPECT_EQ(seg.klass, TrafficClass::VBR);
+        EXPECT_GT(seg.permCycles, 0u);
+        EXPECT_GT(seg.peakCycles, seg.permCycles);
+        EXPECT_EQ(seg.priority, 2);
+        EXPECT_GT(net->routerAt(path[k].node).admission().peakCycles(
+                      seg.out),
                   0u);
     }
 }

@@ -95,18 +95,18 @@ TEST(AdmissionCycles, RouterOpenCloseChurnLeavesNoDrift)
     }
 
     for (int round = 0; round < 20; ++round) {
-        const ConnId cbr = router.openCbr(0, 1, 20.0 * kMbps);
-        const ConnId vbr =
+        const ChannelRef cbr = router.openCbr(0, 1, 20.0 * kMbps);
+        const ChannelRef vbr =
             router.openVbr(2, 1, 10.0 * kMbps, 40.0 * kMbps, 1);
-        const ConnId be = router.openBestEffort(3, 2);
-        ASSERT_NE(cbr, kInvalidConn);
-        ASSERT_NE(vbr, kInvalidConn);
-        ASSERT_NE(be, kInvalidConn);
+        const ChannelRef be = router.openBestEffort(3, 2);
+        ASSERT_TRUE(cbr.valid());
+        ASSERT_TRUE(vbr.valid());
+        ASSERT_TRUE(be.valid());
         chk.checkAll(static_cast<Cycle>(round));
 
-        ASSERT_TRUE(router.close(vbr));
-        ASSERT_TRUE(router.close(cbr));
-        ASSERT_TRUE(router.close(be));
+        ASSERT_TRUE(router.removeSegment(vbr));
+        ASSERT_TRUE(router.removeSegment(cbr));
+        ASSERT_TRUE(router.removeSegment(be));
         chk.checkAll(static_cast<Cycle>(round));
 
         for (PortId o = 0; o < cfg.numPorts; ++o) {
@@ -131,8 +131,8 @@ TEST(AdmissionCycles, RouterRenegotiateKeepsLedgerConsistent)
     InvariantChecker chk;
     router.registerInvariants(chk, 1);
 
-    const ConnId id = router.openCbr(0, 1, 10.0 * kMbps);
-    ASSERT_NE(id, kInvalidConn);
+    const ChannelRef id = router.openCbr(0, 1, 10.0 * kMbps);
+    ASSERT_TRUE(id.valid());
     const unsigned before = router.admission().allocatedCycles(1);
 
     ASSERT_TRUE(router.renegotiateBandwidth(id, 40.0 * kMbps));
@@ -141,7 +141,7 @@ TEST(AdmissionCycles, RouterRenegotiateKeepsLedgerConsistent)
     chk.run("admission-ledger", 0);
     EXPECT_EQ(router.admission().allocatedCycles(1), before);
 
-    ASSERT_TRUE(router.close(id));
+    ASSERT_TRUE(router.removeSegment(id));
     chk.checkAll(0);
 }
 

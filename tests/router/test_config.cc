@@ -64,12 +64,20 @@ TEST(Config, ValidationRejectsNonsense)
     expect_invalid([](RouterConfig &c) { c.numPorts = 0; });
     expect_invalid([](RouterConfig &c) { c.numPorts = 2048; });
     expect_invalid([](RouterConfig &c) { c.vcsPerPort = 0; });
+    // VC 65535 would read as kInvalidVc.
+    expect_invalid([](RouterConfig &c) { c.vcsPerPort = 65536; });
     expect_invalid([](RouterConfig &c) { c.linkRateBps = 0.0; });
     expect_invalid([](RouterConfig &c) { c.linkRateBps = -1.0; });
     expect_invalid([](RouterConfig &c) { c.flitBits = 0; });
     expect_invalid([](RouterConfig &c) { c.flitBits = 129; });
     expect_invalid([](RouterConfig &c) { c.vcBufferFlits = 0; });
     expect_invalid([](RouterConfig &c) { c.roundFactorK = 0; });
+    // The round length K x V would overflow unsigned.
+    expect_invalid([](RouterConfig &c) {
+        c.roundFactorK = 1u << 31;
+        c.vcsPerPort = 2;
+        c.candidates = 2;
+    });
     expect_invalid([](RouterConfig &c) { c.candidates = 0; });
     expect_invalid([](RouterConfig &c) {
         c.candidates = c.vcsPerPort + 1;

@@ -15,6 +15,7 @@
 
 #include "obs/flight_recorder.hh"
 #include "router/router.hh"
+#include "sim/invariant.hh"
 #include "sim/kernel.hh"
 
 namespace mmr
@@ -67,13 +68,13 @@ class RouterTest : public ::testing::Test
 
 TEST_F(RouterTest, OpenCbrAllocatesResources)
 {
-    const ConnId id = router.openCbr(0, 2, 10 * kMbps);
-    ASSERT_NE(id, kInvalidConn);
-    const SegmentParams *p = router.connection(id);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->in, 0u);
-    EXPECT_EQ(p->out, 2u);
-    EXPECT_GT(p->allocCycles, 0u);
+    const ChannelRef id = router.openCbr(0, 2, 10 * kMbps);
+    ASSERT_TRUE(id.valid());
+    const SegmentParams p = router.segment(id);
+    ASSERT_NE(p.id, kInvalidConn);
+    EXPECT_EQ(p.in, 0u);
+    EXPECT_EQ(p.out, 2u);
+    EXPECT_GT(p.allocCycles, 0u);
     EXPECT_GT(router.admission().allocatedCycles(2), 0u);
     EXPECT_EQ(router.routing().freeInputVcCount(0), 15u);
     EXPECT_EQ(router.routing().freeOutputVcCount(2), 15u);
@@ -82,28 +83,28 @@ TEST_F(RouterTest, OpenCbrAllocatesResources)
 
 TEST_F(RouterTest, CloseReleasesEverything)
 {
-    const ConnId id = router.openCbr(0, 2, 10 * kMbps);
-    ASSERT_TRUE(router.close(id));
+    const ChannelRef id = router.openCbr(0, 2, 10 * kMbps);
+    ASSERT_TRUE(router.removeSegment(id));
     EXPECT_EQ(router.admission().allocatedCycles(2), 0u);
     EXPECT_EQ(router.routing().freeInputVcCount(0), 16u);
     EXPECT_EQ(router.routing().freeOutputVcCount(2), 16u);
-    EXPECT_FALSE(router.close(id)) << "double close reports failure";
+    EXPECT_FALSE(router.removeSegment(id)) << "double close reports failure";
 }
 
 TEST_F(RouterTest, AdmissionRefusesOverload)
 {
     // Fill output 1 to the brim with four ~full-rate connections.
-    ASSERT_NE(router.openCbr(0, 1, 0.6 * kGbps), kInvalidConn);
-    ASSERT_NE(router.openCbr(1, 1, 0.6 * kGbps), kInvalidConn);
-    EXPECT_EQ(router.openCbr(2, 1, 0.2 * kGbps), kInvalidConn)
+    ASSERT_TRUE(router.openCbr(0, 1, 0.6 * kGbps).valid());
+    ASSERT_TRUE(router.openCbr(1, 1, 0.6 * kGbps).valid());
+    EXPECT_FALSE(router.openCbr(2, 1, 0.2 * kGbps).valid())
         << "1.24 Gb/s link cannot carry 1.4 Gb/s";
     // A different output is unaffected.
-    EXPECT_NE(router.openCbr(2, 3, 0.2 * kGbps), kInvalidConn);
+    EXPECT_TRUE(router.openCbr(2, 3, 0.2 * kGbps).valid());
 }
 
 TEST_F(RouterTest, SingleFlitTraversesInOneCycle)
 {
-    const ConnId id = router.openCbr(0, 2, 10 * kMbps);
+    const ChannelRef id = router.openCbr(0, 2, 10 * kMbps);
     Flit f;
     f.seq = 0;
     f.readyTime = 0;
@@ -117,13 +118,13 @@ TEST_F(RouterTest, SingleFlitTraversesInOneCycle)
 
 TEST_F(RouterTest, PerConnectionFifoOrder)
 {
-    const ConnId a = router.openCbr(0, 2, 300 * kMbps);
-    const ConnId b = router.openCbr(1, 2, 300 * kMbps);
+    const ChannelRef a = router.openCbr(0, 2, 300 * kMbps);
+    const ChannelRef b = router.openCbr(1, 2, 300 * kMbps);
     std::map<ConnId, std::uint32_t> seq;
     for (std::uint32_t i = 0; i < 8; ++i) {
-        const ConnId target = i % 2 ? a : b;
+        const ChannelRef target = i % 2 ? a : b;
         Flit f;
-        f.seq = seq[target]++;
+        f.seq = seq[router.segment(target).id]++;
         f.readyTime = 0;
         ASSERT_TRUE(router.inject(target, f));
     }
@@ -140,7 +141,7 @@ TEST_F(RouterTest, FlitConservation)
 {
     // One flit per 5 cycles is 20% of the link: reserve 250 Mb/s so
     // the per-round quota never throttles the test stream.
-    const ConnId id = router.openCbr(0, 2, 250 * kMbps);
+    const ChannelRef id = router.openCbr(0, 2, 250 * kMbps);
     unsigned injected = 0;
     for (Cycle t = 0; t < 100; ++t) {
         if (t % 5 == 0) {
@@ -160,7 +161,7 @@ TEST_F(RouterTest, FlitConservation)
 
 TEST_F(RouterTest, InjectionRejectedWhenVcFull)
 {
-    const ConnId id = router.openCbr(0, 2, 10 * kMbps);
+    const ChannelRef id = router.openCbr(0, 2, 10 * kMbps);
     // Buffer depth is 8; without running the kernel nothing drains.
     for (int i = 0; i < 8; ++i) {
         Flit f;
@@ -173,8 +174,8 @@ TEST_F(RouterTest, InjectionRejectedWhenVcFull)
 
 TEST_F(RouterTest, TwoInputsShareOneOutputFairly)
 {
-    const ConnId a = router.openCbr(0, 3, 500 * kMbps);
-    const ConnId b = router.openCbr(1, 3, 500 * kMbps);
+    const ChannelRef a = router.openCbr(0, 3, 500 * kMbps);
+    const ChannelRef b = router.openCbr(1, 3, 500 * kMbps);
     // Saturate both VCs, then let the switch arbitrate.
     for (int i = 0; i < 8; ++i) {
         Flit fa, fb;
@@ -194,14 +195,13 @@ TEST_F(RouterTest, TwoInputsShareOneOutputFairly)
 
 TEST_F(RouterTest, RenegotiateBandwidthUpdatesAllocation)
 {
-    const ConnId id = router.openCbr(0, 2, 10 * kMbps);
+    const ChannelRef id = router.openCbr(0, 2, 10 * kMbps);
     const unsigned before = router.admission().allocatedCycles(2);
     ASSERT_TRUE(router.renegotiateBandwidth(id, 100 * kMbps));
     EXPECT_GT(router.admission().allocatedCycles(2), before);
-    const SegmentParams *p = router.connection(id);
-    EXPECT_GT(p->allocCycles, 0u);
+    EXPECT_GT(router.segment(id).allocCycles, 0u);
     // Infeasible renegotiation fails and leaves state intact.
-    ASSERT_NE(router.openCbr(1, 2, 1.1 * kGbps), kInvalidConn);
+    ASSERT_TRUE(router.openCbr(1, 2, 1.1 * kGbps).valid());
     const unsigned mid = router.admission().allocatedCycles(2);
     EXPECT_FALSE(router.renegotiateBandwidth(id, 1.0 * kGbps));
     EXPECT_EQ(router.admission().allocatedCycles(2), mid);
@@ -211,20 +211,17 @@ TEST_F(RouterTest, VbrAdmissionUsesConcurrencyFactor)
 {
     // concurrencyFactor = 2: peaks can oversubscribe 2x but permanent
     // bandwidth cannot.
-    ASSERT_NE(router.openVbr(0, 1, 100 * kMbps, 1.2 * kGbps, 0),
-              kInvalidConn);
-    EXPECT_NE(router.openVbr(1, 1, 100 * kMbps, 1.2 * kGbps, 0),
-              kInvalidConn)
+    ASSERT_TRUE(router.openVbr(0, 1, 100 * kMbps, 1.2 * kGbps, 0).valid());
+    EXPECT_TRUE(router.openVbr(1, 1, 100 * kMbps, 1.2 * kGbps, 0).valid())
         << "combined peak 2.4G fits 2x concurrency";
-    EXPECT_EQ(router.openVbr(2, 1, 100 * kMbps, 0.2 * kGbps, 0),
-              kInvalidConn)
+    EXPECT_FALSE(router.openVbr(2, 1, 100 * kMbps, 0.2 * kGbps, 0).valid())
         << "third peak exceeds round x concurrency";
 }
 
 TEST_F(RouterTest, BestEffortChannelDeliversWithoutReservation)
 {
-    const ConnId be = router.openBestEffort(1, 2);
-    ASSERT_NE(be, kInvalidConn);
+    const ChannelRef be = router.openBestEffort(1, 2);
+    ASSERT_TRUE(be.valid());
     EXPECT_EQ(router.admission().allocatedCycles(2), 0u);
     Flit f;
     ASSERT_TRUE(router.inject(be, f));
@@ -235,8 +232,8 @@ TEST_F(RouterTest, BestEffortChannelDeliversWithoutReservation)
 
 TEST_F(RouterTest, StreamsOutrankBestEffortUnderContention)
 {
-    const ConnId cbr = router.openCbr(0, 3, 600 * kMbps);
-    const ConnId be = router.openBestEffort(1, 3);
+    const ChannelRef cbr = router.openCbr(0, 3, 600 * kMbps);
+    const ChannelRef be = router.openBestEffort(1, 3);
     for (int i = 0; i < 6; ++i) {
         Flit fs, fb;
         fs.seq = fb.seq = static_cast<std::uint32_t>(i);
@@ -253,7 +250,7 @@ TEST_F(RouterTest, StreamsOutrankBestEffortUnderContention)
 
 TEST_F(RouterTest, MatchingSizeAndReconfigStatsAccumulate)
 {
-    const ConnId id = router.openCbr(0, 2, 100 * kMbps);
+    const ChannelRef id = router.openCbr(0, 2, 100 * kMbps);
     for (int i = 0; i < 4; ++i) {
         Flit f;
         ASSERT_TRUE(router.inject(id, f));
@@ -267,8 +264,8 @@ TEST_F(RouterTest, MatchingSizeAndReconfigStatsAccumulate)
 TEST_F(RouterTest, CreditBackpressureStallsForwarding)
 {
     router.credits().setInfinite(false);
-    const ConnId id = router.openCbr(0, 2, 1.0 * kGbps);
-    const SegmentParams *p = router.connection(id);
+    const ChannelRef id = router.openCbr(0, 2, 1.0 * kGbps);
+    const SegmentParams p = router.segment(id);
     for (int i = 0; i < 8; ++i) {
         Flit f;
         f.seq = static_cast<std::uint32_t>(i);
@@ -277,26 +274,27 @@ TEST_F(RouterTest, CreditBackpressureStallsForwarding)
     // Emulate a congested downstream buffer: only 2 of the 8 credits
     // remain.
     for (int i = 0; i < 6; ++i)
-        router.credits().consume(p->out, p->outVc);
+        router.credits().consume(p.out, p.outVc);
     run(30);
     EXPECT_EQ(deliveries.size(), 2u)
         << "forwarding must stall when credits run out";
     // Returning credits resumes transmission exactly credit-for-flit.
     for (unsigned i = 0; i < 3; ++i)
-        router.credits().replenish(p->out, p->outVc);
+        router.credits().replenish(p.out, p.outVc);
     run(10);
     EXPECT_EQ(deliveries.size(), 5u);
 }
 
 TEST_F(RouterTest, DelayMetricsMatchDefinitions)
 {
-    const ConnId id = router.openCbr(0, 2, 10 * kMbps);
+    const ChannelRef id = router.openCbr(0, 2, 10 * kMbps);
     metrics.startMeasurement(0);
     Flit f;
     f.readyTime = 0;
     ASSERT_TRUE(router.inject(id, f));
     run(3);
-    const ConnectionRecorder *rec = metrics.connection(id);
+    const ConnectionRecorder *rec =
+        metrics.connection(router.segment(id).id);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->delay().count(), 1u);
     EXPECT_DOUBLE_EQ(rec->delay().mean(), 1.0);
@@ -306,18 +304,18 @@ TEST_F(RouterTest, VcExhaustionFailsCleanly)
 {
     // 16 VCs per port: the 17th connection on the same ports fails
     // and leaks nothing.
-    std::vector<ConnId> ids;
+    std::vector<ChannelRef> ids;
     for (int i = 0; i < 16; ++i) {
-        const ConnId id = router.openCbr(0, 1, 64 * kKbps);
-        ASSERT_NE(id, kInvalidConn);
+        const ChannelRef id = router.openCbr(0, 1, 64 * kKbps);
+        ASSERT_TRUE(id.valid());
         ids.push_back(id);
     }
-    EXPECT_EQ(router.openCbr(0, 1, 64 * kKbps), kInvalidConn);
+    EXPECT_FALSE(router.openCbr(0, 1, 64 * kKbps).valid());
     const unsigned alloc = router.admission().allocatedCycles(1);
     // 16 connections of 1 cycle each.
     EXPECT_EQ(alloc, 16u);
-    for (ConnId id : ids)
-        ASSERT_TRUE(router.close(id));
+    for (const ChannelRef id : ids)
+        ASSERT_TRUE(router.removeSegment(id));
     EXPECT_EQ(router.admission().allocatedCycles(1), 0u);
 }
 
@@ -357,13 +355,13 @@ TEST(RouterActivity, QuietPortRollsItsRoundOnWake)
         Kernel kernel;
         kernel.add(&router);
 
-        const ConnId cbr =
+        const ChannelRef cbr =
             router.openCbr(0, 2, 2.0 / round * cfg.linkRateBps);
-        ASSERT_NE(cbr, kInvalidConn);
-        const unsigned quota = router.connection(cbr)->allocCycles;
+        ASSERT_TRUE(cbr.valid());
+        const unsigned quota = router.segment(cbr).allocCycles;
         ASSERT_EQ(quota, 2u);
-        const ConnId be = router.openBestEffort(1, 3);
-        ASSERT_NE(be, kInvalidConn);
+        const ChannelRef be = router.openBestEffort(1, 3);
+        ASSERT_TRUE(be.valid());
 
         // Inject @p n CBR flits (plus one on port 1 when it is kept
         // busy) ready at the current cycle, then run that cycle.
@@ -409,11 +407,10 @@ TEST(RouterActivity, QuietCyclesStillCountAsPasses)
     MmrRouter router(smallConfig());
     Kernel kernel;
     kernel.add(&router);
-    const ConnId cbr = router.openCbr(0, 2, 10 * kMbps);
-    ASSERT_NE(cbr, kInvalidConn);
-    ASSERT_NE(router.openVbr(1, 3, 10 * kMbps, 20 * kMbps, 1),
-              kInvalidConn);
-    ASSERT_NE(router.openBestEffort(2, 0), kInvalidConn);
+    const ChannelRef cbr = router.openCbr(0, 2, 10 * kMbps);
+    ASSERT_TRUE(cbr.valid());
+    ASSERT_TRUE(router.openVbr(1, 3, 10 * kMbps, 20 * kMbps, 1).valid());
+    ASSERT_TRUE(router.openBestEffort(2, 0).valid());
     ASSERT_TRUE(router.inject(cbr, Flit{}));
     kernel.run(2); // granted in cycle 0, crosses in cycle 1
     ASSERT_EQ(router.flitsForwarded(), 1u);
@@ -475,32 +472,85 @@ TEST(RouterVctRelease, SegmentGoesWhenItsLastFlitLeaves)
     };
     const SegmentParams one = install(100, 0, 2, true);
     const SegmentParams two = install(101, 1, 3, true);
-    ASSERT_TRUE(router.inject(one.id, Flit{}));
-    ASSERT_TRUE(router.inject(two.id, Flit{}));
-    ASSERT_TRUE(router.inject(two.id, Flit{}));
+    const ChannelRef one_in{one.in, one.inVc};
+    const ChannelRef two_in{two.in, two.inVc};
+    ASSERT_TRUE(router.inject(one_in, Flit{}));
+    ASSERT_TRUE(router.inject(two_in, Flit{}));
+    ASSERT_TRUE(router.inject(two_in, Flit{}));
 
     kernel.run(2); // the first flits are granted in cycle 0, cross in 1
     ASSERT_EQ(router.flitsForwarded(), 2u);
-    EXPECT_EQ(router.connection(one.id), nullptr);
+    EXPECT_EQ(router.segment(one_in).id, kInvalidConn);
     EXPECT_FALSE(router.inputMemory(one.in).vc(one.inVc).bound());
     EXPECT_EQ(router.routing().freeInputVcCount(one.in), cfg.vcsPerPort);
     EXPECT_EQ(router.routing().freeOutputVcCount(one.out),
               cfg.vcsPerPort);
     EXPECT_EQ(removed, std::vector<ConnId>{one.id});
-    EXPECT_NE(router.connection(two.id), nullptr)
+    EXPECT_EQ(router.segment(two_in).id, two.id)
         << "a VCT segment still buffering a flit stays";
 
     const SegmentParams plain = install(102, one.in, one.out, false);
     ASSERT_EQ(plain.inVc, one.inVc);
-    ASSERT_TRUE(router.inject(plain.id, Flit{}));
+    ASSERT_TRUE(router.inject(one_in, Flit{}));
     kernel.run(2); // two's second flit crosses in 2, plain's in 3
     ASSERT_EQ(router.flitsForwarded(), 4u);
-    EXPECT_EQ(router.connection(two.id), nullptr);
+    EXPECT_EQ(router.segment(two_in).id, kInvalidConn);
     EXPECT_EQ(removed, (std::vector<ConnId>{one.id, two.id}));
-    ASSERT_NE(router.connection(plain.id), nullptr)
+    ASSERT_EQ(router.segment(one_in).id, plain.id)
         << "a plain segment outlives its drained VC";
     EXPECT_TRUE(router.inputMemory(plain.in).vc(plain.inVc).bound());
     EXPECT_EQ(router.connectionCount(), 1u);
+}
+
+/**
+ * A segment is its input channel, not its id: two datagrams of one
+ * flow carry the flow's id on two input VCs at once, and removing one
+ * by channel leaves the other.  An install on a VC that is already
+ * bound is refused and changes nothing.
+ */
+TEST(RouterSegments, OneIdBindsOnTwoChannels)
+{
+    MmrRouter router(smallConfig());
+    InvariantChecker chk;
+    router.registerInvariants(chk);
+    const auto datagram = [&](PortId in, PortId out) {
+        SegmentParams p;
+        p.id = 0x4000000; // one best-effort flow tag
+        p.klass = TrafficClass::BestEffort;
+        p.in = in;
+        p.inVc = router.routing().allocInputVc(in);
+        p.out = out;
+        p.outVc = router.routing().allocOutputVc(out);
+        p.releaseWhenEmpty = true;
+        return p;
+    };
+    const SegmentParams a = datagram(0, 2);
+    const SegmentParams b = datagram(1, 2);
+    const ChannelRef a_in{a.in, a.inVc};
+    const ChannelRef b_in{b.in, b.inVc};
+    ASSERT_TRUE(router.installSegment(a));
+    ASSERT_TRUE(router.installSegment(b)) << "one flow, two channels";
+    EXPECT_EQ(router.connectionCount(), 2u);
+    EXPECT_EQ(router.segment(a_in).outVc, a.outVc);
+    EXPECT_EQ(router.segment(b_in).outVc, b.outVc);
+
+    SegmentParams clash = datagram(3, 0);
+    clash.id = 7;
+    clash.in = b.in;
+    clash.inVc = b.inVc;
+    EXPECT_FALSE(router.installSegment(clash)) << "the VC is bound";
+    EXPECT_EQ(router.segment(b_in).id, b.id);
+    EXPECT_EQ(router.segment(b_in).out, b.out);
+    EXPECT_EQ(router.connectionCount(), 2u);
+    chk.checkAll(0);
+
+    ASSERT_TRUE(router.removeSegment(a_in));
+    EXPECT_EQ(router.segment(a_in).id, kInvalidConn);
+    EXPECT_EQ(router.segment(b_in).id, b.id);
+    EXPECT_EQ(router.connectionCount(), 1u);
+    EXPECT_FALSE(router.removeSegment(a_in));
+    ASSERT_TRUE(router.inject(b_in, Flit{}));
+    chk.checkAll(0);
 }
 
 } // namespace

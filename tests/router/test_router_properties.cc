@@ -117,9 +117,9 @@ TEST(CbrQuotaProperty, MisbehavingSourceIsThrottled)
     // Reserve ~4 cycles/round but flood every cycle.
     const unsigned round = rc.cyclesPerRound();
     const double rate = 4.0 / round * rc.linkRateBps;
-    const ConnId id = router.openCbr(0, 1, rate);
-    ASSERT_NE(id, kInvalidConn);
-    const unsigned alloc = router.connection(id)->allocCycles;
+    const ChannelRef id = router.openCbr(0, 1, rate);
+    ASSERT_TRUE(id.valid());
+    const unsigned alloc = router.segment(id).allocCycles;
 
     Kernel kernel;
     kernel.add(&router);
@@ -159,8 +159,8 @@ TEST(CbrQuotaProperty, AllocationIsAlsoDeliveredWhenBacklogged)
 
     const unsigned round = rc.cyclesPerRound();
     const double rate = 8.0 / round * rc.linkRateBps;
-    const ConnId id = router.openCbr(0, 1, rate);
-    const unsigned alloc = router.connection(id)->allocCycles;
+    const ChannelRef id = router.openCbr(0, 1, rate);
+    const unsigned alloc = router.segment(id).allocCycles;
 
     Kernel kernel;
     kernel.add(&router);
@@ -193,16 +193,20 @@ expectSameSegment(const SegmentParams &got, const SegmentParams &want)
     EXPECT_EQ(got.peakCycles, want.peakCycles);
     EXPECT_EQ(got.interArrival, want.interArrival);
     EXPECT_EQ(got.priority, want.priority);
+    EXPECT_EQ(got.releaseWhenEmpty, want.releaseWhenEmpty);
+    EXPECT_EQ(got.ownsInputVc, want.ownsInputVc);
+    EXPECT_EQ(got.ownsOutputVc, want.ownsOutputVc);
 }
 
 /**
- * The segment table is dense with swap-remove: removing a segment
- * from the middle moves the last one into its slot.  Random install
- * (admission charged and VCs allocated as the network does),
+ * A segment lives in its input VC, and the live-segment list the
+ * admission-ledger audit walks is dense with swap-remove: removing a
+ * segment from the middle moves the last one into its entry.  Random
+ * install (admission charged and VCs allocated as the network does),
  * remove-anywhere and CBR renegotiate sequences are checked against a
- * std::map after every operation: every live id finds its own
- * segment, every removed id finds none, the count matches, and the
- * admission-ledger audit holds.
+ * std::map keyed by input channel after every operation: every
+ * channel in the map reads back its own segment, every other channel
+ * reads none, the count matches, and the admission-ledger audit holds.
  */
 TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
 {
@@ -218,8 +222,9 @@ TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
         Rng rng(seed);
         const unsigned round = rc.cyclesPerRound();
 
-        std::map<ConnId, SegmentParams> ref;
-        std::vector<ConnId> removed;
+        using Key = std::pair<PortId, VcId>;
+        std::map<Key, SegmentParams> ref;
+        std::size_t removals = 0;
         ConnId next_id = 100;
         const auto pick = [&] {
             auto it = ref.begin();
@@ -236,7 +241,6 @@ TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
                 p.in = static_cast<PortId>(rng.below(rc.numPorts));
                 p.out = static_cast<PortId>(rng.below(rc.numPorts));
                 p.klass = static_cast<TrafficClass>(rng.below(3));
-                p.priority = static_cast<int>(rng.below(4));
                 bool admitted = true;
                 if (p.klass == TrafficClass::CBR) {
                     p.allocCycles = 1 + static_cast<unsigned>(rng.below(6));
@@ -248,6 +252,7 @@ TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
                     p.peakCycles =
                         p.permCycles + static_cast<unsigned>(rng.below(4));
                     p.interArrival = double(round) / p.permCycles;
+                    p.priority = static_cast<int>(rng.below(4));
                     admitted = router.admission().tryAdmitVbr(
                         p.out, p.permCycles, p.peakCycles);
                 }
@@ -269,16 +274,18 @@ TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
                     continue;
                 }
                 ASSERT_TRUE(router.installSegment(p));
-                ref[p.id] = p;
+                ref[Key{p.in, p.inVc}] = p;
             } else if (kind == 1) {
                 const auto it = pick();
-                router.removeSegment(it->first);
-                removed.push_back(it->first);
+                ASSERT_TRUE(router.removeSegment(
+                    ChannelRef{it->first.first, it->first.second}));
+                ++removals;
                 ref.erase(it);
             } else {
                 SegmentParams &p = pick()->second;
                 const double rate = rng.uniform(0.01, 0.3) * rc.linkRateBps;
-                const bool ok = router.renegotiateBandwidth(p.id, rate);
+                const bool ok = router.renegotiateBandwidth(
+                    ChannelRef{p.in, p.inVc}, rate);
                 if (p.klass != TrafficClass::CBR) {
                     EXPECT_FALSE(ok);
                 } else if (ok) {
@@ -290,17 +297,23 @@ TEST(SegmentTableProperty, MatchesAMapUnderInstallRemoveRenegotiate)
             }
 
             ASSERT_EQ(router.connectionCount(), ref.size()) << "op " << op;
-            for (const auto &[id, want] : ref) {
-                const SegmentParams *got = router.connection(id);
-                ASSERT_NE(got, nullptr) << "op " << op << " id " << id;
-                expectSameSegment(*got, want);
+            for (PortId in = 0; in < rc.numPorts; ++in) {
+                for (VcId vc = 0; vc < rc.vcsPerPort; ++vc) {
+                    const SegmentParams got =
+                        router.segment(ChannelRef{in, vc});
+                    const auto want = ref.find(Key{in, vc});
+                    if (want == ref.end()) {
+                        ASSERT_EQ(got.id, kInvalidConn)
+                            << "op " << op << " channel " << in << ","
+                            << vc;
+                    } else {
+                        expectSameSegment(got, want->second);
+                    }
+                }
             }
-            for (const ConnId id : removed)
-                ASSERT_EQ(router.connection(id), nullptr)
-                    << "op " << op << " id " << id;
             chk.run("admission-ledger", op);
         }
-        EXPECT_GT(removed.size(), 100u) << "the churn removed little";
+        EXPECT_GT(removals, 100u) << "the churn removed little";
     }
 }
 

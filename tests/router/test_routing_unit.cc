@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the Routing and Arbitration Unit (§3.5): VC pools
- * and direct/reverse channel mappings.
+ * Unit tests for the Routing and Arbitration Unit (§3.5): its VC
+ * pools.
  */
 
 #include <gtest/gtest.h>
@@ -49,45 +49,12 @@ TEST(RoutingUnit, InputAndOutputPoolsAreSeparate)
         << "input allocation must not consume output VCs";
 }
 
-TEST(RoutingUnit, DirectAndReverseMappings)
-{
-    RoutingUnit r(4, 8);
-    const ChannelRef in{1, 3};
-    const ChannelRef out{2, 5};
-    r.map(in, out);
-    EXPECT_TRUE(r.directMap(in) == out);
-    EXPECT_TRUE(r.reverseMap(out) == in);
-    // Unrelated channels stay unmapped.
-    EXPECT_FALSE(r.directMap(ChannelRef{1, 4}).valid());
-    EXPECT_FALSE(r.reverseMap(ChannelRef{2, 6}).valid());
-
-    r.unmap(in);
-    EXPECT_FALSE(r.directMap(in).valid());
-    EXPECT_FALSE(r.reverseMap(out).valid());
-}
-
-TEST(RoutingUnitDeath, DoubleMapPanics)
-{
-    RoutingUnit r(2, 2);
-    r.map(ChannelRef{0, 0}, ChannelRef{1, 0});
-    EXPECT_DEATH(r.map(ChannelRef{0, 0}, ChannelRef{1, 1}),
-                 "already mapped");
-    EXPECT_DEATH(r.map(ChannelRef{0, 1}, ChannelRef{1, 0}),
-                 "already mapped");
-}
-
 TEST(RoutingUnitDeath, DoubleFreePanics)
 {
     RoutingUnit r(1, 2);
     const VcId v = r.allocInputVc(0);
     r.freeInputVc(0, v);
     EXPECT_DEATH(r.freeInputVc(0, v), "double free");
-}
-
-TEST(RoutingUnitDeath, UnmapUnmappedPanics)
-{
-    RoutingUnit r(1, 2);
-    EXPECT_DEATH(r.unmap(ChannelRef{0, 0}), "no mapping");
 }
 
 } // namespace

@@ -62,12 +62,14 @@ TEST_F(VbrServiceTest, ExcessServedOneConnectionAtATime)
     // Fill both queues; the excess service must drain the
     // higher-priority connection's backlog before touching the other.
     const double link = cfg().linkRateBps;
-    const ConnId low =
+    const ChannelRef low =
         router.openVbr(0, 1, link / 64.0, link / 2.0, /*prio=*/1);
-    const ConnId high =
+    const ChannelRef high =
         router.openVbr(0, 1, link / 64.0, link / 2.0, /*prio=*/5);
-    ASSERT_NE(low, kInvalidConn);
-    ASSERT_NE(high, kInvalidConn);
+    ASSERT_TRUE(low.valid());
+    ASSERT_TRUE(high.valid());
+    const ConnId low_id = router.segment(low).id;
+    const ConnId high_id = router.segment(high).id;
 
     for (int i = 0; i < 10; ++i) {
         Flit fl, fh;
@@ -84,22 +86,22 @@ TEST_F(VbrServiceTest, ExcessServedOneConnectionAtATime)
     ASSERT_GE(deliveries.size(), 12u);
     unsigned low_in_prefix = 0;
     for (int i = 0; i < 11; ++i)
-        low_in_prefix += (deliveries[i].flit.conn == low);
+        low_in_prefix += (deliveries[i].flit.conn == low_id);
     EXPECT_LE(low_in_prefix, 2u)
         << "low priority excess must wait for high priority's backlog";
     // And the high-priority stream's 10 flits all left in the prefix.
     unsigned high_total = 0;
     for (int i = 0; i < 12; ++i)
-        high_total += (deliveries[i].flit.conn == high);
+        high_total += (deliveries[i].flit.conn == high_id);
     EXPECT_GE(high_total, 9u);
 }
 
 TEST_F(VbrServiceTest, PriorityChangeRedirectsExcessService)
 {
     const double link = cfg().linkRateBps;
-    const ConnId a =
+    const ChannelRef a =
         router.openVbr(0, 1, link / 64.0, link / 2.0, /*prio=*/5);
-    const ConnId b =
+    const ChannelRef b =
         router.openVbr(0, 1, link / 64.0, link / 2.0, /*prio=*/1);
     // Swap priorities before traffic flows (a control-word action).
     ASSERT_TRUE(router.setConnectionPriority(a, 1));
@@ -115,7 +117,7 @@ TEST_F(VbrServiceTest, PriorityChangeRedirectsExcessService)
     ASSERT_GE(deliveries.size(), 10u);
     unsigned b_in_prefix = 0;
     for (int i = 0; i < 9; ++i)
-        b_in_prefix += (deliveries[i].flit.conn == b);
+        b_in_prefix += (deliveries[i].flit.conn == router.segment(b).id);
     EXPECT_GE(b_in_prefix, 7u)
         << "after the swap, b holds the high priority";
 }
@@ -127,9 +129,9 @@ TEST_F(VbrServiceTest, RenegotiationChangesServiceRateMidRun)
     // quota.
     const double link = cfg().linkRateBps;
     const unsigned round = cfg().cyclesPerRound(); // 64
-    const ConnId id = router.openCbr(0, 1, 4.0 / round * link);
-    ASSERT_NE(id, kInvalidConn);
-    ASSERT_EQ(router.connection(id)->allocCycles, 4u);
+    const ChannelRef id = router.openCbr(0, 1, 4.0 / round * link);
+    ASSERT_TRUE(id.valid());
+    ASSERT_EQ(router.segment(id).allocCycles, 4u);
 
     auto flood = [&] {
         for (int i = 0; i < 32; ++i) {

@@ -159,10 +159,10 @@ TEST(RouterInvariants, RegistersTheFullSet)
 TEST(RouterInvariants, HealthyRouterPassesAllChecks)
 {
     MmrRouter router(smallConfig());
-    const ConnId id = router.openCbr(0, 1, 10.0 * kMbps);
-    ASSERT_NE(id, kInvalidConn);
+    const ChannelRef ch = router.openCbr(0, 1, 10.0 * kMbps);
+    ASSERT_TRUE(ch.valid());
     Flit f;
-    ASSERT_TRUE(router.inject(id, f));
+    ASSERT_TRUE(router.inject(ch, f));
 
     InvariantChecker chk;
     router.registerInvariants(chk);
@@ -183,20 +183,18 @@ TEST(RouterInvariants, HealthyRouterPassesAllChecks)
 TEST(InvariantViolationDeath, FlitConservation)
 {
     MmrRouter router(smallConfig());
-    const ConnId id = router.openBestEffort(0, 1);
-    ASSERT_NE(id, kInvalidConn);
+    const ChannelRef ch = router.openBestEffort(0, 1);
+    ASSERT_TRUE(ch.valid());
     Flit f;
-    ASSERT_TRUE(router.inject(id, f));
+    ASSERT_TRUE(router.inject(ch, f));
     InvariantChecker chk;
     router.registerInvariants(chk);
 
     // Remove the flit behind the router's back (keeping the occupancy
     // counter in step, so the theft is invisible to vc-occupancy): it
     // is now neither buffered nor forwarded, so a flit was "dropped".
-    const SegmentParams *p = router.connection(id);
-    ASSERT_NE(p, nullptr);
-    router.inputMemory(p->in).vc(p->inVc).pop();
-    router.inputMemory(p->in).noteDrained(p->inVc);
+    router.inputMemory(ch.port).vc(ch.vc).pop();
+    router.inputMemory(ch.port).noteDrained(ch.vc);
     EXPECT_DEATH(chk.run("flit-conservation", 0),
                  "invariant 'flit-conservation' violated");
 }
@@ -204,17 +202,16 @@ TEST(InvariantViolationDeath, FlitConservation)
 TEST(InvariantViolationDeath, VcOccupancy)
 {
     MmrRouter router(smallConfig());
-    const ConnId id = router.openBestEffort(2, 3);
-    ASSERT_NE(id, kInvalidConn);
+    const ChannelRef ch = router.openBestEffort(2, 3);
+    ASSERT_TRUE(ch.valid());
     Flit f;
-    ASSERT_TRUE(router.inject(id, f));
+    ASSERT_TRUE(router.inject(ch, f));
     InvariantChecker chk;
     router.registerInvariants(chk);
 
     // Popping without noteDrained desynchronizes the occupancy
     // counter and the flits-available bit vector from the FIFOs.
-    const SegmentParams *p = router.connection(id);
-    router.inputMemory(p->in).vc(p->inVc).pop();
+    router.inputMemory(ch.port).vc(ch.vc).pop();
     EXPECT_DEATH(chk.run("vc-occupancy", 0),
                  "invariant 'vc-occupancy' violated");
 }
@@ -234,17 +231,17 @@ TEST(InvariantViolationDeath, VcLegality)
 TEST(InvariantViolationDeath, AdmissionLedger)
 {
     MmrRouter router(smallConfig());
-    const ConnId id = router.openCbr(0, 1, 20.0 * kMbps);
-    ASSERT_NE(id, kInvalidConn);
+    const ChannelRef ch = router.openCbr(0, 1, 20.0 * kMbps);
+    ASSERT_TRUE(ch.valid());
     InvariantChecker chk;
     router.registerInvariants(chk);
     chk.run("admission-ledger", 0); // healthy
 
     // Releasing bandwidth while the segment is still installed makes
     // the allocated register drift below the sum of bound segments.
-    const SegmentParams *p = router.connection(id);
-    ASSERT_GT(p->allocCycles, 0u);
-    router.admission().releaseCbr(p->out, p->allocCycles);
+    const SegmentParams p = router.segment(ch);
+    ASSERT_GT(p.allocCycles, 0u);
+    router.admission().releaseCbr(p.out, p.allocCycles);
     EXPECT_DEATH(chk.run("admission-ledger", 0),
                  "invariant 'admission-ledger' violated");
 }
