@@ -57,7 +57,7 @@ main(int argc, char **argv)
                  "alloc_cycles@hop0"});
         auto alloc_now = [&] {
             const Network::PathHop first =
-                net.connectionPath(video.id).front();
+                net.connectionPath(video.handle).front();
             return net.routerAt(first.node).segment(first.in).allocCycles;
         };
 
@@ -70,7 +70,7 @@ main(int argc, char **argv)
             w.conn = video.id;
             w.arg = mbps;
             const bool ok =
-                net.renegotiateBandwidth(video.id, mbps * kMbps);
+                net.renegotiateBandwidth(video.handle, mbps * kMbps);
             std::printf("control word 0x%016llx (SetBandwidth %.0f "
                         "Mb/s) -> %s\n",
                         static_cast<unsigned long long>(w.encode()),
@@ -83,20 +83,20 @@ main(int argc, char **argv)
         // A competitor appears on the video's own path and takes a
         // slice; scaling further must now fail, and the source backs
         // off.
-        const NodeId mid = net.connectionPath(video.id)[1].node;
+        const NodeId mid = net.connectionPath(video.handle)[1].node;
         const auto rival = net.openCbr(mid, 2, 300 * kMbps);
         std::printf("rival stream (300 Mb/s from node %u, sharing the "
                     "video's second hop) %s\n", mid,
                     rival.accepted ? "admitted" : "refused");
 
         const bool up_again =
-            net.renegotiateBandwidth(video.id, 1.1 * kGbps);
+            net.renegotiateBandwidth(video.handle, 1.1 * kGbps);
         t.addRow({"scale up vs rival", "1100",
                   up_again ? "granted" : "refused",
                   std::to_string(alloc_now())});
 
         const bool back_off =
-            net.renegotiateBandwidth(video.id, 300 * kMbps);
+            net.renegotiateBandwidth(video.handle, 300 * kMbps);
         t.addRow({"back off", "300", back_off ? "granted" : "refused",
                   std::to_string(alloc_now())});
 
@@ -111,7 +111,7 @@ main(int argc, char **argv)
                 Flit f;
                 f.seq = seq++;
                 f.createTime = kernel.now();
-                net.inject(net.ticket(video.id), f, kernel.now());
+                net.inject(video.handle, f, kernel.now());
             }
             kernel.step();
         }
@@ -131,7 +131,7 @@ main(int argc, char **argv)
             w.op = ControlOp::SetPriority;
             w.conn = vbr.id;
             w.arg = 7.0;
-            net.setConnectionPriority(vbr.id, 7);
+            net.setConnectionPriority(vbr.handle, 7);
             std::printf("VBR priority raised to 7 via control word "
                         "0x%016llx\n",
                         static_cast<unsigned long long>(w.encode()));

@@ -72,7 +72,7 @@ main(int argc, char **argv)
             hosts.push_back(
                 std::make_unique<NetworkInterface>(net, i, seed + i));
 
-        std::vector<ConnId> conns;
+        std::vector<Network::Handle> conns;
         for (unsigned s = 0; s < streams; ++s) {
             const NodeId src = static_cast<NodeId>(rng.below(n));
             NodeId dst;
@@ -87,7 +87,7 @@ main(int argc, char **argv)
                 ++accepted;
                 forwards += o.forwardSteps;
                 backtracks += o.backtrackSteps;
-                conns.push_back(o.id);
+                conns.push_back(o.handle);
             }
         }
         std::printf("EPB established %u/%u streams (probe steps: %u "
@@ -108,7 +108,7 @@ main(int argc, char **argv)
                     Flit f;
                     f.seq = seq[k]++;
                     f.createTime = kernel.now();
-                    net.inject(net.ticket(conns[k]), f, kernel.now());
+                    net.inject(conns[k], f, kernel.now());
                 }
             }
             for (auto &h : hosts)

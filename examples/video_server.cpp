@@ -114,16 +114,18 @@ main(int argc, char **argv)
         // Report per-stream QoS.
         Table t({"stream", "flits", "mean_e2e_cycles", "p-to-p jitter",
                  "path_len"});
-        for (ConnId conn : server_ni.connections()) {
+        const std::vector<ConnId> conns = server_ni.connections();
+        for (unsigned k = 0; k < conns.size(); ++k) {
             const ConnectionRecorder *rec =
-                net.endToEnd().connection(conn);
+                net.endToEnd().connection(conns[k]);
             if (rec == nullptr)
                 continue;
-            t.addRow({std::to_string(conn),
+            const auto path = net.connectionPath(server_ni.handle(k));
+            t.addRow({std::to_string(conns[k]),
                       std::to_string(rec->delay().count()),
                       Table::num(rec->delay().mean(), 1),
                       Table::num(rec->jitter().mean(), 2),
-                      std::to_string(net.connectionPath(conn).size())});
+                      std::to_string(path.size())});
         }
         t.print(std::cout);
         std::printf("background datagrams: %llu sent, %llu delivered\n",

@@ -2,13 +2,12 @@
  * @file
  * Open-addressing hash map for setup-path connection tables.
  *
- * The control plane keeps several id -> record tables that churn one
- * insert + one erase per session (Network's timed-setup ledgers and
- * PCS index, each router's segment index, the end-to-end recorder's
- * overflow slots).  std::unordered_map pays a node allocation per
- * insert — a million heap round-trips per churn run — and exposes
- * hash-bucket iteration order, which mmr-lint's unordered-iter rule
- * exists to keep out of results.
+ * The end-to-end recorder keeps an id -> record table (its overflow
+ * slots) that churns one insert + one erase per session.
+ * std::unordered_map pays a node allocation per insert — a million
+ * heap round-trips per churn run — and exposes hash-bucket iteration
+ * order, which mmr-lint's unordered-iter rule exists to keep out of
+ * results.
  *
  * FlatMap is the project-shaped replacement: open addressing with
  * linear probing over a power-of-two slot array, tombstones on erase,
@@ -48,7 +47,6 @@ class FlatMap
     FlatMap() = default;
 
     std::size_t size() const { return liveCount; }
-    bool empty() const { return liveCount == 0; }
 
     /** Find the value for @p key, or nullptr. */
     V *
@@ -64,8 +62,6 @@ class FlatMap
         const std::size_t i = findSlot(key);
         return i == kNoSlot ? nullptr : &slots[i].value;
     }
-
-    bool contains(K key) const { return findSlot(key) != kNoSlot; }
 
     /**
      * Insert key -> value, returning {slot value, inserted}.  An
@@ -105,16 +101,6 @@ class FlatMap
         --liveCount;
         ++tombCount;
         return true;
-    }
-
-    /** Drop all entries, keeping the slot array's capacity. */
-    void
-    clear()
-    {
-        for (Slot &s : slots)
-            s.state = State::Empty;
-        liveCount = 0;
-        tombCount = 0;
     }
 
     /**

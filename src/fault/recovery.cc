@@ -97,21 +97,18 @@ RecoveryManager::backoffFor(unsigned attempt)
     return std::max<Cycle>(delay, 1);
 }
 
-ConnId
+Network::SetupOutcome
 RecoveryManager::launch(Attempt &a, Cycle now)
 {
     ++a.attempt;
     ++statRetries;
     const RecoverySpec &s = a.spec;
     const bool cbr = s.klass == TrafficClass::CBR;
-    ConnId opened = kInvalidConn;
+    Network::SetupOutcome opened;
     if (cfg.zeroTime) {
-        const Network::SetupOutcome o =
-            cbr ? net.openCbr(s.src, s.dst, s.rateOrMeanBps)
-                : net.openVbr(s.src, s.dst, s.rateOrMeanBps, s.peakBps,
-                              s.priority);
-        if (o.accepted)
-            opened = o.id;
+        opened = cbr ? net.openCbr(s.src, s.dst, s.rateOrMeanBps)
+                     : net.openVbr(s.src, s.dst, s.rateOrMeanBps,
+                                   s.peakBps, s.priority);
     } else {
         a.token = cbr ? net.openCbrTimed(s.src, s.dst, s.rateOrMeanBps,
                                          now)
@@ -125,11 +122,13 @@ RecoveryManager::launch(Attempt &a, Cycle now)
 }
 
 void
-RecoveryManager::finish(const Attempt &a, ConnId replacement, Cycle now)
+RecoveryManager::finish(const Attempt &a,
+                        const Network::SetupOutcome &replacement,
+                        Cycle now)
 {
     RecoveryStatus &st = results[a.origId];
     st.attempts = a.attempt;
-    if (replacement == kInvalidConn) {
+    if (!replacement.accepted) {
         st.state = RecoveryState::Abandoned;
         ++statAbandoned;
         MMR_OBS_EVENT(TraceCat::Fault, "recovery_abandoned", now,
@@ -138,12 +137,13 @@ RecoveryManager::finish(const Attempt &a, ConnId replacement, Cycle now)
         return;
     }
     st.state = RecoveryState::Recovered;
-    st.replacement = replacement;
+    st.replacement = replacement.id;
+    st.replacementHandle = replacement.handle;
     ++statRecovered;
     // Keep the replacement covered against later faults.
-    specs[replacement] = a.spec;
+    specs[replacement.id] = a.spec;
     MMR_OBS_EVENT(TraceCat::Fault, "recovery_rerouted", now, a.spec.src,
-                  a.origId, static_cast<std::int32_t>(replacement));
+                  a.origId, static_cast<std::int32_t>(replacement.id));
 }
 
 void
@@ -159,7 +159,7 @@ RecoveryManager::evaluate(Cycle now)
             }
             a.haveToken = false;
             if (r.accepted || a.attempt >= cfg.maxRetries) {
-                finish(a, r.accepted ? r.id : kInvalidConn, now);
+                finish(a, r, now);
                 // Black-box snapshot: a spent retry budget is the
                 // fault subsystem's terminal failure — dump the events
                 // that led here while they are still in the ring.  A

@@ -97,8 +97,11 @@ enum class RecoveryState
 struct RecoveryStatus
 {
     RecoveryState state = RecoveryState::Recovering;
-    ConnId replacement = kInvalidConn; ///< valid once Recovered
-    unsigned attempts = 0;             ///< setups launched so far
+    /** The replacement connection, valid once Recovered: its label
+     * and its handle. */
+    ConnId replacement = kInvalidConn;
+    Network::Handle replacementHandle;
+    unsigned attempts = 0; ///< setups launched so far
 };
 
 class RecoveryManager : public Clocked
@@ -175,13 +178,15 @@ class RecoveryManager : public Clocked
     void onFailure(ConnId id, Cycle now);
 
     /** Launch setup number a.attempt + 1: a timed probe (token kept in
-     * @p a), or the whole zero-time setup, whose connection is
-     * returned (kInvalidConn if refused or timed). */
-    ConnId launch(Attempt &a, Cycle now);
+     * @p a), or the whole zero-time setup, whose outcome is returned
+     * (not accepted when refused or timed). */
+    Network::SetupOutcome launch(Attempt &a, Cycle now);
 
-    /** Record @p a's final status: Recovered onto @p replacement (and
-     * adopt it), or Abandoned when that is kInvalidConn. */
-    void finish(const Attempt &a, ConnId replacement, Cycle now);
+    /** Record @p a's final status: Recovered onto the connection
+     * @p replacement opened (and adopt it), or Abandoned when it was
+     * not accepted. */
+    void finish(const Attempt &a, const Network::SetupOutcome &replacement,
+                Cycle now);
 
     /** Backoff before launch number @p attempt (1-based), jittered. */
     Cycle backoffFor(unsigned attempt);

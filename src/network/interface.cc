@@ -7,10 +7,7 @@ namespace mmr
 
 NetworkInterface::NetworkInterface(Network &net_, NodeId host_,
                                    std::uint64_t seed)
-    : net(net_), host(host_), rng(seed),
-      // Best-effort flow ids carry the host in the upper bits so they
-      // never collide across interfaces.
-      nextBeFlow(0x4000000 + host_ * 0x10000)
+    : net(net_), host(host_), rng(seed)
 {
     mmr_assert(host < net.numNodes(), "host node out of range");
 }
@@ -30,7 +27,7 @@ NetworkInterface::openCbrStream(NodeId dst, double rate_bps,
     spec.rateOrMeanBps = rate_bps;
     auto source = std::make_unique<CbrSource>(
         rate_bps, net.routerAt(host).config().linkRateBps, rng);
-    addStream(outcome.id, spec, std::move(source));
+    addStream(outcome, spec, std::move(source));
     return true;
 }
 
@@ -55,7 +52,7 @@ NetworkInterface::openVbrStream(NodeId dst, const VbrProfile &profile,
     spec.priority = priority;
     auto source = std::make_unique<VbrSource>(profile, rc.linkRateBps,
                                               rc.flitBits, rng);
-    addStream(outcome.id, spec, std::move(source));
+    addStream(outcome, spec, std::move(source));
     return true;
 }
 
@@ -94,22 +91,23 @@ NetworkInterface::openTraceStream(NodeId dst,
     spec.rateOrMeanBps = mean;
     spec.peakBps = peak;
     spec.priority = priority;
-    addStream(outcome.id, spec, std::move(source));
+    addStream(outcome, spec, std::move(source));
     return true;
 }
 
 void
-NetworkInterface::addStream(ConnId conn, RecoverySpec spec,
+NetworkInterface::addStream(const Network::SetupOutcome &opened,
+                            RecoverySpec spec,
                             std::unique_ptr<TrafficSource> source)
 {
     spec.src = host;
     Stream s;
-    s.conn = conn;
-    s.ticket = net.ticket(conn);
+    s.conn = opened.id;
+    s.handle = opened.handle;
     s.spec = spec;
     s.source = std::move(source);
     if (recovery)
-        recovery->adopt(conn, spec);
+        recovery->adopt(s.conn, spec);
     streams.push_back(std::move(s));
 }
 
@@ -141,7 +139,7 @@ NetworkInterface::pollRecovery(Stream &s)
         return true; // keep waiting; tick() drops arrivals meanwhile
       case RecoveryState::Recovered:
         s.conn = st.replacement;
-        s.ticket = net.ticket(s.conn);
+        s.handle = st.replacementHandle;
         s.recovering = false;
         ++reestablished;
         return true;
@@ -154,9 +152,13 @@ NetworkInterface::pollRecovery(Stream &s)
 void
 NetworkInterface::addBestEffortFlow(NodeId dst, double rate_bps)
 {
+    if (beFlows.size() == kBestEffortTagsPerHost)
+        mmr_panic("host ", host, " spent its best-effort tag window: ",
+                  kBestEffortTagsPerHost, " flows");
     BeFlow flow;
     flow.dst = dst;
-    flow.flow = nextBeFlow++;
+    flow.flow = kBestEffortTagBase + host * kBestEffortTagsPerHost +
+                static_cast<ConnId>(beFlows.size());
     flow.source = std::make_unique<PoissonSource>(
         rate_bps, net.routerAt(host).config().linkRateBps, rng);
     beFlows.push_back(std::move(flow));
@@ -165,11 +167,12 @@ NetworkInterface::addBestEffortFlow(NodeId dst, double rate_bps)
 void
 NetworkInterface::tick(Cycle now)
 {
-    // Streams whose ticket died (link failure, or a close from
-    // outside) are recovered or retired before any injection work.
+    // Streams whose connection stopped taking flits (link failure, or
+    // a close from outside) are recovered or retired before any
+    // injection work.
     for (std::size_t i = 0; i < streams.size();) {
         Stream &s = streams[i];
-        if (!s.recovering && net.live(s.ticket)) {
+        if (!s.recovering && net.live(s.handle)) {
             ++i;
             continue;
         }
@@ -193,7 +196,7 @@ NetworkInterface::tick(Cycle now)
         const unsigned n = s.source->arrivals(now);
         // Drain the back-pressure backlog first, preserving order.
         while (!s.backlog.empty() &&
-               net.inject(s.ticket, s.backlog.front(), now)) {
+               net.inject(s.handle, s.backlog.front(), now)) {
             s.backlog.pop_front();
             ++injected;
         }
@@ -201,7 +204,7 @@ NetworkInterface::tick(Cycle now)
             Flit f;
             f.seq = s.seq++;
             f.createTime = now;
-            if (!s.backlog.empty() || !net.inject(s.ticket, f, now))
+            if (!s.backlog.empty() || !net.inject(s.handle, f, now))
                 s.backlog.push_back(f);
             else
                 ++injected;

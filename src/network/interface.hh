@@ -53,7 +53,11 @@ class NetworkInterface
                          double fps, double peak_to_mean, int priority,
                          SetupPolicy policy = SetupPolicy::Epb);
 
-    /** Add a Poisson best-effort flow to a fixed destination. */
+    /**
+     * Add a Poisson best-effort flow to a fixed destination, tagged
+     * from this host's window of kBestEffortTagsPerHost tags (panics
+     * once the window is spent).
+     */
     void addBestEffortFlow(NodeId dst, double rate_bps);
 
     /** Inject everything that became ready during cycle @p now. */
@@ -92,15 +96,18 @@ class NetworkInterface
     std::uint64_t backloggedFlits() const;
     std::uint64_t injectedFlits() const { return injected; }
 
-    /** Connection ids of this host's established streams. */
+    /** Connection labels of this host's established streams. */
     std::vector<ConnId> connections() const;
+
+    /** Handle of the @p k-th stream, in connections() order. */
+    Network::Handle handle(unsigned k) const { return streams.at(k).handle; }
 
   private:
     struct Stream
     {
-        ConnId conn;
-        /** Injection ticket for conn; re-minted whenever conn changes. */
-        Network::Ticket ticket;
+        ConnId conn; ///< label: the recorder and recovery key
+        /** The connection's handle; swapped with conn on recovery. */
+        Network::Handle handle;
         /** What a re-establishment asks for; adopted with conn. */
         RecoverySpec spec;
         std::unique_ptr<TrafficSource> source;
@@ -111,18 +118,18 @@ class NetworkInterface
     };
 
     /**
-     * Keep a new stream on connection @p conn (minting its ticket) and
-     * adopt it for recovery; @p spec's source is this host.
+     * Keep a new stream on the connection @p opened names and adopt it
+     * for recovery; @p spec's source is this host.
      */
-    void addStream(ConnId conn, RecoverySpec spec,
+    void addStream(const Network::SetupOutcome &opened, RecoverySpec spec,
                    std::unique_ptr<TrafficSource> source);
 
     /**
-     * Failure step for one stream whose ticket died: consume the
-     * manager's status and return true when the stream survives (still
-     * recovering, or swapped onto its replacement connection).  With
-     * no manager, or none that saw this connection fail, the stream
-     * is retired.
+     * Failure step for one stream whose connection stopped taking
+     * flits: consume the manager's status and return true when the
+     * stream survives (still recovering, or swapped onto its
+     * replacement connection).  With no manager, or none that saw this
+     * connection fail, the stream is retired.
      */
     bool pollRecovery(Stream &s);
 
@@ -145,7 +152,6 @@ class NetworkInterface
     RecoveryManager *recovery = nullptr;
     std::uint64_t injected = 0;
     std::uint64_t droppedInRecovery = 0;
-    ConnId nextBeFlow;
 };
 
 } // namespace mmr

@@ -62,6 +62,7 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         portOffset[n + 1] = portOffset[n] + routers[n]->config().numPorts;
     probeAlloc.assign(portOffset.back(), 0);
     probePeak.assign(portOffset.back(), 0);
+    hopPorts.assign(topo.maxDegree(), kInvalidPort);
 
     probeMgr = std::make_unique<ProbeSetupManager>(
         topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
@@ -133,40 +134,40 @@ Network::failLink(NodeId a, NodeId b)
     linkQueue.resize(kept);
 
     // Mark and start draining every connection whose path crosses the
-    // link, in either direction.  The ids are snapshotted and sorted
-    // before any side effect: the failure hook draws backoff jitter
-    // from the recovery RNG and appends to its retry queue, or opens
-    // a zero-time replacement (which draws from `rand` and may take a
-    // pool slot), so pool-slot iteration order must not leak into the
+    // link, in either direction.  The slots are snapshotted and sorted
+    // by label before any side effect: the failure hook draws backoff
+    // jitter from the recovery RNG and appends to its retry queue, or
+    // opens a zero-time replacement (which draws from `rand` and may
+    // take, or grow, the pool), so slot order must not leak into the
     // recovery schedule and the result digest.
-    std::vector<ConnId> crossing;
-    for (const PcsConnection &conn : pcsSlots) {
-        if (!conn.live || conn.failed)
+    std::vector<std::uint32_t> crossing;
+    for (std::uint32_t slot = 0; slot < pcsSlots.size(); ++slot) {
+        const PcsConnection &conn = pcsSlots[slot];
+        if (!conn.inUse || conn.failed)
             continue;
         for (const ReservedHop &hop : conn.hops) {
             const bool crosses = (hop.node == a && hop.out == pa) ||
                                  (hop.node == b && hop.out == pb);
             if (crosses) {
-                crossing.push_back(conn.id);
+                crossing.push_back(slot);
                 break;
             }
         }
     }
-    std::sort(crossing.begin(), crossing.end());
-    for (const ConnId id : crossing) {
-        PcsConnection &conn = *pcsFind(id);
+    sortByLabel(crossing);
+    for (const std::uint32_t slot : crossing) {
+        PcsConnection &conn = pcsSlots[slot];
         conn.failed = true;
-        ++conn.epoch; // kill outstanding injection tickets
         if (!conn.closing) {
             conn.closing = true;
-            closingIds.push_back(id);
+            closingSlots.push_back(slot);
         }
         ++statConnsFailed;
         MMR_OBS_EVENT(TraceCat::Fault, "conn_failed",
-                      simclock::now(), conn.src, id,
+                      simclock::now(), conn.src, conn.id,
                       static_cast<std::int32_t>(conn.dst));
         if (connFailHook)
-            connFailHook(id, conn.src, conn.dst, conn.klass);
+            connFailHook(conn.id, conn.src, conn.dst, conn.klass);
     }
 
     MMR_OBS_EVENT(TraceCat::Fault, "link_down", simclock::now(), a,
@@ -192,26 +193,21 @@ Network::repairLink(NodeId a, NodeId b)
 }
 
 Network::ConnState
-Network::connectionState(ConnId id) const
+Network::connectionState(Handle h) const
 {
-    const PcsConnection *conn = pcsFind(id);
+    const PcsConnection *conn = find(h);
     if (conn == nullptr)
         return ConnState::Gone;
     return conn->failed ? ConnState::Failed : ConnState::Open;
 }
 
-Network::PcsConnection *
-Network::pcsFind(ConnId id)
+void
+Network::sortByLabel(std::vector<std::uint32_t> &slots) const
 {
-    const std::uint32_t *slot = pcsIndex.find(id);
-    return slot ? &pcsSlots[*slot] : nullptr;
-}
-
-const Network::PcsConnection *
-Network::pcsFind(ConnId id) const
-{
-    const std::uint32_t *slot = pcsIndex.find(id);
-    return slot ? &pcsSlots[*slot] : nullptr;
+    std::sort(slots.begin(), slots.end(),
+              [this](std::uint32_t x, std::uint32_t y) {
+                  return pcsSlots[x].id < pcsSlots[y].id;
+              });
 }
 
 ChannelRef
@@ -373,30 +369,33 @@ Network::reserveSessions(std::size_t n)
     // An established path visits each node at most once (+ NI hop);
     // paths beyond this grow (rarely) on demand.
     const std::size_t hopCap = topo.numNodes() + 1;
-    while (pcsSlots.size() < n) {
-        pcsSlots.emplace_back();
-        pcsSlots.back().hops.reserve(hopCap);
+    const std::size_t first = pcsSlots.size();
+    if (n > first) {
+        pcsSlots.resize(n);
+        for (std::size_t i = first; i < n; ++i)
+            pcsSlots[i].hops.reserve(hopCap);
+        // Stack the minted slots under the free ones, highest first:
+        // pops hand out the free slots, then first, first + 1, ... —
+        // the sequence lazy emplace_back growth produces.
+        pcsFreeSlots.reserve(n);
+        pcsFreeSlots.insert(pcsFreeSlots.begin(), n - first, 0);
+        for (std::size_t k = 0; k < n - first; ++k)
+            pcsFreeSlots[k] = static_cast<std::uint32_t>(n - 1 - k);
     }
-    // Stack the free list descending so pops hand out slot indices
-    // 0, 1, 2, ... — the same sequence lazy emplace_back growth
-    // produces; slot assignment (and every digest) is unchanged.
-    if (pcsIndex.empty()) {
-        pcsFreeSlots.clear();
-        pcsFreeSlots.reserve(pcsSlots.size());
-        for (std::size_t i = pcsSlots.size(); i-- > 0;)
-            pcsFreeSlots.push_back(static_cast<std::uint32_t>(i));
-    }
-    pcsIndex.reserve(n);
-    closingIds.reserve(n);
+    closingSlots.reserve(n);
     probeMgr->reservePools(n);
     e2e.reserveOverflow(n);
 }
 
 ConnId
-Network::installReservedPath(PathSearch &search)
+Network::installReservedPath(PathSearch &search, Handle &handle)
 {
     const SetupRequest &req = search.request;
     mmr_assert(!search.hops.empty(), "installing an empty path");
+    if (nextPcsId == kBestEffortTagBase)
+        mmr_panic("PCS connection labels exhausted: the next one would "
+                  "be the first best-effort flow tag, ",
+                  kBestEffortTagBase);
     const ConnId id = nextPcsId++;
 
     // Source-side input VC on the NI port.
@@ -428,7 +427,7 @@ Network::installReservedPath(PathSearch &search)
     conn.hops = search.hops;
     conn.closing = false;
     conn.failed = false;
-    conn.live = true;
+    conn.inUse = true;
 
     for (std::size_t k = 0; k < conn.hops.size(); ++k) {
         const ChannelRef in = hopInput(conn, k);
@@ -452,20 +451,23 @@ Network::installReservedPath(PathSearch &search)
                       conn.hops[k].node, " for reserved connection ", id);
         }
     }
-    pcsIndex.insert(id, slot);
+    handle = Handle{slot, conn.epoch};
     return id;
 }
 
 namespace
 {
 
-/** A finished search's outcome: @p id is its installed connection
- * (kInvalidConn when refused), @p cycles its setup latency. */
+/** A finished search's outcome: @p id and @p h name its installed
+ * connection (kInvalidConn when refused), @p cycles is its setup
+ * latency. */
 Network::SetupOutcome
-outcomeOf(const PathSearch &search, ConnId id, Cycle cycles)
+outcomeOf(const PathSearch &search, ConnId id, Network::Handle h,
+          Cycle cycles)
 {
     Network::SetupOutcome out;
     out.id = id;
+    out.handle = h;
     out.accepted = id != kInvalidConn;
     out.forwardSteps = search.forwardSteps;
     out.backtrackSteps = search.backtrackSteps;
@@ -517,9 +519,11 @@ Network::openNow(const SetupRequest &req, SetupPolicy policy)
     const Cycle actions = setupSearch.forwardSteps +
                           setupSearch.backtrackSteps +
                           setupSearch.hops.size();
-    const SetupOutcome out = outcomeOf(
-        setupSearch, found ? installReservedPath(setupSearch) : kInvalidConn,
-        probeMgr->hopCycles() * actions);
+    Handle h;
+    const ConnId id =
+        found ? installReservedPath(setupSearch, h) : kInvalidConn;
+    const SetupOutcome out =
+        outcomeOf(setupSearch, id, h, probeMgr->hopCycles() * actions);
     if (!found) {
         MMR_OBS_EVENT(TraceCat::Setup, "setup_reject",
                       simclock::now(), req.src, kInvalidConn,
@@ -559,7 +563,7 @@ void
 Network::onTimedSetupComplete(TimedSetup &s)
 {
     if (s.state == SetupState::Established)
-        s.conn = installReservedPath(s);
+        s.conn = installReservedPath(s, s.handle);
     MMR_OBS_EVENT(TraceCat::Setup,
                   s.conn != kInvalidConn ? "probe_established"
                                          : "probe_failed",
@@ -574,7 +578,7 @@ Network::takeTimedResult(std::uint64_t token, SetupOutcome &out)
     const TimedSetup *s = probeMgr->take(token);
     if (s == nullptr)
         return false;
-    out = outcomeOf(*s, s->conn, s->finishedAt - s->startedAt);
+    out = outcomeOf(*s, s->conn, s->handle, s->finishedAt - s->startedAt);
     return true;
 }
 
@@ -599,17 +603,16 @@ Network::openVbr(NodeId src, NodeId dst, double mean_bps,
 }
 
 bool
-Network::closeConnection(ConnId id)
+Network::closeConnection(Handle h)
 {
-    PcsConnection *conn = pcsFind(id);
-    if (conn == nullptr)
+    if (find(h) == nullptr)
         return false;
-    if (!conn->closing) {
-        conn->closing = true;
-        ++conn->epoch; // kill outstanding injection tickets
-        // mmr-lint: allow(hot-path-alloc) amortized: closingIds is a
+    PcsConnection &conn = pcsSlots[h.slot];
+    if (!conn.closing) {
+        conn.closing = true;
+        // mmr-lint: allow(hot-path-alloc) amortized: closingSlots is a
         // member; its capacity persists across cycles.
-        closingIds.push_back(id);
+        closingSlots.push_back(h.slot);
     }
     return true;
 }
@@ -617,23 +620,23 @@ Network::closeConnection(ConnId id)
 void
 Network::processPendingCloses()
 {
-    // closingIds is maintained incrementally (closeConnection,
+    // closingSlots is maintained incrementally (closeConnection,
     // failLink), so a cycle without pending teardowns costs one
     // empty-check instead of a scan of every open connection.
-    if (closingIds.empty())
+    if (closingSlots.empty())
         return;
     // Teardown order is observable (credits return and output VCs free
     // as segments are removed), so walk the closing connections in
-    // ascending id order.  Undrained connections stay on the list for
-    // the next cycle, compacted in place.
-    std::sort(closingIds.begin(), closingIds.end());
+    // ascending label order.  Undrained connections stay on the list
+    // for the next cycle, compacted in place.
+    sortByLabel(closingSlots);
     std::size_t kept = 0;
-    for (const ConnId id : closingIds) {
-        PcsConnection &conn = *pcsFind(id);
+    for (const std::uint32_t slot : closingSlots) {
+        PcsConnection &conn = pcsSlots[slot];
         bool drained = true;
         for (std::size_t k = 0; k < conn.hops.size(); ++k) {
             const VcState &vc = hopVc(conn, k);
-            mmr_assert(vc.conn() == id, "missing segment during close");
+            mmr_assert(vc.conn() == conn.id, "missing segment during close");
             if (!vc.empty() || vc.pendingGrants() != 0) {
                 drained = false;
                 break;
@@ -649,7 +652,7 @@ Network::processPendingCloses()
             }
         }
         if (!drained) {
-            closingIds[kept++] = id;
+            closingSlots[kept++] = slot;
             continue;
         }
         for (std::size_t k = 0; k < conn.hops.size(); ++k) {
@@ -657,36 +660,23 @@ Network::processPendingCloses()
                 hopInput(conn, k));
             mmr_assert(removed, "missing segment during close");
         }
-        conn.live = false;
-        ++conn.epoch; // a reused slot must not revive stale tickets
+        conn.inUse = false;
+        ++conn.epoch; // every handle to this connection is now stale
         conn.hops.clear();
         // mmr-lint: allow(hot-path-alloc) amortized: free list grows
         // to the connection high-water mark, then recycles.
-        pcsFreeSlots.push_back(*pcsIndex.find(id));
-        pcsIndex.erase(id);
+        pcsFreeSlots.push_back(slot);
     }
     // mmr-lint: allow(hot-path-alloc) shrinking resize: kept <= size.
-    closingIds.resize(kept);
-}
-
-Network::Ticket
-Network::ticket(ConnId id) const
-{
-    const std::uint32_t *slot = pcsIndex.find(id);
-    if (slot == nullptr)
-        return Ticket{};
-    const PcsConnection &conn = pcsSlots[*slot];
-    if (conn.failed || conn.closing)
-        return Ticket{};
-    return Ticket{*slot, conn.epoch};
+    closingSlots.resize(kept);
 }
 
 bool
-Network::inject(Ticket t, Flit f, Cycle now)
+Network::inject(Handle h, Flit f, Cycle now)
 {
-    if (!live(t))
-        return false; // torn down (possibly by a link failure)
-    const PcsConnection &conn = pcsSlots[t.slot];
+    if (!live(h))
+        return false; // closing, failed or torn down
+    const PcsConnection &conn = pcsSlots[h.slot];
     f.src = conn.src;
     f.dst = conn.dst;
     f.readyTime = now;
@@ -699,9 +689,9 @@ Network::inject(Ticket t, Flit f, Cycle now)
 }
 
 bool
-Network::renegotiateBandwidth(ConnId id, double new_rate_bps)
+Network::renegotiateBandwidth(Handle h, double new_rate_bps)
 {
-    const PcsConnection *it = pcsFind(id);
+    const PcsConnection *it = find(h);
     if (it == nullptr || it->klass != TrafficClass::CBR)
         return false;
     const PcsConnection &conn = *it;
@@ -731,9 +721,9 @@ Network::renegotiateBandwidth(ConnId id, double new_rate_bps)
 }
 
 bool
-Network::setConnectionPriority(ConnId id, int priority)
+Network::setConnectionPriority(Handle h, int priority)
 {
-    const PcsConnection *it = pcsFind(id);
+    const PcsConnection *it = find(h);
     if (it == nullptr || it->klass != TrafficClass::VBR)
         return false;
     for (std::size_t k = 0; k < it->hops.size(); ++k)
@@ -743,10 +733,10 @@ Network::setConnectionPriority(ConnId id, int priority)
 }
 
 std::vector<Network::PathHop>
-Network::connectionPath(ConnId id) const
+Network::connectionPath(Handle h) const
 {
     std::vector<PathHop> path;
-    const PcsConnection *it = pcsFind(id);
+    const PcsConnection *it = find(h);
     if (it == nullptr)
         return path;
     path.reserve(it->hops.size());
@@ -809,10 +799,10 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     if (p.node == p.flit.dst) {
         out = niPort(p.node);
     } else {
-        // Adaptive up*-down*: try legal hops, closest-first.
-        const NodeId pick = updownRoutes->adaptiveNextHop(
-            p.node, p.flit.dst, p.flit.downPhase, rand);
-        if (pick == kInvalidNode) {
+        // Adaptive up*-down*: try the pick, then the other legal hops.
+        const unsigned legal = updownRoutes->nextHops(
+            p.node, p.flit.dst, p.flit.downPhase, rand, hopPorts);
+        if (legal == 0) {
             ++statDatagramDrops;
             if (!ni_injection) {
                 // The packet was holding a link VC and its credit at
@@ -824,16 +814,12 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
                      " has no legal route; dropping");
             return true; // consumed (dropped)
         }
-        std::vector<NodeId> hops = updownRoutes->legalNextHops(
-            p.node, p.flit.dst, p.flit.downPhase);
-        // Put the adaptive pick first, keep the rest as fallbacks.
-        std::stable_partition(hops.begin(), hops.end(),
-                              [pick](NodeId h) { return h == pick; });
-        for (NodeId h : hops) {
-            const PortId port = topo.portTowards(p.node, h);
+        for (unsigned k = 0; k < legal; ++k) {
+            const PortId port = hopPorts[k];
             if (router.routing().freeOutputVcCount(port) > 0) {
                 out = port;
-                out_is_down = !updownRoutes->isUp(p.node, h);
+                out_is_down = !updownRoutes->isUp(
+                    p.node, topo.ports(p.node)[port].neighbor);
                 break;
             }
         }
@@ -1068,7 +1054,7 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
             // Pool-slot order; a pure check, so any violation panics
             // regardless of visit order.
             for (const PcsConnection &conn : pcsSlots) {
-                if (!conn.live)
+                if (!conn.inUse)
                     continue;
                 for (std::size_t k = 0; k < conn.hops.size(); ++k) {
                     if (hopVc(conn, k).conn() != conn.id) {
@@ -1126,7 +1112,7 @@ Network::registerStats(StatsRegistry &reg, MmrRouter::StatsDetail detail)
     reg.addCounter("net.datagrams.drops", &statDatagramDrops);
     reg.addCounter("net.connections.failed", &statConnsFailed);
     reg.addGauge("net.connections.open", [this] {
-        return static_cast<double>(pcsIndex.size());
+        return static_cast<double>(openConnectionCount());
     });
     reg.addGauge("net.setups.pending", [this] {
         return static_cast<double>(probeMgr->inFlight());

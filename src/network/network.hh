@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/flat_map.hh"
 #include "metrics/recorder.hh"
 #include "network/epb.hh"
 #include "network/probe_protocol.hh"
@@ -37,6 +36,18 @@ namespace mmr
 {
 
 class ShardPool;
+
+/**
+ * The label space.  A PCS connection's label (its ConnId) and a
+ * datagram's flow tag share one key space: both tag flits and key the
+ * end-to-end recorder.  PCS labels count up from kPcsLabelBase in
+ * creation order and panic before they reach kBestEffortTagBase; host
+ * h tags its best-effort flows from kBestEffortTagBase +
+ * h * kBestEffortTagsPerHost and panics once that window is spent.
+ */
+constexpr ConnId kPcsLabelBase = 0x100000;
+constexpr ConnId kBestEffortTagBase = 0x4000000;
+constexpr ConnId kBestEffortTagsPerHost = 0x10000;
 
 struct NetworkConfig
 {
@@ -87,10 +98,16 @@ class Network : public Clocked
     // ------------------------------------------------------------------
     // Connection-oriented traffic (PCS)
     // ------------------------------------------------------------------
+    /** A PCS connection's one handle (see ConnHandle): every call
+     * below that names a connection takes it. */
+    using Handle = ConnHandle;
+
     /** Outcome of a zero-time setup, or of a timed one once taken. */
     struct SetupOutcome
     {
+        /** The connection's label: its flit tag and recorder key. */
         ConnId id = kInvalidConn;
+        Handle handle;
         bool accepted = false;
         unsigned forwardSteps = 0;
         unsigned backtrackSteps = 0;
@@ -123,7 +140,9 @@ class Network : public Clocked
      * Destructive poll: copy the token's outcome into @p out and free
      * the probe slot that held it.  False while the probe is still in
      * flight and after the outcome was taken, so a finished setup
-     * holds its slot only until somebody claims its outcome.
+     * holds its slot only until somebody claims its outcome.  The
+     * handle is the one recorded when the path was installed: if the
+     * connection failed and drained before the take, it is stale.
      */
     bool takeTimedResult(std::uint64_t token, SetupOutcome &out);
 
@@ -132,51 +151,35 @@ class Network : public Clocked
 
     /**
      * Begin tearing a connection down; the per-router segments are
-     * removed once their buffers drain.
+     * removed once their buffers drain.  False on a stale handle.
      */
-    bool closeConnection(ConnId id);
+    bool closeConnection(Handle h);
 
-    /**
-     * Injection ticket: a connection's pool slot and the slot's epoch
-     * when the ticket was minted.  Every transition that makes the
-     * connection refuse injection (failure, close, slot free) bumps
-     * the epoch, which is never reset when the slot is reused, so a
-     * ticket stays dead once its connection stops taking flits.  A
-     * default-constructed ticket is dead.
-     */
-    struct Ticket
-    {
-        std::uint32_t slot = ~std::uint32_t{0};
-        std::uint32_t epoch = 0;
-    };
-
-    /** Ticket for @p id; dead when the connection is gone, failed or
-     * closing. */
-    Ticket ticket(ConnId id) const;
-
-    /** True while the ticket's connection takes flits. */
+    /** True while the handle's connection takes flits: slot not
+     * freed, not closing, not failed. */
     bool
-    live(Ticket t) const
+    live(Handle h) const
     {
-        return t.slot < pcsSlots.size() && pcsSlots[t.slot].epoch == t.epoch;
+        const PcsConnection *conn = find(h);
+        return conn != nullptr && !conn->closing;
     }
 
     /**
-     * Inject a stream flit at the ticket's source host, straight into
-     * the connection's NI input VC.  False on a dead ticket (nothing
-     * is deposited or counted) and on back-pressure (counted in
-     * injectRejects()).
+     * Inject a stream flit at the connection's source host, straight
+     * into its NI input VC.  False when the handle is not live
+     * (nothing is deposited or counted) and on back-pressure (counted
+     * in injectRejects()).
      */
-    bool inject(Ticket t, Flit f, Cycle now);
+    bool inject(Handle h, Flit f, Cycle now);
 
     /**
      * Renegotiate a CBR connection's bandwidth along its whole path
      * (§4.3 control words); rolls back on any per-hop failure.
      */
-    bool renegotiateBandwidth(ConnId id, double new_rate_bps);
+    bool renegotiateBandwidth(Handle h, double new_rate_bps);
 
     /** Change a VBR connection's priority along its path. */
-    bool setConnectionPriority(ConnId id, int priority);
+    bool setConnectionPriority(Handle h, int priority);
 
     /** One router of a connection's path: the node and the input
      * channel its segment is bound to there. */
@@ -186,11 +189,16 @@ class Network : public Clocked
         ChannelRef in;
     };
 
-    /** The path of an open connection, source first (empty if
-     * unknown). */
-    std::vector<PathHop> connectionPath(ConnId id) const;
+    /** The path of a connection, source first (empty on a stale
+     * handle). */
+    std::vector<PathHop> connectionPath(Handle h) const;
 
-    std::size_t openConnectionCount() const { return pcsIndex.size(); }
+    /** Connections holding a pool slot, closing ones included. */
+    std::size_t
+    openConnectionCount() const
+    {
+        return pcsSlots.size() - pcsFreeSlots.size();
+    }
 
     // ------------------------------------------------------------------
     // Fault injection
@@ -215,11 +223,11 @@ class Network : public Clocked
     /** State of a connection as seen by the host interface. */
     enum class ConnState
     {
-        Open,   ///< healthy, injectable
+        Open,   ///< healthy or closing: not failed, slot held
         Failed, ///< lost a link; draining toward removal
-        Gone    ///< unknown / fully removed
+        Gone    ///< stale handle: fully removed
     };
-    ConnState connectionState(ConnId id) const;
+    ConnState connectionState(Handle h) const;
 
     std::uint64_t flitsLostToFailures() const { return statLostFlits; }
     std::uint64_t connectionsFailed() const { return statConnsFailed; }
@@ -228,10 +236,10 @@ class Network : public Clocked
 
     /**
      * Invoked whenever a link failure marks a connection failed, with
-     * (id, src, dst, class) — the subscription point for recovery
+     * (label, src, dst, class) — the subscription point for recovery
      * machinery (fault/recovery.hh) that re-routes affected
      * connections.  Called from inside failLink(), once per failed
-     * connection in ascending id order; the hook may open
+     * connection in ascending label order; the hook may open
      * connections.
      */
     using ConnectionFailureFn =
@@ -302,14 +310,15 @@ class Network : public Clocked
     /**
      * Pre-seed every setup-path pool for @p n concurrent sessions:
      * the PCS connection slots (with hop capacity), the probe slot
-     * pool, the PCS index and the recorder's overflow table (a
-     * router's segments need no pool: they live in its VCs).  PCS
-     * slots go out in the order lazy growth would use (the free list
-     * is stacked so pops ascend) and no result reads a probe slot, so
-     * results are bit-identical — only the allocations move from
-     * steady state to this call.  A workload with a known session
-     * ceiling (the churn engine) calls this up front; without it the
-     * pools still work, growing amortized instead.
+     * pool and the recorder's overflow table (a router's segments
+     * need no pool: they live in its VCs).  The minted PCS slots are
+     * stacked under the free ones, so pops hand out what lazy growth
+     * would, whether or not connections are open; no result reads a
+     * slot index anyway, so results are bit-identical — only the
+     * allocations move from steady state to this call.  A workload
+     * with a known session ceiling (the churn engine) calls this up
+     * front; without it the pools still work, growing amortized
+     * instead.
      */
     void reserveSessions(std::size_t n);
 
@@ -345,26 +354,35 @@ class Network : public Clocked
 
   private:
     /**
-     * One open PCS connection, pool-slotted: teardown returns the
-     * slot (with its hops capacity) to a free list, so the
-     * setup/teardown cycle stops allocating once the pool has grown
-     * to the peak concurrent-connection count.
+     * One PCS connection, pool-slotted: teardown returns the slot
+     * (with its hops capacity) to a free list, so the setup/teardown
+     * cycle stops allocating once the pool has grown to the peak
+     * concurrent-connection count.
      */
     struct PcsConnection
     {
-        ConnId id = kInvalidConn;
+        ConnId id = kInvalidConn; ///< label (flit tag, recorder key)
         NodeId src = 0;
         NodeId dst = 0;
         TrafficClass klass = TrafficClass::CBR;
         VcId srcVc = kInvalidVc; ///< input VC on the source NI port
         std::vector<ReservedHop> hops;
-        /** Ticket epoch (see Ticket): bumped at failure, close and
-         * slot free, never reset on slot reuse. */
+        /** Handle epoch: bumped when the slot is freed, never reset. */
         std::uint32_t epoch = 0;
-        bool closing = false;
+        bool closing = false; ///< teardown asked for (close or failure)
         bool failed = false;
-        bool live = false; ///< slot occupancy (pool bookkeeping)
+        bool inUse = false; ///< slot occupancy (pool bookkeeping)
     };
+
+    /** The connection @p h names; nullptr once its slot was freed. */
+    const PcsConnection *
+    find(Handle h) const
+    {
+        if (h.slot >= pcsSlots.size())
+            return nullptr;
+        const PcsConnection &conn = pcsSlots[h.slot];
+        return conn.inUse && conn.epoch == h.epoch ? &conn : nullptr;
+    }
 
     /** A flit in flight on an inter-router link. */
     struct LinkFlit
@@ -468,10 +486,11 @@ class Network : public Clocked
 
     /**
      * Install the per-router segments of the path @p search reserved,
-     * at its request's rate and priority; returns the connection id,
-     * or kInvalidConn with every hop released.
+     * at its request's rate and priority: returns the connection's
+     * label and sets @p handle, or returns kInvalidConn with every hop
+     * released.
      */
-    ConnId installReservedPath(PathSearch &search);
+    ConnId installReservedPath(PathSearch &search, Handle &handle);
 
     /** Install an Established setup's path; record it on the setup. */
     void onTimedSetupComplete(TimedSetup &s);
@@ -492,16 +511,12 @@ class Network : public Clocked
     std::uint64_t probeTableStamp = ~std::uint64_t{0};
 
     /**
-     * Open PCS connections: a slot pool indexed by a flat id map.
-     * The pool grows to the peak live-connection count and recycles
-     * slots afterwards; pcsFind() is the lookup everything uses.
+     * PCS connections: a slot pool that grows to the peak
+     * live-connection count and recycles slots afterwards.  Every
+     * slot is either in use or on the free list.
      */
     std::vector<PcsConnection> pcsSlots;
     std::vector<std::uint32_t> pcsFreeSlots;
-    FlatMap<ConnId, std::uint32_t> pcsIndex;
-
-    PcsConnection *pcsFind(ConnId id);
-    const PcsConnection *pcsFind(ConnId id) const;
 
     /** Input channel of hop @p k's segment: the source's NI port and
      * srcVc for hop 0, else the far end of hop k-1's output link and
@@ -511,7 +526,11 @@ class Network : public Clocked
     /** The VC hop @p k's segment is bound to. */
     const VcState &hopVc(const PcsConnection &conn, std::size_t k) const;
 
-    ConnId nextPcsId = 0x100000; ///< global PCS connection ids
+    /** Order @p slots by their connections' labels: every walk whose
+     * order is observable runs in creation order, not slot order. */
+    void sortByLabel(std::vector<std::uint32_t> &slots) const;
+
+    ConnId nextPcsId = kPcsLabelBase; ///< next PCS connection label
 
     /** In-flight link flits (FIFO by emission; processArrivals keeps
      * not-yet-due flits by compacting into linkQueueNext and
@@ -521,13 +540,17 @@ class Network : public Clocked
     std::vector<PendingArrival> pendingArrivals;
 
     /**
-     * Ids of connections with closing set, maintained incrementally
+     * Slots of connections with closing set, maintained incrementally
      * by closeConnection()/failLink() and drained (sorted, so the
-     * teardown walk is in ascending id order) by
+     * teardown walk is in ascending label order) by
      * processPendingCloses().  Replaces a full scan of the
      * connection table every cycle.
      */
-    std::vector<ConnId> closingIds;
+    std::vector<std::uint32_t> closingSlots;
+
+    /** Legal next hops of the datagram being placed (see
+     * UpDownRouting::nextHops), sized to the largest degree. */
+    std::vector<PortId> hopPorts;
 
     /** Reused search of the zero-time setup path, so openCbr/openVbr
      * allocate nothing once warmed. */

@@ -123,6 +123,7 @@ ProbeSetupManager::begin(const SetupRequest &req, SetupPolicy policy,
     s.finishedAt = 0;
     s.timedOut = false;
     s.conn = kInvalidConn;
+    s.handle = ConnHandle{};
     p.nextAction = now; // first hop attempt happens this cycle
     p.deadline = timeoutCycles ? now + timeoutCycles : 0;
     p.lost = false;

@@ -50,6 +50,20 @@ enum class SetupState
 };
 
 /**
+ * A PCS connection's address in the Network's connection pool
+ * (Network::Handle): its slot and the slot's epoch when the
+ * connection was installed.  The epoch is bumped only when the slot
+ * is freed, so a handle names its connection until the teardown
+ * completes and then stays stale, even after the slot is reused.  A
+ * default-constructed handle names no slot.
+ */
+struct ConnHandle
+{
+    std::uint32_t slot = ~std::uint32_t{0};
+    std::uint32_t epoch = 0;
+};
+
+/**
  * The one record of a timed setup, from begin() until its outcome is
  * taken: the probe's search (request, hops reserved so far or the
  * final path, step counts), the protocol's timing, and the connection
@@ -64,8 +78,10 @@ struct TimedSetup : PathSearch
      * its ack was lost, or establishment simply took too long), not
      * because the search was exhausted. */
     bool timedOut = false;
-    /** The connection the owner installed (kInvalidConn if none). */
+    /** The connection the owner installed: its label (kInvalidConn if
+     * none) and its handle, both recorded at the install. */
     ConnId conn = kInvalidConn;
+    ConnHandle handle;
 };
 
 /**
@@ -83,7 +99,8 @@ class ProbeSetupManager
     /** Invoked exactly once per timed setup when it leaves the
      * in-flight set (state Established or Refused).  An Established
      * setup still holds its hops: the owner installs them and sets
-     * TimedSetup::conn, or releases them with releaseAll(). */
+     * TimedSetup::conn and handle, or releases them with
+     * releaseAll(). */
     using CompletionFn = std::function<void(TimedSetup &)>;
     /** Whether the directed link from @p node through @p port is
      * usable (false once failed). */

@@ -69,16 +69,19 @@ UpDownRouting::isUp(NodeId from, NodeId to) const
     return to < from;
 }
 
-// mmr-lint: allow(hot-path-alloc) cold: runs once per destination on a
-// distCache miss (construction or topology change), never steady state.
-std::vector<unsigned>
+// mmr-lint: allow(hot-path-alloc) cold: fills distCache[dst] once per
+// destination (construction or topology change), never steady state.
+const std::vector<unsigned> &
 UpDownRouting::phaseDistances(NodeId dst) const
 {
+    std::vector<unsigned> &dist = distCache[dst];
+    if (!dist.empty())
+        return dist;
     // State (node, phase): phase 1 once a down link has been used.
     // Legal transitions: (n,0) -up-> (m,0); (n,0) -down-> (m,1);
     // (n,1) -down-> (m,1).  BFS backward from (dst,0) and (dst,1).
     const unsigned n = topo.numNodes();
-    std::vector<unsigned> dist(2 * n, kInf);
+    dist.assign(2 * n, kInf);
     std::queue<unsigned> frontier;
     dist[dst * 2 + 0] = 0;
     dist[dst * 2 + 1] = 0;
@@ -122,65 +125,49 @@ UpDownRouting::phaseDistances(NodeId dst) const
     return dist;
 }
 
-// mmr-lint: allow(hot-path-alloc) per-datagram route enumeration,
-// bounded by the port count; the CBR/VBR stream path never comes here.
-std::vector<NodeId>
-UpDownRouting::legalNextHops(NodeId at, NodeId dst, bool down_phase) const
+unsigned
+UpDownRouting::nextHops(NodeId at, NodeId dst, bool down_phase, Rng &rng,
+                        std::vector<PortId> &ports) const
 {
-    if (distCache[dst].empty())
-        distCache[dst] = phaseDistances(dst);
-    const auto &dist = distCache[dst];
-
-    std::vector<NodeId> hops;
-    for (const auto &p : topo.ports(at)) {
-        const NodeId m = p.neighbor;
+    const std::vector<unsigned> &dist = phaseDistances(dst);
+    // Distance to dst left after the hop to m; kInf when the hop is
+    // illegal (dead link, or up after down) or leads nowhere.
+    const auto after = [&](NodeId m) {
         if (!linkOk(at, m))
-            continue;
+            return kInf;
         const bool up = isUp(at, m);
         if (down_phase && up)
-            continue; // up after down is illegal
-        const unsigned next_phase = up ? (down_phase ? 1 : 0) : 1;
-        if (dist[m * 2 + next_phase] != kInf || m == dst)
-            hops.push_back(m);
-    }
-    return hops;
-}
-
-// mmr-lint: allow(hot-path-alloc) per-datagram tie vector, bounded by
-// the port count; the CBR/VBR stream path never comes here.
-NodeId
-UpDownRouting::adaptiveNextHop(NodeId at, NodeId dst, bool down_phase,
-                               Rng &rng) const
-{
-    if (at == dst)
-        return dst;
-    if (distCache[dst].empty())
-        distCache[dst] = phaseDistances(dst);
-    const auto &dist = distCache[dst];
+            return kInf;
+        return dist[m * 2 + (up ? 0u : 1u)];
+    };
 
     unsigned best = kInf;
-    std::vector<NodeId> ties;
+    std::uint64_t ties = 0;
     for (const auto &p : topo.ports(at)) {
-        const NodeId m = p.neighbor;
-        if (!linkOk(at, m))
-            continue;
-        const bool up = isUp(at, m);
-        if (down_phase && up)
-            continue;
-        const unsigned next_phase = up ? (down_phase ? 1u : 0u) : 1u;
-        const unsigned d = dist[m * 2 + next_phase];
-        if (d == kInf)
-            continue;
+        const unsigned d = after(p.neighbor);
         if (d < best) {
             best = d;
-            ties.clear();
+            ties = 0;
         }
-        if (d == best)
-            ties.push_back(m);
+        if (d != kInf && d == best)
+            ++ties;
     }
-    if (ties.empty())
-        return kInvalidNode;
-    return ties[rng.below(ties.size())];
+    if (ties == 0)
+        return 0;
+    // The pick goes first; every other legal hop follows in port order.
+    const std::uint64_t pick = rng.below(ties); // rank among the best
+    std::uint64_t rank = 0;
+    unsigned n = 1;
+    for (const auto &p : topo.ports(at)) {
+        const unsigned d = after(p.neighbor);
+        if (d == kInf)
+            continue;
+        if (d == best && rank++ == pick)
+            ports[0] = p.localPort;
+        else
+            ports[n++] = p.localPort;
+    }
+    return n;
 }
 
 bool
@@ -188,9 +175,7 @@ UpDownRouting::reachable(NodeId at, NodeId dst, bool down_phase) const
 {
     if (at == dst)
         return true;
-    if (distCache[dst].empty())
-        distCache[dst] = phaseDistances(dst);
-    return distCache[dst][at * 2 + (down_phase ? 1 : 0)] != kInf;
+    return phaseDistances(dst)[at * 2 + (down_phase ? 1 : 0)] != kInf;
 }
 
 } // namespace mmr

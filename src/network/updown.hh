@@ -50,22 +50,18 @@ class UpDownRouting
     bool isUp(NodeId from, NodeId to) const;
 
     /**
-     * Legal next hops from @p at toward @p dst.
-     * @param down_phase true once the packet has used a down link
-     * @return neighbor nodes reachable without violating up*-down*
+     * Adaptive up*-down* next hops from @p at toward @p dst (at !=
+     * dst): writes the output port of every legal hop into @p ports,
+     * the adaptive pick first and the others in port order, and
+     * returns their count.  The pick is a profitable (distance-
+     * reducing) legal hop if any exists, otherwise any legal hop that
+     * stays on a working up*-down* route; one @p rng draw breaks ties
+     * among equally good hops, made whenever a legal hop exists (even
+     * a single one) and not when none does (0: the packet cannot
+     * move).  @p ports must hold topology().degree(at) entries.
      */
-    std::vector<NodeId> legalNextHops(NodeId at, NodeId dst,
-                                      bool down_phase) const;
-
-    /**
-     * Adaptive choice: a profitable (distance-reducing) legal hop if
-     * any exists, otherwise any legal hop that stays on a working
-     * up*-down* route; kInvalidNode when the packet cannot move.
-     *
-     * @param rng breaks ties among equally good hops
-     */
-    NodeId adaptiveNextHop(NodeId at, NodeId dst, bool down_phase,
-                           Rng &rng) const;
+    unsigned nextHops(NodeId at, NodeId dst, bool down_phase, Rng &rng,
+                      std::vector<PortId> &ports) const;
 
     /**
      * Whether @p dst remains reachable from @p at given the phase —
@@ -76,8 +72,10 @@ class UpDownRouting
     const Topology &topology() const { return topo; }
 
   private:
-    /** Distance to dst honoring the up*-down* phase automaton. */
-    std::vector<unsigned> phaseDistances(NodeId dst) const;
+    /** Distances to dst honoring the up*-down* phase automaton, index
+     * [node * 2 + phase]: computed on the first call per destination,
+     * then read from distCache. */
+    const std::vector<unsigned> &phaseDistances(NodeId dst) const;
 
     bool linkOk(NodeId a, NodeId b) const
     {
@@ -92,8 +90,8 @@ class UpDownRouting
     std::vector<unsigned> levels;
     /**
      * Distance matrices in the phase automaton, computed lazily per
-     * destination and cached: index [dst][node * 2 + phase], phase 1
-     * meaning the packet has already gone down.
+     * destination (phaseDistances): index [dst][node * 2 + phase],
+     * phase 1 meaning the packet has already gone down.
      */
     mutable std::vector<std::vector<unsigned>> distCache;
 };

@@ -7,26 +7,6 @@
 namespace mmr
 {
 
-namespace
-{
-
-/** Injection-ticket packing into a Session's token bytes (the timed
- * setup token is dead once its outcome is taken; see Session::token). */
-constexpr std::uint64_t
-packTicket(Network::Ticket t)
-{
-    return (static_cast<std::uint64_t>(t.slot) << 32) | t.epoch;
-}
-
-constexpr Network::Ticket
-unpackTicket(std::uint64_t token)
-{
-    return Network::Ticket{static_cast<std::uint32_t>(token >> 32),
-                           static_cast<std::uint32_t>(token)};
-}
-
-} // namespace
-
 ChurnEngine::ChurnEngine(Network &network, const ChurnConfig &config,
                          Cycle horizon, std::uint64_t seed)
     : net(network),
@@ -106,7 +86,7 @@ void
 ChurnEngine::retire(std::uint32_t idx, bool completed_hold)
 {
     Session &s = slots[idx];
-    net.closeConnection(s.conn); // false when a fault already tore it
+    net.closeConnection(s.handle()); // false when a fault already tore it
     if (completed_hold)
         ++led.completed;
     s.state = Reaping;
@@ -133,7 +113,7 @@ ChurnEngine::reap(Cycle now)
     while (idx != kNil) {
         Session &s = slots[idx];
         const std::uint32_t nxt = s.next;
-        if (net.connectionState(s.conn) == Network::ConnState::Gone) {
+        if (net.connectionState(s.handle()) == Network::ConnState::Gone) {
             // Fully torn down: fold the connection's delay/jitter into
             // the recorder's retired aggregates and recycle the slot —
             // neither side keeps per-session state afterwards.
@@ -174,17 +154,16 @@ ChurnEngine::pollSetups(Cycle now)
         if (out.accepted) {
             ++led.admitted;
             setupHist.record(out.setupCycles);
+            // A link fault in the cycles between establishment and
+            // this poll can have already killed the connection, or even
+            // drained it and handed its slot on; the handle is then not
+            // live and the first inject scan sees it.
             s.conn = out.id;
+            s.token = std::bit_cast<std::uint64_t>(out.handle);
             if (draining) {
                 // Admitted after the run ended: close immediately.
                 retire(idx, true);
             } else {
-                // Mint the injection ticket into the token's bytes
-                // (the setup token died at the take).  A link fault
-                // in the cycles between establishment and this poll
-                // can have already killed the connection; its ticket
-                // is then dead and the first inject scan sees it.
-                s.token = packTicket(net.ticket(s.conn));
                 s.state = Active;
                 s.departAt = now + s.departAt; // rebase drawn hold
                 wheelInsert(idx);
@@ -278,8 +257,7 @@ ChurnEngine::injectActive(Cycle now)
             idx = nxt;
             continue;
         }
-        const Network::Ticket ticket = unpackTicket(s.token);
-        if (!net.live(ticket)) {
+        if (!net.live(s.handle())) {
             // A link fault tore the connection down mid-hold.  The
             // session stays in the wheel as a zombie so its slot
             // reuse waits for its (already chained) departure pop.
@@ -298,7 +276,7 @@ ChurnEngine::injectActive(Cycle now)
             Flit f;
             f.seq = s.seq++;
             f.createTime = now;
-            if (net.inject(ticket, f, now)) {
+            if (net.inject(s.handle(), f, now)) {
                 ++statInjected;
                 continue;
             }
@@ -333,11 +311,11 @@ ChurnEngine::beginDrain(Cycle now)
         Session &s = slots[i];
         switch (s.state) {
           case Active:
-            net.closeConnection(s.conn);
+            net.closeConnection(s.handle());
             ++led.completed; // hold cut short by end of run
             break;
           case Zombie:
-            net.closeConnection(s.conn); // usually already gone
+            net.closeConnection(s.handle()); // usually already gone
             break;
           case Reaping:
             break;

@@ -8,7 +8,7 @@
  * *populations*.  The ChurnEngine turns the SessionGenerator's draws
  * into real connection lifecycles: each arrival launches a timed EPB
  * setup (openCbrTimed / openVbrTimed), an admitted session injects
- * CBR/VBR flits through its Network::Ticket for its holding time, and
+ * CBR/VBR flits through its Network::Handle for its holding time, and
  * departure tears the connection down through the normal close path.
  * Acceptance ratio, measured setup-latency percentiles and the
  * QoS-violation rate fall out as the figures of merit.
@@ -49,6 +49,7 @@
 #ifndef MMR_WORKLOAD_CHURN_HH
 #define MMR_WORKLOAD_CHURN_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -179,14 +180,14 @@ class ChurnEngine
      * holding time (rebased to an absolute cycle at admission). */
     struct Session
     {
-        /** While Pending: the timed-setup token.  While Active: the
-         * injection ticket (Network::ticket) packed as
-         * slot << 32 | epoch — the setup token dies the moment its
-         * outcome is taken, so the ticket reuses its bytes and the
-         * record stays at 56 of the budgeted 64 bytes. */
+        /** While Pending, the timed-setup token; once admitted, the
+         * connection's handle (see handle()), which injection, close
+         * and the reaper read.  The token dies the moment its outcome
+         * is taken, so the handle reuses its bytes and the record
+         * stays at 56 of the budgeted 64 bytes. */
         std::uint64_t token = 0;
         Cycle departAt = 0;
-        ConnId conn = kInvalidConn;
+        ConnId conn = kInvalidConn; ///< label: the recorder key
         std::uint32_t next = kNil;
         std::uint32_t activeNext = kNil;
         NodeId src = 0;
@@ -196,6 +197,12 @@ class ChurnEngine
         std::uint32_t seq = 0;
         std::uint8_t state = 0;    ///< State enum
         bool vbr = false;
+
+        Network::Handle
+        handle() const
+        {
+            return std::bit_cast<Network::Handle>(token);
+        }
     };
     static_assert(sizeof(Session) <= 64,
                   "session records must stay within the 64-byte "

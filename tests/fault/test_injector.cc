@@ -102,7 +102,7 @@ TEST_F(InjectorTest, CorruptedFlitsAreDiscardedWithoutWedging)
             Flit f;
             f.conn = o.id;
             f.createTime = kernel.now();
-            if (net->inject(net->ticket(o.id), f, kernel.now()))
+            if (net->inject(o.handle, f, kernel.now()))
                 ++accepted;
         }
         kernel.step();
@@ -204,7 +204,7 @@ TEST_F(InjectorTest, HookRemovalOnDestruction)
     ASSERT_TRUE(o.accepted);
     Flit f;
     f.conn = o.id;
-    ASSERT_TRUE(net->inject(net->ticket(o.id), f, kernel.now()));
+    ASSERT_TRUE(net->inject(o.handle, f, kernel.now()));
     kernel.run(50);
     EXPECT_EQ(net->flitsCorrupted(), 0u);
     EXPECT_EQ(net->flitsDelivered(), 1u);

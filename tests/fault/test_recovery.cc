@@ -105,7 +105,7 @@ TEST_F(RecoveryTest, ReroutesAroundFailedLink)
     ASSERT_TRUE(mgr->pollStatus(o.id, st));
     ASSERT_EQ(st.state, RecoveryState::Recovered);
     EXPECT_NE(st.replacement, o.id);
-    EXPECT_EQ(net->connectionState(st.replacement),
+    EXPECT_EQ(net->connectionState(st.replacementHandle),
               Network::ConnState::Open);
     EXPECT_EQ(mgr->connectionsRecovered(), 1u);
     EXPECT_EQ(mgr->activeRecoveries(), 0u);
@@ -115,7 +115,7 @@ TEST_F(RecoveryTest, ReroutesAroundFailedLink)
 
     // The replacement was found by EPB over the surviving ring: the
     // long way round, 0-3-2-1.
-    const auto path = net->connectionPath(st.replacement);
+    const auto path = net->connectionPath(st.replacementHandle);
     ASSERT_EQ(path.size(), 4u);
     EXPECT_EQ(path[0].node, 0u);
     EXPECT_EQ(path[1].node, 3u);
@@ -188,7 +188,7 @@ TEST_F(RecoveryTest, RepairMidBackoffLetsRecoverySucceed)
     ASSERT_TRUE(mgr->pollStatus(o.id, st));
     EXPECT_EQ(st.state, RecoveryState::Recovered);
     EXPECT_LE(st.attempts, cfg.maxRetries);
-    EXPECT_EQ(net->connectionState(st.replacement),
+    EXPECT_EQ(net->connectionState(st.replacementHandle),
               Network::ConnState::Open);
 }
 
@@ -217,7 +217,7 @@ TEST_F(RecoveryTest, ReplacementIsAdoptedForTheNextFailure)
     RecoveryStatus chained;
     ASSERT_TRUE(mgr->pollStatus(second_id, chained));
     EXPECT_EQ(chained.state, RecoveryState::Recovered);
-    const auto path = net->connectionPath(chained.replacement);
+    const auto path = net->connectionPath(chained.replacementHandle);
     ASSERT_EQ(path.size(), 2u);
     EXPECT_EQ(path[0].node, 0u);
     EXPECT_EQ(path[1].node, 1u);
@@ -288,7 +288,7 @@ TEST_F(RecoveryTest, ZeroTimeModeResolvesInsideFailLink)
     EXPECT_EQ(mgr->activeRecoveries(), 0u);
     EXPECT_EQ(net->pendingSetups(), 0u);
     EXPECT_EQ(net->probes().setupTimeout(), 0u);
-    const auto path = net->connectionPath(st.replacement);
+    const auto path = net->connectionPath(st.replacementHandle);
     ASSERT_EQ(path.size(), 4u);
     EXPECT_EQ(path[1].node, 3u) << "the long way round, 0-3-2-1";
 
@@ -299,7 +299,7 @@ TEST_F(RecoveryTest, ZeroTimeModeResolvesInsideFailLink)
     RecoveryStatus chained;
     ASSERT_TRUE(mgr->pollStatus(st.replacement, chained));
     EXPECT_EQ(chained.state, RecoveryState::Recovered);
-    EXPECT_EQ(net->connectionPath(chained.replacement).size(), 2u);
+    EXPECT_EQ(net->connectionPath(chained.replacementHandle).size(), 2u);
     EXPECT_EQ(mgr->connectionsRecovered(), 2u);
 }
 
@@ -317,7 +317,7 @@ TEST_F(RecoveryTest, InterfaceSwapsOntoReplacement)
         host.tick(kernel.now());
         kernel.step();
     }
-    const auto path = net->connectionPath(orig);
+    const auto path = net->connectionPath(host.handle(0));
     ASSERT_GE(path.size(), 2u);
     ASSERT_TRUE(net->failLink(path[0].node, path[1].node));
 
@@ -331,7 +331,8 @@ TEST_F(RecoveryTest, InterfaceSwapsOntoReplacement)
     ASSERT_EQ(host.establishedStreams(), 1u);
     const ConnId now_id = host.connections().at(0);
     EXPECT_NE(now_id, orig);
-    EXPECT_EQ(net->connectionState(now_id), Network::ConnState::Open);
+    EXPECT_EQ(net->connectionState(host.handle(0)),
+              Network::ConnState::Open);
     EXPECT_GT(host.flitsDroppedInRecovery(), 0u)
         << "arrivals during recovery are dropped with accounting";
     RecoveryStatus st;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -219,9 +220,9 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
  * the churn engine's pool and the control plane's recycled machinery:
  * probe slots, with each search's hops, searched table and distance
  * snapshot, come from the probe manager's free list, the network's
- * connection records live in a pooled slot table indexed by a
- * tombstoning flat map, and recorder overflow entries reuse
- * tombstoned slots.  Once the population has reached its high-water
+ * connection records live in a pooled slot table addressed by
+ * slot+epoch handles, and recorder overflow entries reuse tombstoned
+ * slots.  Once the population has reached its high-water
  * mark, a steady churn window — setups, data transfer and teardowns
  * included — performs ZERO heap allocations.
  */
@@ -302,7 +303,7 @@ TEST(ZeroAlloc, ZeroTimeSetupsAllocateNothing)
     kernel.add(&net, "network");
 
     const NodeId nodes = net.numNodes();
-    std::vector<ConnId> open;
+    std::vector<Network::Handle> open;
     open.reserve(nodes * nodes);
     std::uint64_t setups = 0, accepted = 0;
     const auto round = [&] {
@@ -314,18 +315,18 @@ TEST(ZeroAlloc, ZeroTimeSetupsAllocateNothing)
                 ++setups;
                 if (o.accepted) {
                     ++accepted;
-                    open.push_back(o.id);
+                    open.push_back(o.handle);
                 }
             }
         }
-        for (const ConnId id : open)
-            net.closeConnection(id);
+        for (const Network::Handle h : open)
+            net.closeConnection(h);
         open.clear();
         kernel.run(4); // the idle segments drain and are removed
     };
 
-    // Warm-up: long enough for every router's segment table to have
-    // minted its spare array in a same-capacity tombstone sweep.
+    // Warm-up: every destination's distances get cached and the
+    // connection pool grows to one round's peak.
     for (int i = 0; i < 8; ++i)
         round();
     ASSERT_GT(accepted, 0u) << "no setup was accepted";
@@ -403,6 +404,126 @@ TEST(ZeroAlloc, InvariantSweepsAllocateNothing)
     EXPECT_EQ(allocations.load(), 0u)
         << "the invariant audit hit the heap (" << allocations.load()
         << " allocations)";
+}
+
+/**
+ * Network::reserveSessions puts every slot it mints on the free list,
+ * also when a connection is already open: the setups that follow take
+ * those slots, with their hop capacity, instead of growing the pool.
+ */
+TEST(ZeroAlloc, SessionsReservedWithAConnectionOpenAllocateNothing)
+{
+    NetworkConfig ncfg;
+    ncfg.seed = 17;
+    ncfg.router.vcsPerPort = 32;
+    ncfg.router.candidates = 8;
+    Network net(topologyFromSpec("mesh:3x3", ncfg.seed), ncfg);
+
+    Kernel kernel;
+    kernel.add(&net, "network");
+
+    // Warm-up, one connection at a time so the pool stays at one slot:
+    // every destination's distances get cached.
+    const NodeId nodes = net.numNodes();
+    for (NodeId src = 0; src < nodes; ++src) {
+        for (NodeId dst = 0; dst < nodes; ++dst) {
+            if (src == dst)
+                continue;
+            const auto o = net.openCbr(src, dst, 1 * kMbps);
+            ASSERT_TRUE(o.accepted);
+            net.closeConnection(o.handle);
+            kernel.run(2);
+        }
+    }
+    ASSERT_EQ(net.openConnectionCount(), 0u);
+
+    const auto keep = net.openCbr(0, 8, 1 * kMbps);
+    ASSERT_TRUE(keep.accepted);
+    net.reserveSessions(64);
+    EXPECT_EQ(net.openConnectionCount(), 1u)
+        << "every minted slot is free";
+
+    unsigned accepted = 0;
+    allocations.store(0);
+    counting.store(true);
+    for (unsigned k = 0; k < 40; ++k) {
+        const NodeId src = k % nodes;
+        const NodeId dst = (src + 1 + k / nodes) % nodes;
+        accepted += net.openCbr(src, dst, 1 * kMbps).accepted;
+    }
+    counting.store(false);
+
+    EXPECT_EQ(accepted, 40u);
+    EXPECT_EQ(net.openConnectionCount(), 41u);
+    EXPECT_EQ(allocations.load(), 0u)
+        << "setups after reserveSessions hit the heap ("
+        << allocations.load() << " allocations for 40 setups)";
+}
+
+/**
+ * Datagram placement rides the same budget: a warmed network whose
+ * best-effort bursts park datagrams in the pending queue (each host
+ * sends more at once than its NI port has VCs) retries them every
+ * cycle without touching the heap.
+ */
+TEST(ZeroAlloc, DatagramsAllocateNothing)
+{
+    NetworkConfig ncfg;
+    ncfg.seed = 17;
+    ncfg.router.vcsPerPort = 16;
+    ncfg.router.candidates = 4;
+    Network net(topologyFromSpec("mesh:3x3", ncfg.seed), ncfg);
+
+    Kernel kernel;
+    kernel.add(&net, "network");
+
+    const NodeId nodes = net.numNodes();
+    std::uint32_t seq = 0;
+    // Every 64 cycles each host sends `burst` datagrams, one flow tag
+    // per host, spread over the other eight hosts.
+    const auto burst = [&](unsigned per_host) {
+        for (NodeId src = 0; src < nodes; ++src) {
+            for (unsigned k = 0; k < per_host; ++k) {
+                const NodeId dst = (src + 1 + k % (nodes - 1)) % nodes;
+                net.sendDatagram(src, dst, TrafficClass::BestEffort,
+                                 kBestEffortTagBase +
+                                     src * kBestEffortTagsPerHost,
+                                 kernel.now(), seq++);
+            }
+        }
+    };
+    std::uint64_t parked = 0;
+    const auto run = [&](Cycle cycles, unsigned per_host) {
+        for (Cycle t = 0; t < cycles; ++t) {
+            if (kernel.now() % 64 == 0)
+                burst(per_host);
+            parked = std::max(parked, net.pendingDatagrams());
+            kernel.step();
+        }
+    };
+
+    // Warm-up: one double burst drives every queue past the steady
+    // bursts' high-water mark, then the steady pattern settles.
+    burst(48);
+    run(4096, 24);
+    ASSERT_GT(parked, 0u) << "no datagram was parked";
+    ASSERT_GT(net.datagramsDelivered(), 0u);
+
+    const std::uint64_t sentBefore = net.datagramsSent();
+    const std::uint64_t doneBefore = net.datagramsDelivered();
+    parked = 0;
+    allocations.store(0);
+    counting.store(true);
+    run(4096, 24);
+    counting.store(false);
+
+    EXPECT_GT(parked, 0u) << "the window parked no datagram";
+    EXPECT_GT(net.datagramsDelivered(), doneBefore);
+    EXPECT_EQ(net.datagramDrops(), 0u);
+    EXPECT_EQ(allocations.load(), 0u)
+        << "datagram placement hit the heap (" << allocations.load()
+        << " allocations for " << net.datagramsSent() - sentBefore
+        << " datagrams)";
 }
 
 } // namespace

@@ -80,16 +80,16 @@ TEST_F(FailureTest, ConnectionsCrossingTheLinkFail)
     ASSERT_TRUE(other.accepted);
 
     ASSERT_TRUE(net->failLink(0, 1));
-    EXPECT_EQ(net->connectionState(o.id), Network::ConnState::Failed);
-    EXPECT_EQ(net->connectionState(other.id), Network::ConnState::Open)
+    EXPECT_EQ(net->connectionState(o.handle), Network::ConnState::Failed);
+    EXPECT_EQ(net->connectionState(other.handle), Network::ConnState::Open)
         << "connections elsewhere are untouched";
     EXPECT_EQ(net->connectionsFailed(), 1u);
-    EXPECT_FALSE(net->inject(net->ticket(o.id), Flit{}, kernel.now()))
+    EXPECT_FALSE(net->inject(o.handle, Flit{}, kernel.now()))
         << "a failed connection refuses new flits";
 
     // The failed connection drains away completely.
     kernel.run(50);
-    EXPECT_EQ(net->connectionState(o.id), Network::ConnState::Gone);
+    EXPECT_EQ(net->connectionState(o.handle), Network::ConnState::Gone);
     // Its resources on the surviving side are released.
     MmrRouter &r0 = net->routerAt(0);
     const Topology &t = net->topology();
@@ -103,17 +103,35 @@ TEST_F(FailureTest, ConnectionsCrossingTheLinkFail)
 // recovery manager draws backoff jitter from its RNG per hook call,
 // the whole recovery schedule (and every digest downstream of it)
 // inherited that layout.  The teardown walk must visit crossing
-// connections in ascending id order, always.
+// connections in ascending id (label) order, always — not in the
+// order of the pool slots they hold.
 TEST_F(FailureTest, FailureHookFiresInAscendingIdOrder)
 {
     build(Topology::ring(4));
-    // Many connections over the same link so several hash layouts
-    // would disagree about the visit order.
-    std::vector<ConnId> opened;
+    // Many connections over the same link.  The first six close and
+    // drain, and six more reopen into their slots: the free list hands
+    // them out highest slot first, so slot 0 ends up with the highest
+    // label and slot order disagrees with label order.
+    std::vector<Network::SetupOutcome> first;
     for (int i = 0; i < 12; ++i) {
+        first.push_back(net->openCbr(0, 1, 1 * kMbps));
+        ASSERT_TRUE(first.back().accepted) << "connection " << i;
+    }
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(net->closeConnection(first[i].handle));
+    kernel.run(10);
+    ASSERT_EQ(net->openConnectionCount(), 6u);
+    std::vector<ConnId> opened;
+    for (int i = 6; i < 12; ++i)
+        opened.push_back(first[i].id);
+    for (int i = 0; i < 6; ++i) {
         const auto o = net->openCbr(0, 1, 1 * kMbps);
-        ASSERT_TRUE(o.accepted) << "connection " << i;
+        ASSERT_TRUE(o.accepted) << "reopened connection " << i;
         opened.push_back(o.id);
+        if (i == 5) {
+            ASSERT_EQ(o.handle.slot, first[0].handle.slot)
+                << "the last reopened connection takes slot 0";
+        }
     }
     std::vector<ConnId> fired;
     net->setConnectionFailureHook(
@@ -140,7 +158,7 @@ TEST_F(FailureTest, InFlightFlitsAreLostNotWedged)
     for (int i = 0; i < 6; ++i) {
         Flit f;
         f.seq = static_cast<std::uint32_t>(i);
-        net->inject(net->ticket(o.id), f, kernel.now());
+        net->inject(o.handle, f, kernel.now());
         kernel.step();
     }
     const auto delivered_before = net->flitsDelivered();
@@ -148,7 +166,7 @@ TEST_F(FailureTest, InFlightFlitsAreLostNotWedged)
     kernel.run(100);
     EXPECT_GT(net->flitsLostToFailures(), 0u);
     // Whatever was not lost was delivered; nothing is stuck.
-    EXPECT_EQ(net->connectionState(o.id), Network::ConnState::Gone);
+    EXPECT_EQ(net->connectionState(o.handle), Network::ConnState::Gone);
     EXPECT_GE(net->flitsDelivered(), delivered_before);
 }
 
@@ -194,7 +212,7 @@ TEST_F(FailureTest, NewSetupsAvoidDeadLinks)
     // path.
     const auto o = net->openCbr(0, 1, 10 * kMbps);
     ASSERT_TRUE(o.accepted);
-    const auto path = net->connectionPath(o.id);
+    const auto path = net->connectionPath(o.handle);
     ASSERT_EQ(path.size(), 4u); // 0, 3, 2, 1
     EXPECT_EQ(path[1].node, 3u);
 
@@ -251,11 +269,8 @@ TEST_F(FailureTest, InterfaceReestablishesItsStreams)
     EXPECT_EQ(ni.flitsDroppedInRecovery(), 0u)
         << "zero-time recovery never leaves a stream waiting";
     // The replacement connection flows over the surviving path.
-    const auto conns = ni.connections();
-    ASSERT_EQ(conns.size(), 1u);
-    EXPECT_EQ(net->connectionState(conns[0]),
-              Network::ConnState::Open);
-    const auto path = net->connectionPath(conns[0]);
+    EXPECT_EQ(net->connectionState(ni.handle(0)), Network::ConnState::Open);
+    const auto path = net->connectionPath(ni.handle(0));
     ASSERT_GE(path.size(), 2u);
     EXPECT_EQ(path[1].node, 3u) << "rerouted the long way round";
 }
@@ -308,7 +323,7 @@ TEST_F(FailureTest, SurvivingTrafficKeepsFlowing)
     for (std::uint32_t i = 0; i < 10; ++i) {
         Flit f;
         f.seq = i;
-        ASSERT_TRUE(net->inject(net->ticket(keep.id), f, kernel.now()));
+        ASSERT_TRUE(net->inject(keep.handle, f, kernel.now()));
         kernel.run(13);
     }
     kernel.run(100);

@@ -134,5 +134,23 @@ TEST_F(InterfaceTest, BacklogPreservesOrderUnderBackpressure)
         << "a reserved full-rate stream sustains ~1 flit/cycle";
 }
 
+/**
+ * A host's best-effort tags form a window of kBestEffortTagsPerHost
+ * below the next host's: the flow that would spill into host 2's
+ * first tag (and merge both flows' delay and jitter in the recorder)
+ * panics instead.
+ */
+TEST(NetworkInterfaceDeath, BestEffortTagWindowIsBounded)
+{
+    NetworkConfig cfg;
+    cfg.router.vcsPerPort = 16;
+    Network net(Topology::ring(3), cfg);
+    NetworkInterface ni(net, 1, 7);
+    for (ConnId k = 0; k < kBestEffortTagsPerHost; ++k)
+        ni.addBestEffortFlow(2, 1 * kMbps);
+    EXPECT_DEATH(ni.addBestEffortFlow(2, 1 * kMbps),
+                 "host 1 spent its best-effort tag window");
+}
+
 } // namespace
 } // namespace mmr

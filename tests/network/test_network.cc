@@ -63,7 +63,7 @@ TEST_F(NetworkTest, CbrStreamDeliversEndToEndInOrder)
         Flit f;
         f.seq = i;
         f.createTime = kernel.now();
-        ASSERT_TRUE(net->inject(net->ticket(outcome.id), f, kernel.now()));
+        ASSERT_TRUE(net->inject(outcome.handle, f, kernel.now()));
         run(13); // stay within the allocated rate
     }
     run(100);
@@ -101,16 +101,16 @@ TEST_F(NetworkTest, TeardownDrainsAndReleases)
     build(Topology::mesh2d(2, 2));
     const auto o = net->openCbr(0, 3, 200 * kMbps);
     ASSERT_TRUE(o.accepted);
-    const auto path = net->connectionPath(o.id);
+    const auto path = net->connectionPath(o.handle);
     ASSERT_GE(path.size(), 3u);
 
     for (std::uint32_t i = 0; i < 5; ++i) {
         Flit f;
         f.seq = i;
-        ASSERT_TRUE(net->inject(net->ticket(o.id), f, kernel.now()));
+        ASSERT_TRUE(net->inject(o.handle, f, kernel.now()));
         run(7);
     }
-    ASSERT_TRUE(net->closeConnection(o.id));
+    ASSERT_TRUE(net->closeConnection(o.handle));
     run(200);
     EXPECT_EQ(net->openConnectionCount(), 0u);
     EXPECT_EQ(net->flitsDelivered(), 5u) << "teardown waits for drain";
@@ -122,55 +122,120 @@ TEST_F(NetworkTest, TeardownDrainsAndReleases)
     }
 }
 
-TEST_F(NetworkTest, TicketLifecycle)
+TEST_F(NetworkTest, HandleLifecycle)
 {
     build(Topology::mesh2d(2, 2));
-    EXPECT_FALSE(net->live(Network::Ticket{}));
+    EXPECT_FALSE(net->live(Network::Handle{}));
+    EXPECT_EQ(net->connectionState(Network::Handle{}),
+              Network::ConnState::Gone);
 
+    // Closing: not live from the moment the close is asked for, while
+    // the flit still drains; the handle still names the connection.
     const auto a = net->openCbr(0, 3, 200 * kMbps);
     ASSERT_TRUE(a.accepted);
-    const Network::Ticket ta = net->ticket(a.id);
-    EXPECT_TRUE(net->live(ta));
-    EXPECT_FALSE(net->live(Network::Ticket{}));
-
-    // Dead the moment the close is asked for, while the flit still
-    // drains and the connection is still open.
-    ASSERT_TRUE(net->inject(ta, Flit{}, kernel.now()));
-    ASSERT_TRUE(net->closeConnection(a.id));
-    EXPECT_FALSE(net->live(ta));
-    EXPECT_FALSE(net->live(net->ticket(a.id)));
+    EXPECT_TRUE(net->live(a.handle));
+    ASSERT_TRUE(net->inject(a.handle, Flit{}, kernel.now()));
+    ASSERT_TRUE(net->closeConnection(a.handle));
+    EXPECT_FALSE(net->live(a.handle));
+    EXPECT_FALSE(net->inject(a.handle, Flit{}, kernel.now()));
+    EXPECT_EQ(net->connectionState(a.handle), Network::ConnState::Open);
+    EXPECT_TRUE(net->closeConnection(a.handle)) << "closing twice is a no-op";
+    EXPECT_EQ(net->connectionPath(a.handle).size(), 3u);
     EXPECT_EQ(net->openConnectionCount(), 1u);
+
+    // Drained: the slot is freed and the handle is stale.
     run(200);
     ASSERT_EQ(net->openConnectionCount(), 0u);
+    EXPECT_EQ(net->connectionState(a.handle), Network::ConnState::Gone);
 
-    // The next connection reuses the freed slot; the stale ticket
-    // stays dead.
-    const auto b = net->openCbr(0, 3, 200 * kMbps);
+    // The next connection reuses the slot; the stale handle reaches
+    // nothing of it.
+    const auto b = net->openCbr(0, 3, 100 * kMbps);
     ASSERT_TRUE(b.accepted);
-    const Network::Ticket tb = net->ticket(b.id);
-    ASSERT_EQ(tb.slot, ta.slot);
-    EXPECT_TRUE(net->live(tb));
-    EXPECT_FALSE(net->live(ta));
-
-    // Injecting through it deposits nothing into the new connection's
-    // source VC and counts no back-pressure reject.
-    const ChannelRef src = net->connectionPath(b.id).front().in;
+    ASSERT_EQ(b.handle.slot, a.handle.slot);
+    EXPECT_TRUE(net->live(b.handle));
+    EXPECT_FALSE(net->live(a.handle));
+    const ChannelRef src = net->connectionPath(b.handle).front().in;
     const VcState &vc = net->routerAt(0).inputMemory(src.port).vc(src.vc);
     ASSERT_EQ(vc.conn(), b.id);
+    const unsigned b_alloc = vc.allocCycles();
     const std::uint64_t rejects = net->injectRejects();
-    EXPECT_FALSE(net->inject(ta, Flit{}, kernel.now()));
-    EXPECT_FALSE(net->inject(Network::Ticket{}, Flit{}, kernel.now()));
+    EXPECT_FALSE(net->inject(a.handle, Flit{}, kernel.now()));
+    EXPECT_FALSE(net->inject(Network::Handle{}, Flit{}, kernel.now()));
     EXPECT_TRUE(vc.empty());
     EXPECT_EQ(net->injectRejects(), rejects);
-    ASSERT_TRUE(net->inject(tb, Flit{}, kernel.now()));
-    EXPECT_EQ(vc.depth(), 1u);
+    EXPECT_FALSE(net->closeConnection(a.handle));
+    EXPECT_FALSE(net->renegotiateBandwidth(a.handle, 400 * kMbps));
+    EXPECT_TRUE(net->connectionPath(a.handle).empty());
+    EXPECT_EQ(net->connectionState(a.handle), Network::ConnState::Gone);
+    EXPECT_TRUE(net->live(b.handle));
+    EXPECT_EQ(vc.allocCycles(), b_alloc);
 
-    // A link failure on the path kills the ticket.
-    const auto path = net->connectionPath(b.id);
+    // The new handle works.
+    ASSERT_TRUE(net->inject(b.handle, Flit{}, kernel.now()));
+    EXPECT_EQ(vc.depth(), 1u);
+    ASSERT_TRUE(net->renegotiateBandwidth(b.handle, 400 * kMbps));
+    EXPECT_GT(vc.allocCycles(), b_alloc);
+
+    // Failed: not live, reads Failed and can still be closed; once
+    // drained it reads Gone.
+    const auto path = net->connectionPath(b.handle);
     ASSERT_GE(path.size(), 2u);
     ASSERT_TRUE(net->failLink(path[0].node, path[1].node));
-    EXPECT_FALSE(net->live(tb));
-    EXPECT_FALSE(net->live(net->ticket(b.id)));
+    EXPECT_FALSE(net->live(b.handle));
+    EXPECT_EQ(net->connectionState(b.handle), Network::ConnState::Failed);
+    EXPECT_TRUE(net->closeConnection(b.handle));
+    run(200);
+    EXPECT_EQ(net->connectionState(b.handle), Network::ConnState::Gone);
+    ASSERT_TRUE(net->repairLink(path[0].node, path[1].node));
+
+    // A VBR connection on the same slot: the stale priority change
+    // reaches nothing, the new handle's does.
+    const auto c = net->openVbr(0, 3, 4 * kMbps, 12 * kMbps, 1);
+    ASSERT_TRUE(c.accepted);
+    ASSERT_EQ(c.handle.slot, b.handle.slot);
+    EXPECT_FALSE(net->setConnectionPriority(b.handle, 5));
+    for (const Network::PathHop &hop : net->connectionPath(c.handle))
+        EXPECT_EQ(net->routerAt(hop.node).segment(hop.in).priority, 1);
+    ASSERT_TRUE(net->setConnectionPriority(c.handle, 5));
+    for (const Network::PathHop &hop : net->connectionPath(c.handle))
+        EXPECT_EQ(net->routerAt(hop.node).segment(hop.in).priority, 5);
+}
+
+/**
+ * A timed setup records its handle when the path is installed.  If
+ * the connection fails, drains and loses its slot to another one
+ * before the outcome is taken, the handle taken is stale: it must not
+ * reach the slot's new connection.
+ */
+TEST_F(NetworkTest, TimedSetupOnAReusedSlotHandsBackADeadHandle)
+{
+    build(Topology::mesh2d(2, 2));
+    const std::uint64_t token =
+        net->openCbrTimed(0, 1, 200 * kMbps, kernel.now());
+    for (int i = 0; i < 200 && net->pendingSetups() != 0; ++i)
+        run(1);
+    ASSERT_EQ(net->pendingSetups(), 0u);
+    ASSERT_EQ(net->openConnectionCount(), 1u) << "installed at the ack";
+
+    // The only minimal path is the direct link: cut it and let the
+    // connection drain, then give its slot to a zero-time setup.
+    ASSERT_TRUE(net->failLink(0, 1));
+    run(50);
+    ASSERT_EQ(net->openConnectionCount(), 0u);
+    const auto z = net->openCbr(0, 3, 200 * kMbps);
+    ASSERT_TRUE(z.accepted);
+
+    Network::SetupOutcome out;
+    ASSERT_TRUE(net->takeTimedResult(token, out));
+    EXPECT_TRUE(out.accepted);
+    EXPECT_NE(out.id, z.id);
+    EXPECT_EQ(out.handle.slot, z.handle.slot) << "the slot was reused";
+    EXPECT_FALSE(net->live(out.handle));
+    EXPECT_EQ(net->connectionState(out.handle), Network::ConnState::Gone);
+    EXPECT_TRUE(net->connectionPath(out.handle).empty());
+    EXPECT_FALSE(net->closeConnection(out.handle));
+    EXPECT_TRUE(net->live(z.handle));
 }
 
 TEST_F(NetworkTest, SetupTokenLifecycle)
@@ -223,16 +288,16 @@ TEST_F(NetworkTest, RenegotiateAlongWholePath)
     build(Topology::mesh2d(2, 2));
     const auto o = net->openCbr(0, 3, 100 * kMbps);
     ASSERT_TRUE(o.accepted);
-    ASSERT_TRUE(net->renegotiateBandwidth(o.id, 400 * kMbps));
+    ASSERT_TRUE(net->renegotiateBandwidth(o.handle, 400 * kMbps));
     // Every router on the path now carries the bigger reservation.
-    for (const Network::PathHop &hop : net->connectionPath(o.id)) {
+    for (const Network::PathHop &hop : net->connectionPath(o.handle)) {
         const SegmentParams seg = net->routerAt(hop.node).segment(hop.in);
         ASSERT_EQ(seg.id, o.id);
         EXPECT_GT(seg.allocCycles, 3u);
     }
     // An impossible renegotiation fails atomically.
-    EXPECT_FALSE(net->renegotiateBandwidth(o.id, 2.0 * kGbps));
-    for (const Network::PathHop &hop : net->connectionPath(o.id)) {
+    EXPECT_FALSE(net->renegotiateBandwidth(o.handle, 2.0 * kGbps));
+    for (const Network::PathHop &hop : net->connectionPath(o.handle)) {
         const SegmentParams seg = net->routerAt(hop.node).segment(hop.in);
         const double granted =
             net->routerAt(hop.node).config().linkRateBps / seg.interArrival;
@@ -261,7 +326,7 @@ TEST_F(NetworkTest, RefusedRenegotiationRestoresEveryHop)
     ASSERT_TRUE(stream.accepted);
     const auto rival = net->openCbr(1, 2, 10.0 / round * link);
     ASSERT_TRUE(rival.accepted);
-    const auto path = net->connectionPath(stream.id);
+    const auto path = net->connectionPath(stream.handle);
     ASSERT_EQ(path.size(), 3u);
     std::vector<SegmentParams> before;
     std::vector<unsigned> registers;
@@ -273,7 +338,8 @@ TEST_F(NetworkTest, RefusedRenegotiationRestoresEveryHop)
     }
 
     // Hop 0 accepts 60 cycles; hop 1 carries the rival's 10 as well.
-    EXPECT_FALSE(net->renegotiateBandwidth(stream.id, 60.0 / round * link));
+    EXPECT_FALSE(
+        net->renegotiateBandwidth(stream.handle, 60.0 / round * link));
     for (std::size_t k = 0; k < path.size(); ++k) {
         SCOPED_TRACE(k);
         MmrRouter &r = net->routerAt(path[k].node);
@@ -289,8 +355,8 @@ TEST_F(NetworkTest, VbrPriorityPropagates)
     build(Topology::mesh2d(2, 2));
     const auto o = net->openVbr(0, 3, 4 * kMbps, 12 * kMbps, 1);
     ASSERT_TRUE(o.accepted);
-    ASSERT_TRUE(net->setConnectionPriority(o.id, 5));
-    for (const Network::PathHop &hop : net->connectionPath(o.id))
+    ASSERT_TRUE(net->setConnectionPriority(o.handle, 5));
+    for (const Network::PathHop &hop : net->connectionPath(o.handle))
         EXPECT_EQ(net->routerAt(hop.node).segment(hop.in).priority, 5);
 }
 
@@ -360,7 +426,7 @@ TEST_F(NetworkTest, StreamsAndDatagramsCoexist)
         if (t % 5 == 0) {
             Flit f;
             f.seq = injected++;
-            ASSERT_TRUE(net->inject(net->ticket(o.id), f, kernel.now()));
+            ASSERT_TRUE(net->inject(o.handle, f, kernel.now()));
         }
         if (t % 11 == 0) {
             net->sendDatagram(4, 2, TrafficClass::BestEffort, 0x8000,
@@ -395,9 +461,9 @@ TEST_F(NetworkTest, CreditBackpressureReachesTheSource)
     std::uint32_t rejected = 0;
     for (Cycle t = 0; t < 300; ++t) {
         Flit f1, f2;
-        if (!net->inject(net->ticket(a.id), f1, kernel.now()))
+        if (!net->inject(a.handle, f1, kernel.now()))
             ++rejected;
-        if (!net->inject(net->ticket(a.id), f2, kernel.now()))
+        if (!net->inject(a.handle, f2, kernel.now()))
             ++rejected;
         run(1);
     }

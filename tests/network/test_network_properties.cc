@@ -37,7 +37,7 @@ runChurn(std::uint64_t seed)
     Kernel kernel;
     kernel.add(&net);
 
-    std::vector<ConnId> open;
+    std::vector<Network::Handle> open;
     std::uint32_t flow = 0x4100;
     for (int step = 0; step < 400; ++step) {
         const auto roll = rng.below(100);
@@ -48,7 +48,7 @@ runChurn(std::uint64_t seed)
             const auto o =
                 net.openCbr(src, dst, rng.pick(paperRateLadder()));
             if (o.accepted)
-                open.push_back(o.id);
+                open.push_back(o.handle);
         } else if (roll < 30 && !open.empty()) {
             const auto i = rng.below(open.size());
             net.closeConnection(open[i]);
@@ -61,8 +61,7 @@ runChurn(std::uint64_t seed)
                                  flow++, kernel.now());
         } else if (!open.empty()) {
             Flit f;
-            const ConnId id = open[rng.below(open.size())];
-            net.inject(net.ticket(id), f, kernel.now());
+            net.inject(open[rng.below(open.size())], f, kernel.now());
         }
         kernel.run(1 + rng.below(4));
     }
@@ -99,23 +98,23 @@ TEST(NetworkProperty, ResourcesDrainToZeroAfterFullTeardown)
     Kernel kernel;
     kernel.add(&net);
 
-    std::vector<ConnId> ids;
+    std::vector<Network::Handle> handles;
     for (int i = 0; i < 30; ++i) {
         const NodeId src = static_cast<NodeId>(rng.below(8));
         const NodeId dst =
             static_cast<NodeId>((src + 1 + rng.below(7)) % 8);
         const auto o = net.openCbr(src, dst, 5 * kMbps);
         if (o.accepted)
-            ids.push_back(o.id);
+            handles.push_back(o.handle);
     }
-    ASSERT_FALSE(ids.empty());
-    for (ConnId id : ids) {
+    ASSERT_FALSE(handles.empty());
+    for (const Network::Handle h : handles) {
         Flit f;
-        net.inject(net.ticket(id), f, kernel.now());
+        net.inject(h, f, kernel.now());
     }
     kernel.run(50);
-    for (ConnId id : ids)
-        ASSERT_TRUE(net.closeConnection(id));
+    for (const Network::Handle h : handles)
+        ASSERT_TRUE(net.closeConnection(h));
     kernel.run(500);
     EXPECT_EQ(net.openConnectionCount(), 0u);
 

@@ -89,7 +89,7 @@ TEST_F(TimedSetupTest, ConnectionIsUsableAfterEstablishment)
         Flit f;
         f.seq = static_cast<std::uint32_t>(i);
         f.createTime = kernel.now();
-        ASSERT_TRUE(net->inject(net->ticket(r->id), f, kernel.now()));
+        ASSERT_TRUE(net->inject(r->handle, f, kernel.now()));
         kernel.run(13);
     }
     kernel.run(100);
@@ -395,7 +395,7 @@ TEST_F(TimedSetupTest, VbrTimedSetupReservesBothRegisters)
     ASSERT_TRUE(r->accepted);
     // Every router along the path carries permanent + peak state and
     // the user priority.
-    const auto path = net->connectionPath(r->id);
+    const auto path = net->connectionPath(r->handle);
     ASSERT_GE(path.size(), 2u);
     for (std::size_t k = 0; k + 1 < path.size(); ++k) {
         const SegmentParams seg =
@@ -433,7 +433,7 @@ TEST_F(TimedSetupTest, GreedyPolicyCanRefuseWhereEpbBacktracks)
         ASSERT_TRUE(re.has_value());
         if (re->accepted) {
             ++epb_ok;
-            net->closeConnection(re->id);
+            net->closeConnection(re->handle);
             kernel.run(20);
         }
         const auto tg = net->openCbrTimed(0, 3, 1 * kMbps, kernel.now(),
@@ -442,7 +442,7 @@ TEST_F(TimedSetupTest, GreedyPolicyCanRefuseWhereEpbBacktracks)
         ASSERT_TRUE(rg.has_value());
         if (rg->accepted) {
             ++greedy_ok;
-            net->closeConnection(rg->id);
+            net->closeConnection(rg->handle);
             kernel.run(20);
         }
     }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "base/rng.hh"
 #include "network/topology.hh"
 #include "network/updown.hh"
@@ -15,6 +18,30 @@ namespace mmr
 {
 namespace
 {
+
+/** Every legal next hop from @p at toward @p dst, as neighbor nodes,
+ * the adaptive pick first. */
+std::vector<NodeId>
+nextHops(const UpDownRouting &ud, NodeId at, NodeId dst, bool down,
+         Rng &rng)
+{
+    const Topology &t = ud.topology();
+    std::vector<PortId> ports(t.degree(at));
+    ports.resize(ud.nextHops(at, dst, down, rng, ports));
+    std::vector<NodeId> hops;
+    for (const PortId p : ports)
+        hops.push_back(t.ports(at)[p].neighbor);
+    return hops;
+}
+
+/** The adaptive pick: kInvalidNode when the packet cannot move. */
+NodeId
+adaptivePick(const UpDownRouting &ud, NodeId at, NodeId dst, bool down,
+             Rng &rng)
+{
+    const std::vector<NodeId> hops = nextHops(ud, at, dst, down, rng);
+    return hops.empty() ? kInvalidNode : hops.front();
+}
 
 TEST(UpDown, LevelsComeFromBfs)
 {
@@ -55,11 +82,68 @@ TEST(UpDown, LegalHopsNeverGoUpAfterDown)
         for (NodeId dst = 0; dst < t.numNodes(); ++dst) {
             if (at == dst)
                 continue;
-            for (NodeId hop : ud.legalNextHops(at, dst, true))
+            for (NodeId hop : nextHops(ud, at, dst, true, rng))
                 EXPECT_FALSE(ud.isUp(at, hop))
                     << "up move offered in the down phase";
         }
     }
+}
+
+/**
+ * The walk's contract: every hop that keeps dst reachable without an
+ * up move after a down one, each once, the adaptive pick first and the
+ * rest in port order; one rng draw when any hop exists, none when none
+ * does.  Some of these pairs have a single legal hop, and a failed
+ * link leaves some with none.
+ */
+TEST(UpDown, NextHopsListEveryLegalHopPickFirst)
+{
+    Rng rng(8);
+    Topology t = Topology::irregular(14, 6, 4, rng);
+    const NodeId cut = t.ports(0)[0].neighbor;
+    const UpDownRouting ud(t, 0, [cut](NodeId a, NodeId b) {
+        return !((a == 0 && b == cut) || (a == cut && b == 0));
+    });
+    unsigned none = 0, single = 0;
+    for (NodeId at = 0; at < t.numNodes(); ++at) {
+        for (NodeId dst = 0; dst < t.numNodes(); ++dst) {
+            if (at == dst)
+                continue;
+            for (const bool down : {false, true}) {
+                std::vector<NodeId> legal;
+                for (const auto &p : t.ports(at)) {
+                    const NodeId m = p.neighbor;
+                    const bool up = ud.isUp(at, m);
+                    const bool dead = (at == 0 && m == cut) ||
+                                      (at == cut && m == 0);
+                    if (!dead && !(down && up) &&
+                        ud.reachable(m, dst, !up))
+                        legal.push_back(m);
+                }
+                Rng before = rng;
+                const std::vector<NodeId> hops =
+                    nextHops(ud, at, dst, down, rng);
+                if (!legal.empty())
+                    (void)before.next(); // the one tie-break draw
+                EXPECT_EQ(before.next(), Rng(rng).next())
+                    << at << " -> " << dst << " draws once iff it moves";
+                none += hops.empty();
+                single += legal.size() == 1;
+                ASSERT_EQ(hops.size(), legal.size());
+                if (hops.empty())
+                    continue;
+                const auto pick =
+                    std::find(legal.begin(), legal.end(), hops.front());
+                ASSERT_NE(pick, legal.end());
+                legal.erase(pick);
+                EXPECT_EQ(std::vector<NodeId>(hops.begin() + 1, hops.end()),
+                          legal)
+                    << "the other hops follow in port order";
+            }
+        }
+    }
+    EXPECT_GT(none, 0u);
+    EXPECT_GT(single, 0u);
 }
 
 TEST(UpDown, EveryPairReachableInPhaseZero)
@@ -80,14 +164,14 @@ TEST(UpDown, TreeTopologyFollowsTreePath)
     const Topology t = Topology::star(4);
     const UpDownRouting ud(t, 0);
     Rng rng(6);
-    const NodeId hop = ud.adaptiveNextHop(1, 3, false, rng);
-    EXPECT_EQ(hop, 0u);
-    const NodeId hop2 = ud.adaptiveNextHop(0, 3, false, rng);
-    EXPECT_EQ(hop2, 3u);
+    EXPECT_EQ(nextHops(ud, 1, 3, false, rng),
+              std::vector<NodeId>{0u});
+    EXPECT_EQ(nextHops(ud, 0, 3, false, rng),
+              std::vector<NodeId>{3u});
 }
 
 /**
- * Livelock freedom: following adaptiveNextHop step by step always
+ * Livelock freedom: following the adaptive pick step by step always
  * reaches the destination within 2 x diameter-ish hops, on random
  * irregular graphs, from every source, in both phases.
  */
@@ -111,7 +195,7 @@ TEST_P(UpDownWalkProperty, AdaptiveWalksTerminate)
             const unsigned bound = 4 * t.numNodes();
             while (at != dst) {
                 const NodeId next =
-                    ud.adaptiveNextHop(at, dst, down, walk_rng);
+                    adaptivePick(ud, at, dst, down, walk_rng);
                 ASSERT_NE(next, kInvalidNode)
                     << "stuck at " << at << " for " << dst;
                 down = down || !ud.isUp(at, next);
@@ -142,7 +226,7 @@ TEST(UpDown, MeshRoutesAreNearMinimal)
             bool down = false;
             unsigned hops = 0;
             while (at != dst && hops < 64) {
-                const NodeId next = ud.adaptiveNextHop(at, dst, down, rng);
+                const NodeId next = adaptivePick(ud, at, dst, down, rng);
                 ASSERT_NE(next, kInvalidNode);
                 down = down || !ud.isUp(at, next);
                 at = next;
