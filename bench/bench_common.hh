@@ -9,14 +9,17 @@
 #ifndef MMR_BENCH_BENCH_COMMON_HH
 #define MMR_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "base/table.hh"
 #include "harness/single_router.hh"
 #include "sim/sweep.hh"
@@ -215,6 +218,18 @@ loadsFromCli(const Cli &cli)
 {
     const std::vector<double> loads = cli.reals("loads");
     return loads.empty() ? defaultLoads() : loads;
+}
+
+/** --shards as a shard count: a value below 1 or above UINT32_MAX is
+ * a user error, refused before any network is built. */
+inline unsigned
+shardsFromCli(const Cli &cli)
+{
+    const std::int64_t shards = cli.integer("shards");
+    constexpr std::uint32_t most = std::numeric_limits<std::uint32_t>::max();
+    if (shards < 1 || shards > std::int64_t{most})
+        mmr_fatal("flag --shards must be in [1, ", most, "], got ", shards);
+    return static_cast<unsigned>(shards);
 }
 
 /** main() wrapper: converts mmr_fatal into a clean error exit. */

@@ -130,7 +130,7 @@ main(int argc, char **argv)
                  "(results are bit-identical across values)");
         if (!cli.parse(argc, argv))
             return 0;
-        gShards = static_cast<unsigned>(cli.integer("shards"));
+        gShards = shardsFromCli(cli);
         const bool smoke = cli.boolean("smoke");
 
         ChurnKnobs k;

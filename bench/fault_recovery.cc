@@ -95,7 +95,7 @@ main(int argc, char **argv)
                  "(results are bit-identical across values)");
         if (!cli.parse(argc, argv))
             return 0;
-        gShards = static_cast<unsigned>(cli.integer("shards"));
+        gShards = shardsFromCli(cli);
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
         const std::string topo = cli.str("topo");
         const auto warmup = static_cast<Cycle>(cli.integer("warmup"));

@@ -16,34 +16,13 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     : topo(std::move(topo_)), cfg(cfg_), rand(cfg_.seed),
       updownRoutes(std::make_unique<UpDownRouting>(topo))
 {
-    // Contiguous-id shard partition (computed before wiring: the
-    // router callbacks capture their owning shard).  Contiguity is
-    // what makes the mailbox drain order equal the serial loop order.
-    const unsigned nodes = topo.numNodes();
-    numShards = std::max(1u, std::min(cfg.shards, nodes));
-    shardStart.resize(numShards + 1);
-    shardOf.resize(nodes);
-    const unsigned base = nodes / numShards;
-    const unsigned rem = nodes % numShards;
-    NodeId next = 0;
-    for (unsigned s = 0; s < numShards; ++s) {
-        shardStart[s] = next;
-        next += base + (s < rem ? 1 : 0);
-    }
-    shardStart[numShards] = next;
-    for (unsigned s = 0; s < numShards; ++s)
-        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-            shardOf[n] = s;
+    // Strided shard partition, router n on shard n mod S (set before
+    // wiring: the router callbacks capture their owning shard).
+    numShards = std::max(1u, std::min(cfg.shards, topo.numNodes()));
     mailboxes = std::vector<ShardMailbox>(numShards);
     pool = std::make_unique<ShardPool>(numShards);
-    evalPhase = [this](unsigned s) {
-        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-            routers[n]->evaluate(phaseCycle);
-    };
-    advPhase = [this](unsigned s) {
-        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-            routers[n]->advance(phaseCycle);
-    };
+    evalPhase = [this](unsigned s) { evaluateShard(s); };
+    advPhase = [this](unsigned s) { advanceShard(s); };
 
     routers.reserve(topo.numNodes());
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
@@ -115,7 +94,12 @@ Network::failLink(NodeId a, NodeId b)
 
     // Flits already in flight on the dead link are lost; return their
     // credits so the upstream VC is not wedged forever.  In-place
-    // compaction preserves FIFO order of the survivors.
+    // compaction preserves FIFO order of the survivors.  Landed flits
+    // wait in the arrival lists only inside evaluate(), so every flit
+    // between routers is here.
+    for (const ShardMailbox &box : mailboxes)
+        mmr_assert(box.arrivals.empty(),
+                   "link failed with landed flits not yet deposited");
     std::size_t kept = 0;
     for (LinkFlit &lf : linkQueue) {
         const bool on_dead_link =
@@ -247,13 +231,12 @@ Network::wireRouter(NodeId n)
     // other routers (credit upstream, link queues, end-to-end stats),
     // which a worker thread must not do.  Routers emit them only while
     // applying a matching, so the coordinator replays the logs once,
-    // after the advance phase, in shard order, which for a
-    // contiguous-id partition is ascending router id at every shard
-    // count.  The one callback that fires outside a phase — segment
-    // removal while processPendingCloses() tears a PCS path down —
-    // returns before logging, because PCS segments never set
-    // releaseWhenEmpty.
-    const unsigned shard = shardOf[n];
+    // after the advance phase, merged by router id: ascending router
+    // id at every shard count.  The one callback that fires outside a
+    // phase — segment removal while processPendingCloses() tears a PCS
+    // path down — returns before logging, because PCS segments never
+    // set releaseWhenEmpty.
+    const unsigned shard = shardOfNode(n);
     routers[n]->setSink(
         [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
             mailboxes[shard].log.push_back(DeferredEvent{
@@ -642,16 +625,7 @@ Network::processPendingCloses()
                 break;
             }
         }
-        // A flit can be between routers: in flight on a link.
-        if (drained) {
-            for (const LinkFlit &lf : linkQueue) {
-                if (lf.flit.conn == conn.id) {
-                    drained = false;
-                    break;
-                }
-            }
-        }
-        if (!drained) {
+        if (!drained || onWire(conn.id)) {
             closingSlots[kept++] = slot;
             continue;
         }
@@ -669,6 +643,22 @@ Network::processPendingCloses()
     }
     // mmr-lint: allow(hot-path-alloc) shrinking resize: kept <= size.
     closingSlots.resize(kept);
+}
+
+bool
+Network::onWire(ConnId id) const
+{
+    const auto carries = [id](const LinkFlit &lf) {
+        return lf.flit.conn == id;
+    };
+    if (std::any_of(linkQueue.begin(), linkQueue.end(), carries))
+        return true;
+    // Landed this cycle: the evaluate phase deposits it after the
+    // closes run, into the VC a teardown now would unbind.
+    for (const ShardMailbox &box : mailboxes)
+        if (std::any_of(box.arrivals.begin(), box.arrivals.end(), carries))
+            return true;
+    return false;
 }
 
 bool
@@ -881,16 +871,19 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     return true;
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: linkQueueNext and
-// pendingArrivals are members; their capacity persists across cycles,
-// so steady state recycles buffers instead of churning deque blocks.
+// mmr-lint: allow(hot-path-alloc) amortized: linkQueueNext,
+// pendingArrivals and the shards' arrival lists are members; their
+// capacity persists across cycles, so steady state recycles buffers
+// instead of churning deque blocks.
 void
 Network::processArrivals(Cycle now)
 {
-    // Link flits whose latency has elapsed enter the downstream
-    // router: stream flits follow their installed segment; datagrams
-    // claim next-hop resources.  Not-yet-due flits are kept, in FIFO
-    // order, by compacting into the swap buffer.
+    // Link flits whose latency has elapsed reach the downstream
+    // router: stream flits go to its shard's arrival list, which the
+    // shard deposits into their installed segments in the evaluate
+    // phase; datagrams claim next-hop resources here, drawing from
+    // `rand`.  Not-yet-due flits are kept, in FIFO order, by
+    // compacting into the swap buffer.
     linkQueueNext.clear();
     for (LinkFlit &qf : linkQueue) {
         LinkFlit lf = std::move(qf);
@@ -913,23 +906,20 @@ Network::processArrivals(Cycle now)
                           static_cast<std::int32_t>(lf.flit.src));
             continue;
         }
-        Flit f = lf.flit;
-        f.readyTime = now;
         // Wire time of this hop (latency plus any cycles spent parked
         // behind same-cycle arrivals): the LinkTransit latency stage.
         e2e.recordLinkTransit(cfg.linkLatency + (now - lf.arriveAt),
                               now);
-        if (f.isStream()) {
-            if (!routers[lf.toNode]->inject(ChannelRef{lf.toPort, lf.vc},
-                                            f))
-                ++statInjectRejects;
+        lf.flit.readyTime = now;
+        if (lf.flit.isStream()) {
+            mailboxes[shardOfNode(lf.toNode)].arrivals.push_back(lf);
             continue;
         }
         PendingArrival p;
         p.node = lf.toNode;
         p.inPort = lf.toPort;
         p.inVc = lf.vc;
-        p.flit = f;
+        p.flit = lf.flit;
         if (!placeDatagram(p, now))
             pendingArrivals.push_back(std::move(p));
     }
@@ -959,9 +949,11 @@ void
 Network::evaluate(Cycle now)
 {
     // Serial prologue on the coordinator: the probe protocol, link
-    // arrivals, and pending closes all run before any router
-    // evaluates, so routers never observe partial prologue state from
-    // a worker thread.
+    // arrivals and pending closes.  What it shares across routers
+    // stays here: probe state, `rand` draws of datagram placement, the
+    // upstream credit and VC a CRC drop hands back, connection
+    // teardown.  A landed stream flit touches only its own router, so
+    // the router's shard deposits it, first thing in the phase.
     probeMgr->step(now);
     processArrivals(now);
     processPendingCloses();
@@ -972,39 +964,83 @@ Network::evaluate(Cycle now)
 void
 Network::advance(Cycle now)
 {
-    // The mailboxes fill in this phase alone (see wireRouter), so one
-    // drain covers the cycle.
+    // The mailbox logs fill in this phase alone (see wireRouter), so
+    // one drain covers the cycle.
     phaseCycle = now;
     pool->runPhase(now, advPhase);
     drainMailboxes(now);
 }
 
 void
+Network::evaluateShard(unsigned s)
+{
+    // The routers' own flow control writes each landed flit into its
+    // VC memory (§3.2), in link FIFO order, before any router of the
+    // shard schedules.  Flits for one VC all land on one shard, and
+    // deposits into different VCs commute, so this order is the
+    // serial one.
+    ShardMailbox &box = mailboxes[s];
+    for (const LinkFlit &lf : box.arrivals)
+        if (!routers[lf.toNode]->inject(ChannelRef{lf.toPort, lf.vc},
+                                        lf.flit))
+            ++box.injectRejects;
+    box.arrivals.clear();
+    for (NodeId n = s; n < routers.size(); n += numShards)
+        routers[n]->evaluate(phaseCycle);
+}
+
+void
+Network::advanceShard(unsigned s)
+{
+    for (NodeId n = s; n < routers.size(); n += numShards)
+        routers[n]->advance(phaseCycle);
+}
+
+void
 Network::drainMailboxes(Cycle now)
 {
-    // Deterministic merge: ascending shard id, per-shard append
-    // (emission) order.  With contiguous-id partitions this replays
-    // every deferred side effect — link-queue pushes, corrupt-hook
-    // RNG draws, upstream credit returns, end-to-end FP accumulation —
-    // in ascending router order, which is what keeps
+    // Deterministic merge by router id: router n's records are the
+    // next run of shard (n mod S)'s log, so visiting n = 0..N-1 with
+    // one cursor per shard replays every deferred side effect —
+    // link-queue pushes, corrupt-hook RNG draws, upstream credit
+    // returns, end-to-end FP accumulation — in ascending router order,
+    // emission order within a router.  That is the serial loop's
+    // order at every shard count, which is what keeps
     // networkResultDigest bit-identical across shard counts
     // (DESIGN.md §12).
-    for (unsigned s = 0; s < numShards; ++s) {
-        auto &log = mailboxes[s].log;
-        for (const DeferredEvent &e : log) {
-            switch (e.kind) {
-            case DeferredEvent::Kind::Egress:
-                handleEgress(e.node, e.port, e.vc, e.flit, now);
-                break;
-            case DeferredEvent::Kind::Credit:
-                handleCreditReturn(e.node, e.port, e.vc, now);
-                break;
-            case DeferredEvent::Kind::SegRemoved:
-                handleSegmentRemoved(e.node, e.port, e.vc);
-                break;
-            }
-        }
-        log.clear();
+    unsigned s = 0;
+    for (NodeId n = 0; n < routers.size(); ++n) {
+        ShardMailbox &box = mailboxes[s];
+        for (; box.replayed < box.log.size() &&
+               box.log[box.replayed].node == n;
+             ++box.replayed)
+            replay(box.log[box.replayed], now);
+        if (++s == numShards)
+            s = 0;
+    }
+    for (ShardMailbox &box : mailboxes) {
+        mmr_assert(box.replayed == box.log.size(),
+                   "mailbox log not in ascending router order");
+        box.log.clear();
+        box.replayed = 0;
+        statInjectRejects += box.injectRejects;
+        box.injectRejects = 0;
+    }
+}
+
+void
+Network::replay(const DeferredEvent &e, Cycle now)
+{
+    switch (e.kind) {
+    case DeferredEvent::Kind::Egress:
+        handleEgress(e.node, e.port, e.vc, e.flit, now);
+        break;
+    case DeferredEvent::Kind::Credit:
+        handleCreditReturn(e.node, e.port, e.vc, now);
+        break;
+    case DeferredEvent::Kind::SegRemoved:
+        handleSegmentRemoved(e.node, e.port, e.vc);
+        break;
     }
 }
 

@@ -60,13 +60,14 @@ struct NetworkConfig
     std::uint64_t seed = 7;
 
     /**
-     * Intra-run parallelism: partition the routers into this many
-     * contiguous-id shards, each evaluated/advanced on its own worker
-     * thread, with every router callback deferred through per-shard
-     * mailboxes (drained in shard order, so results are bit-identical
-     * at every shard count).  Clamped to [1, node count]; one shard
-     * runs every router on the calling thread through the same
-     * mailboxes.
+     * Intra-run parallelism: deal the routers to this many shards
+     * (router n to shard n mod shards), each evaluated/advanced on its
+     * own worker thread.  A shard deposits the stream flits that land
+     * on its routers, and every router callback is deferred through
+     * per-shard mailboxes replayed merged by router id, so results are
+     * bit-identical at every shard count.  Clamped to [1, node count];
+     * one shard runs every router on the calling thread through the
+     * same arrival lists and mailboxes.
      */
     unsigned shards = 1;
 };
@@ -87,8 +88,10 @@ class Network : public Clocked
     /** Effective shard count (config value clamped to the node count). */
     unsigned shards() const { return numShards; }
 
-    /** Shard owning router @p n (contiguous-id partition). */
-    unsigned shardOfNode(NodeId n) const { return shardOf[n]; }
+    /** Shard owning router @p n: n mod shards().  The routers are
+     * dealt round-robin, so each stage of a MIN (numbered stage x
+     * width + position) is split evenly across the shards. */
+    unsigned shardOfNode(NodeId n) const { return n % numShards; }
 
     /** Host-interface port index of a node's router. */
     PortId niPort(NodeId n) const { return topo.degree(n); }
@@ -423,10 +426,11 @@ class Network : public Clocked
      * mailbox; every cross-router side effect — link egress, upstream
      * credit return, upstream VC release on segment removal — becomes
      * one of these records, replayed by the coordinator after the
-     * phase barrier in ascending shard order.  Within a shard the log
-     * is append-ordered, so the replay order is ascending router id
-     * at every shard count and the results are bit-identical (see
-     * DESIGN.md §12 for the full argument).
+     * phase barrier merged by router id.  A shard advances its routers
+     * in ascending id, so router n's records are the next run of its
+     * shard's log: the replay order is ascending router id, emission
+     * order within a router, at every shard count, and the results are
+     * bit-identical (see DESIGN.md §12 for the full argument).
      */
     struct DeferredEvent
     {
@@ -444,20 +448,36 @@ class Network : public Clocked
         Flit flit;   ///< Egress only
     };
 
-    /** Per-shard deferred-event log, cache-line padded: neighboring
-     * shards append concurrently, and without the alignas the logs'
-     * size/capacity words would false-share one line. */
+    /** Per-shard traffic with the coordinator, cache-line padded:
+     * neighboring shards write theirs concurrently, and without the
+     * alignas the vectors' size/capacity words would false-share one
+     * line. */
     struct alignas(64) ShardMailbox
     {
+        /** Stream flits that landed on this shard's routers this
+         * cycle, in link FIFO order: filled by processArrivals(),
+         * deposited and cleared by the shard's evaluate phase. */
+        std::vector<LinkFlit> arrivals;
+        /** Refused deposits, folded into statInjectRejects by the
+         * drain. */
+        std::uint64_t injectRejects = 0;
         std::vector<DeferredEvent> log;
+        std::size_t replayed = 0; ///< drain cursor into log
     };
 
-    /** Replay every mailbox in (shard, emission) order, then clear. */
+    /** Evaluate phase of shard @p s: deposit its arrival list, then
+     * evaluate its routers in ascending id. */
+    MMR_HOT_PATH void evaluateShard(unsigned s);
+
+    /** Advance phase of shard @p s: its routers in ascending id. */
+    MMR_HOT_PATH void advanceShard(unsigned s);
+
+    /** Replay every mailbox log merged by router id, fold the refused
+     * deposits into injectRejects(), then clear. */
     MMR_HOT_PATH void drainMailboxes(Cycle now);
+    void replay(const DeferredEvent &e, Cycle now);
 
     unsigned numShards = 1;
-    std::vector<NodeId> shardStart; ///< numShards+1 fenceposts
-    std::vector<unsigned> shardOf;  ///< node id -> shard id
     std::vector<ShardMailbox> mailboxes;
     std::unique_ptr<ShardPool> pool;
 
@@ -476,6 +496,10 @@ class Network : public Clocked
 
     void processArrivals(Cycle now);
     void processPendingCloses();
+
+    /** True while a flit of connection @p id is between routers: on a
+     * link, or landed and waiting in a shard's arrival list. */
+    bool onWire(ConnId id) const;
 
     SetupRequest cbrRequest(NodeId src, NodeId dst, double rate_bps) const;
     SetupRequest vbrRequest(NodeId src, NodeId dst, double mean_bps,

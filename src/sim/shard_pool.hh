@@ -2,9 +2,10 @@
  * @file
  * Intra-run shard worker pool.
  *
- * The network partitions its routers into contiguous-id shards; every
- * flit cycle each shard's routers evaluate (and later advance) on a
- * worker thread, synchronized by a two-phase barrier.  The pool is
+ * The network deals its routers to shards round-robin (router n to
+ * shard n mod S); every flit cycle each shard deposits the flits that
+ * landed on its routers and evaluates them, then later advances them,
+ * on a worker thread, synchronized by a two-phase barrier.  The pool is
  * that execution engine: persistent worker threads (spawn once, not
  * per cycle) that wait on a generation counter, run one phase
  * callback for their shard, and signal completion.  The coordinator

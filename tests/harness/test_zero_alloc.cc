@@ -526,5 +526,79 @@ TEST(ZeroAlloc, DatagramsAllocateNothing)
         << " datagrams)";
 }
 
+/**
+ * The sharded core rides the same budget: a warmed 4-shard network
+ * carrying CBR streams and best-effort datagrams deposits landed flits
+ * from each shard's arrival list and replays the mailbox logs without
+ * touching the heap, on the coordinator or on a worker (the counter is
+ * atomic, so worker allocations count too).
+ */
+TEST(ZeroAlloc, FourShardNetworkAllocatesNothing)
+{
+    NetworkConfig ncfg;
+    ncfg.seed = 17;
+    ncfg.router.vcsPerPort = 16;
+    ncfg.router.candidates = 4;
+    ncfg.shards = 4;
+    Network net(topologyFromSpec("mesh:4x4", ncfg.seed), ncfg);
+    ASSERT_EQ(net.shards(), 4u);
+
+    // One CBR stream from every host to the host two rows down: with
+    // router n on shard n mod 4, every hop crosses shards.
+    const NodeId nodes = net.numNodes();
+    std::vector<Network::Handle> streams;
+    for (NodeId src = 0; src < nodes; ++src) {
+        const auto o = net.openCbr(src, (src + nodes / 2) % nodes,
+                                   40 * kMbps);
+        ASSERT_TRUE(o.accepted);
+        streams.push_back(o.handle);
+    }
+
+    Kernel kernel;
+    kernel.add(&net, "network");
+    std::uint32_t seq = 0;
+    const auto run = [&](Cycle cycles) {
+        for (Cycle t = 0; t < cycles; ++t) {
+            const Cycle now = kernel.now();
+            if (now % 16 == 0) {
+                for (const Network::Handle h : streams) {
+                    Flit f;
+                    f.seq = seq++;
+                    f.createTime = now;
+                    net.inject(h, f, now);
+                }
+            }
+            if (now % 64 == 0) {
+                for (NodeId src = 0; src < nodes; ++src)
+                    net.sendDatagram(src, (src + 5) % nodes,
+                                     TrafficClass::BestEffort,
+                                     kBestEffortTagBase +
+                                         src * kBestEffortTagsPerHost,
+                                     now, seq++);
+            }
+            kernel.step();
+        }
+    };
+
+    run(4096);
+    ASSERT_GT(net.flitsDelivered(), 0u);
+    ASSERT_GT(net.datagramsDelivered(), 0u);
+
+    const std::uint64_t deliveredBefore = net.flitsDelivered();
+    const std::uint64_t datagramsBefore = net.datagramsDelivered();
+    allocations.store(0);
+    counting.store(true);
+    run(4096);
+    counting.store(false);
+
+    EXPECT_GT(net.flitsDelivered() - deliveredBefore,
+              net.datagramsDelivered() - datagramsBefore)
+        << "the window delivered no stream flit";
+    EXPECT_GT(net.datagramsDelivered(), datagramsBefore);
+    EXPECT_EQ(allocations.load(), 0u)
+        << "the 4-shard network hit the heap (" << allocations.load()
+        << " allocations)";
+}
+
 } // namespace
 } // namespace mmr

@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "harness/network_experiment.hh"
+#include "network/network.hh"
 #include "sim/invariant.hh"
+#include "sim/kernel.hh"
 
 namespace mmr
 {
@@ -178,22 +180,98 @@ TEST(ShardedNetwork, LargeMinDigestsMatchSerial)
     }
 }
 
-TEST(ShardedNetwork, ShardPartitionIsContiguousAndBalanced)
+TEST(ShardedNetwork, ShardPartitionIsStridedAndBalanced)
 {
+    // Router n runs on shard n mod S, so every shard is within one
+    // router of N/S.
     NetworkConfig ncfg;
     ncfg.shards = 3;
     Network net(Topology::mesh2d(4, 4), ncfg);
     ASSERT_EQ(net.shards(), 3u);
-    unsigned last = 0;
     std::vector<unsigned> sizes(3, 0);
     for (NodeId n = 0; n < net.numNodes(); ++n) {
-        const unsigned s = net.shardOfNode(n);
-        EXPECT_GE(s, last) << "partition must be contiguous in id";
-        last = s;
-        ++sizes[s];
+        EXPECT_EQ(net.shardOfNode(n), n % 3);
+        ++sizes[net.shardOfNode(n)];
     }
     for (unsigned s = 0; s < 3; ++s)
         EXPECT_NEAR(static_cast<double>(sizes[s]), 16.0 / 3.0, 1.0);
+
+    // A MIN numbers its routers stage x width + position; dealt
+    // round-robin, each stage splits evenly: on min:4:3 at 4 shards
+    // every shard holds 4 of each stage's 16 routers.
+    ncfg.shards = 4;
+    Network min(Topology::multistage(4, 3), ncfg);
+    ASSERT_EQ(min.numNodes(), 48u);
+    const unsigned width = 16;
+    std::vector<std::vector<unsigned>> perStage(
+        4, std::vector<unsigned>(3, 0));
+    for (NodeId n = 0; n < min.numNodes(); ++n)
+        ++perStage[min.shardOfNode(n)][n / width];
+    for (unsigned s = 0; s < 4; ++s)
+        for (unsigned stage = 0; stage < 3; ++stage)
+            EXPECT_EQ(perStage[s][stage], 4u)
+                << "shard " << s << " stage " << stage;
+}
+
+/**
+ * A teardown asked for while the connection's last flit is on a link,
+ * due next cycle: in that cycle the flit has left the link queue but
+ * waits in its router's shard arrival list until the evaluate phase,
+ * after the closes ran.  The close must count it as in flight, or the
+ * path is unbound under it and the deposit panics.
+ */
+TEST(ShardedNetwork, CloseRacingALandingFlitWaitsForIt)
+{
+    for (const unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        NetworkConfig ncfg;
+        ncfg.shards = shards;
+        Network net(Topology::mesh2d(4, 1), ncfg);
+        Kernel kernel;
+        kernel.add(&net, "network");
+
+        const auto open = net.openCbr(0, 3, 10 * kMbps);
+        ASSERT_TRUE(open.accepted);
+        const Network::Handle h = open.handle;
+        const std::vector<Network::PathHop> path = net.connectionPath(h);
+        ASSERT_EQ(path.size(), 4u);
+        const auto buffered = [&](std::size_t k) {
+            const Network::PathHop &hop = path[k];
+            return !net.routerAt(hop.node)
+                        .inputMemory(hop.in.port)
+                        .vc(hop.in.vc)
+                        .empty();
+        };
+
+        Flit f;
+        f.createTime = kernel.now();
+        ASSERT_TRUE(net.inject(h, f, kernel.now()));
+        // Step until the flit leaves the second-to-last router: it is
+        // then on the link into the last one, due next cycle.
+        bool held = false;
+        for (int t = 0; t < 2000; ++t) {
+            kernel.step();
+            if (buffered(2))
+                held = true;
+            else if (held)
+                break;
+        }
+        ASSERT_TRUE(held) << "the flit never reached the third router";
+        ASSERT_FALSE(buffered(2));
+        ASSERT_FALSE(buffered(3));
+        ASSERT_EQ(net.flitsDelivered(), 0u);
+
+        ASSERT_TRUE(net.closeConnection(h));
+        kernel.step(); // the flit lands while the teardown is pending
+        EXPECT_NE(net.connectionState(h), Network::ConnState::Gone);
+
+        for (int t = 0; t < 2000 && net.flitsDelivered() == 0; ++t)
+            kernel.step();
+        EXPECT_EQ(net.flitsDelivered(), 1u);
+        kernel.run(2);
+        EXPECT_EQ(net.connectionState(h), Network::ConnState::Gone);
+        EXPECT_EQ(net.openConnectionCount(), 0u);
+    }
 }
 
 } // namespace
