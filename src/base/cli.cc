@@ -1,5 +1,6 @@
 #include "base/cli.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,6 +8,34 @@
 
 namespace mmr
 {
+
+double
+parseReal(const std::string &text, const std::string &what, double lo,
+          double hi)
+{
+    char *end = nullptr;
+    const double x = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(x))
+        mmr_fatal(what, " expects a number, got '", text, "'");
+    if (x < lo || x > hi)
+        mmr_fatal(what, " must be in [", lo, ", ", hi, "], got '", text,
+                  "'");
+    return x;
+}
+
+std::uint64_t
+parseCount(const std::string &text, const std::string &what,
+           std::uint64_t hi)
+{
+    // 2^64: every double below it converts to a uint64 exactly.
+    constexpr double kLimit = 18446744073709551616.0;
+    const double x = parseReal(text, what);
+    if (x < 0 || x != std::floor(x) || x >= kLimit ||
+        static_cast<std::uint64_t>(x) > hi)
+        mmr_fatal(what, " expects a whole number in [0, ", hi,
+                  "], got '", text, "'");
+    return static_cast<std::uint64_t>(x);
+}
 
 void
 Cli::flag(const std::string &name, const std::string &def,
@@ -66,25 +95,10 @@ Cli::integer(const std::string &name) const
     return x;
 }
 
-namespace
-{
-
-double
-parseReal(const std::string &name, const std::string &v)
-{
-    char *end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        mmr_fatal("flag --", name, " expects a number, got '", v, "'");
-    return x;
-}
-
-} // namespace
-
 double
 Cli::real(const std::string &name) const
 {
-    return parseReal(name, str(name));
+    return parseReal(str(name), "flag --" + name);
 }
 
 bool
@@ -123,7 +137,7 @@ Cli::reals(const std::string &name) const
 {
     std::vector<double> xs;
     for (const std::string &part : list(name))
-        xs.push_back(parseReal(name, part));
+        xs.push_back(parseReal(part, "flag --" + name));
     return xs;
 }
 

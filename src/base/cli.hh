@@ -4,19 +4,41 @@
  *
  * Flags take the form --name=value or --name value; anything else is a
  * positional argument.  Unknown flags are fatal so typos do not
- * silently run the wrong experiment.
+ * silently run the wrong experiment.  parseReal() and parseCount()
+ * are the checked number readers behind every numeric flag and every
+ * spec parser (fault models and event lists, churn schedules).
  */
 
 #ifndef MMR_BASE_CLI_HH
 #define MMR_BASE_CLI_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace mmr
 {
+
+/**
+ * Read all of @p text as a finite number in [@p lo, @p hi].  Anything
+ * else is fatal, naming @p what: "<what> expects a number, got
+ * '<text>'" for an empty string, trailing junk, nan or inf, and a
+ * range message for a number outside the bounds.
+ */
+double parseReal(const std::string &text, const std::string &what,
+                 double lo = std::numeric_limits<double>::lowest(),
+                 double hi = std::numeric_limits<double>::max());
+
+/**
+ * Read all of @p text as a whole number in [0, @p hi] ("4000" or
+ * "4e3"), for cycle counts and node ids.  Fractions, negative and
+ * non-finite values and values above @p hi are fatal, naming @p what.
+ */
+std::uint64_t
+parseCount(const std::string &text, const std::string &what,
+           std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
 
 class Cli
 {
@@ -41,8 +63,8 @@ class Cli
     std::vector<std::string> list(const std::string &name) const;
 
     /** A comma-separated flag value as numbers, each element checked
-     * as real() checks one; a bad element is fatal, naming the flag
-     * and the element. */
+     * as real() checks one (parseReal: finite, no trailing junk); a
+     * bad element is fatal, naming the flag and the element. */
     std::vector<double> reals(const std::string &name) const;
 
     const std::vector<std::string> &positional() const { return args; }

@@ -1,11 +1,11 @@
 #include "fault/fault_plan.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
-#include <unordered_set>
 
+#include "base/cli.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 
@@ -14,16 +14,6 @@ namespace mmr
 
 namespace
 {
-
-/** Canonical undirected-link key (low node in the high half so keys
- * sort like (min, max) pairs). */
-std::uint64_t
-linkKey(NodeId a, NodeId b)
-{
-    const NodeId lo = std::min(a, b);
-    const NodeId hi = std::max(a, b);
-    return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
 
 /** All undirected links as (low, high) node pairs, in the topology's
  * deterministic edge-insertion order. */
@@ -38,35 +28,19 @@ enumerateLinks(const Topology &topo)
     return out;
 }
 
-/** Is the graph minus @p down (plus, optionally, one extra link) still
- * connected? */
-bool
-connectedWithout(const Topology &topo,
-                 const std::unordered_set<std::uint64_t> &down,
-                 std::uint64_t extra_down)
+/**
+ * @p from plus an exponential draw of mean @p mean in whole cycles, or
+ * @p horizon once that reaches it (@p from <= @p horizon).  A time at
+ * or past the horizon ends a link's walk, so saturating there moves no
+ * event, and it keeps a huge mean from overflowing the conversion.
+ */
+Cycle
+drawUntil(Rng &rng, Cycle from, double mean, Cycle horizon)
 {
-    const unsigned n = topo.numNodes();
-    if (n <= 1)
-        return true;
-    std::vector<bool> seen(n, false);
-    std::vector<NodeId> stack{0};
-    seen[0] = true;
-    unsigned reached = 1;
-    while (!stack.empty()) {
-        const NodeId at = stack.back();
-        stack.pop_back();
-        for (const auto &port : topo.ports(at)) {
-            const std::uint64_t key = linkKey(at, port.neighbor);
-            if (key == extra_down || down.count(key))
-                continue;
-            if (!seen[port.neighbor]) {
-                seen[port.neighbor] = true;
-                ++reached;
-                stack.push_back(port.neighbor);
-            }
-        }
-    }
-    return reached == n;
+    const double x = rng.exponential(mean);
+    if (!(x < static_cast<double>(horizon - from)))
+        return horizon;
+    return std::min(horizon, from + static_cast<Cycle>(x));
 }
 
 std::vector<std::string>
@@ -81,17 +55,6 @@ splitList(const std::string &s, char sep)
     return out;
 }
 
-double
-parseNumber(const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    const double v = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0')
-        mmr_fatal("bad value '", val, "' for fault-model key '", key,
-                  "'");
-    return v;
-}
-
 } // namespace
 
 FaultModel
@@ -104,27 +67,24 @@ parseFaultModel(const std::string &spec)
             mmr_fatal("fault-model entry '", kv, "' is not key=value");
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
+        const std::string what = "fault-model key '" + key + "'";
         if (key == "fail")
-            m.linkFailPer10k = parseNumber(key, val);
+            m.linkFailPer10k = parseReal(val, what, 0.0);
         else if (key == "repair")
-            m.meanRepairCycles =
-                static_cast<Cycle>(parseNumber(key, val));
+            m.meanRepairCycles = parseCount(val, what);
         else if (key == "drop")
-            m.probeDropRate = parseNumber(key, val);
+            m.probeDropRate = parseReal(val, what, 0.0, 1.0);
         else if (key == "corrupt")
-            m.corruptRate = parseNumber(key, val);
+            m.corruptRate = parseReal(val, what, 0.0, 1.0);
         else if (key == "horizon")
-            m.horizon = static_cast<Cycle>(parseNumber(key, val));
+            m.horizon = parseCount(val, what);
         else if (key == "partition")
-            m.allowPartition = parseNumber(key, val) != 0.0;
+            m.allowPartition = parseCount(val, what, 1) != 0;
         else
             mmr_fatal("unknown fault-model key '", key,
                       "' (expect fail/repair/drop/corrupt/horizon/"
                       "partition)");
     }
-    if (m.linkFailPer10k < 0 || m.probeDropRate < 0 ||
-        m.probeDropRate > 1 || m.corruptRate < 0 || m.corruptRate > 1)
-        mmr_fatal("fault-model rates out of range in '", spec, "'");
     return m;
 }
 
@@ -149,26 +109,26 @@ FaultPlan::random(const Topology &topo, const FaultModel &model,
     };
     std::vector<Candidate> cands;
     Rng rng(seed);
+    const Cycle horizon = model.horizon;
     const double mean_gap = 10000.0 / model.linkFailPer10k;
     unsigned pair_id = 0;
     for (const auto &[a, b] : enumerateLinks(topo)) {
-        Cycle t = static_cast<Cycle>(rng.exponential(mean_gap));
-        while (t < model.horizon) {
+        Cycle t = drawUntil(rng, 0, mean_gap, horizon);
+        while (t < horizon) {
             cands.push_back(
                 {t, FaultEvent::Kind::LinkDown, a, b, pair_id});
             if (model.meanRepairCycles == 0) {
                 ++pair_id;
                 break; // no repair: the link stays down forever
             }
-            const Cycle up =
-                t + 1 +
-                static_cast<Cycle>(
-                    rng.exponential(double(model.meanRepairCycles)));
-            if (up < model.horizon)
+            const Cycle up = drawUntil(
+                rng, t + 1, double(model.meanRepairCycles), horizon);
+            if (up < horizon)
                 cands.push_back(
                     {up, FaultEvent::Kind::LinkUp, a, b, pair_id});
             ++pair_id;
-            t = up + 1 + static_cast<Cycle>(rng.exponential(mean_gap));
+            t = drawUntil(rng, up < horizon ? up + 1 : horizon, mean_gap,
+                          horizon);
         }
     }
 
@@ -182,22 +142,23 @@ FaultPlan::random(const Topology &topo, const FaultModel &model,
                       return x.kind == FaultEvent::Kind::LinkUp;
                   return x.pairId < y.pairId;
               });
-    std::unordered_set<std::uint64_t> down;
-    std::unordered_set<unsigned> skipped;
+    // The replay fails and repairs the links of a copy of the topology
+    // and asks it whether the graph is still connected.
+    Topology live = topo;
+    std::vector<bool> skipped(pair_id, false);
     for (const Candidate &c : cands) {
-        const std::uint64_t key = linkKey(c.a, c.b);
         if (c.kind == FaultEvent::Kind::LinkUp) {
-            if (skipped.count(c.pairId))
+            if (skipped[c.pairId])
                 continue;
-            down.erase(key);
+            live.setLinkUp(c.a, c.b, true);
         } else {
-            if (!model.allowPartition &&
-                !connectedWithout(topo, down, key)) {
+            live.setLinkUp(c.a, c.b, false);
+            if (!model.allowPartition && !live.connected()) {
+                live.setLinkUp(c.a, c.b, true);
                 ++plan.skips;
-                skipped.insert(c.pairId);
+                skipped[c.pairId] = true;
                 continue;
             }
-            down.insert(key);
         }
         plan.schedule.push_back({c.at, c.kind, c.a, c.b});
     }
@@ -225,13 +186,15 @@ FaultPlan::fromEvents(const std::string &spec, const Topology &topo)
         else
             mmr_fatal("bad fault event kind '", kind, "' in '", tok,
                       "'");
-        ev.at = static_cast<Cycle>(parseNumber(
-            "cycle", tok.substr(at_pos + 1, colon - at_pos - 1)));
-        ev.a = static_cast<NodeId>(parseNumber(
-            "node", tok.substr(colon + 1, dash - colon - 1)));
-        ev.b =
-            static_cast<NodeId>(parseNumber("node",
-                                            tok.substr(dash + 1)));
+        const std::string what = "fault event '" + tok + "'";
+        constexpr NodeId kMaxNode = std::numeric_limits<NodeId>::max();
+        ev.at = parseCount(tok.substr(at_pos + 1, colon - at_pos - 1),
+                           what + " cycle");
+        ev.a = static_cast<NodeId>(parseCount(
+            tok.substr(colon + 1, dash - colon - 1), what + " node",
+            kMaxNode));
+        ev.b = static_cast<NodeId>(
+            parseCount(tok.substr(dash + 1), what + " node", kMaxNode));
         if (ev.a >= topo.numNodes() || ev.b >= topo.numNodes() ||
             !topo.hasLink(ev.a, ev.b))
             mmr_fatal("fault event '", tok,

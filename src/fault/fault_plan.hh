@@ -67,7 +67,10 @@ struct FaultModel
 /**
  * Parse "fail=0.01,repair=4000,drop=0.02,corrupt=1e-4,partition=1"
  * into a FaultModel (the --faults CLI syntax; keys may appear in any
- * order, missing keys keep their defaults).  Panics on unknown keys.
+ * order, missing keys keep their defaults).  Fatal on unknown keys and
+ * on values out of range: fail is a finite non-negative rate, drop and
+ * corrupt are probabilities, repair and horizon whole cycle counts and
+ * partition 0 or 1.
  */
 FaultModel parseFaultModel(const std::string &spec);
 
@@ -93,8 +96,9 @@ class FaultPlan
      * Draw a schedule from @p model over @p topo: each link fails as
      * an independent exponential process at rate linkFailPer10k and
      * repairs after an exponential delay.  With allowPartition off,
-     * failures that would disconnect the then-surviving graph are
-     * dropped (with their repairs) and counted in partitionSkips().
+     * failures that would disconnect the then-surviving graph (a copy
+     * of @p topo with the plan's earlier events applied) are dropped
+     * (with their repairs) and counted in partitionSkips().
      * Deterministic in (topo, model, seed).
      */
     static FaultPlan random(const Topology &topo, const FaultModel &model,
@@ -103,8 +107,9 @@ class FaultPlan
     /**
      * Parse an explicit ';'-separated event list:
      * "down@500:2-3;up@900:2-3" fails then repairs link 2-3.  The
-     * model's stochastic rates stay zero.  Panics on malformed specs
-     * or non-adjacent node pairs.
+     * model's stochastic rates stay zero.  Fatal on malformed specs,
+     * on cycles and node ids that are not whole numbers fitting their
+     * type, and on node pairs the topology does not link.
      */
     static FaultPlan fromEvents(const std::string &spec,
                                 const Topology &topo);

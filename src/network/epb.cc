@@ -125,9 +125,7 @@ PathSearch::step(Rng &rng)
         for (const auto &port : topo.ports(at)) {
             if (dist[port.neighbor] + 1 != dist[at])
                 continue;
-            if (searched(at, port.localPort))
-                continue;
-            if (fabric->linkAlive && !fabric->linkAlive(at, port.localPort))
+            if (!port.up || searched(at, port.localPort))
                 continue;
             // mmr-lint: allow(hot-path-alloc) amortized: the shared
             // list keeps its capacity across steps.

@@ -69,18 +69,16 @@ struct ReservedHop
 };
 
 /**
- * What a search walks over: the router graph, each node's router
+ * What a search walks over: the router graph (a probe never steps
+ * onto a link the topology reports down) and each node's router
  * (whose admission registers and output VCs it reserves; its host
- * interface hangs off port degree(n)), and the link-health filter;
- * plus what every search over it shares.
+ * interface hangs off port degree(n)); plus what every search over it
+ * shares.
  */
 struct SearchFabric
 {
     const Topology *topo = nullptr;
     std::function<MmrRouter &(NodeId)> routerAt;
-    /** False once the directed link out of (node, port) has failed;
-     * empty = every link healthy. */
-    std::function<bool(NodeId, PortId)> linkAlive;
     /** Words per node of a searched-bit table: degree + 1 bits (the
      * NI try included), max over the nodes. */
     std::size_t searchedWordsPerNode = 1;

@@ -33,9 +33,6 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         routers.back()->credits().setInfinite(false);
         wireRouter(n);
     }
-    linkDown.resize(topo.numNodes());
-    for (NodeId n = 0; n < topo.numNodes(); ++n)
-        linkDown[n].assign(topo.degree(n), false);
     portOffset.assign(topo.numNodes() + 1, 0);
     for (NodeId n = 0; n < topo.numNodes(); ++n)
         portOffset[n + 1] = portOffset[n] + routers[n]->config().numPorts;
@@ -48,49 +45,16 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         [this](TimedSetup &s) { onTimedSetupComplete(s); },
         cfg.seed ^ 0xabcdef12ULL);
     probeMgr->setHopLatency(cfg.probeHopCycles);
-    probeMgr->setLinkAlive([this](NodeId n, PortId port) {
-        return directedLinkUp(n, port);
-    });
-}
-
-bool
-Network::directedLinkUp(NodeId n, PortId port) const
-{
-    mmr_assert(n < linkDown.size(), "node out of range");
-    if (port >= linkDown[n].size())
-        return true; // the NI port never fails
-    return !linkDown[n][port];
-}
-
-void
-Network::rebuildRouting()
-{
-    updownRoutes = std::make_unique<UpDownRouting>(
-        topo, 0, [this](NodeId a, NodeId b) {
-            const PortId port = topo.portTowards(a, b);
-            return port != kInvalidPort && directedLinkUp(a, port);
-        });
-}
-
-bool
-Network::linkIsUp(NodeId a, NodeId b) const
-{
-    const PortId port = topo.portTowards(a, b);
-    if (port == kInvalidPort)
-        return false;
-    return directedLinkUp(a, port);
 }
 
 bool
 Network::failLink(NodeId a, NodeId b)
 {
-    const PortId pa = topo.portTowards(a, b);
-    const PortId pb = topo.portTowards(b, a);
-    if (pa == kInvalidPort || linkDown[a][pa])
+    if (!topo.linkUp(a, b))
         return false;
-    linkDown[a][pa] = true;
-    linkDown[b][pb] = true;
-    probeMgr->invalidateDistances();
+    topo.setLinkUp(a, b, false);
+    const PortId pa = topo.portTowards(a, b);
+    const PortId pb = topo.ports(a)[pa].remotePort;
 
     // Flits already in flight on the dead link are lost; return their
     // credits so the upstream VC is not wedged forever.  In-place
@@ -156,23 +120,17 @@ Network::failLink(NodeId a, NodeId b)
 
     MMR_OBS_EVENT(TraceCat::Fault, "link_down", simclock::now(), a,
                   kInvalidConn, static_cast<std::int32_t>(b));
-    rebuildRouting();
     return true;
 }
 
 bool
 Network::repairLink(NodeId a, NodeId b)
 {
-    const PortId pa = topo.portTowards(a, b);
-    const PortId pb = topo.portTowards(b, a);
-    if (pa == kInvalidPort || !linkDown[a][pa])
+    if (!topo.hasLink(a, b) || topo.linkUp(a, b))
         return false;
-    linkDown[a][pa] = false;
-    linkDown[b][pb] = false;
-    probeMgr->invalidateDistances();
+    topo.setLinkUp(a, b, true);
     MMR_OBS_EVENT(TraceCat::Fault, "link_up", simclock::now(), a,
                   kInvalidConn, static_cast<std::int32_t>(b));
-    rebuildRouting();
     return true;
 }
 
@@ -292,7 +250,10 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
             routers[n]->credits().replenish(out, out_vc);
         return;
     }
-    if (!directedLinkUp(n, out)) {
+    const auto &ports = topo.ports(n);
+    mmr_assert(out < ports.size(), "egress on unknown port");
+    const auto &link = ports[out];
+    if (!link.up) {
         // The link failed after the flit was scheduled: it is lost on
         // the wire.  Return the credit so the (now pointless) VC does
         // not stay wedged while its connection drains out, and — for
@@ -305,9 +266,6 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
             returnLostFlit(n, out, out_vc, f);
         return;
     }
-    const auto &ports = topo.ports(n);
-    mmr_assert(out < ports.size(), "egress on unknown port");
-    const auto &link = ports[out];
     LinkFlit lf{link.neighbor, link.remotePort, out_vc, f,
                 now + cfg.linkLatency};
     // Fault injection: damage the payload on the wire.  The flit still
@@ -1060,16 +1018,16 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
             });
     }
 
-    // Both directions of a link agree on its health — the fault
-    // model's own bookkeeping is self-consistent.
+    // Both ends of a link agree on its health — the fault model's own
+    // bookkeeping is self-consistent.
     chk.add(
         "net-link-symmetry",
         [this](Cycle) {
             for (NodeId n = 0; n < topo.numNodes(); ++n) {
                 for (const auto &port : topo.ports(n)) {
-                    const bool here = linkDown[n][port.localPort];
+                    const bool here = port.up;
                     const bool there =
-                        linkDown[port.neighbor][port.remotePort];
+                        topo.ports(port.neighbor)[port.remotePort].up;
                     if (here != there) {
                         mmr_invariant_violated(
                             "net-link-symmetry", "link ", n, "<->",

@@ -15,6 +15,10 @@
  *    hop with the adaptive up*-down* algorithm, reserving a virtual
  *    channel per hop and releasing it when the single-flit packet
  *    moves on (§3.4).
+ *
+ * Link health lives in the Topology the network owns: failLink() and
+ * repairLink() flip it there, and datagram routing, the setup probes,
+ * egress and the link-symmetry invariant all read it there.
  */
 
 #ifndef MMR_NETWORK_NETWORK_HH
@@ -82,6 +86,7 @@ class Network : public Clocked
     Network &operator=(const Network &) = delete;
 
     unsigned numNodes() const { return topo.numNodes(); }
+    /** The router graph and which of its links are up. */
     const Topology &topology() const { return topo; }
     const UpDownRouting &updown() const { return *updownRoutes; }
 
@@ -208,20 +213,18 @@ class Network : public Clocked
     // ------------------------------------------------------------------
 
     /**
-     * Fail the bidirectional link between @p a and @p b: flits
-     * crossing it (buffered, in flight, or future) are lost and
-     * counted, connections routed over it are marked failed and torn
-     * down as they drain, datagram routing recomputes up*-down* over
-     * the surviving links, and subsequent setup probes avoid it.
-     * Returns false when the nodes are not adjacent or the link is
-     * already down.
+     * Fail the bidirectional link between @p a and @p b in the
+     * topology: flits crossing it (buffered, in flight, or future)
+     * are lost and counted, connections routed over it are marked
+     * failed and torn down as they drain, and datagram routing and
+     * setup probes, which read the topology's link state, avoid it
+     * from now on.  Returns false when the nodes are not adjacent or
+     * the link is already down.
      */
     bool failLink(NodeId a, NodeId b);
 
-    /** Repair a previously failed link (routing recomputed). */
+    /** Repair a previously failed link; false unless it is down. */
     bool repairLink(NodeId a, NodeId b);
-
-    bool linkIsUp(NodeId a, NodeId b) const;
 
     /** State of a connection as seen by the host interface. */
     enum class ConnState
@@ -579,12 +582,6 @@ class Network : public Clocked
     /** Reused search of the zero-time setup path, so openCbr/openVbr
      * allocate nothing once warmed. */
     PathSearch setupSearch;
-
-    void rebuildRouting();
-    bool directedLinkUp(NodeId n, PortId port) const;
-
-    /** linkDown[n][port] true when the link out of port has failed. */
-    std::vector<std::vector<bool>> linkDown;
 
     ConnectionFailureFn connFailHook;
     LinkCorruptFn corruptHook;

@@ -10,7 +10,7 @@ ProbeSetupManager::ProbeSetupManager(const Topology &topo_,
                                      CompletionFn on_complete,
                                      std::uint64_t seed)
     : topo(topo_),
-      fabric{&topo_, std::move(router_at), {},
+      fabric{&topo_, std::move(router_at),
              (topo_.maxDegree() + 1 + 63) / 64, {}},
       onComplete(std::move(on_complete)), rng(seed),
       distCache(topo_.numNodes()), distCacheEpoch(topo_.numNodes(), 0)
@@ -23,40 +23,12 @@ ProbeSetupManager::ProbeSetupManager(const Topology &topo_,
 const std::vector<unsigned> &
 ProbeSetupManager::distancesTo(NodeId dst)
 {
+    // A link that failed must neither count as a shortcut nor attract
+    // probes: the walk crosses only links that are up.
     std::vector<unsigned> &dist = distCache[dst];
-    if (distCacheEpoch[dst] == linkEpoch)
-        return dist;
-    distCacheEpoch[dst] = linkEpoch;
-
-    // BFS hop distances to dst over the surviving links: a link that
-    // failed must neither count as a shortcut nor attract probes.
-    constexpr unsigned inf = ~0u;
-    // mmr-lint: allow(hot-path-alloc) amortized: each destination's
-    // table is sized once, then rewritten in place on every recompute.
-    dist.assign(topo.numNodes(), inf);
-    frontier.clear();
-    // mmr-lint: allow(hot-path-alloc) amortized: the frontiers keep
-    // their capacity across recomputes.
-    frontier.push_back(dst);
-    dist[dst] = 0;
-    while (!frontier.empty()) {
-        nextFrontier.clear();
-        for (NodeId n : frontier) {
-            for (const auto &p : topo.ports(n)) {
-                // The link is traversed neighbor -> n here, but
-                // failures take out both directions.
-                if (fabric.linkAlive &&
-                    !fabric.linkAlive(p.neighbor, p.remotePort))
-                    continue;
-                if (dist[p.neighbor] == inf) {
-                    dist[p.neighbor] = dist[n] + 1;
-                    // mmr-lint: allow(hot-path-alloc) amortized: see
-                    // above.
-                    nextFrontier.push_back(p.neighbor);
-                }
-            }
-        }
-        frontier.swap(nextFrontier);
+    if (distCacheEpoch[dst] != topo.linkEpoch()) {
+        distCacheEpoch[dst] = topo.linkEpoch();
+        topo.bfsDistances(dst, dist, bfsQueue);
     }
     return dist;
 }

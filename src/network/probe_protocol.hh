@@ -17,7 +17,8 @@
  * small fixed number of flit cycles rather than a full scheduling
  * round trip.  The timed mode adds only that timing, message loss,
  * the ack walk and the source timer; both modes read one
- * per-destination distance cache.
+ * per-destination distance cache, which follows the topology's link
+ * epoch, and neither steps onto a link the topology reports down.
  *
  * Because resources are reserved and released *as the probe moves*,
  * concurrent setups contend realistically: two probes racing for the
@@ -102,9 +103,6 @@ class ProbeSetupManager
      * TimedSetup::conn and handle, or releases them with
      * releaseAll(). */
     using CompletionFn = std::function<void(TimedSetup &)>;
-    /** Whether the directed link from @p node through @p port is
-     * usable (false once failed). */
-    using LinkAlive = std::function<bool(NodeId, PortId)>;
     /** Fault-injection filter: return true to lose the setup's next
      * protocol message (probe, backtrack or ack hop) on the wire. */
     using MessageLoss = std::function<bool(const TimedSetup &)>;
@@ -124,15 +122,6 @@ class ProbeSetupManager
         hopLatency = cycles;
     }
     Cycle hopCycles() const { return hopLatency; }
-
-    /** Optional link-health filter (fault injection).  Drops the
-     * distance cache: the new filter may answer differently. */
-    void
-    setLinkAlive(LinkAlive fn)
-    {
-        fabric.linkAlive = std::move(fn);
-        invalidateDistances();
-    }
 
     /**
      * Zero-time setup: run @p search for @p req to completion, its
@@ -226,16 +215,6 @@ class ProbeSetupManager
      */
     void reservePools(std::size_t n);
 
-    /**
-     * Invalidate the cached per-destination distance tables.  The
-     * owner must call this whenever the link-health answer of the
-     * LinkAlive filter changes (fail/repair); setups otherwise reuse
-     * the cached surviving-distance BFS for their destination.
-     * Probes launched before the change keep the snapshot they took
-     * at begin().
-     */
-    void invalidateDistances() { ++linkEpoch; }
-
   private:
     /**
      * Probe state, pooled: a slot holds its setup from begin() until
@@ -265,8 +244,9 @@ class ProbeSetupManager
     void launch(PathSearch &search, const SetupRequest &req,
                 SetupPolicy policy);
 
-    /** Cached surviving-distance table for @p dst at the current
-     * linkEpoch (recomputed lazily after invalidateDistances). */
+    /** Hop distances to @p dst over the surviving links, refilled in
+     * place on the first call after the topology's link epoch moved.
+     * A probe copies them at begin() and keeps that snapshot. */
     const std::vector<unsigned> &distancesTo(NodeId dst);
 
     /** One protocol action for one probe; returns true when the probe
@@ -296,13 +276,11 @@ class ProbeSetupManager
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint32_t> order;
 
-    /** Per-destination surviving-distance cache (linkEpoch-stamped;
-     * epoch 0 = never computed) and its BFS frontiers. */
+    /** Per-destination distance tables, each stamped with the link
+     * epoch it was filled at (0 = never), and their BFS queue. */
     std::vector<std::vector<unsigned>> distCache;
     std::vector<std::uint64_t> distCacheEpoch;
-    std::uint64_t linkEpoch = 1;
-    std::vector<NodeId> frontier;
-    std::vector<NodeId> nextFrontier;
+    std::vector<NodeId> bfsQueue;
 };
 
 } // namespace mmr

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "base/logging.hh"
 
@@ -78,29 +77,55 @@ Topology::hasLink(NodeId a, NodeId b) const
     return portTowards(a, b) != kInvalidPort;
 }
 
+bool
+Topology::linkUp(NodeId a, NodeId b) const
+{
+    const PortId port = portTowards(a, b);
+    return port != kInvalidPort && adj[a][port].up;
+}
+
+void
+Topology::setLinkUp(NodeId a, NodeId b, bool up)
+{
+    const PortId port = portTowards(a, b);
+    mmr_assert(port != kInvalidPort, "no link between ", a, " and ", b);
+    PortInfo &here = adj[a][port];
+    here.up = up;
+    adj[b][here.remotePort].up = up;
+    ++epoch;
+}
+
 std::vector<unsigned>
 Topology::bfsDistances(NodeId from) const
 {
+    std::vector<unsigned> dist;
+    std::vector<NodeId> queue;
+    bfsDistances(from, dist, queue);
+    return dist;
+}
+
+// mmr-lint: allow(hot-path-alloc) amortized: reached from hot paths
+// only through the routing caches' refills (up*-down* levels, probe
+// distances), once per link epoch, into buffers that keep their
+// capacity.
+void
+Topology::bfsDistances(NodeId from, std::vector<unsigned> &dist,
+                       std::vector<NodeId> &queue) const
+{
     constexpr unsigned kInf = std::numeric_limits<unsigned>::max();
-    std::vector<unsigned> dist(adj.size(), kInf);
-    std::queue<NodeId> frontier;
+    dist.assign(adj.size(), kInf);
+    queue.clear();
     dist[from] = 0;
-    // mmr-lint: allow(hot-path-alloc) cold in practice: reached from
-    // the hot setup path only through the fault-free distance-cache
-    // recompute, once per destination per link epoch.
-    frontier.push(from);
-    while (!frontier.empty()) {
-        const NodeId n = frontier.front();
-        frontier.pop();
+    queue.push_back(from);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const NodeId n = queue[head];
         for (const PortInfo &p : adj[n]) {
-            if (dist[p.neighbor] == kInf) {
+            if (p.up && dist[p.neighbor] == kInf) {
                 dist[p.neighbor] = dist[n] + 1;
-                // mmr-lint: allow(hot-path-alloc) cold: see above.
-                frontier.push(p.neighbor);
+                queue.push_back(p.neighbor);
             }
         }
     }
-    return dist;
 }
 
 unsigned

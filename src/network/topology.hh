@@ -11,11 +11,20 @@
  * occupying one port on each endpoint.  Port indices at a node are
  * assigned in edge-insertion order; the network layer reserves one
  * extra port per node for the host interface.
+ *
+ * A topology also records which links are up.  Fault injection fails
+ * and repairs links here (setLinkUp), every reachability walk
+ * (bfsDistances, distance, connected) crosses only links that are up,
+ * and linkEpoch() moves on every change, so a cache of anything
+ * derived from the surviving graph (up*-down* levels and phase
+ * distances, the probes' distance tables) stamps itself with the
+ * epoch and refills in place when it moves.
  */
 
 #ifndef MMR_NETWORK_TOPOLOGY_HH
 #define MMR_NETWORK_TOPOLOGY_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "base/rng.hh"
@@ -33,6 +42,7 @@ class Topology
         NodeId neighbor = kInvalidNode;
         PortId localPort = kInvalidPort;  ///< port index at this node
         PortId remotePort = kInvalidPort; ///< port index at neighbor
+        bool up = true; ///< false while the link has failed
     };
 
     explicit Topology(unsigned num_nodes);
@@ -60,11 +70,29 @@ class Topology
 
     bool hasLink(NodeId a, NodeId b) const;
 
-    /** BFS hop distances from @p from (UINT_MAX when unreachable). */
+    /** True when @p a and @p b are adjacent and their link is up. */
+    bool linkUp(NodeId a, NodeId b) const;
+
+    /** Fail (@p up false) or repair the a<->b link: both ends flip
+     * together and linkEpoch() moves. */
+    void setLinkUp(NodeId a, NodeId b, bool up);
+
+    /** Moves on every setLinkUp(); never 0. */
+    std::uint64_t linkEpoch() const { return epoch; }
+
+    /** BFS hop distances from @p from over the links that are up
+     * (UINT_MAX when unreachable). */
     std::vector<unsigned> bfsDistances(NodeId from) const;
+
+    /** The same walk into caller-owned buffers: @p dist is resized to
+     * numNodes() and @p queue holds the BFS order.  Allocation-free
+     * once both have held numNodes() entries. */
+    void bfsDistances(NodeId from, std::vector<unsigned> &dist,
+                      std::vector<NodeId> &queue) const;
 
     unsigned distance(NodeId a, NodeId b) const;
 
+    /** Every node reachable from node 0 over the links that are up. */
     bool connected() const;
 
     unsigned numLinks() const { return links; }
@@ -117,6 +145,7 @@ class Topology
   private:
     std::vector<std::vector<PortInfo>> adj;
     unsigned links = 0;
+    std::uint64_t epoch = 1;
 };
 
 } // namespace mmr

@@ -12,12 +12,18 @@
  * link after a down link.  The adaptive layer picks, among the legal
  * next hops, one that makes progress toward the destination, falling
  * back to any legal hop when no profitable legal hop exists.
+ *
+ * Routes cross only the links the topology reports up.  The levels
+ * and the per-destination phase distances are derived from the
+ * surviving graph, so each is stamped with the topology's link epoch
+ * and refilled in place on the first query after a fail or repair
+ * moves it: Autonet's reconfiguration around failed links.
  */
 
 #ifndef MMR_NETWORK_UPDOWN_HH
 #define MMR_NETWORK_UPDOWN_HH
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "base/rng.hh"
@@ -29,19 +35,15 @@ namespace mmr
 class UpDownRouting
 {
   public:
-    /** Link-health predicate: false when the a<->b link has failed. */
-    using LinkFilter = std::function<bool(NodeId, NodeId)>;
-
     /**
-     * @param topo the physical topology
+     * @param topo the topology, connected at construction; it must
+     *        outlive the routing.  Links failed later are excluded
+     *        from the tree and from every route, and the surviving
+     *        graph may then be disconnected: unroutable pairs simply
+     *        have no legal next hops.
      * @param root spanning-tree root
-     * @param filter optional health filter — dead links are excluded
-     *        from the tree and from every route.  With a filter the
-     *        surviving graph may be disconnected; unroutable pairs
-     *        simply have no legal next hops.
      */
-    UpDownRouting(const Topology &topo, NodeId root = 0,
-                  LinkFilter filter = {});
+    explicit UpDownRouting(const Topology &topo, NodeId root = 0);
 
     /** BFS level of a node (root is 0). */
     unsigned level(NodeId n) const;
@@ -72,28 +74,28 @@ class UpDownRouting
     const Topology &topology() const { return topo; }
 
   private:
+    /** Refill the levels if the link epoch moved since their BFS. */
+    void syncLevels() const;
+
     /** Distances to dst honoring the up*-down* phase automaton, index
-     * [node * 2 + phase]: computed on the first call per destination,
-     * then read from distCache. */
+     * [node * 2 + phase], phase 1 meaning the packet has already gone
+     * down: refilled on the first call per destination and link
+     * epoch. */
     const std::vector<unsigned> &phaseDistances(NodeId dst) const;
 
-    bool linkOk(NodeId a, NodeId b) const
-    {
-        return !filter || filter(a, b);
-    }
-
-    /** BFS levels over the surviving links only. */
-    std::vector<unsigned> filteredBfs(NodeId root) const;
-
     const Topology &topo;
-    LinkFilter filter;
-    std::vector<unsigned> levels;
-    /**
-     * Distance matrices in the phase automaton, computed lazily per
-     * destination (phaseDistances): index [dst][node * 2 + phase],
-     * phase 1 meaning the packet has already gone down.
-     */
+    NodeId root;
+    /** BFS levels from the root over the surviving links (UINT_MAX
+     * where unreachable), as of levelsEpoch. */
+    mutable std::vector<unsigned> levels;
+    mutable std::uint64_t levelsEpoch = 0;
+    /** Per-destination phase distances and the link epoch each was
+     * filled at (0 = never). */
     mutable std::vector<std::vector<unsigned>> distCache;
+    mutable std::vector<std::uint64_t> distEpoch;
+    /** BFS queue shared by both walks (the phase walk queues
+     * node * 2 + phase). */
+    mutable std::vector<NodeId> queue;
 };
 
 } // namespace mmr

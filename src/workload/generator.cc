@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 
+#include "base/cli.hh"
 #include "base/logging.hh"
 #include "traffic/rates.hh"
 
@@ -34,48 +35,37 @@ splitKeyValues(const std::string &spec, const char *what)
     return out;
 }
 
-double
-parseNumber(const std::string &s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
-        mmr_fatal("bad number '", s, "' in ", what, " spec");
-    return v;
-}
-
 } // namespace
 
 double
 parseRateBps(const std::string &token)
 {
     mmr_assert(!token.empty(), "empty rate token");
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || v <= 0.0)
-        mmr_fatal("bad rate '", token, "'");
+    // A k/m/g suffix scales the number before it; anything else is
+    // part of the number, which must then be plain bits/s.
+    std::size_t digits = token.size() - 1;
     double scale = 1.0;
-    if (*end != '\0') {
-        switch (*end) {
-          case 'k':
-          case 'K':
-            scale = kKbps;
-            break;
-          case 'm':
-          case 'M':
-            scale = kMbps;
-            break;
-          case 'g':
-          case 'G':
-            scale = kGbps;
-            break;
-          default:
-            mmr_fatal("bad rate suffix in '", token,
-                      "' (use k/m/g or plain bits/s)");
-        }
-        if (*(end + 1) != '\0')
-            mmr_fatal("trailing junk in rate '", token, "'");
+    switch (token.back()) {
+      case 'k':
+      case 'K':
+        scale = kKbps;
+        break;
+      case 'm':
+      case 'M':
+        scale = kMbps;
+        break;
+      case 'g':
+      case 'G':
+        scale = kGbps;
+        break;
+      default:
+        digits = token.size();
     }
+    const double v =
+        parseReal(token.substr(0, digits), "rate '" + token + "'", 0.0,
+                  std::numeric_limits<double>::max() / scale);
+    if (v == 0.0)
+        mmr_fatal("rate '", token, "' must be positive");
     return v * scale;
 }
 
@@ -106,8 +96,8 @@ parseSessionMix(const std::string &spec)
             rate = rate.substr(4);
         }
         e.rateBps = parseRateBps(rate);
-        e.weight = parseNumber(value, "mix weight");
-        if (e.weight <= 0.0)
+        e.weight = parseReal(value, "mix weight for '" + key + "'", 0.0);
+        if (e.weight == 0.0)
             mmr_fatal("mix weight for '", key, "' must be positive");
         mix.push_back(e);
     }
@@ -121,16 +111,15 @@ parseFlashCrowd(const std::string &spec)
 {
     FlashCrowd f;
     for (auto &[key, value] : splitKeyValues(spec, "flash-crowd")) {
+        const std::string what = "flash-crowd key '" + key + "'";
         if (key == "at")
-            f.at = static_cast<Cycle>(parseNumber(value, key.c_str()));
+            f.at = parseCount(value, what);
         else if (key == "ramp")
-            f.rampCycles =
-                static_cast<Cycle>(parseNumber(value, key.c_str()));
+            f.rampCycles = parseCount(value, what);
         else if (key == "hold")
-            f.holdCycles =
-                static_cast<Cycle>(parseNumber(value, key.c_str()));
+            f.holdCycles = parseCount(value, what);
         else if (key == "peak")
-            f.peakFactor = parseNumber(value, key.c_str());
+            f.peakFactor = parseReal(value, what, 0.0);
         else
             mmr_fatal("unknown flash-crowd key '", key,
                       "' (at/ramp/hold/peak)");
@@ -143,14 +132,16 @@ parseDiurnal(const std::string &spec)
 {
     DiurnalCurve d;
     for (auto &[key, value] : splitKeyValues(spec, "diurnal")) {
+        const std::string what = "diurnal key '" + key + "'";
         if (key == "period")
-            d.period =
-                static_cast<Cycle>(parseNumber(value, key.c_str()));
+            d.period = parseCount(value, what);
         else if (key == "amp")
-            d.amplitude = parseNumber(value, key.c_str());
+            d.amplitude = parseReal(value, what, 0.0, 1.0);
         else
             mmr_fatal("unknown diurnal key '", key, "' (period/amp)");
     }
+    if (d.amplitude == 1.0)
+        mmr_fatal("diurnal key 'amp' must be below 1 in '", spec, "'");
     return d;
 }
 

@@ -71,14 +71,17 @@ const std::vector<MixEntry> &defaultSessionMix();
  */
 std::vector<MixEntry> parseSessionMix(const std::string &spec);
 
-/** Parse "64k" / "1.54m" / "2g" / "250000" into bits per second. */
+/** Parse "64k" / "1.54m" / "2g" / "250000" into bits per second: a
+ * finite positive number with an optional k/m/g suffix, else fatal. */
 double parseRateBps(const std::string &token);
 
 /** Parse "at=10000,ramp=2000,hold=4000,peak=3" (missing keys keep
- * defaults; panics on unknown keys). */
+ * defaults; fatal on unknown keys, on cycle counts that are not whole
+ * numbers and on a negative or non-finite peak). */
 FlashCrowd parseFlashCrowd(const std::string &spec);
 
-/** Parse "period=20000,amp=0.5". */
+/** Parse "period=20000,amp=0.5": a whole-number period and an
+ * amplitude in [0, 1), else fatal. */
 DiurnalCurve parseDiurnal(const std::string &spec);
 
 class SessionGenerator

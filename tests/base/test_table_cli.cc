@@ -141,6 +141,32 @@ TEST(Cli, BadIntegerIsFatal)
     EXPECT_THROW(cli.integer("n"), std::runtime_error);
 }
 
+TEST(Cli, RealsRejectNonFiniteAndJunk)
+{
+    Cli cli;
+    cli.flag("load", "0.5", "load");
+    cli.flag("loads", "0.1,nan", "loads");
+    const char *argv[] = {"prog", "--load=nan"};
+    ASSERT_TRUE(cli.parse(2, const_cast<char **>(argv)));
+    EXPECT_THROW(cli.real("load"), std::runtime_error);
+    EXPECT_THROW(cli.reals("loads"), std::runtime_error);
+    for (const char *bad : {"inf", "-inf", "1e999", "0.5x", "", " "})
+        EXPECT_THROW(parseReal(bad, "x"), std::runtime_error) << bad;
+    EXPECT_DOUBLE_EQ(parseReal("-2.5", "x"), -2.5);
+    EXPECT_THROW(parseReal("2", "x", 0.0, 1.0), std::runtime_error);
+}
+
+TEST(Cli, CountsAreWholeAndFitTheirBound)
+{
+    EXPECT_EQ(parseCount("4000", "x"), 4000u);
+    EXPECT_EQ(parseCount("4e3", "x"), 4000u);
+    EXPECT_EQ(parseCount("4294967295", "x", 4294967295u), 4294967295u);
+    for (const char *bad : {"-5", "1.5", "1e30", "nan", "18446744073709551616"})
+        EXPECT_THROW(parseCount(bad, "x"), std::runtime_error) << bad;
+    EXPECT_THROW(parseCount("4294967296", "x", 4294967295u),
+                 std::runtime_error);
+}
+
 TEST(Cli, HelpReturnsFalse)
 {
     Cli cli;

@@ -190,6 +190,13 @@ TEST(FaultPlan, FromEventsRejectsGarbage)
                  std::runtime_error);
     EXPECT_THROW(FaultPlan::fromEvents("down@x:0-1", t),
                  std::runtime_error);
+    // Cycles and node ids are whole numbers that fit their type: no
+    // sign, fraction, overflow or wrap.
+    for (const char *spec :
+         {"down@-5:0-1", "down@1e30:0-1", "down@5:1.5-0",
+          "down@5:4294967296-1", "down@nan:0-1", "down@5x:0-1"})
+        EXPECT_THROW(FaultPlan::fromEvents(spec, t), std::runtime_error)
+            << spec;
 }
 
 TEST(FaultPlan, ParseFaultModelKeysAndDefaults)
@@ -212,6 +219,14 @@ TEST(FaultPlan, ParseFaultModelKeysAndDefaults)
                  std::runtime_error);
     EXPECT_THROW(parseFaultModel("drop=1.5"), std::runtime_error)
         << "probabilities above 1 must be rejected";
+    // Every key is finite and in range; cycle counts are whole.
+    for (const char *spec :
+         {"fail=1,repair=-5", "repair=1e30", "repair=2.5", "drop=nan",
+          "corrupt=nan", "fail=nan", "fail=inf", "fail=-1",
+          "horizon=-1", "horizon=1e30", "partition=2", "fail=1x"})
+        EXPECT_THROW(parseFaultModel(spec), std::runtime_error) << spec;
+    EXPECT_EQ(parseFaultModel("repair=4e3,horizon=0").meanRepairCycles,
+              4000u);
 }
 
 TEST(FaultPlan, EmptinessTracksEventsAndRates)

@@ -54,16 +54,16 @@ TEST_F(InjectorTest, AppliesEventsOnSchedule)
     build(t, FaultPlan::fromEvents("down@10:0-1;up@20:0-1", t));
 
     kernel.run(10); // cycles 0..9
-    EXPECT_TRUE(net->linkIsUp(0, 1)) << "event must not fire early";
+    EXPECT_TRUE(net->topology().linkUp(0, 1)) << "event must not fire early";
     EXPECT_EQ(injector->linkDownsApplied(), 0u);
 
     kernel.run(1); // cycle 10
-    EXPECT_FALSE(net->linkIsUp(0, 1));
+    EXPECT_FALSE(net->topology().linkUp(0, 1));
     EXPECT_EQ(injector->linkDownsApplied(), 1u);
     EXPECT_FALSE(injector->done());
 
     kernel.run(10); // through cycle 20
-    EXPECT_TRUE(net->linkIsUp(0, 1));
+    EXPECT_TRUE(net->topology().linkUp(0, 1));
     EXPECT_EQ(injector->linkUpsApplied(), 1u);
     EXPECT_TRUE(injector->done());
     EXPECT_EQ(injector->eventsSkipped(), 0u);

@@ -4,8 +4,9 @@
  * the dead wire, tear the affected connections down cleanly (all
  * admission and VC state released), reroute datagrams over the
  * surviving up*-down* structure, keep probes away from dead links,
- * and let interfaces re-establish their streams through a zero-time
- * RecoveryManager.
+ * let interfaces re-establish their streams through a zero-time
+ * RecoveryManager, and keep every routing cache in step with the
+ * topology's link state.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "fault/recovery.hh"
+#include "harness/network_experiment.hh"
 #include "network/interface.hh"
 #include "network/network.hh"
 #include "sim/kernel.hh"
@@ -63,11 +65,11 @@ TEST_F(FailureTest, FailLinkValidation)
     EXPECT_FALSE(net->failLink(0, 2)) << "not adjacent";
     EXPECT_TRUE(net->failLink(0, 1));
     EXPECT_FALSE(net->failLink(0, 1)) << "already down";
-    EXPECT_FALSE(net->linkIsUp(0, 1));
-    EXPECT_FALSE(net->linkIsUp(1, 0));
-    EXPECT_TRUE(net->linkIsUp(1, 2));
+    EXPECT_FALSE(net->topology().linkUp(0, 1));
+    EXPECT_FALSE(net->topology().linkUp(1, 0));
+    EXPECT_TRUE(net->topology().linkUp(1, 2));
     EXPECT_TRUE(net->repairLink(0, 1));
-    EXPECT_TRUE(net->linkIsUp(0, 1));
+    EXPECT_TRUE(net->topology().linkUp(0, 1));
     EXPECT_FALSE(net->repairLink(0, 1)) << "already up";
 }
 
@@ -330,6 +332,91 @@ TEST_F(FailureTest, SurvivingTrafficKeepsFlowing)
     const auto *rec = net->endToEnd().connection(keep.id);
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->delay().count(), 10u);
+}
+
+/**
+ * The routing caches follow the topology's link epoch.  A random
+ * sequence of fails and repairs (each keeping the graph connected) is
+ * applied, and every cache is queried between events so that each is
+ * warm when the next one lands.  After every event the up*-down*
+ * levels and reachability equal those of a routing built fresh on a
+ * copy of the topology, and a zero-time setup between every pair
+ * takes a minimal surviving path that crosses no down link.
+ */
+TEST(LinkEpoch, RoutingCachesFollowFailAndRepair)
+{
+    for (const char *spec : {"mesh:4x4", "irregular:16:8:4"}) {
+        for (const std::uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(std::string(spec) + " seed " +
+                         std::to_string(seed));
+            Network net(topologyFromSpec(spec, seed), cfg());
+            const Topology &topo = net.topology();
+            const unsigned n = topo.numNodes();
+            std::vector<std::pair<NodeId, NodeId>> links;
+            for (NodeId a = 0; a < n; ++a)
+                for (const auto &p : topo.ports(a))
+                    if (a < p.neighbor)
+                        links.emplace_back(a, p.neighbor);
+
+            Rng rng(seed);
+            PathSearch search;
+            const auto check = [&](int event) {
+                const Topology copy = topo;
+                const UpDownRouting fresh(copy);
+                for (NodeId at = 0; at < n; ++at) {
+                    ASSERT_EQ(net.updown().level(at), fresh.level(at))
+                        << "event " << event << " node " << at;
+                    for (NodeId dst = 0; dst < n; ++dst)
+                        for (const bool down : {false, true})
+                            ASSERT_EQ(
+                                net.updown().reachable(at, dst, down),
+                                fresh.reachable(at, dst, down))
+                                << "event " << event << ": " << at
+                                << " -> " << dst << " down " << down;
+                }
+                for (NodeId src = 0; src < n; ++src) {
+                    for (NodeId dst = 0; dst < n; ++dst) {
+                        if (src == dst)
+                            continue;
+                        SetupRequest req;
+                        req.src = src;
+                        req.dst = dst;
+                        req.allocCycles = 1;
+                        ASSERT_TRUE(net.probes().establish(
+                            req, SetupPolicy::Epb, rng, search))
+                            << "event " << event << ": " << src
+                            << " -> " << dst;
+                        EXPECT_EQ(search.hops.size(),
+                                  copy.distance(src, dst) + 1)
+                            << "a minimal surviving path";
+                        for (std::size_t k = 0; k + 1 < search.hops.size();
+                             ++k) {
+                            const ReservedHop &hop = search.hops[k];
+                            EXPECT_TRUE(topo.ports(hop.node)[hop.out].up)
+                                << "event " << event << ": " << src
+                                << " -> " << dst << " crosses a down link";
+                        }
+                        search.releaseAll();
+                    }
+                }
+            };
+
+            check(-1);
+            for (int event = 0; event < 40; ++event) {
+                const auto [a, b] = links[rng.below(links.size())];
+                if (topo.linkUp(a, b)) {
+                    Topology cut = topo;
+                    cut.setLinkUp(a, b, false);
+                    if (!cut.connected())
+                        continue;
+                    ASSERT_TRUE(net.failLink(a, b));
+                } else {
+                    ASSERT_TRUE(net.repairLink(a, b));
+                }
+                check(event);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -199,6 +199,8 @@ TEST(WorkloadParsers, RateSuffixes)
     EXPECT_DOUBLE_EQ(parseRateBps("250000"), 250000.0);
     EXPECT_THROW(parseRateBps("64x"), std::runtime_error);
     EXPECT_THROW(parseRateBps("64k9"), std::runtime_error);
+    for (const char *rate : {"nan", "nank", "inf", "-5m", "0", "k", "1e308g"})
+        EXPECT_THROW(parseRateBps(rate), std::runtime_error) << rate;
 }
 
 TEST(WorkloadParsers, SessionMix)
@@ -213,6 +215,9 @@ TEST(WorkloadParsers, SessionMix)
     EXPECT_THROW(parseSessionMix(""), std::runtime_error);
     EXPECT_THROW(parseSessionMix("64k"), std::runtime_error);
     EXPECT_THROW(parseSessionMix("64k=-1"), std::runtime_error);
+    EXPECT_THROW(parseSessionMix("64k=nan"), std::runtime_error);
+    EXPECT_THROW(parseSessionMix("nan=1"), std::runtime_error);
+    EXPECT_THROW(parseSessionMix("64k=inf"), std::runtime_error);
 }
 
 TEST(WorkloadParsers, FlashCrowdAndDiurnal)
@@ -229,6 +234,15 @@ TEST(WorkloadParsers, FlashCrowdAndDiurnal)
     EXPECT_EQ(d.period, 8000u);
     EXPECT_DOUBLE_EQ(d.amplitude, 0.5);
     EXPECT_THROW(parseDiurnal("periodx=1"), std::runtime_error);
+
+    // Cycle counts are whole numbers that fit a Cycle; reals are
+    // finite and in range.
+    for (const char *spec : {"at=-5", "at=5x", "ramp=1e30", "hold=1.5",
+                             "peak=nan", "peak=-2", "at=nan"})
+        EXPECT_THROW(parseFlashCrowd(spec), std::runtime_error) << spec;
+    for (const char *spec : {"period=-8", "period=1e30", "amp=nan",
+                             "amp=-0.5", "amp=1", "amp=2"})
+        EXPECT_THROW(parseDiurnal(spec), std::runtime_error) << spec;
 }
 
 TEST(WorkloadParsers, DefaultMixIsWeightedAndCbrHeavy)
