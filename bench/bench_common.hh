@@ -200,16 +200,15 @@ inline SweepOptions
 sweepOptions(const Cli &cli)
 {
     SweepOptions o;
-    o.measureCycles = static_cast<Cycle>(cli.integer("measure"));
-    o.warmupCycles = static_cast<Cycle>(cli.integer("warmup"));
+    o.measureCycles = cli.count<Cycle>("measure");
+    o.warmupCycles = cli.count<Cycle>("warmup");
     o.seed = static_cast<std::uint64_t>(cli.integer("seed"));
     o.obs = obsConfigFromCli(cli);
     o.printThroughput = cli.boolean("throughput") ||
                         o.obs.profileComponents;
     o.percentiles = cli.boolean("percentiles");
-    const long jobs = cli.integer("jobs");
-    o.jobs = jobs == 0 ? defaultJobs()
-                       : static_cast<unsigned>(jobs < 1 ? 1 : jobs);
+    const auto jobs = cli.count<unsigned>("jobs");
+    o.jobs = jobs == 0 ? defaultJobs() : jobs;
     return o;
 }
 
@@ -225,11 +224,11 @@ loadsFromCli(const Cli &cli)
 inline unsigned
 shardsFromCli(const Cli &cli)
 {
-    const std::int64_t shards = cli.integer("shards");
-    constexpr std::uint32_t most = std::numeric_limits<std::uint32_t>::max();
-    if (shards < 1 || shards > std::int64_t{most})
-        mmr_fatal("flag --shards must be in [1, ", most, "], got ", shards);
-    return static_cast<unsigned>(shards);
+    const auto shards = cli.count<std::uint32_t>("shards");
+    if (shards < 1)
+        mmr_fatal("flag --shards must be in [1, ",
+                  std::numeric_limits<std::uint32_t>::max(), "], got 0");
+    return shards;
 }
 
 /** main() wrapper: converts mmr_fatal into a clean error exit. */

@@ -136,15 +136,15 @@ main(int argc, char **argv)
         ChurnKnobs k;
         k.topo = cli.str("topo");
         k.seed = static_cast<std::uint64_t>(cli.integer("seed"));
-        k.warmup = static_cast<Cycle>(cli.integer("warmup"));
-        k.measure = static_cast<Cycle>(cli.integer("measure"));
-        k.drain = static_cast<Cycle>(cli.integer("drain"));
-        k.holding = static_cast<Cycle>(cli.integer("holding"));
+        k.warmup = cli.count<Cycle>("warmup");
+        k.measure = cli.count<Cycle>("measure");
+        k.drain = cli.count<Cycle>("drain");
+        k.holding = cli.count<Cycle>("holding");
         k.mix = cli.str("mix");
         k.flash = cli.str("flash-crowd");
         k.diurnal = cli.str("diurnal");
-        k.maxLive = static_cast<std::uint32_t>(cli.integer("max-live"));
-        k.cbrBudget = static_cast<Cycle>(cli.integer("cbr-budget"));
+        k.maxLive = cli.count<std::uint32_t>("max-live");
+        k.cbrBudget = cli.count<Cycle>("cbr-budget");
 
         std::vector<double> rates = cli.reals("arrivals");
         if (smoke) {
@@ -263,8 +263,7 @@ main(int argc, char **argv)
         }
 
         // ---- scale phase: one process, >= 1M cumulative sessions --
-        const auto target =
-            static_cast<std::uint64_t>(cli.integer("sessions"));
+        const auto target = cli.count<std::uint64_t>("sessions");
         if (!smoke && target > 0) {
             // Offered arrivals sized to cross the target within the
             // measured window; most are refused at admission under

@@ -27,7 +27,7 @@ main(int argc, char **argv)
         cli.flag("gate_ns", "2.0", "gate delay for the arbiter tree");
         if (!cli.parse(argc, argv))
             return 0;
-        const auto ports = static_cast<unsigned>(cli.integer("ports"));
+        const auto ports = cli.count<unsigned>("ports");
         const double gate_ns = cli.real("gate_ns");
 
         std::printf("Claim A1: crossbar organization cost, %ux%u router "

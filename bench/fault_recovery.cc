@@ -98,13 +98,11 @@ main(int argc, char **argv)
         gShards = shardsFromCli(cli);
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
         const std::string topo = cli.str("topo");
-        const auto warmup = static_cast<Cycle>(cli.integer("warmup"));
-        const auto measure = static_cast<Cycle>(cli.integer("measure"));
-        const auto drain = static_cast<Cycle>(cli.integer("drain"));
-        const auto prop_seeds =
-            static_cast<unsigned>(cli.integer("prop-seeds"));
-        const auto cbr_budget =
-            static_cast<Cycle>(cli.integer("cbr-budget"));
+        const auto warmup = cli.count<Cycle>("warmup");
+        const auto measure = cli.count<Cycle>("measure");
+        const auto drain = cli.count<Cycle>("drain");
+        const auto prop_seeds = cli.count<unsigned>("prop-seeds");
+        const auto cbr_budget = cli.count<Cycle>("cbr-budget");
         const std::vector<double> rates = cli.reals("rates");
 
         // ---- single-scenario mode ---------------------------------

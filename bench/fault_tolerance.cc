@@ -30,7 +30,7 @@ main(int argc, char **argv)
         if (!cli.parse(argc, argv))
             return 0;
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-        const auto phase = static_cast<Cycle>(cli.integer("phase"));
+        const auto phase = cli.count<Cycle>("phase");
 
         std::printf("Fault tolerance on a 4x4 mesh: streams + "
                     "datagrams across repeated link failures\n");

@@ -86,8 +86,8 @@ main(int argc, char **argv)
         cli.flag("seed", "11", "topology/workload seed");
         if (!cli.parse(argc, argv))
             return 0;
-        const auto demand = static_cast<unsigned>(cli.integer("demand"));
-        const auto batch = static_cast<unsigned>(cli.integer("batch"));
+        const auto demand = cli.count<unsigned>("demand");
+        const auto batch = cli.count<unsigned>("batch");
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
 
         std::printf("Claim A6: EPB vs greedy connection establishment, "

@@ -109,8 +109,8 @@ main(int argc, char **argv)
         cli.flag("seed", "19", "workload seed");
         if (!cli.parse(argc, argv))
             return 0;
-        const auto warmup = static_cast<Cycle>(cli.integer("warmup"));
-        const auto measure = static_cast<Cycle>(cli.integer("measure"));
+        const auto warmup = cli.count<Cycle>("warmup");
+        const auto measure = cli.count<Cycle>("measure");
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
 
         const std::vector<double> loads{0.2, 0.4, 0.6, 0.8};

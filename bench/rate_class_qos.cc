@@ -36,7 +36,7 @@ main(int argc, char **argv)
             return 0;
         const auto opts = sweepOptions(cli);
         const double load = cli.real("load");
-        const auto budget = static_cast<Cycle>(cli.integer("cbr-budget"));
+        const auto budget = cli.count<Cycle>("cbr-budget");
 
         std::printf("Per-rate QoS at %.0f%% load, 8 candidates "
                     "(jitter in router cycles)\n", 100.0 * load);

@@ -28,7 +28,7 @@ main(int argc, char **argv)
         if (!cli.parse(argc, argv))
             return 0;
         const double access = cli.real("access_ns");
-        const auto word = static_cast<unsigned>(cli.integer("word_bits"));
+        const auto word = cli.count<unsigned>("word_bits");
 
         std::printf("Claim A5: VC memory bank interleaving vs "
                     "sustainable link rate (%.1f ns RAM, %u-bit "

@@ -37,12 +37,12 @@ main(int argc, char **argv)
         if (!cli.parse(argc, argv))
             return 0;
 
-        const auto n = static_cast<unsigned>(cli.integer("nodes"));
+        const auto n = cli.count<unsigned>("nodes");
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
         Rng rng(seed);
         const Topology topo = Topology::irregular(
-            n, static_cast<unsigned>(cli.integer("extra")),
-            static_cast<unsigned>(cli.integer("degree")), rng);
+            n, cli.count<unsigned>("extra"), cli.count<unsigned>("degree"),
+            rng);
 
         std::printf("irregular LAN: %u switches, %u links, max degree "
                     "%u\n", topo.numNodes(), topo.numLinks(),
@@ -64,8 +64,7 @@ main(int argc, char **argv)
 
         // Establish random CBR streams with EPB; compare the probe
         // work against the greedy baseline on the same demand.
-        const auto streams =
-            static_cast<unsigned>(cli.integer("streams"));
+        const auto streams = cli.count<unsigned>("streams");
         unsigned accepted = 0, backtracks = 0, forwards = 0;
         std::vector<std::unique_ptr<NetworkInterface>> hosts;
         for (NodeId i = 0; i < topo.numNodes(); ++i)
@@ -99,7 +98,7 @@ main(int argc, char **argv)
         for (NodeId i = 0; i < topo.numNodes(); ++i)
             hosts[i]->addBestEffortFlow((i + 1) % n, 2 * kMbps);
 
-        const auto horizon = static_cast<Cycle>(cli.integer("cycles"));
+        const auto horizon = cli.count<Cycle>("cycles");
         net.endToEnd().startMeasurement(horizon / 10);
         std::vector<std::uint32_t> seq(conns.size(), 0);
         for (Cycle t = 0; t < horizon; ++t) {

@@ -38,8 +38,7 @@ main(int argc, char **argv)
         prof.sigma = cli.real("sigma");
         Rng rng(static_cast<std::uint64_t>(cli.integer("seed")));
 
-        const auto frames =
-            static_cast<unsigned>(cli.integer("frames"));
+        const auto frames = cli.count<unsigned>("frames");
         const std::string out = cli.str("out");
         writeSyntheticTrace(out, prof, frames, rng);
 

@@ -146,18 +146,17 @@ int
 runRouterMode(const Cli &cli)
 {
     ExperimentConfig cfg;
-    cfg.router.numPorts = static_cast<unsigned>(cli.integer("ports"));
-    cfg.router.vcsPerPort = static_cast<unsigned>(cli.integer("vcs"));
+    cfg.router.numPorts = cli.count<unsigned>("ports");
+    cfg.router.vcsPerPort = cli.count<unsigned>("vcs");
     cfg.router.linkRateBps = cli.real("gbps") * kGbps;
-    cfg.router.flitBits = static_cast<unsigned>(cli.integer("flit"));
-    cfg.router.roundFactorK = static_cast<unsigned>(cli.integer("k"));
-    cfg.router.candidates =
-        static_cast<unsigned>(cli.integer("candidates"));
+    cfg.router.flitBits = cli.count<unsigned>("flit");
+    cfg.router.roundFactorK = cli.count<unsigned>("k");
+    cfg.router.candidates = cli.count<unsigned>("candidates");
     cfg.router.scheduler = schedulerKindFromString(cli.str("sched"));
     cfg.router.concurrencyFactor = cli.real("concurrency");
     cfg.router.bestEffortReserve = cli.real("be-reserve");
-    cfg.measureCycles = static_cast<Cycle>(cli.integer("cycles"));
-    cfg.warmupCycles = static_cast<Cycle>(cli.integer("warmup"));
+    cfg.measureCycles = cli.count<Cycle>("cycles");
+    cfg.warmupCycles = cli.count<Cycle>("warmup");
     cfg.autoWarmup = cli.boolean("auto-warmup");
     cfg.seed = static_cast<std::uint64_t>(cli.integer("seed"));
 
@@ -171,19 +170,14 @@ runRouterMode(const Cli &cli)
     cfg.mix.abortLateFrames = cli.boolean("abort-late");
     cfg.mix.vbrProfile.framesPerSecond = cli.real("fps");
     cfg.mix.vbrProfile.peakToMean = cli.real("peak");
-    cfg.cbrDelayBudget =
-        static_cast<Cycle>(cli.integer("cbr-budget"));
-    cfg.vbrDelayBudget =
-        static_cast<Cycle>(cli.integer("vbr-budget"));
-    cfg.forcePanicAt = static_cast<Cycle>(cli.integer("panic-at"));
+    cfg.cbrDelayBudget = cli.count<Cycle>("cbr-budget");
+    cfg.vbrDelayBudget = cli.count<Cycle>("vbr-budget");
+    cfg.forcePanicAt = cli.count<Cycle>("panic-at");
     cfg.obs = obsConfigFromCli(cli);
 
     const auto loads = cli.list("load");
-    const long jobsFlag = cli.integer("jobs");
-    const unsigned jobs =
-        jobsFlag == 0 ? defaultJobs()
-                      : static_cast<unsigned>(jobsFlag < 1 ? 1
-                                                           : jobsFlag);
+    const auto jobsFlag = cli.count<unsigned>("jobs");
+    const unsigned jobs = jobsFlag == 0 ? defaultJobs() : jobsFlag;
     if (loads.size() > 1)
         return runRouterSweep(cfg, loads, cli.reals("load"), jobs);
     cfg.offeredLoad = cli.real("load");
@@ -276,9 +270,8 @@ runNetworkMode(const Cli &cli)
     const auto fail = parseFailLink(cli.str("fail-link"), topo);
 
     NetworkConfig ncfg;
-    ncfg.router.vcsPerPort = static_cast<unsigned>(cli.integer("vcs"));
-    ncfg.router.candidates =
-        static_cast<unsigned>(cli.integer("candidates"));
+    ncfg.router.vcsPerPort = cli.count<unsigned>("vcs");
+    ncfg.router.candidates = cli.count<unsigned>("candidates");
     ncfg.router.scheduler = schedulerKindFromString(cli.str("sched"));
     ncfg.seed = seed;
     Network net(topo, ncfg);
@@ -333,7 +326,7 @@ runNetworkMode(const Cli &cli)
                                     2 * kMbps);
     }
 
-    const auto cycles = static_cast<Cycle>(cli.integer("cycles"));
+    const auto cycles = cli.count<Cycle>("cycles");
     net.endToEnd().startMeasurement(cycles / 10);
 
     // Optional mid-run link failure.

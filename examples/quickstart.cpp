@@ -35,12 +35,10 @@ main(int argc, char **argv)
         ExperimentConfig cfg;
         cfg.offeredLoad = cli.real("load");
         cfg.router.scheduler = schedulerKindFromString(cli.str("sched"));
-        cfg.router.candidates =
-            static_cast<unsigned>(cli.integer("candidates"));
-        cfg.router.numPorts = static_cast<unsigned>(cli.integer("ports"));
-        cfg.router.vcsPerPort =
-            static_cast<unsigned>(cli.integer("vcs"));
-        cfg.measureCycles = static_cast<Cycle>(cli.integer("cycles"));
+        cfg.router.candidates = cli.count<unsigned>("candidates");
+        cfg.router.numPorts = cli.count<unsigned>("ports");
+        cfg.router.vcsPerPort = cli.count<unsigned>("vcs");
+        cfg.measureCycles = cli.count<Cycle>("cycles");
         cfg.seed = static_cast<std::uint64_t>(cli.integer("seed"));
 
         std::printf("MMR quickstart: %ux%u router, %u VCs/port, "

@@ -39,8 +39,7 @@ main(int argc, char **argv)
         if (!cli.parse(argc, argv))
             return 0;
 
-        const auto clients =
-            static_cast<unsigned>(cli.integer("clients"));
+        const auto clients = cli.count<unsigned>("clients");
         const double mean_bps = cli.real("mbps") * kMbps;
         const double seconds = cli.real("seconds");
 

@@ -95,6 +95,12 @@ Cli::integer(const std::string &name) const
     return x;
 }
 
+std::uint64_t
+Cli::count(const std::string &name, std::uint64_t hi) const
+{
+    return parseCount(str(name), "flag --" + name, hi);
+}
+
 double
 Cli::real(const std::string &name) const
 {

@@ -56,6 +56,20 @@ class Cli
 
     std::string str(const std::string &name) const;
     std::int64_t integer(const std::string &name) const;
+
+    /** A whole-number flag in [0, @p hi], read with parseCount: a
+     * negative, fractional, non-finite or larger value is fatal,
+     * naming the flag.  For cycle counts, sizes and other counts. */
+    std::uint64_t count(const std::string &name, std::uint64_t hi) const;
+
+    /** count() up to @p T's maximum, as a @p T. */
+    template <typename T>
+    T
+    count(const std::string &name) const
+    {
+        return static_cast<T>(count(name, std::numeric_limits<T>::max()));
+    }
+
     double real(const std::string &name) const;
     bool boolean(const std::string &name) const;
 

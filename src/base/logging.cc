@@ -72,6 +72,14 @@ defaultSink(LogLevel l, const std::string &msg)
     }
 }
 
+/** Set while a PanicsTrip guard lives on this thread. */
+thread_local bool panicsTrip = false;
+
+/** What a panic throws while panicsTrip is set. */
+struct PanicTrip
+{
+};
+
 LogLevel threshold = levelFromEnv();
 log::SinkFn sink; ///< empty = defaultSink
 log::PanicHookFn panicHook = nullptr;
@@ -135,9 +143,21 @@ setPanicHook(PanicHookFn hook)
 namespace detail
 {
 
+PanicsTrip::PanicsTrip() : previous(panicsTrip)
+{
+    panicsTrip = true;
+}
+
+PanicsTrip::~PanicsTrip()
+{
+    panicsTrip = previous;
+}
+
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {
+    if (panicsTrip)
+        throw PanicTrip{};
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
     // Give the flight recorder its last gasp, guarding against a

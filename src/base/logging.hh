@@ -3,7 +3,8 @@
  * Error and status reporting in the gem5 tradition.
  *
  * panic()  — an internal invariant was violated (a bug in this library);
- *            aborts so a debugger/core dump can capture the state.
+ *            aborts so a debugger/core dump can capture the state
+ *            (under a detail::PanicsTrip guard it throws instead).
  * fatal()  — the user asked for something impossible (bad configuration);
  *            exits with an error code.
  * warn()/inform()/debug() — leveled status output routed through a
@@ -88,6 +89,28 @@ namespace detail
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 void debugImpl(const std::string &msg);
+
+/**
+ * While one of these lives on a thread, a panic on that thread is a
+ * trip: panicImpl throws a type private to logging.cc instead of
+ * printing, running the panic hook and aborting, and the guard's owner
+ * catches it (`catch (...)`) and reports it its own way.  The
+ * invariant checker's audit lanes use it, so that a violation seen on
+ * a worker thread is found again, and reported, in serial order on
+ * the coordinator.  The destructor restores the thread's previous
+ * setting, so a trip unwinding through the guard clears it too.
+ */
+class PanicsTrip
+{
+  public:
+    PanicsTrip();
+    ~PanicsTrip();
+    PanicsTrip(const PanicsTrip &) = delete;
+    PanicsTrip &operator=(const PanicsTrip &) = delete;
+
+  private:
+    bool previous;
+};
 
 /** Fold a parameter pack into one string via operator<<. */
 template <typename... Args>

@@ -33,6 +33,27 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         routers.back()->credits().setInfinite(false);
         wireRouter(n);
     }
+    // Sharded, size each shard's mailbox for its busiest cycle, so that
+    // steady state never grows one: a router grants each input port at
+    // most once per cycle, and a grant logs at most an egress, a credit
+    // return and a segment removal; at most one flit lands per link.
+    // Each shard's high-water mark is its own share's, which a warm-up
+    // need not reach.  One shard's mailbox sees every router, so its
+    // mark is the network's busiest cycle, reached in a warm-up: it
+    // grows to that rather than hold the worst case, three times as
+    // much or more (about 0.5 MiB on a 256-router MIN).
+    if (numShards > 1) {
+        std::vector<std::size_t> events(numShards, 0);
+        std::vector<std::size_t> landings(numShards, 0);
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            events[shardOfNode(n)] += 3 * (topo.degree(n) + 1);
+            landings[shardOfNode(n)] += topo.degree(n);
+        }
+        for (unsigned s = 0; s < numShards; ++s) {
+            mailboxes[s].log.reserve(events[s]);
+            mailboxes[s].arrivals.reserve(landings[s]);
+        }
+    }
     portOffset.assign(topo.numNodes() + 1, 0);
     for (NodeId n = 0; n < topo.numNodes(); ++n)
         portOffset[n + 1] = portOffset[n] + routers[n]->config().numPorts;
@@ -1009,13 +1030,29 @@ Network::replay(const DeferredEvent &e, Cycle now)
 void
 Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
 {
+    // With several shards the audit runs in shard lanes: router n's
+    // checks on lane shardOfNode(n), on the thread that just advanced
+    // it, and everything else on lane 0, the coordinator.  The probe
+    // table is shared by every router's admission-ledger, so it is
+    // refilled here, before the phase, on the cycles those are due;
+    // inside the phase its stamp matches and the lanes only read it.
+    if (numShards > 1) {
+        chk.setLanes(numShards, [this, sweep_period](
+                                    Cycle now,
+                                    const InvariantChecker::LaneFn &lane) {
+            if (now % sweep_period == 0)
+                refreshProbeHoldings();
+            pool->runPhase(now, lane);
+        });
+    }
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
         routers[n]->registerInvariants(
             chk, sweep_period, "router" + std::to_string(n) + ".",
             [this, n](std::vector<unsigned> &alloc,
                       std::vector<unsigned> &peak) {
                 addProbeHoldings(n, alloc, peak);
-            });
+            },
+            shardOfNode(n));
     }
 
     // Both ends of a link agree on its health — the fault model's own
@@ -1067,18 +1104,24 @@ Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
 }
 
 void
-Network::addProbeHoldings(NodeId n, std::vector<unsigned> &alloc,
-                          std::vector<unsigned> &peak)
+Network::refreshProbeHoldings()
 {
     // One pass over every probe serves all routers' rows until the
     // probes' hop lists next change.
     const std::uint64_t stamp = probeMgr->reservationStamp();
-    if (probeTableStamp != stamp) {
-        std::fill(probeAlloc.begin(), probeAlloc.end(), 0u);
-        std::fill(probePeak.begin(), probePeak.end(), 0u);
-        probeMgr->accountReservations(portOffset, probeAlloc, probePeak);
-        probeTableStamp = stamp;
-    }
+    if (probeTableStamp == stamp)
+        return;
+    std::fill(probeAlloc.begin(), probeAlloc.end(), 0u);
+    std::fill(probePeak.begin(), probePeak.end(), 0u);
+    probeMgr->accountReservations(portOffset, probeAlloc, probePeak);
+    probeTableStamp = stamp;
+}
+
+void
+Network::addProbeHoldings(NodeId n, std::vector<unsigned> &alloc,
+                          std::vector<unsigned> &peak)
+{
+    refreshProbeHoldings();
     const std::size_t row = portOffset[n];
     const std::size_t width = portOffset[n + 1] - row;
     mmr_assert(alloc.size() == width && peak.size() == width,

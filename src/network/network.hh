@@ -276,11 +276,14 @@ class Network : public Clocked
 
     /**
      * Register the full invariant battery over this network into
-     * @p chk: every router's seven invariants under a "router<N>."
+     * @p chk: every router's six invariants under a "router<N>."
      * prefix — with the admission-ledger audit extended by the
      * bandwidth in-flight setup probes hold — plus the network-level
      * link-state symmetry and PCS segment-consistency checks.  The
-     * checker must tick after the network.
+     * checker must tick after the network.  With more than one shard
+     * it also installs audit lanes on @p chk (one per shard, router
+     * n's checks on lane shardOfNode(n), run as one shard-pool phase),
+     * so the network must outlive the checker.
      */
     void registerInvariants(InvariantChecker &chk,
                             unsigned sweep_period = 16);
@@ -536,6 +539,9 @@ class Network : public Clocked
     std::vector<unsigned> probeAlloc;
     std::vector<unsigned> probePeak;
     std::uint64_t probeTableStamp = ~std::uint64_t{0};
+
+    /** Refill the probe table unless its stamp is current. */
+    void refreshProbeHoldings();
 
     /**
      * PCS connections: a slot pool that grows to the peak

@@ -1,6 +1,8 @@
 #include "obs/obs_config.hh"
 
+#include <bit>
 #include <fstream>
+#include <limits>
 
 #include "base/cli.hh"
 #include "base/logging.hh"
@@ -159,24 +161,25 @@ obsConfigFromCli(const Cli &cli)
     ObsConfig c;
     c.tracePath = cli.str("trace");
     c.traceCats = cli.str("trace-cats");
-    const std::int64_t from = cli.integer("trace-from");
-    const std::int64_t to = cli.integer("trace-to");
-    if (from < 0 || to < 0)
-        mmr_fatal("--trace-from/--trace-to must be >= 0 (got ", from,
-                  " and ", to, ")");
+    const auto from = cli.count<Cycle>("trace-from");
+    const auto to = cli.count<Cycle>("trace-to");
     if (to > 0 && to < from)
         mmr_fatal("--trace-to=", to, " is before --trace-from=", from);
-    c.traceFrom = static_cast<Cycle>(from);
+    c.traceFrom = from;
     if (to > 0)
-        c.traceTo = static_cast<Cycle>(to);
+        c.traceTo = to;
     c.statsJsonPath = cli.str("stats-json");
     c.statsCsvPath = cli.str("stats-csv");
-    c.samplePeriod = static_cast<Cycle>(cli.integer("sample-every"));
+    c.samplePeriod = cli.count<Cycle>("sample-every");
     c.sampleStats = cli.list("sample-stats");
     c.perVcStats = cli.boolean("stats-per-vc");
     c.profileComponents = cli.boolean("profile");
     c.flightRecorderPath = cli.str("flight-recorder-dump");
-    const auto depth = cli.integer("flight-recorder-depth");
+    // The recorder rounds its depth up to a power of two, so the
+    // largest one is the bound.
+    const auto depth = cli.count(
+        "flight-recorder-depth",
+        std::bit_floor(std::numeric_limits<std::size_t>::max()));
     if (depth > 0)
         c.flightRecorderDepth = static_cast<std::size_t>(depth);
     c.flightRecorderCats = cli.str("flight-recorder-cats");

@@ -55,11 +55,12 @@ CreditManager::audit(const CensusFn &census) const
 void
 CreditManager::registerInvariants(InvariantChecker &chk, CensusFn census,
                                   unsigned period,
-                                  const std::string &prefix) const
+                                  const std::string &prefix,
+                                  unsigned lane) const
 {
     chk.add(prefix + "credit-ledger",
             [this, census = std::move(census)](Cycle) { audit(census); },
-            period);
+            period, lane);
 }
 
 namespace

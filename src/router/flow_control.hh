@@ -110,13 +110,15 @@ class CreditManager
      */
     void audit(const CensusFn &census = nullptr) const;
 
-    /** Register the 'credit-ledger' invariant with an auditor.  A
-     * non-empty @p prefix namespaces the invariant ("router3.credit-
-     * ledger") so many routers can share one checker. */
+    /** Register the 'credit-ledger' invariant with an auditor, on
+     * checker lane @p lane.  A non-empty @p prefix namespaces the
+     * invariant ("router3.credit-ledger") so many routers can share
+     * one checker. */
     void registerInvariants(InvariantChecker &chk,
                             CensusFn census = nullptr,
                             unsigned period = 1,
-                            const std::string &prefix = {}) const;
+                            const std::string &prefix = {},
+                            unsigned lane = 0) const;
 
   private:
     std::size_t

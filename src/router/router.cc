@@ -525,7 +525,7 @@ void
 MmrRouter::registerInvariants(InvariantChecker &chk,
                               unsigned sweep_period,
                               const std::string &prefix,
-                              ExtraDemandFn extra_demand)
+                              ExtraDemandFn extra_demand, unsigned lane)
 {
     // Flit conservation (§3.1: credit-based flow control "guarantees
     // flits are never dropped").  Every flit that entered a VC memory
@@ -548,7 +548,7 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
                     " still buffered");
             }
         },
-        sweep_period);
+        sweep_period, lane);
 
     // VC memory occupancy bookkeeping matches the FIFO ground truth.
     chk.add(
@@ -557,7 +557,7 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
             for (const VcMemory &m : inputMems)
                 m.auditOccupancy();
         },
-        sweep_period);
+        sweep_period, lane);
 
     // VC state machine legality: free VCs hold nothing, mapped VCs
     // are bound, pending grants are covered by buffered flits.
@@ -567,7 +567,7 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
             for (const VcMemory &m : inputMems)
                 m.auditLegality();
         },
-        sweep_period);
+        sweep_period, lane);
 
     // Admission ledger (§4.2): the per-link allocated/peak registers
     // equal the sum over installed segments, and stay within the round
@@ -632,17 +632,20 @@ MmrRouter::registerInvariants(InvariantChecker &chk,
                 }
             }
         },
-        sweep_period);
+        sweep_period, lane);
 
     // Crossbar matching validity: the matching applied next cycle
     // grants each input and each output at most once (§3.3).
-    chk.add(prefix + "matching-validity", [this](Cycle) {
-        SwitchScheduler::auditMatching(currentMatching, cfg.numPorts,
-                                       sched->allowsOutputSharing());
-    });
+    chk.add(
+        prefix + "matching-validity",
+        [this](Cycle) {
+            SwitchScheduler::auditMatching(currentMatching, cfg.numPorts,
+                                           sched->allowsOutputSharing());
+        },
+        1, lane);
 
     // Credit conservation (§4.2), internal ledger form.
-    creditMgr.registerInvariants(chk, nullptr, sweep_period, prefix);
+    creditMgr.registerInvariants(chk, nullptr, sweep_period, prefix, lane);
 }
 
 // ---------------------------------------------------------------------

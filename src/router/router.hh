@@ -182,6 +182,9 @@ class MmrRouter : public Clocked
      *        held outside installed segments (in-flight setup probes)
      *        to the admission-ledger audit; the vectors arrive sized
      *        numPorts and zeroed
+     * @param lane the checker lane that runs all six (see
+     *        InvariantChecker::setLanes); they read only this router
+     *        and @p extra_demand
      */
     using ExtraDemandFn =
         std::function<void(std::vector<unsigned> &alloc,
@@ -189,7 +192,8 @@ class MmrRouter : public Clocked
     void registerInvariants(InvariantChecker &chk,
                             unsigned sweep_period = 16,
                             const std::string &prefix = {},
-                            ExtraDemandFn extra_demand = nullptr);
+                            ExtraDemandFn extra_demand = nullptr,
+                            unsigned lane = 0);
 
     // ------------------------------------------------------------------
     // Observability (obs/ layer)

@@ -71,17 +71,35 @@ clearOverride()
 } // namespace invariant
 
 void
-InvariantChecker::add(std::string name, CheckFn fn, unsigned period)
+InvariantChecker::add(std::string name, CheckFn fn, unsigned period,
+                      unsigned lane)
 {
     mmr_assert(fn != nullptr, "invariant '", name, "' has no predicate");
     mmr_assert(period > 0, "invariant '", name, "' needs period >= 1");
+    mmr_assert(lane < laneSet.size(), "invariant '", name, "' on lane ",
+               lane, " of ", laneSet.size());
     mmr_assert(!has(name), "invariant '", name, "' registered twice");
-    if (period == 1)
-        everyCycle.push_back(entries.size());
-    else if (std::find(strides.begin(), strides.end(), period) ==
-             strides.end())
+    Lane &l = laneSet[lane];
+    if (period == 1) {
+        l.everyCycle.push_back(entries.size());
+        anyEveryCycle = true;
+    } else if (std::find(strides.begin(), strides.end(), period) ==
+               strides.end()) {
         strides.push_back(period);
+    }
+    l.all.push_back(entries.size());
     entries.push_back(Entry{std::move(name), std::move(fn), period});
+}
+
+void
+InvariantChecker::setLanes(unsigned count, LaneRunner lane_runner)
+{
+    mmr_assert(count >= 1 && lane_runner != nullptr,
+               "audit lanes need a count >= 1 and a runner");
+    mmr_assert(runner == nullptr, "audit lanes installed twice");
+    laneSet.resize(count);
+    runner = std::move(lane_runner);
+    laneBody = [this](unsigned l) { runTripping(l); };
 }
 
 bool
@@ -107,7 +125,7 @@ InvariantChecker::run(const std::string &name, Cycle now) const
     for (const Entry &e : entries) {
         if (e.name == name) {
             e.fn(now);
-            ++ran;
+            ++ranInline;
             return;
         }
     }
@@ -121,8 +139,17 @@ InvariantChecker::checkAll(Cycle now) const
         return;
     for (const Entry &e : entries) {
         e.fn(now);
-        ++ran;
+        ++ranInline;
     }
+}
+
+std::uint64_t
+InvariantChecker::checksRun() const
+{
+    std::uint64_t total = ranInline;
+    for (const Lane &l : laneSet)
+        total += l.ran;
+    return total;
 }
 
 void
@@ -130,25 +157,74 @@ InvariantChecker::advance(Cycle now)
 {
     if (!invariant::enabled())
         return;
+    auditCycle = now;
+    auditSweep = std::any_of(strides.begin(), strides.end(),
+                             [now](unsigned p) { return now % p == 0; });
+    if (runner == nullptr) {
+        runLane(laneSet[0]);
+        return;
+    }
+    if (!auditSweep && !anyEveryCycle)
+        return;
+    runner(now, laneBody);
+    if (anyTripped.load(std::memory_order_relaxed))
+        replaySerially(now);
+}
+
+void
+InvariantChecker::runLane(Lane &lane)
+{
     // Between sweeps only the period-1 entries are due: run just those
     // (a subsequence, so registration order holds) instead of testing
     // every strided entry's period.
-    const bool sweep =
-        std::any_of(strides.begin(), strides.end(),
-                    [now](unsigned p) { return now % p == 0; });
-    if (!sweep) {
-        for (const std::size_t i : everyCycle) {
+    const Cycle now = auditCycle;
+    if (!auditSweep) {
+        for (const std::size_t i : lane.everyCycle) {
             entries[i].fn(now);
-            ++ran;
+            ++lane.ran;
         }
         return;
     }
-    for (const Entry &e : entries) {
+    for (const std::size_t i : lane.all) {
+        const Entry &e = entries[i];
         if (e.period == 1 || now % e.period == 0) {
             e.fn(now);
-            ++ran;
+            ++lane.ran;
         }
     }
+}
+
+void
+InvariantChecker::runTripping(unsigned l)
+{
+    Lane &lane = laneSet[l];
+    try {
+        const detail::PanicsTrip trips;
+        runLane(lane);
+    } catch (...) {
+        lane.tripped = true;
+        anyTripped.store(true, std::memory_order_relaxed);
+    }
+}
+
+void
+InvariantChecker::replaySerially(Cycle now)
+{
+    unsigned lane = 0;
+    while (!laneSet[lane].tripped)
+        ++lane;
+    for (Lane &l : laneSet)
+        l.tripped = false;
+    anyTripped.store(false, std::memory_order_relaxed);
+    // The lanes stopped at their first violation, each in its own
+    // registration order; the serial order across lanes is the one
+    // entry list, so walk it again with panics live.  The checks only
+    // read committed state, so each finds what it found in its lane.
+    for (const Entry &e : entries)
+        if (e.period == 1 || now % e.period == 0)
+            e.fn(now);
+    mmr_panic("invariant audit lane ", lane, " tripped at cycle ", now,
+              " but every check passed when re-run serially");
 }
 
 } // namespace mmr

@@ -13,6 +13,11 @@
  * A violated invariant reports through mmr_panic with full context so
  * a debugger or death test can capture the state.
  *
+ * A sharded Network runs the audit in lanes, one per shard (see
+ * InvariantChecker).  Lanes change only where a check runs: the checks
+ * counted and the first violation's report (text, file:line,
+ * flight-recorder dump) are those of the one-lane audit.
+ *
  * Checking is controlled at two levels: the CMake option
  * MMR_INVARIANTS selects the compile-time default, and
  * invariant::setEnabled() / the MMR_INVARIANTS environment variable
@@ -24,6 +29,7 @@
 #ifndef MMR_SIM_INVARIANT_HH
 #define MMR_SIM_INVARIANT_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -71,6 +77,17 @@ void clearOverride();
  *
  * Check functions receive the current cycle and must either return
  * normally (invariant holds) or panic via mmr_invariant_violated.
+ *
+ * Every entry sits in a lane (default 0).  A checker with no runner
+ * has one lane and runs it inline on the caller.  A checker given a
+ * runner (setLanes; the sharded Network installs one) runs all lanes
+ * at once on every cycle with a due entry: lane l runs its due
+ * entries in registration order, and a panic inside a lane is a trip
+ * (detail::PanicsTrip), not a report.  When any lane tripped, the
+ * coordinator re-runs that cycle's due entries serially, in
+ * registration order, with panics live: the first violation panics
+ * with the serial text, exactly as a one-lane run would.  The checks
+ * counted (checksRun) do not depend on the lane count either.
  */
 // mmr-lint: allow(clocked-invariants) the auditor itself: it runs the
 // registered checks and has no invariants of its own to register.
@@ -79,14 +96,37 @@ class InvariantChecker : public Clocked
   public:
     using CheckFn = std::function<void(Cycle)>;
 
+    /** One lane's body: fn(lane) runs lane's due entries. */
+    using LaneFn = std::function<void(unsigned)>;
+
+    /**
+     * Runs one audit cycle's lanes: must call fn(l) exactly once for
+     * every l in [0, lanes()), lane 0 on the calling thread, and
+     * return only once every call has returned.  The entries of
+     * different lanes must touch disjoint mutable state.
+     */
+    using LaneRunner = std::function<void(Cycle now, const LaneFn &fn)>;
+
     /**
      * Register a named invariant.
      *
      * @param name unique identifier, also used in violation messages
      * @param fn predicate; panics on violation
      * @param period audit every @p period cycles (>= 1)
+     * @param lane the lane that runs it (< lanes())
      */
-    void add(std::string name, CheckFn fn, unsigned period = 1);
+    void add(std::string name, CheckFn fn, unsigned period = 1,
+             unsigned lane = 0);
+
+    /**
+     * Audit in @p count lanes through @p runner from now on.  Call it
+     * before adding any entry to a lane above 0, at most once.  The
+     * runner's owner must outlive this checker's last advance().
+     */
+    void setLanes(unsigned count, LaneRunner runner);
+
+    /** Number of lanes (1 until setLanes). */
+    unsigned lanes() const { return static_cast<unsigned>(laneSet.size()); }
 
     /** Number of registered invariants. */
     std::size_t size() const { return entries.size(); }
@@ -96,19 +136,21 @@ class InvariantChecker : public Clocked
     /** Registered invariant names, in registration order. */
     std::vector<std::string> names() const;
 
-    /** Run one invariant by name regardless of period/enable state. */
+    /** Run one invariant by name regardless of period/enable state,
+     * inline on the caller. */
     void run(const std::string &name, Cycle now) const;
 
-    /** Run every invariant regardless of period (still honors the
-     * global enable so production runs can switch auditing off). */
+    /** Run every invariant regardless of period, inline on the caller
+     * (still honors the global enable so production runs can switch
+     * auditing off). */
     void checkAll(Cycle now) const;
 
-    /** Total individual checks executed so far. */
-    std::uint64_t checksRun() const { return ran; }
+    /** Total individual checks executed so far, over every lane. */
+    std::uint64_t checksRun() const;
 
     // Clocked: audit after state commit, honoring per-entry periods.
     void evaluate(Cycle now) override { (void)now; }
-    void advance(Cycle now) override;
+    MMR_HOT_PATH void advance(Cycle now) override;
 
   private:
     struct Entry
@@ -118,13 +160,48 @@ class InvariantChecker : public Clocked
         unsigned period;
     };
 
+    /** One lane's entries and counters, on its own cache line: lanes
+     * count their checks concurrently. */
+    struct alignas(64) Lane
+    {
+        /** Its period-1 entries: the whole lane on a cycle where no
+         * stride is due. */
+        std::vector<std::size_t> everyCycle;
+        /** All its entries, in registration order. */
+        std::vector<std::size_t> all;
+        std::uint64_t ran = 0;
+        bool tripped = false;
+    };
+
+    /** Run @p lane's entries due at auditCycle, in registration
+     * order. */
+    void runLane(Lane &lane);
+
+    /** The runner's lane body: runLane with panics as trips. */
+    MMR_HOT_PATH void runTripping(unsigned l);
+
+    /** After a trip: re-run the cycle's due entries in registration
+     * order with panics live, and panic naming the lane if none
+     * fails. */
+    [[noreturn]] void replaySerially(Cycle now);
+
     std::vector<Entry> entries;
-    /** Indices of the period-1 entries, in registration order: the
-     * whole audit on a cycle where no stride is due. */
-    std::vector<std::size_t> everyCycle;
+    std::vector<Lane> laneSet = std::vector<Lane>(1);
     /** The distinct periods > 1, tested once per cycle each. */
     std::vector<unsigned> strides;
-    mutable std::uint64_t ran = 0;
+    /** Whether any entry has period 1. */
+    bool anyEveryCycle = false;
+
+    LaneRunner runner;
+    LaneFn laneBody; ///< runTripping, bound once
+    /** The cycle being audited and whether a stride is due at it:
+     * written by advance() before the runner publishes the phase. */
+    Cycle auditCycle = 0;
+    bool auditSweep = false;
+    std::atomic<bool> anyTripped{false};
+
+    /** Checks run by run() and checkAll(). */
+    mutable std::uint64_t ranInline = 0;
 };
 
 } // namespace mmr

@@ -86,6 +86,25 @@ TEST(LoggingDeath, AssertFormatsConditionAndMessage)
                  "assertion 'x == 4' failed: x was 3");
 }
 
+TEST(LoggingDeath, PanicUnderATripGuardThrowsAndTheGuardRestores)
+{
+    // Under the guard a panic throws instead of printing and aborting;
+    // nested guards restore the outer setting, and once the last one
+    // is gone (here by a trip unwinding through it) a panic aborts.
+    bool tripped = false;
+    try {
+        const detail::PanicsTrip outer;
+        {
+            const detail::PanicsTrip inner;
+        }
+        mmr_panic("seen on a worker");
+    } catch (...) {
+        tripped = true;
+    }
+    EXPECT_TRUE(tripped);
+    EXPECT_DEATH(mmr_panic("after the guard"), "panic: after the guard");
+}
+
 TEST(Logging, AssertPassesSilently)
 {
     mmr_assert(1 + 1 == 2, "arithmetic holds");

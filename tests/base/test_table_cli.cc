@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "base/cli.hh"
 #include "base/table.hh"
+#include "base/types.hh"
 
 namespace mmr
 {
@@ -165,6 +168,27 @@ TEST(Cli, CountsAreWholeAndFitTheirBound)
         EXPECT_THROW(parseCount(bad, "x"), std::runtime_error) << bad;
     EXPECT_THROW(parseCount("4294967296", "x", 4294967295u),
                  std::runtime_error);
+
+    // The flag form: bounded by the target type, naming the flag.
+    Cli cli;
+    cli.flag("cycles", "0", "cycles");
+    cli.flag("ports", "0", "ports");
+    cli.flag("warmup", "0", "warmup");
+    const char *argv[] = {"prog", "--cycles=-1", "--ports=256",
+                          "--warmup=2e3"};
+    ASSERT_TRUE(cli.parse(4, const_cast<char **>(argv)));
+    EXPECT_EQ(cli.count<Cycle>("warmup"), 2000u);
+    EXPECT_EQ(cli.count<unsigned>("ports"), 256u);
+    EXPECT_THROW(cli.count<std::uint8_t>("ports"), std::runtime_error);
+    try {
+        cli.count<Cycle>("cycles");
+        FAIL() << "a negative count must be fatal";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("flag --cycles expects a "
+                                             "whole number"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Cli, HelpReturnsFalse)

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "harness/network_experiment.hh"
 #include "metrics/recorder.hh"
@@ -351,59 +352,67 @@ TEST(ZeroAlloc, ZeroTimeSetupsAllocateNothing)
  * runs the whole network battery — each router's ledgers, including
  * admission-ledger's probe-held reservation table — plus the session
  * ledger, over a steady churn window with probes in flight.  Neither
- * the sweeps nor the idle-cycle dispatch between them may allocate.
+ * the sweeps nor the idle-cycle dispatch between them may allocate,
+ * run inline (one shard) or in four audit lanes, whose phase, per-lane
+ * counters and trip guards run every cycle.
  */
 TEST(ZeroAlloc, InvariantSweepsAllocateNothing)
 {
-    NetworkConfig ncfg;
-    ncfg.seed = 17;
-    ncfg.router.vcsPerPort = 32;
-    ncfg.router.candidates = 8;
-    Network net(topologyFromSpec("mesh:3x3", ncfg.seed), ncfg);
+    for (const unsigned shards : {1u, 4u}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        NetworkConfig ncfg;
+        ncfg.seed = 17;
+        ncfg.router.vcsPerPort = 32;
+        ncfg.router.candidates = 8;
+        ncfg.shards = shards;
+        Network net(topologyFromSpec("mesh:3x3", ncfg.seed), ncfg);
+        ASSERT_EQ(net.shards(), shards);
 
-    ChurnConfig ccfg;
-    ccfg.enabled = true;
-    ccfg.maxLiveSessions = 512;
-    ccfg.workload.arrivalsPer1k = 150.0;
-    ccfg.workload.holdingMeanCycles = 500;
-    ChurnEngine churn(net, ccfg, /*horizon=*/20000, /*seed=*/99);
+        ChurnConfig ccfg;
+        ccfg.enabled = true;
+        ccfg.maxLiveSessions = 512;
+        ccfg.workload.arrivalsPer1k = 150.0;
+        ccfg.workload.holdingMeanCycles = 500;
+        ChurnEngine churn(net, ccfg, /*horizon=*/20000, /*seed=*/99);
 
-    invariant::setEnabled(true);
-    InvariantChecker checker;
-    net.registerInvariants(checker, /*sweep_period=*/16);
-    churn.registerInvariants(checker, /*period=*/16);
+        invariant::setEnabled(true);
+        InvariantChecker checker;
+        net.registerInvariants(checker, /*sweep_period=*/16);
+        churn.registerInvariants(checker, /*period=*/16);
+        ASSERT_EQ(checker.lanes(), shards);
 
-    Kernel kernel;
-    kernel.add(&net, "network");
-    kernel.add(&checker, "invariants");
+        Kernel kernel;
+        kernel.add(&net, "network");
+        kernel.add(&checker, "invariants");
 
-    for (Cycle t = 0; t < 6000; ++t) {
-        churn.tick(kernel.now());
-        kernel.step();
+        for (Cycle t = 0; t < 6000; ++t) {
+            churn.tick(kernel.now());
+            kernel.step();
+        }
+        ASSERT_GT(churn.liveSessions(), 0u);
+
+        const std::uint64_t checksBefore = checker.checksRun();
+        unsigned sweepsWithProbes = 0;
+        allocations.store(0);
+        counting.store(true);
+        for (Cycle t = 0; t < 4000; ++t) {
+            churn.tick(kernel.now());
+            if (kernel.now() % 16 == 0 && net.pendingSetups() > 0)
+                ++sweepsWithProbes;
+            kernel.step();
+        }
+        counting.store(false);
+        invariant::clearOverride();
+
+        ASSERT_GT(sweepsWithProbes, 0u)
+            << "no sweep saw a probe in flight; the window must exercise "
+               "the probe-held reservation table";
+        // 9 routers' matching-validity every cycle, plus full sweeps.
+        EXPECT_GT(checker.checksRun() - checksBefore, 4000u * 9u);
+        EXPECT_EQ(allocations.load(), 0u)
+            << "the invariant audit hit the heap (" << allocations.load()
+            << " allocations)";
     }
-    ASSERT_GT(churn.liveSessions(), 0u);
-
-    const std::uint64_t checksBefore = checker.checksRun();
-    unsigned sweepsWithProbes = 0;
-    allocations.store(0);
-    counting.store(true);
-    for (Cycle t = 0; t < 4000; ++t) {
-        churn.tick(kernel.now());
-        if (kernel.now() % 16 == 0 && net.pendingSetups() > 0)
-            ++sweepsWithProbes;
-        kernel.step();
-    }
-    counting.store(false);
-    invariant::clearOverride();
-
-    ASSERT_GT(sweepsWithProbes, 0u)
-        << "no sweep saw a probe in flight; the window must exercise "
-           "the probe-held reservation table";
-    // 9 routers' matching-validity every cycle, plus full sweeps.
-    EXPECT_GT(checker.checksRun() - checksBefore, 4000u * 9u);
-    EXPECT_EQ(allocations.load(), 0u)
-        << "the invariant audit hit the heap (" << allocations.load()
-        << " allocations)";
 }
 
 /**

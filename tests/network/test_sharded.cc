@@ -16,6 +16,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/network_experiment.hh"
@@ -68,11 +69,31 @@ baseConfig(const char *topo, std::uint64_t seed)
     return c;
 }
 
+NetworkExperimentResult
+runAtShards(NetworkExperimentConfig cfg, unsigned shards)
+{
+    cfg.net.shards = shards;
+    return runNetworkExperiment(cfg);
+}
+
 std::uint64_t
 digestAtShards(NetworkExperimentConfig cfg, unsigned shards)
 {
-    cfg.net.shards = shards;
-    return networkResultDigest(runNetworkExperiment(cfg));
+    return networkResultDigest(runAtShards(std::move(cfg), shards));
+}
+
+/** The sharded run simulated what the serial one did, and its audit
+ * lanes ran each due check exactly once: the same count, which no
+ * digest covers. */
+void
+expectSerialEquivalent(const NetworkExperimentResult &serial,
+                       const NetworkExperimentResult &sharded)
+{
+    EXPECT_EQ(networkResultDigest(serial), networkResultDigest(sharded))
+        << "sharded run diverged from the serial digest";
+    EXPECT_GT(serial.invariantChecks, 0u);
+    EXPECT_EQ(serial.invariantChecks, sharded.invariantChecks)
+        << "the audit lanes ran a different number of checks";
 }
 
 class InvariantGuard
@@ -88,11 +109,10 @@ TEST(ShardedNetwork, CleanRunDigestMatchesSerialOnEveryGenerator)
     for (const char *topo : kGenerators) {
         SCOPED_TRACE(topo);
         const auto cfg = baseConfig(topo, 12345);
-        const std::uint64_t serial = digestAtShards(cfg, 1);
+        const auto serial = runAtShards(cfg, 1);
         for (unsigned shards : kShardCounts) {
             SCOPED_TRACE("shards " + std::to_string(shards));
-            EXPECT_EQ(serial, digestAtShards(cfg, shards))
-                << "sharded run diverged from the serial digest";
+            expectSerialEquivalent(serial, runAtShards(cfg, shards));
         }
     }
 }
@@ -123,8 +143,8 @@ TEST(ShardedNetwork, FaultSweepDigestMatchesSerial)
         cfg.faults.corruptRate = 2e-4;
         const unsigned shards = kShardCounts[s % 3];
         SCOPED_TRACE("shards " + std::to_string(shards));
-        EXPECT_EQ(digestAtShards(cfg, 1), digestAtShards(cfg, shards))
-            << "FaultPlan replay diverged between serial and sharded";
+        expectSerialEquivalent(runAtShards(cfg, 1),
+                               runAtShards(cfg, shards));
     }
 }
 
@@ -271,6 +291,56 @@ TEST(ShardedNetwork, CloseRacingALandingFlitWaitsForIt)
         kernel.run(2);
         EXPECT_EQ(net.connectionState(h), Network::ConnState::Gone);
         EXPECT_EQ(net.openConnectionCount(), 0u);
+    }
+}
+
+/**
+ * On a 4-shard mesh:4x4, routers 1, 2 and 3 are audited on lanes 1-3,
+ * each on its own thread.  Free VCs carrying a mapping are planted on
+ * some of them, each on a different VC with a different mapping: VC
+ * r + 4 of input port 1 of router r, mapped to output (r - 1, r).
+ * However the lanes race, the run must die with the serial audit's
+ * report alone, file and line included: that of the lowest planted
+ * router, which registered first — also when only a worker lane sees
+ * one.
+ */
+TEST(ShardedNetworkDeath, LaneViolationsPanicInSerialOrder)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto audit = [](const std::vector<NodeId> &planted) {
+        invariant::setEnabled(true);
+        NetworkConfig ncfg;
+        ncfg.shards = 4;
+        ncfg.router.vcsPerPort = 8;
+        ncfg.router.candidates = 4;
+        Network net(Topology::mesh2d(4, 4), ncfg);
+        InvariantChecker chk;
+        net.registerInvariants(chk, 16);
+        Kernel kernel;
+        kernel.add(&net, "network");
+        kernel.add(&chk, "invariants");
+        kernel.run(17); // two clean sweeps, at cycles 0 and 16
+        for (const NodeId r : planted)
+            net.routerAt(r).inputMemory(1).vc(r + 4).setMapping(r - 1, r);
+        kernel.run(16); // the next sweep, at cycle 32
+    };
+    // The whole of stderr: one report, not one per lane.
+    const auto report = [](NodeId r) {
+        return "^panic: invariant 'vc-legality' violated: free VC " +
+               std::to_string(r + 4) + " still maps to output \\(" +
+               std::to_string(r - 1) + "," + std::to_string(r) +
+               "\\) \\([^)]*vc_memory\\.cc:[0-9]+\\)\n$";
+    };
+    struct Case
+    {
+        std::vector<NodeId> planted;
+        NodeId first;
+    };
+    const Case cases[] = {{{1, 2, 3}, 1}, {{3, 2}, 2}, {{3, 1}, 1},
+                          {{2, 1}, 1},    {{2}, 2},    {{3}, 3}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE("first planted router " + std::to_string(c.first));
+        EXPECT_DEATH(audit(c.planted), report(c.first));
     }
 }
 

@@ -103,6 +103,116 @@ TEST(InvariantFramework, DispatchMatchesThePeriodRule)
     EXPECT_EQ(chk.checksRun(), want.size());
 }
 
+/** A lane runner that runs every lane inline on the caller, in the
+ * order @p order gives (a permutation of the lanes). */
+InvariantChecker::LaneRunner
+inlineLanes(std::vector<unsigned> order)
+{
+    return [order](Cycle, const InvariantChecker::LaneFn &lane) {
+        for (const unsigned l : order)
+            lane(l);
+    };
+}
+
+TEST(InvariantFramework, LanesRunEachDueCheckOnceInRegistrationOrder)
+{
+    // Entries spread over three lanes, with mixed strides: every cycle
+    // each lane calls exactly its entries the `now % period` rule
+    // selects, in registration order, and the count over all lanes is
+    // the one-lane count.
+    struct Spec
+    {
+        std::string name;
+        unsigned period;
+        unsigned lane;
+    };
+    const std::vector<Spec> spec = {{"a", 4, 1}, {"b", 1, 0}, {"c", 6, 2},
+                                    {"d", 1, 2}, {"e", 4, 0}, {"f", 1, 1},
+                                    {"g", 6, 1}};
+    InvariantChecker chk;
+    chk.setLanes(3, inlineLanes({2, 0, 1}));
+    ASSERT_EQ(chk.lanes(), 3u);
+    std::vector<std::vector<std::pair<Cycle, std::string>>> calls(3);
+    for (const Spec &s : spec) {
+        chk.add(
+            s.name,
+            [&calls, s](Cycle now) {
+                calls[s.lane].emplace_back(now, s.name);
+            },
+            s.period, s.lane);
+    }
+    std::vector<std::vector<std::pair<Cycle, std::string>>> want(3);
+    std::uint64_t due = 0;
+    for (Cycle now = 0; now <= 50; ++now) {
+        chk.advance(now);
+        for (const Spec &s : spec) {
+            if (now % s.period == 0) {
+                want[s.lane].emplace_back(now, s.name);
+                ++due;
+            }
+        }
+    }
+    EXPECT_EQ(calls, want);
+    EXPECT_EQ(chk.checksRun(), due);
+}
+
+TEST(InvariantFrameworkDeath, LaneTripsPanicInRegistrationOrder)
+{
+    // Two lanes violate at once; whichever lane runs first, the panic
+    // is the one the serial audit reports: the earlier registration.
+    for (const std::vector<unsigned> &order :
+         {std::vector<unsigned>{0, 1, 2}, std::vector<unsigned>{2, 1, 0}}) {
+        InvariantChecker chk;
+        chk.setLanes(3, inlineLanes(order));
+        chk.add("quiet", [](Cycle) {}, 1, 0);
+        chk.add(
+            "first",
+            [](Cycle now) {
+                if (now == 3)
+                    mmr_invariant_violated("first", "lane 2 at ", now);
+            },
+            1, 2);
+        chk.add(
+            "second",
+            [](Cycle now) {
+                if (now == 3)
+                    mmr_invariant_violated("second", "lane 0 at ", now);
+            },
+            1, 0);
+        for (Cycle now = 0; now < 3; ++now)
+            chk.advance(now);
+        EXPECT_DEATH(chk.advance(3),
+                     "panic: invariant 'first' violated: lane 2 at 3 "
+                     "\\(.*test_invariants\\.cc:[0-9]+\\)");
+    }
+}
+
+TEST(InvariantFrameworkDeath, TripThatPassesSeriallyNamesTheLane)
+{
+    // A lane tripped, but the serial re-run finds nothing: the checker
+    // must not carry on silently.
+    InvariantChecker chk;
+    chk.setLanes(2, inlineLanes({0, 1}));
+    unsigned calls = 0;
+    chk.add(
+        "once",
+        [&calls](Cycle) {
+            if (calls++ == 0)
+                mmr_invariant_violated("once", "only on the first call");
+        },
+        1, 1);
+    EXPECT_DEATH(chk.advance(5),
+                 "invariant audit lane 1 tripped at cycle 5 but every "
+                 "check passed when re-run serially");
+}
+
+TEST(InvariantFrameworkDeath, LaneBeyondTheCountPanics)
+{
+    InvariantChecker chk;
+    EXPECT_DEATH(chk.add("far", [](Cycle) {}, 1, 1),
+                 "invariant 'far' on lane 1 of 1");
+}
+
 TEST(InvariantFramework, DisabledSkipsChecks)
 {
     InvariantChecker chk;

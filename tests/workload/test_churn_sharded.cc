@@ -75,6 +75,8 @@ TEST(ChurnSharded, CleanDigestsMatchAcrossShardCounts)
         const auto r = runNetworkExperiment(cfg);
         EXPECT_EQ(networkResultDigest(r), want)
             << "sharded churn run diverged from the serial one";
+        EXPECT_EQ(r.invariantChecks, serial.invariantChecks)
+            << "the audit lanes ran a different number of checks";
     }
 }
 
@@ -92,6 +94,8 @@ TEST(ChurnSharded, FaultedDigestsMatchAcrossShardCounts)
         const auto r = runNetworkExperiment(cfg);
         EXPECT_EQ(networkResultDigest(r), want)
             << "sharded faulted churn run diverged from serial";
+        EXPECT_EQ(r.invariantChecks, serial.invariantChecks)
+            << "the audit lanes ran a different number of checks";
     }
 }
 
@@ -129,8 +133,11 @@ TEST(ChurnSharded, SetupPathDigestMatchesOnShardsAndThreads)
             << "a worker-thread run diverged from the serial one";
 
         cfg.net.shards = 2;
-        EXPECT_EQ(networkResultDigest(runNetworkExperiment(cfg)), want)
+        const auto sharded = runNetworkExperiment(cfg);
+        EXPECT_EQ(networkResultDigest(sharded), want)
             << "the 2-shard run diverged from the serial one";
+        EXPECT_EQ(sharded.invariantChecks, serial.invariantChecks)
+            << "the audit lanes ran a different number of checks";
     }
 }
 
