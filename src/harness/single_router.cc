@@ -30,28 +30,6 @@ SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
 
     recorder.setQosBudget(TrafficClass::CBR, cfg.cbrDelayBudget);
     recorder.setQosBudget(TrafficClass::VBR, cfg.vbrDelayBudget);
-
-    // Frame-deadline accounting for VBR flits: the injection path
-    // stamps each flit with its frame's deadline (Flit::arg); a flit
-    // leaving the switch later than that is a miss (§4.3).  Flits the
-    // *source* already emitted past the deadline (an oversized frame
-    // that cannot fit its slot even at peak rate) are excluded — they
-    // measure the traffic model, not the scheduler.
-    dut->setSink([this](PortId, VcId, const Flit &f, Cycle now) {
-        // Windowed delay accumulation (steady-state detection).
-        windowDelaySum += static_cast<double>(now - f.readyTime);
-        ++windowDelayCount;
-        if (f.klass != TrafficClass::VBR || f.arg <= 0.0)
-            return;
-        if (!recorder.measuring(now))
-            return;
-        if (static_cast<double>(f.createTime) > f.arg)
-            return; // source-inherent lateness
-        auto &[misses, total] = deadlineByConn[f.conn];
-        ++total;
-        if (static_cast<double>(now) > f.arg)
-            ++misses;
-    });
 }
 
 SingleRouterExperiment::~SingleRouterExperiment() = default;
@@ -364,6 +342,35 @@ SingleRouterExperiment::drainBucket(Cycle c, Cycle now)
     bucket.clear();
 }
 
+void
+SingleRouterExperiment::step(Kernel &kernel)
+{
+    const Cycle now = kernel.now();
+    injectArrivals(now);
+    kernel.step();
+    for (const MmrRouter::Departure &d : dut->departures()) {
+        const Flit &f = d.flit;
+        // Windowed delay accumulation (steady-state detection).
+        windowDelaySum += static_cast<double>(now - f.readyTime);
+        ++windowDelayCount;
+        // Frame-deadline accounting for VBR flits: the injection path
+        // stamps each flit with its frame's deadline (Flit::arg); a
+        // flit leaving the switch later than that is a miss (§4.3).
+        // Flits the *source* already emitted past the deadline (an
+        // oversized frame that cannot fit its slot even at peak rate)
+        // are excluded — they measure the traffic model, not the
+        // scheduler.
+        if (f.klass != TrafficClass::VBR || f.arg <= 0.0 ||
+            !recorder.measuring(now) ||
+            static_cast<double>(f.createTime) > f.arg)
+            continue;
+        auto &[misses, total] = deadlineByConn[f.conn];
+        ++total;
+        if (static_cast<double>(now) > f.arg)
+            ++misses;
+    }
+}
+
 ExperimentResult
 SingleRouterExperiment::run()
 {
@@ -481,10 +488,8 @@ SingleRouterExperiment::run()
             windowDelaySum = 0.0;
             windowDelayCount = 0;
             const Cycle end = kernel.now() + cfg.warmupWindow;
-            while (kernel.now() < end) {
-                injectArrivals(kernel.now());
-                kernel.step();
-            }
+            while (kernel.now() < end)
+                step(kernel);
             det.addWindow(windowDelayCount
                               ? windowDelaySum /
                                     static_cast<double>(windowDelayCount)
@@ -501,8 +506,7 @@ SingleRouterExperiment::run()
                 "forced-panic", "deliberate invariant violation at "
                                 "cycle ",
                 kernel.now(), " (ExperimentConfig::forcePanicAt)");
-        injectArrivals(kernel.now());
-        kernel.step();
+        step(kernel);
     }
 
     const double wall_seconds =

@@ -221,6 +221,9 @@ class SingleRouterExperiment
     bool addBestEffortFlow(double rate_bps);
     void injectArrivals(Cycle now);
     void pollStream(std::size_t idx, Cycle now);
+    /** Inject, step @p kernel one cycle, then account the router's
+     * departures of that cycle (steady-state window, VBR deadlines). */
+    void step(Kernel &kernel);
 
     ExperimentConfig cfg;
     MetricsRecorder recorder;

@@ -16,8 +16,7 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     : topo(std::move(topo_)), cfg(cfg_), rand(cfg_.seed),
       updownRoutes(std::make_unique<UpDownRouting>(topo))
 {
-    // Strided shard partition, router n on shard n mod S (set before
-    // wiring: the router callbacks capture their owning shard).
+    // Strided shard partition: router n on shard n mod S.
     numShards = std::max(1u, std::min(cfg.shards, topo.numNodes()));
     mailboxes = std::vector<ShardMailbox>(numShards);
     pool = std::make_unique<ShardPool>(numShards);
@@ -31,28 +30,22 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         rc.seed = cfg.seed * 0x9e3779b9ULL + n + 1;
         routers.push_back(std::make_unique<MmrRouter>(rc));
         routers.back()->credits().setInfinite(false);
-        wireRouter(n);
     }
-    // Sharded, size each shard's mailbox for its busiest cycle, so that
-    // steady state never grows one: a router grants each input port at
-    // most once per cycle, and a grant logs at most an egress, a credit
-    // return and a segment removal; at most one flit lands per link.
-    // Each shard's high-water mark is its own share's, which a warm-up
-    // need not reach.  One shard's mailbox sees every router, so its
-    // mark is the network's busiest cycle, reached in a warm-up: it
-    // grows to that rather than hold the worst case, three times as
-    // much or more (about 0.5 MiB on a 256-router MIN).
-    if (numShards > 1) {
-        std::vector<std::size_t> events(numShards, 0);
-        std::vector<std::size_t> landings(numShards, 0);
-        for (NodeId n = 0; n < topo.numNodes(); ++n) {
-            events[shardOfNode(n)] += 3 * (topo.degree(n) + 1);
-            landings[shardOfNode(n)] += topo.degree(n);
-        }
-        for (unsigned s = 0; s < numShards; ++s) {
-            mailboxes[s].log.reserve(events[s]);
+    // Size each shard's log for its busiest cycle, so that steady state
+    // never grows one: a router grants each input port at most once per
+    // cycle, one record per grant.  Sharded, each arrival list holds
+    // one flit per link into its routers; a single shard's grows to the
+    // network's busiest cycle in a warm-up instead.
+    std::vector<std::size_t> grants(numShards, 0);
+    std::vector<std::size_t> landings(numShards, 0);
+    for (NodeId n = 0; n < topo.numNodes(); ++n) {
+        grants[shardOfNode(n)] += topo.degree(n) + 1;
+        landings[shardOfNode(n)] += topo.degree(n);
+    }
+    for (unsigned s = 0; s < numShards; ++s) {
+        mailboxes[s].log.reserve(grants[s]);
+        if (numShards > 1)
             mailboxes[s].arrivals.reserve(landings[s]);
-        }
     }
     portOffset.assign(topo.numNodes() + 1, 0);
     for (NodeId n = 0; n < topo.numNodes(); ++n)
@@ -199,53 +192,15 @@ Network::routerAt(NodeId n)
     return *routers[n];
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: the mailbox logs the
-// router callbacks append to keep their capacity across cycles, so a
-// steady-state phase allocates nothing.
-void
-Network::wireRouter(NodeId n)
-{
-    // Every callback becomes a record in the emitting router's shard
-    // mailbox instead of being applied inline: the handlers touch
-    // other routers (credit upstream, link queues, end-to-end stats),
-    // which a worker thread must not do.  Routers emit them only while
-    // applying a matching, so the coordinator replays the logs once,
-    // after the advance phase, merged by router id: ascending router
-    // id at every shard count.  The one callback that fires outside a
-    // phase — segment removal while processPendingCloses() tears a PCS
-    // path down — returns before logging, because PCS segments never
-    // set releaseWhenEmpty.
-    const unsigned shard = shardOfNode(n);
-    routers[n]->setSink(
-        [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
-            mailboxes[shard].log.push_back(DeferredEvent{
-                DeferredEvent::Kind::Egress, n, out, out_vc, f});
-        });
-    routers[n]->setCreditReturn(
-        [this, n, shard](PortId in, VcId vc, Cycle) {
-            mailboxes[shard].log.push_back(DeferredEvent{
-                DeferredEvent::Kind::Credit, n, in, vc, Flit{}});
-        });
-    routers[n]->setSegmentRemoved(
-        [this, n, shard](const SegmentParams &seg) {
-            // A transient datagram segment owns its *link* input VC
-            // from the upstream router's output pool; the link VC is
-            // only free again once the packet has left this router, so
-            // the upstream allocation is released here rather than
-            // when the flit left the upstream router (that early
-            // release would let a new connection claim a VC whose
-            // buffer is still occupied).
-            if (!seg.releaseWhenEmpty || seg.in >= topo.degree(n))
-                return;
-            mailboxes[shard].log.push_back(DeferredEvent{
-                DeferredEvent::Kind::SegRemoved, n, seg.in, seg.inVc,
-                Flit{}});
-        });
-}
-
 void
 Network::handleSegmentRemoved(NodeId n, PortId in, VcId in_vc)
 {
+    // A transient datagram segment owns its *link* input VC from the
+    // upstream router's output pool; the link VC is only free again
+    // once the packet has left this router, so the upstream allocation
+    // is released here rather than when the flit left the upstream
+    // router (that early release would let a new connection claim a VC
+    // whose buffer is still occupied).
     const Topology::PortInfo &up = topo.ports(n)[in];
     routers[up.neighbor]->routing().freeOutputVc(up.remotePort, in_vc);
 }
@@ -297,13 +252,21 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
 }
 
 void
-Network::handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now)
+Network::handleCreditReturn(NodeId n, PortId in, VcId vc)
 {
-    (void)now;
     if (in >= topo.degree(n))
         return; // NI-side injection is limited by deposit space
     const Topology::PortInfo &up = topo.ports(n)[in];
     routers[up.neighbor]->credits().replenish(up.remotePort, vc);
+}
+
+std::uint64_t
+Network::injectRejects() const
+{
+    std::uint64_t rejects = 0;
+    for (const auto &r : routers)
+        rejects += r->injectionRejects();
+    return rejects;
 }
 
 void
@@ -649,12 +612,8 @@ Network::inject(Handle h, Flit f, Cycle now)
     f.src = conn.src;
     f.dst = conn.dst;
     f.readyTime = now;
-    if (!routers[conn.src]->inject(ChannelRef{niPort(conn.src), conn.srcVc},
-                                   f)) {
-        ++statInjectRejects;
-        return false;
-    }
-    return true;
+    return routers[conn.src]->inject(
+        ChannelRef{niPort(conn.src), conn.srcVc}, f);
 }
 
 bool
@@ -828,7 +787,7 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     seg.releaseWhenEmpty = true;
     seg.ownsInputVc = owns_input;
     // A link output VC stays allocated until the downstream router
-    // releases the packet (see the segment-removed hook); only the
+    // releases the packet (see handleSegmentRemoved); only the
     // NI hop's output VC has no downstream router and is freed with
     // this segment.
     seg.ownsOutputVc = (out == niPort(p.node));
@@ -943,8 +902,8 @@ Network::evaluate(Cycle now)
 void
 Network::advance(Cycle now)
 {
-    // The mailbox logs fill in this phase alone (see wireRouter), so
-    // one drain covers the cycle.
+    // Routers depart flits in this phase alone, so one drain covers
+    // the cycle.
     phaseCycle = now;
     pool->runPhase(now, advPhase);
     drainMailboxes(now);
@@ -957,22 +916,28 @@ Network::evaluateShard(unsigned s)
     // VC memory (§3.2), in link FIFO order, before any router of the
     // shard schedules.  Flits for one VC all land on one shard, and
     // deposits into different VCs commute, so this order is the
-    // serial one.
+    // serial one.  The router counts a refused deposit
+    // (injectRejects()).
     ShardMailbox &box = mailboxes[s];
     for (const LinkFlit &lf : box.arrivals)
-        if (!routers[lf.toNode]->inject(ChannelRef{lf.toPort, lf.vc},
-                                        lf.flit))
-            ++box.injectRejects;
+        routers[lf.toNode]->inject(ChannelRef{lf.toPort, lf.vc}, lf.flit);
     box.arrivals.clear();
     for (NodeId n = s; n < routers.size(); n += numShards)
         routers[n]->evaluate(phaseCycle);
 }
 
+// mmr-lint: allow(hot-path-alloc) amortized: each shard's log is sized
+// at construction for one record per input port of its routers, the
+// most one advance can depart.
 void
 Network::advanceShard(unsigned s)
 {
-    for (NodeId n = s; n < routers.size(); n += numShards)
+    std::vector<LoggedDeparture> &log = mailboxes[s].log;
+    for (NodeId n = s; n < routers.size(); n += numShards) {
         routers[n]->advance(phaseCycle);
+        for (const MmrRouter::Departure &d : routers[n]->departures())
+            log.push_back(LoggedDeparture{n, d});
+    }
 }
 
 void
@@ -980,20 +945,25 @@ Network::drainMailboxes(Cycle now)
 {
     // Deterministic merge by router id: router n's records are the
     // next run of shard (n mod S)'s log, so visiting n = 0..N-1 with
-    // one cursor per shard replays every deferred side effect —
-    // link-queue pushes, corrupt-hook RNG draws, upstream credit
-    // returns, end-to-end FP accumulation — in ascending router order,
-    // emission order within a router.  That is the serial loop's
-    // order at every shard count, which is what keeps
-    // networkResultDigest bit-identical across shard counts
-    // (DESIGN.md §12).
+    // one cursor per shard applies every departure — upstream credit,
+    // then egress (link-queue push, corrupt-hook RNG draw or
+    // end-to-end FP accumulation), then a released VCT packet's
+    // upstream link VC — in ascending router order, apply order within
+    // a router.  That is the serial loop's order at every shard count,
+    // which keeps networkResultDigest bit-identical across shard
+    // counts (DESIGN.md §12).
     unsigned s = 0;
     for (NodeId n = 0; n < routers.size(); ++n) {
         ShardMailbox &box = mailboxes[s];
         for (; box.replayed < box.log.size() &&
                box.log[box.replayed].node == n;
-             ++box.replayed)
-            replay(box.log[box.replayed], now);
+             ++box.replayed) {
+            const MmrRouter::Departure &d = box.log[box.replayed].departure;
+            handleCreditReturn(n, d.in, d.vc);
+            handleEgress(n, d.out, d.outVc, d.flit, now);
+            if (d.released && d.in < topo.degree(n))
+                handleSegmentRemoved(n, d.in, d.vc);
+        }
         if (++s == numShards)
             s = 0;
     }
@@ -1002,24 +972,6 @@ Network::drainMailboxes(Cycle now)
                    "mailbox log not in ascending router order");
         box.log.clear();
         box.replayed = 0;
-        statInjectRejects += box.injectRejects;
-        box.injectRejects = 0;
-    }
-}
-
-void
-Network::replay(const DeferredEvent &e, Cycle now)
-{
-    switch (e.kind) {
-    case DeferredEvent::Kind::Egress:
-        handleEgress(e.node, e.port, e.vc, e.flit, now);
-        break;
-    case DeferredEvent::Kind::Credit:
-        handleCreditReturn(e.node, e.port, e.vc, now);
-        break;
-    case DeferredEvent::Kind::SegRemoved:
-        handleSegmentRemoved(e.node, e.port, e.vc);
-        break;
     }
 }
 
@@ -1143,7 +1095,9 @@ Network::registerStats(StatsRegistry &reg, MmrRouter::StatsDetail detail)
     reg.addCounter("net.flits.lost", &statLostFlits);
     reg.addCounter("net.flits.corrupted", &statFlitsCorrupted);
     reg.addCounter("net.datagrams.lost", &statDatagramsLost);
-    reg.addCounter("net.inject_rejects", &statInjectRejects);
+    reg.addCounter("net.inject_rejects", [this] {
+        return static_cast<double>(injectRejects());
+    });
     reg.addCounter("net.datagrams.sent", &statDatagramsSent);
     reg.addCounter("net.datagrams.delivered", &statDatagramsDone);
     reg.addCounter("net.datagrams.drops", &statDatagramDrops);

@@ -67,11 +67,11 @@ struct NetworkConfig
      * Intra-run parallelism: deal the routers to this many shards
      * (router n to shard n mod shards), each evaluated/advanced on its
      * own worker thread.  A shard deposits the stream flits that land
-     * on its routers, and every router callback is deferred through
-     * per-shard mailboxes replayed merged by router id, so results are
-     * bit-identical at every shard count.  Clamped to [1, node count];
-     * one shard runs every router on the calling thread through the
-     * same arrival lists and mailboxes.
+     * on its routers and logs their departures, one record per grant,
+     * in its mailbox; the coordinator applies the logs merged by
+     * router id, so results are bit-identical at every shard count.
+     * Clamped to [1, node count]; one shard runs every router on the
+     * calling thread through the same arrival lists and mailboxes.
      */
     unsigned shards = 1;
 };
@@ -345,7 +345,9 @@ class Network : public Clocked
     {
         return pendingArrivals.size();
     }
-    std::uint64_t injectRejects() const { return statInjectRejects; }
+    /** Refused deposits: the sum of the routers'
+     * injectionRejects(), since every deposit goes through one. */
+    std::uint64_t injectRejects() const;
 
     // ------------------------------------------------------------------
     // Observability
@@ -412,10 +414,9 @@ class Network : public Clocked
         Flit flit;
     };
 
-    void wireRouter(NodeId n);
     void handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
                       Cycle now);
-    void handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now);
+    void handleCreditReturn(NodeId n, PortId in, VcId vc);
     void handleSegmentRemoved(NodeId n, PortId in, VcId in_vc);
     /** A flit lost after leaving @p up through (@p out, @p vc): return
      * its credit and, for a datagram, the link VC it held. */
@@ -426,48 +427,30 @@ class Network : public Clocked
     // Shard-parallel evaluation core
     // ------------------------------------------------------------------
 
-    /**
-     * One router callback, logged instead of applied inline.  A worker
-     * only ever touches its own shard's routers plus its own shard's
-     * mailbox; every cross-router side effect — link egress, upstream
-     * credit return, upstream VC release on segment removal — becomes
-     * one of these records, replayed by the coordinator after the
-     * phase barrier merged by router id.  A shard advances its routers
-     * in ascending id, so router n's records are the next run of its
-     * shard's log: the replay order is ascending router id, emission
-     * order within a router, at every shard count, and the results are
-     * bit-identical (see DESIGN.md §12 for the full argument).
-     */
-    struct DeferredEvent
+    /** One grant of router @c node, logged by its shard. */
+    struct LoggedDeparture
     {
-        enum class Kind : std::uint8_t
-        {
-            Egress,    ///< sink callback: flit leaving a router
-            Credit,    ///< credit return toward the upstream router
-            SegRemoved ///< datagram segment freed its upstream link VC
-        };
-
-        Kind kind;
         NodeId node;
-        PortId port; ///< Egress: out port; Credit, SegRemoved: in port
-        VcId vc;     ///< Egress: out VC;   Credit, SegRemoved: in VC
-        Flit flit;   ///< Egress only
+        MmrRouter::Departure departure;
     };
 
-    /** Per-shard traffic with the coordinator, cache-line padded:
+    /**
+     * Per-shard traffic with the coordinator, cache-line padded:
      * neighboring shards write theirs concurrently, and without the
      * alignas the vectors' size/capacity words would false-share one
-     * line. */
+     * line.  A worker touches only its own shard's routers and
+     * mailbox; the cross-router effects of a grant wait in the log for
+     * the coordinator's drain (DESIGN.md §12).
+     */
     struct alignas(64) ShardMailbox
     {
         /** Stream flits that landed on this shard's routers this
          * cycle, in link FIFO order: filled by processArrivals(),
          * deposited and cleared by the shard's evaluate phase. */
         std::vector<LinkFlit> arrivals;
-        /** Refused deposits, folded into statInjectRejects by the
-         * drain. */
-        std::uint64_t injectRejects = 0;
-        std::vector<DeferredEvent> log;
+        /** This cycle's departures of the shard's routers, ascending
+         * router id, apply order within a router. */
+        std::vector<LoggedDeparture> log;
         std::size_t replayed = 0; ///< drain cursor into log
     };
 
@@ -475,13 +458,13 @@ class Network : public Clocked
      * evaluate its routers in ascending id. */
     MMR_HOT_PATH void evaluateShard(unsigned s);
 
-    /** Advance phase of shard @p s: its routers in ascending id. */
+    /** Advance phase of shard @p s: its routers in ascending id,
+     * each one's departures appended to the shard's log. */
     MMR_HOT_PATH void advanceShard(unsigned s);
 
-    /** Replay every mailbox log merged by router id, fold the refused
-     * deposits into injectRejects(), then clear. */
+    /** Apply every logged departure merged by router id (upstream
+     * credit, egress, then upstream VC release), then clear. */
     MMR_HOT_PATH void drainMailboxes(Cycle now);
-    void replay(const DeferredEvent &e, Cycle now);
 
     unsigned numShards = 1;
     std::vector<ShardMailbox> mailboxes;
@@ -601,7 +584,6 @@ class Network : public Clocked
     std::uint64_t statDatagramsSent = 0;
     std::uint64_t statDatagramsDone = 0;
     std::uint64_t statDatagramDrops = 0;
-    std::uint64_t statInjectRejects = 0;
 };
 
 } // namespace mmr

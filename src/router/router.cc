@@ -67,6 +67,7 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     // One segment per input VC at most.
     liveSegs.resize(static_cast<std::size_t>(cfg.numPorts) *
                     cfg.vcsPerPort);
+    departed.resize(cfg.numPorts);
     // Stand-alone routers deliver to an infinite sink by default.
     creditMgr.setInfinite(true);
 }
@@ -277,8 +278,6 @@ MmrRouter::removeSegment(ChannelRef in)
     mmr_assert(at != live_end, "bound VC (", in.port, ",", in.vc,
                ") missing from the live-segment list");
     *at = liveSegs[--liveCount];
-    if (segmentRemoved)
-        segmentRemoved(p);
     return true;
 }
 
@@ -430,18 +429,18 @@ MmrRouter::deliver(const Candidate &grant, Flit &&flit, Cycle now,
             static_cast<double>(now - flit.readyTime), flit.klass,
             &stages);
     }
-    if (creditReturn)
-        creditReturn(grant.in, grant.vc, now);
-    if (sink)
-        sink(grant.out, grant.outVc, flit, now);
+    departed[departedCount++] = Departure{
+        std::move(flit), grant.in, grant.vc, grant.out, grant.outVc, false};
 }
 
 void
 MmrRouter::maybeAutoRelease(PortId in, VcId in_vc)
 {
     const VcState &vc = inputMems[in].vc(in_vc);
-    if (vc.releaseWhenEmpty() && vc.empty() && vc.pendingGrants() == 0)
+    if (vc.releaseWhenEmpty() && vc.empty() && vc.pendingGrants() == 0) {
         removeSegment(ChannelRef{in, in_vc});
+        departed[departedCount - 1].released = true;
+    }
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: configScratch is a member
@@ -451,6 +450,9 @@ MmrRouter::applyMatching(Cycle now)
 {
     mmr_assert(currentStamps.size() == currentMatching.size(),
                "matching and stamp vectors fell out of step");
+    mmr_assert(currentMatching.size() <= departed.size(),
+               "a matching grants each input port at most once");
+    departedCount = 0;
     for (std::size_t gi = 0; gi < currentMatching.size(); ++gi) {
         const Candidate &grant = currentMatching[gi];
         VcState &vc = inputMems[grant.in].vc(grant.vc);

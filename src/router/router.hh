@@ -13,9 +13,11 @@
  *
  * Time advances in flit cycles.  During cycle t the switch transmits
  * the flits of the matching computed in cycle t-1 while the schedulers
- * concurrently compute the matching for t+1 (§3.4).  The link phit
- * buffers and the asynchronous control cut-through of §3.2/§3.4 are
- * not modelled here: probes travel as timed messages in
+ * concurrently compute the matching for t+1 (§3.4).  Each transmitted
+ * flit leaves one Departure record (departures()); the owner of the
+ * links applies its upstream credit, egress and VC release from it.
+ * The link phit buffers and the asynchronous control cut-through of
+ * §3.2/§3.4 are not modelled here: probes travel as timed messages in
  * network/probe_protocol and datagrams as transient VCT segments.
  */
 
@@ -24,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/rng.hh"
@@ -69,15 +72,22 @@ struct SegmentParams
 class MmrRouter : public Clocked
 {
   public:
-    /** Delivery callback for flits leaving an output port. */
-    using SinkFn =
-        std::function<void(PortId out, VcId out_vc, const Flit &, Cycle)>;
-
-    /** Credit-return callback: a flit left input VC (in, vc). */
-    using CreditFn = std::function<void(PortId in, VcId vc, Cycle)>;
-
-    /** Invoked after a segment is removed (its params by value). */
-    using SegmentFn = std::function<void(const SegmentParams &)>;
+    /**
+     * One grant the switch applied: the popped flit, the input channel
+     * (in, vc) it left, which frees one buffer upstream (§3.1), and the
+     * output channel (out, outVc) it took.  @c released is set when the
+     * flit drained a VCT segment, which then removed itself, so the
+     * upstream VC that fed it is free again (§3.4).
+     */
+    struct Departure
+    {
+        Flit flit;
+        PortId in = kInvalidPort;
+        VcId vc = kInvalidVc;
+        PortId out = kInvalidPort;
+        VcId outVc = kInvalidVc;
+        bool released = false;
+    };
 
     explicit MmrRouter(const RouterConfig &cfg,
                        MetricsRecorder *metrics = nullptr);
@@ -144,11 +154,12 @@ class MmrRouter : public Clocked
      * buffer is full; panics when no segment is bound there. */
     bool inject(ChannelRef in, Flit f);
 
-    void setSink(SinkFn fn) { sink = std::move(fn); }
-    void setCreditReturn(CreditFn fn) { creditReturn = std::move(fn); }
-    void setSegmentRemoved(SegmentFn fn)
+    /** The last advance()'s departures in apply order, at most one per
+     * input port; the next advance() replaces them. */
+    std::span<const Departure>
+    departures() const
     {
-        segmentRemoved = std::move(fn);
+        return {departed.data(), departedCount};
     }
 
     // ------------------------------------------------------------------
@@ -258,9 +269,11 @@ class MmrRouter : public Clocked
     void scheduleBuffered(Cycle now);
     bool creditAvailable(const VcState &vc) const;
     void applyMatching(Cycle now);
+    /** Count and record the departure of @p flit through @p grant. */
     void deliver(const Candidate &grant, Flit &&flit, Cycle now,
                  const StageSample &stages);
-    /** Remove a VCT segment whose input VC just drained. */
+    /** Remove a VCT segment whose input VC just drained, marking the
+     * last departure released. */
     void maybeAutoRelease(PortId in, VcId in_vc);
 
     RouterConfig cfg;
@@ -292,9 +305,10 @@ class MmrRouter : public Clocked
     std::vector<VcState::GrantStamp> currentStamps;
     std::vector<VcState::GrantStamp> nextStamps;
 
-    SinkFn sink;
-    CreditFn creditReturn;
-    SegmentFn segmentRemoved;
+    /** This cycle's departures: the first departedCount entries of
+     * storage sized numPorts at construction (one grant per input). */
+    std::vector<Departure> departed;
+    std::size_t departedCount = 0;
 
     // Per-cycle scratch, reused so steady state allocates nothing.
     std::vector<std::vector<Candidate>> candScratch;

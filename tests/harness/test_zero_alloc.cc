@@ -23,6 +23,7 @@
 #include "harness/network_experiment.hh"
 #include "metrics/recorder.hh"
 #include "obs/flight_recorder.hh"
+#include "router/departure_tap.hh"
 #include "router/router.hh"
 #include "sim/kernel.hh"
 #include "workload/churn.hh"
@@ -91,7 +92,7 @@ TEST(ZeroAlloc, SteadyStateCycleAllocatesNothing)
 
     MmrRouter router(cfg, /*metrics=*/nullptr);
     std::uint64_t delivered = 0;
-    router.setSink([&](PortId, VcId, const Flit &, Cycle) {
+    DepartureTap tap(router, [&](const MmrRouter::Departure &, Cycle) {
         ++delivered;
     });
 
@@ -109,6 +110,7 @@ TEST(ZeroAlloc, SteadyStateCycleAllocatesNothing)
 
     Kernel kernel;
     kernel.add(&router, "dut");
+    kernel.add(&tap);
 
     std::vector<std::uint32_t> seq(conns.size(), 0);
     const auto injectAll = [&] {
@@ -164,7 +166,7 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
 
     MmrRouter router(cfg, &metrics);
     std::uint64_t delivered = 0;
-    router.setSink([&](PortId, VcId, const Flit &, Cycle) {
+    DepartureTap tap(router, [&](const MmrRouter::Departure &, Cycle) {
         ++delivered;
     });
 
@@ -178,6 +180,7 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
 
     Kernel kernel;
     kernel.add(&router, "dut");
+    kernel.add(&tap);
     metrics.startMeasurement(0);
 
     std::vector<std::uint32_t> seq(conns.size(), 0);

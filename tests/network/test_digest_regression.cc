@@ -16,12 +16,15 @@
  * The grid covers the static-workload and churn-population engines,
  * each clean and under a composed fault + recovery schedule (the
  * churn x faults cell exercises probe backtracking, teardown, and
- * recovery re-setups on top of the pooled fast path).
+ * recovery re-setups on top of the pooled fast path).  A fifth pin
+ * holds the single-router harness's resultDigest, whose warm-up and
+ * VBR deadline scoring read the router's departures.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/network_experiment.hh"
+#include "harness/single_router.hh"
 
 namespace mmr
 {
@@ -81,6 +84,37 @@ TEST(DigestRegression, ChurnCleanMatchesPreFastPathReference)
 TEST(DigestRegression, ChurnFaultedMatchesPreFastPathReference)
 {
     EXPECT_EQ(digestOf(true, true), 0xc8dcaf650757d382ULL);
+}
+
+/**
+ * The single-router harness's departure accounting: the steady-state
+ * detector's windowed delay decides the warm-up, and the VBR frame
+ * deadlines are scored per departure, both read in the cycle the flit
+ * crossed the switch.  Scoring departures one cycle late moves this
+ * digest and the warm-up.
+ */
+TEST(DigestRegression, SingleRouterWarmupAndDeadlinesMatchParent)
+{
+    ExperimentConfig c;
+    c.router.numPorts = 4;
+    c.router.vcsPerPort = 32;
+    c.offeredLoad = 0.6;
+    c.measureCycles = 12000;
+    c.seed = 1234;
+    c.mix.cbrShare = 0.5;
+    c.mix.vbrShare = 0.3;
+    c.mix.beShare = 0.2;
+    c.mix.vbrProfile.framesPerSecond = 2000.0;
+    c.mix.abortLateFrames = true;
+    c.autoWarmup = true;
+    c.warmupWindow = 1000;
+    c.maxWarmupCycles = 20000;
+    const ExperimentResult r = runSingleRouter(c);
+    EXPECT_EQ(r.warmupUsed, 13000u);
+    EXPECT_EQ(r.vbr.deadlineMisses, 132u);
+    EXPECT_EQ(r.vbr.deadlineTotal, 17650u);
+    EXPECT_EQ(r.abortedFlits, 4823u);
+    EXPECT_EQ(resultDigest(r), 0x98857abdee96a07aULL);
 }
 
 } // namespace

@@ -3,17 +3,20 @@
  * Integration tests for the complete MMR router: connection
  * lifecycle, the flit-cycle pipeline, per-connection ordering, flow
  * control, dynamic bandwidth management, the passes of routers and
- * input ports that hold no flit, and the self-release of VCT segments.
+ * input ports that hold no flit, the self-release of VCT segments and
+ * the departure records the switch leaves each cycle.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/flight_recorder.hh"
+#include "router/departure_tap.hh"
 #include "router/router.hh"
 #include "sim/invariant.hh"
 #include "sim/kernel.hh"
@@ -46,12 +49,14 @@ struct Delivery
 class RouterTest : public ::testing::Test
 {
   protected:
-    RouterTest() : router(smallConfig(), &metrics)
+    RouterTest()
+        : router(smallConfig(), &metrics),
+          tap(router, [this](const MmrRouter::Departure &d, Cycle t) {
+              deliveries.push_back(Delivery{d.out, d.flit, t});
+          })
     {
-        router.setSink([this](PortId out, VcId, const Flit &f, Cycle t) {
-            deliveries.push_back(Delivery{out, f, t});
-        });
         kernel.add(&router, "dut");
+        kernel.add(&tap);
     }
 
     void
@@ -64,6 +69,7 @@ class RouterTest : public ::testing::Test
     MmrRouter router;
     Kernel kernel;
     std::vector<Delivery> deliveries;
+    DepartureTap tap;
 };
 
 TEST_F(RouterTest, OpenCbrAllocatesResources)
@@ -348,12 +354,14 @@ TEST(RouterActivity, QuietPortRollsItsRoundOnWake)
         const Cycle round = cfg.cyclesPerRound();
         MmrRouter router(cfg);
         std::vector<Cycle> sent; // departures of the CBR VC
-        router.setSink([&](PortId out, VcId, const Flit &, Cycle t) {
-            if (out == 2)
-                sent.push_back(t);
-        });
+        DepartureTap tap(router,
+                         [&](const MmrRouter::Departure &d, Cycle t) {
+                             if (d.out == 2)
+                                 sent.push_back(t);
+                         });
         Kernel kernel;
         kernel.add(&router);
+        kernel.add(&tap);
 
         const ChannelRef cbr =
             router.openCbr(0, 2, 2.0 / round * cfg.linkRateBps);
@@ -443,19 +451,23 @@ TEST(RouterActivity, QuietCyclesStillCountAsPasses)
  * A VCT segment (releaseWhenEmpty, as the network installs for a
  * datagram hop) removes itself when the flit that drains its input VC
  * crosses the switch: its connection is gone, its input and output
- * VCs are free and segmentRemoved fires once.  A VCT segment that
- * still buffers a flit survives a departure, and a plain segment —
- * here on the very VC a VCT segment just freed — never goes by itself.
+ * VCs are free and that flit's departure, once, reads released.  A
+ * VCT segment that still buffers a flit survives a departure, and a
+ * plain segment — here on the very VC a VCT segment just freed —
+ * never goes by itself.
  */
 TEST(RouterVctRelease, SegmentGoesWhenItsLastFlitLeaves)
 {
     const RouterConfig cfg = smallConfig();
     MmrRouter router(cfg);
+    std::vector<ConnId> removed;
+    DepartureTap tap(router, [&](const MmrRouter::Departure &d, Cycle) {
+        if (d.released)
+            removed.push_back(d.flit.conn);
+    });
     Kernel kernel;
     kernel.add(&router);
-    std::vector<ConnId> removed;
-    router.setSegmentRemoved(
-        [&](const SegmentParams &p) { removed.push_back(p.id); });
+    kernel.add(&tap);
 
     const auto install = [&](ConnId id, PortId in, PortId out,
                              bool vct) {
@@ -500,6 +512,135 @@ TEST(RouterVctRelease, SegmentGoesWhenItsLastFlitLeaves)
         << "a plain segment outlives its drained VC";
     EXPECT_TRUE(router.inputMemory(plain.in).vc(plain.inVc).bound());
     EXPECT_EQ(router.connectionCount(), 1u);
+}
+
+/**
+ * departures() lists one record per grant of the matching the last
+ * advance() applied, in that matching's order: the order of its
+ * "grant" trace events, issued the cycle before.  Each input port
+ * appears at most once, each record carries the flit its VC popped,
+ * and the next advance replaces the list, so a cycle without a grant
+ * leaves it empty.  Only the flit that drains a VCT segment reads
+ * released.
+ */
+TEST(RouterDepartures, OneRecordPerGrantReplacedEachAdvance)
+{
+    const RouterConfig cfg = smallConfig();
+    MmrRouter router(cfg);
+    Kernel kernel;
+    kernel.add(&router);
+
+    // Four inputs towards four distinct outputs, so several grants
+    // share a cycle; input 3 holds a VCT segment.
+    std::vector<ChannelRef> channels = {
+        router.openBestEffort(0, 2),
+        router.openCbr(1, 3, 0.5 * cfg.linkRateBps),
+        router.openBestEffort(2, 0)};
+    SegmentParams vct;
+    vct.id = 77;
+    vct.klass = TrafficClass::BestEffort;
+    vct.in = 3;
+    vct.out = 1;
+    vct.inVc = router.routing().allocInputVc(vct.in);
+    vct.outVc = router.routing().allocOutputVc(vct.out);
+    vct.releaseWhenEmpty = true;
+    ASSERT_TRUE(router.installSegment(vct));
+    channels.push_back(ChannelRef{vct.in, vct.inVc});
+
+    std::map<ConnId, SegmentParams> segs;
+    std::size_t flits = 0;
+    for (const ChannelRef &ch : channels) {
+        ASSERT_TRUE(ch.valid());
+        segs[router.segment(ch).id] = router.segment(ch);
+        const std::uint32_t n = ch.port == vct.in ? 2 : 3;
+        for (std::uint32_t seq = 0; seq < n; ++seq) {
+            Flit f;
+            f.seq = seq;
+            ASSERT_TRUE(router.inject(ch, f));
+            ++flits;
+        }
+    }
+
+    FlightRecorder fr;
+    fr.setCategoryMask(0);
+    fr.startTrace(catBit(TraceCat::Sched));
+    fr.activate();
+    std::vector<std::vector<MmrRouter::Departure>> byCycle;
+    while (router.flitsForwarded() < flits && kernel.now() < 100) {
+        kernel.step();
+        byCycle.emplace_back(router.departures().begin(),
+                             router.departures().end());
+    }
+    ASSERT_EQ(router.flitsForwarded(), flits);
+    kernel.step();
+    fr.deactivate();
+    EXPECT_TRUE(router.departures().empty())
+        << "a cycle with no grant leaves no departure";
+
+    // The grants the trace saw, grouped by the cycle they were issued.
+    std::map<Cycle, std::vector<MmrRouter::Departure>> granted;
+    std::ostringstream os;
+    fr.writeTraceJson(os);
+    std::istringstream lines(os.str());
+    for (std::string line; std::getline(lines, line);) {
+        const std::size_t at = line.find("{\"name\":\"grant\"");
+        if (at == std::string::npos)
+            continue;
+        unsigned long long ts = 0;
+        unsigned in = 0, conn = 0, vc = 0, out = 0;
+        ASSERT_EQ(std::sscanf(line.c_str() + at,
+                              "{\"name\":\"grant\",\"cat\":\"sched\","
+                              "\"ph\":\"i\",\"ts\":%llu,\"pid\":1,"
+                              "\"tid\":%u,\"s\":\"t\",\"args\":{"
+                              "\"conn\":%u,\"a0\":%u,\"a1\":%u}",
+                              &ts, &in, &conn, &vc, &out),
+                  5)
+            << line;
+        MmrRouter::Departure g;
+        g.flit.conn = conn;
+        g.in = static_cast<PortId>(in);
+        g.vc = static_cast<VcId>(vc);
+        g.out = static_cast<PortId>(out);
+        granted[ts].push_back(g);
+    }
+
+    std::map<ConnId, std::uint32_t> nextSeq;
+    std::size_t departed = 0;
+    std::size_t released = 0;
+    bool shared = false;
+    for (Cycle t = 0; t < byCycle.size(); ++t) {
+        SCOPED_TRACE("cycle " + std::to_string(t));
+        const std::vector<MmrRouter::Departure> &got = byCycle[t];
+        const std::vector<MmrRouter::Departure> want =
+            t == 0 ? std::vector<MmrRouter::Departure>{} : granted[t - 1];
+        ASSERT_EQ(got.size(), want.size());
+        shared = shared || got.size() > 1;
+        std::vector<bool> inUsed(cfg.numPorts, false);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            const MmrRouter::Departure &d = got[i];
+            EXPECT_EQ(d.in, want[i].in);
+            EXPECT_EQ(d.vc, want[i].vc);
+            EXPECT_EQ(d.out, want[i].out);
+            EXPECT_EQ(d.flit.conn, want[i].flit.conn);
+            EXPECT_FALSE(inUsed[d.in]) << "input " << d.in << " twice";
+            inUsed[d.in] = true;
+            ASSERT_EQ(segs.count(d.flit.conn), 1u);
+            const SegmentParams &seg = segs[d.flit.conn];
+            EXPECT_EQ(d.in, seg.in);
+            EXPECT_EQ(d.vc, seg.inVc);
+            EXPECT_EQ(d.outVc, seg.outVc);
+            EXPECT_EQ(d.flit.seq, nextSeq[d.flit.conn]++)
+                << "the popped flit, in FIFO order";
+            const bool last = d.flit.conn == vct.id && d.flit.seq == 1;
+            EXPECT_EQ(d.released, last);
+            released += d.released;
+            ++departed;
+        }
+    }
+    EXPECT_EQ(departed, flits);
+    EXPECT_EQ(released, 1u);
+    EXPECT_TRUE(shared) << "no cycle departed more than one flit";
+    EXPECT_EQ(router.segment(channels.back()).id, kInvalidConn);
 }
 
 /**

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "harness/single_router.hh"
+#include "router/departure_tap.hh"
 #include "sim/invariant.hh"
 #include "traffic/rates.hh"
 
@@ -110,7 +111,7 @@ TEST(CbrQuotaProperty, MisbehavingSourceIsThrottled)
     MetricsRecorder metrics;
     MmrRouter router(rc, &metrics);
     std::vector<Cycle> departures;
-    router.setSink([&](PortId, VcId, const Flit &, Cycle t) {
+    DepartureTap tap(router, [&](const MmrRouter::Departure &, Cycle t) {
         departures.push_back(t);
     });
 
@@ -123,6 +124,7 @@ TEST(CbrQuotaProperty, MisbehavingSourceIsThrottled)
 
     Kernel kernel;
     kernel.add(&router);
+    kernel.add(&tap);
     for (Cycle t = 0; t < 10 * round; ++t) {
         Flit f;
         f.readyTime = t;
@@ -153,7 +155,7 @@ TEST(CbrQuotaProperty, AllocationIsAlsoDeliveredWhenBacklogged)
 
     MmrRouter router(rc);
     std::vector<Cycle> departures;
-    router.setSink([&](PortId, VcId, const Flit &, Cycle t) {
+    DepartureTap tap(router, [&](const MmrRouter::Departure &, Cycle t) {
         departures.push_back(t);
     });
 
@@ -164,6 +166,7 @@ TEST(CbrQuotaProperty, AllocationIsAlsoDeliveredWhenBacklogged)
 
     Kernel kernel;
     kernel.add(&router);
+    kernel.add(&tap);
     for (Cycle t = 0; t < 8 * round; ++t) {
         Flit f;
         f.readyTime = t;

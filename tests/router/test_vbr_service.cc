@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "router/departure_tap.hh"
 #include "router/router.hh"
 #include "sim/kernel.hh"
 
@@ -42,17 +43,20 @@ struct Delivery
 class VbrServiceTest : public ::testing::Test
 {
   protected:
-    VbrServiceTest() : router(cfg())
+    VbrServiceTest()
+        : router(cfg()),
+          tap(router, [this](const MmrRouter::Departure &d, Cycle t) {
+              deliveries.push_back(Delivery{d.flit, t});
+          })
     {
-        router.setSink([this](PortId, VcId, const Flit &f, Cycle t) {
-            deliveries.push_back(Delivery{f, t});
-        });
         kernel.add(&router);
+        kernel.add(&tap);
     }
 
     MmrRouter router;
     Kernel kernel;
     std::vector<Delivery> deliveries;
+    DepartureTap tap;
 };
 
 TEST_F(VbrServiceTest, ExcessServedOneConnectionAtATime)
