@@ -35,7 +35,6 @@ timedSweep(SetupPolicy policy, unsigned total, unsigned batch,
     const Topology topo = Topology::irregular(16, 8, 4, rng);
     NetworkConfig cfg;
     cfg.router.vcsPerPort = 64;
-    cfg.probeHopCycles = 2;
     cfg.seed = seed;
     Network net(topo, cfg);
     Kernel kernel;

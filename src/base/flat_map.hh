@@ -2,8 +2,8 @@
  * @file
  * Open-addressing hash map for setup-path connection tables.
  *
- * The end-to-end recorder keeps an id -> record table (its overflow
- * slots) that churns one insert + one erase per session.
+ * The end-to-end recorder's connection index (id -> record number)
+ * churns one insert + one erase per session.
  * std::unordered_map pays a node allocation per insert — a million
  * heap round-trips per churn run — and exposes hash-bucket iteration
  * order, which mmr-lint's unordered-iter rule exists to keep out of
@@ -15,7 +15,8 @@
  * table that has reached its churn-steady peak never allocates again,
  * matching the amortized-to-zero discipline of the per-cycle scratch.
  * Values live inline in the slot array (keep them POD-sized; big
- * values belong in a pool indexed by a FlatMap<K, uint32_t>).
+ * values belong in a pool indexed by a FlatMap<K, uint32_t>, as the
+ * recorder's connection records do).
  *
  * Iteration is deliberately narrow: no begin()/end(), only
  * forEach(), which visits live entries in slot-array order.  That
@@ -81,13 +82,6 @@ class FlatMap
         slots[i].value = std::move(value);
         ++liveCount;
         return {&slots[i].value, true};
-    }
-
-    /** Find-or-default-insert (operator[] semantics). */
-    V &
-    operator[](K key)
-    {
-        return *insert(key, V{}).first;
     }
 
     /** Erase @p key; returns true when it was present. */

@@ -55,10 +55,15 @@ SingleRouterExperiment::channels() const
 }
 
 bool
-SingleRouterExperiment::addCbrConnection(double rate_bps)
+SingleRouterExperiment::addStream(TrafficClass klass, double rate_bps)
 {
     const unsigned ports = cfg.router.numPorts;
     const double link = cfg.router.linkRateBps;
+    // A VBR stream reserves its mean rate (rate_bps), and its peak
+    // must fit the link.
+    const double peak_bps = rate_bps * cfg.mix.vbrProfile.peakToMean;
+    if (klass == TrafficClass::VBR && peak_bps > link)
+        return false;
     // Try several random port pairs before giving up: a single output
     // may be full while others still have room.
     for (unsigned attempt = 0; attempt < 4 * ports; ++attempt) {
@@ -67,7 +72,16 @@ SingleRouterExperiment::addCbrConnection(double rate_bps)
         if (inputDemand[in] + rate_bps > link ||
             outputDemand[out] + rate_bps > link)
             continue;
-        const ChannelRef bound = dut->openCbr(in, out, rate_bps);
+        ChannelRef bound;
+        if (klass == TrafficClass::CBR) {
+            bound = dut->openCbr(in, out, rate_bps);
+        } else if (klass == TrafficClass::VBR) {
+            const int prio = static_cast<int>(
+                rng.below(std::max(1, cfg.mix.vbrPriorityLevels)));
+            bound = dut->openVbr(in, out, rate_bps, peak_bps, prio);
+        } else {
+            bound = dut->openBestEffort(in, out);
+        }
         if (!bound.valid())
             continue;
         inputDemand[in] += rate_bps;
@@ -75,76 +89,20 @@ SingleRouterExperiment::addCbrConnection(double rate_bps)
         admittedBps += rate_bps;
         Stream s;
         s.conn = dut->segment(bound).id;
-        s.klass = TrafficClass::CBR;
+        s.klass = klass;
         s.in = bound;
-        s.source = std::make_unique<CbrSource>(rate_bps, link, rng);
-        streams.push_back(std::move(s));
-        return true;
-    }
-    return false;
-}
-
-bool
-SingleRouterExperiment::addVbrConnection(double mean_rate_bps)
-{
-    const unsigned ports = cfg.router.numPorts;
-    const double link = cfg.router.linkRateBps;
-    const double peak_bps = mean_rate_bps * cfg.mix.vbrProfile.peakToMean;
-    if (peak_bps > link)
-        return false;
-    for (unsigned attempt = 0; attempt < 4 * ports; ++attempt) {
-        const auto in = static_cast<PortId>(rng.below(ports));
-        const auto out = static_cast<PortId>(rng.below(ports));
-        if (inputDemand[in] + mean_rate_bps > link ||
-            outputDemand[out] + mean_rate_bps > link)
-            continue;
-        const int prio = static_cast<int>(
-            rng.below(std::max(1, cfg.mix.vbrPriorityLevels)));
-        const ChannelRef bound =
-            dut->openVbr(in, out, mean_rate_bps, peak_bps, prio);
-        if (!bound.valid())
-            continue;
-        inputDemand[in] += mean_rate_bps;
-        outputDemand[out] += mean_rate_bps;
-        admittedBps += mean_rate_bps;
-        VbrProfile prof = cfg.mix.vbrProfile;
-        prof.meanRateBps = mean_rate_bps;
-        Stream s;
-        s.conn = dut->segment(bound).id;
-        s.klass = TrafficClass::VBR;
-        s.in = bound;
-        auto src = std::make_unique<VbrSource>(prof, link,
-                                               cfg.router.flitBits, rng);
-        s.vbr = src.get();
-        s.source = std::move(src);
-        streams.push_back(std::move(s));
-        return true;
-    }
-    return false;
-}
-
-bool
-SingleRouterExperiment::addBestEffortFlow(double rate_bps)
-{
-    const unsigned ports = cfg.router.numPorts;
-    const double link = cfg.router.linkRateBps;
-    for (unsigned attempt = 0; attempt < 4 * ports; ++attempt) {
-        const auto in = static_cast<PortId>(rng.below(ports));
-        const auto out = static_cast<PortId>(rng.below(ports));
-        if (inputDemand[in] + rate_bps > link ||
-            outputDemand[out] + rate_bps > link)
-            continue;
-        const ChannelRef bound = dut->openBestEffort(in, out);
-        if (!bound.valid())
-            continue;
-        inputDemand[in] += rate_bps;
-        outputDemand[out] += rate_bps;
-        admittedBps += rate_bps;
-        Stream s;
-        s.conn = dut->segment(bound).id;
-        s.klass = TrafficClass::BestEffort;
-        s.in = bound;
-        s.source = std::make_unique<PoissonSource>(rate_bps, link, rng);
+        if (klass == TrafficClass::CBR) {
+            s.source = std::make_unique<CbrSource>(rate_bps, link, rng);
+        } else if (klass == TrafficClass::VBR) {
+            VbrProfile prof = cfg.mix.vbrProfile;
+            prof.meanRateBps = rate_bps;
+            auto src = std::make_unique<VbrSource>(
+                prof, link, cfg.router.flitBits, rng);
+            s.vbr = src.get();
+            s.source = std::move(src);
+        } else {
+            s.source = std::make_unique<PoissonSource>(rate_bps, link, rng);
+        }
         streams.push_back(std::move(s));
         return true;
     }
@@ -180,7 +138,7 @@ SingleRouterExperiment::buildWorkload()
         if (fitting.empty())
             break;
         const double rate = rng.pick(fitting);
-        if (addCbrConnection(rate)) {
+        if (addStream(TrafficClass::CBR, rate)) {
             cbr_admitted += rate;
             failures = 0;
         } else {
@@ -200,7 +158,7 @@ SingleRouterExperiment::buildWorkload()
         if (fitting.empty())
             break;
         const double rate = rng.pick(fitting);
-        if (addVbrConnection(rate)) {
+        if (addStream(TrafficClass::VBR, rate)) {
             vbr_admitted += rate;
             failures = 0;
         } else {
@@ -215,7 +173,7 @@ SingleRouterExperiment::buildWorkload()
     while (be_target > 0.0 &&
            be_admitted + be_flow_rate <= be_target + tol &&
            failures < 64) {
-        if (addBestEffortFlow(be_flow_rate)) {
+        if (addStream(TrafficClass::BestEffort, be_flow_rate)) {
             be_admitted += be_flow_rate;
             failures = 0;
         } else {

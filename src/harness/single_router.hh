@@ -216,9 +216,11 @@ class SingleRouterExperiment
     };
 
     void buildWorkload();
-    bool addCbrConnection(double rate_bps);
-    bool addVbrConnection(double mean_rate_bps);
-    bool addBestEffortFlow(double rate_bps);
+    /** Open one stream of @p klass (CBR, VBR or best effort) between
+     * a random port pair with room for @p rate_bps (a VBR stream's
+     * mean rate) and start its source; false when no pair of a few
+     * tries admits it. */
+    bool addStream(TrafficClass klass, double rate_bps);
     void injectArrivals(Cycle now);
     void pollStream(std::size_t idx, Cycle now);
     /** Inject, step @p kernel one cycle, then account the router's

@@ -20,33 +20,31 @@ ConnectionRecorder::record(double delay_cycles, bool measured)
 }
 
 // mmr-lint: allow(hot-path-alloc) grows once per newly observed
-// connection (geometric resize / overflow insert); steady-state
-// measurement hits existing slots only.
+// connection (pool append / index insert); steady-state measurement
+// finds existing records only.
 ConnectionRecorder &
 MetricsRecorder::slot(ConnId conn)
 {
-    if (conn < kDirectConns) {
-        if (direct.size() <= conn) {
-            // Grow geometrically so steady state sees no resizes.
-            const std::size_t want = static_cast<std::size_t>(conn) + 1;
-            direct.resize(std::min<std::size_t>(
-                kDirectConns,
-                std::max<std::size_t>(want, direct.size() * 2)));
-        }
-        return direct[conn];
+    if (const std::uint32_t *at = index.find(conn))
+        return pool[*at];
+    std::uint32_t at;
+    if (freeRecords.empty()) {
+        at = static_cast<std::uint32_t>(pool.size());
+        pool.emplace_back();
+    } else {
+        at = freeRecords.back();
+        freeRecords.pop_back();
     }
-    return overflow[conn];
+    index.insert(conn, at);
+    return pool[at];
 }
 
-const ConnectionRecorder *
-MetricsRecorder::lookup(ConnId conn) const
+void
+MetricsRecorder::reserve(std::size_t n)
 {
-    if (conn < kDirectConns) {
-        if (conn < direct.size() && direct[conn].touched())
-            return &direct[conn];
-        return nullptr;
-    }
-    return overflow.find(conn);
+    index.reserve(n);
+    pool.reserve(n);
+    freeRecords.reserve(n);
 }
 
 void
@@ -131,20 +129,15 @@ MetricsRecorder::recordOutputSlots(unsigned flits, unsigned ports,
 void
 MetricsRecorder::releaseConnection(ConnId conn)
 {
-    if (conn < kDirectConns) {
-        if (conn >= direct.size() || !direct[conn].touched())
-            return;
-        retiredDelay.merge(direct[conn].delay());
-        retiredJitter.merge(direct[conn].jitter());
-        direct[conn] = ConnectionRecorder{};
-    } else {
-        const ConnectionRecorder *rec = overflow.find(conn);
-        if (rec == nullptr)
-            return;
-        retiredDelay.merge(rec->delay());
-        retiredJitter.merge(rec->jitter());
-        overflow.erase(conn);
-    }
+    const std::uint32_t *at = index.find(conn);
+    if (at == nullptr)
+        return;
+    ConnectionRecorder &rec = pool[*at];
+    retiredDelay.merge(rec.delay());
+    retiredJitter.merge(rec.jitter());
+    rec = ConnectionRecorder{};
+    freeRecords.push_back(*at);
+    index.erase(conn);
     ++retiredConns;
 }
 
@@ -152,13 +145,13 @@ double
 MetricsRecorder::meanDelayCycles() const
 {
     // Merge in sorted connection order: StreamStat::merge is floating
-    // point and therefore not associative, so unordered_map iteration
-    // order must not leak into reported results (determinism audit).
+    // point and therefore not associative, so the table's slot order
+    // must not leak into reported results (determinism audit).
     // Retired connections were folded in release order, which callers
     // keep deterministic; they seed the aggregate.
     StreamStat all = retiredDelay;
     for (ConnId conn : connections())
-        all.merge(lookup(conn)->delay());
+        all.merge(connection(conn)->delay());
     return all.mean();
 }
 
@@ -167,47 +160,36 @@ MetricsRecorder::meanJitterCycles() const
 {
     StreamStat all = retiredJitter;
     for (ConnId conn : connections())
-        all.merge(lookup(conn)->jitter());
+        all.merge(connection(conn)->jitter());
     return all.mean();
 }
 
 std::uint64_t
 MetricsRecorder::measuredFlits() const
 {
+    // Released records are reset, so the whole pool can be summed.
     std::uint64_t n = retiredDelay.count();
-    for (const ConnectionRecorder &rec : direct)
+    for (const ConnectionRecorder &rec : pool)
         n += rec.delay().count();
-    // Slot order; a commutative integer sum.
-    overflow.forEach([&](ConnId, const ConnectionRecorder &rec) {
-        n += rec.delay().count();
-    });
     return n;
 }
 
 const ConnectionRecorder *
 MetricsRecorder::connection(ConnId conn) const
 {
-    return lookup(conn);
+    const std::uint32_t *at = index.find(conn);
+    return at != nullptr ? &pool[*at] : nullptr;
 }
 
 std::vector<ConnId>
 MetricsRecorder::connections() const
 {
-    // Direct ids come out ascending by construction; overflow ids are
-    // all larger than any direct id, so sorting just the tail keeps
-    // the whole list ordered (the determinism audit relies on a
-    // stable merge order in the aggregates above).
+    // Slot order here, sorted below: the aggregates above merge in
+    // ascending id order (the determinism audit relies on it).
     std::vector<ConnId> ids;
-    ids.reserve(direct.size() + overflow.size());
-    for (std::size_t c = 0; c < direct.size(); ++c)
-        if (direct[c].touched())
-            ids.push_back(static_cast<ConnId>(c));
-    const std::size_t tail = ids.size();
-    // Slot order here; the tail is sorted on the next line.
-    overflow.forEach([&](ConnId conn, const ConnectionRecorder &) {
-        ids.push_back(conn);
-    });
-    std::sort(ids.begin() + tail, ids.end());
+    ids.reserve(index.size());
+    index.forEach([&](ConnId conn, std::uint32_t) { ids.push_back(conn); });
+    std::sort(ids.begin(), ids.end());
     return ids;
 }
 

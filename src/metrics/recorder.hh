@@ -42,9 +42,6 @@ class ConnectionRecorder
     const StreamStat &jitter() const { return jitterStat; }
     std::uint64_t flitCount() const { return flits; }
 
-    /** True once record() has been called at least once. */
-    bool touched() const { return flits > 0; }
-
   private:
     StreamStat delayStat;
     StreamStat jitterStat;
@@ -158,26 +155,24 @@ class MetricsRecorder
     /** Connections folded into the retired aggregates so far. */
     std::uint64_t retiredConnections() const { return retiredConns; }
 
-    /** Pre-size the overflow table for @p n concurrent connections. */
-    void reserveOverflow(std::size_t n) { overflow.reserve(n); }
+    /** Pre-size the connection table for @p n concurrent
+     * connections, so connections up to that count record and
+     * release without allocating. */
+    void reserve(std::size_t n);
 
   private:
-    /**
-     * Connection ids are small and dense in practice (the harness
-     * hands them out sequentially), so the per-delivered-flit lookup
-     * indexes a flat array; ids beyond the direct window fall back to
-     * a hash map.  An entry exists once record() touched it.
-     */
-    static constexpr ConnId kDirectConns = 4096;
-
     ConnectionRecorder &slot(ConnId conn);
-    const ConnectionRecorder *lookup(ConnId conn) const;
 
-    std::vector<ConnectionRecorder> direct; ///< ids < kDirectConns
-    /** Ids beyond the direct window (all churn sessions live here):
-     * a flat table so the per-session insert/erase cycle reuses
-     * tombstoned slots instead of allocating map nodes. */
-    FlatMap<ConnId, ConnectionRecorder> overflow;
+    /**
+     * The connection table.  Every id a flit carries (a harness's
+     * local id, a PCS label, a best-effort flow tag) maps through
+     * `index` to its record in `pool`; a released record is reset and
+     * its position waits on `freeRecords` for the next new id.  An
+     * entry exists once a flit of the connection was recorded.
+     */
+    FlatMap<ConnId, std::uint32_t> index;
+    std::vector<ConnectionRecorder> pool;
+    std::vector<std::uint32_t> freeRecords;
 
     /** Moments of released connections (releaseConnection). */
     StreamStat retiredDelay;

@@ -58,7 +58,6 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
         [this](TimedSetup &s) { onTimedSetupComplete(s); },
         cfg.seed ^ 0xabcdef12ULL);
-    probeMgr->setHopLatency(cfg.probeHopCycles);
 }
 
 bool
@@ -242,8 +241,7 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
             returnLostFlit(n, out, out_vc, f);
         return;
     }
-    LinkFlit lf{link.neighbor, link.remotePort, out_vc, f,
-                now + cfg.linkLatency};
+    LinkFlit lf{link.neighbor, link.remotePort, out_vc, f};
     // Fault injection: damage the payload on the wire.  The flit still
     // occupies the link; the downstream CRC check discards it.
     if (corruptHook && corruptHook(n, out, f))
@@ -309,7 +307,7 @@ Network::reserveSessions(std::size_t n)
     }
     closingSlots.reserve(n);
     probeMgr->reservePools(n);
-    e2e.reserveOverflow(n);
+    e2e.reserve(n);
 }
 
 ConnId
@@ -447,8 +445,8 @@ Network::openNow(const SetupRequest &req, SetupPolicy policy)
     Handle h;
     const ConnId id =
         found ? installReservedPath(setupSearch, h) : kInvalidConn;
-    const SetupOutcome out =
-        outcomeOf(setupSearch, id, h, probeMgr->hopCycles() * actions);
+    const SetupOutcome out = outcomeOf(
+        setupSearch, id, h, ProbeSetupManager::kHopCycles * actions);
     if (!found) {
         MMR_OBS_EVENT(TraceCat::Setup, "setup_reject",
                       simclock::now(), req.src, kInvalidConn,
@@ -809,26 +807,19 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     return true;
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: linkQueueNext,
-// pendingArrivals and the shards' arrival lists are members; their
-// capacity persists across cycles, so steady state recycles buffers
-// instead of churning deque blocks.
+// mmr-lint: allow(hot-path-alloc) amortized: pendingArrivals and the
+// shards' arrival lists are members; their capacity persists across
+// cycles, so steady state recycles buffers instead of churning deque
+// blocks.
 void
 Network::processArrivals(Cycle now)
 {
-    // Link flits whose latency has elapsed reach the downstream
-    // router: stream flits go to its shard's arrival list, which the
-    // shard deposits into their installed segments in the evaluate
-    // phase; datagrams claim next-hop resources here, drawing from
-    // `rand`.  Not-yet-due flits are kept, in FIFO order, by
-    // compacting into the swap buffer.
-    linkQueueNext.clear();
-    for (LinkFlit &qf : linkQueue) {
-        LinkFlit lf = std::move(qf);
-        if (lf.arriveAt > now) {
-            linkQueueNext.push_back(std::move(lf));
-            continue;
-        }
+    // Every link flit sent last cycle reaches the downstream router
+    // now, in FIFO order: stream flits go to its shard's arrival
+    // list, which the shard deposits into their installed segments in
+    // the evaluate phase; datagrams claim next-hop resources here,
+    // drawing from `rand`.
+    for (LinkFlit &lf : linkQueue) {
         // CRC check at the input: a flit corrupted on the wire is
         // discarded with accounting.  The upstream credit returns so
         // the VC is not wedged; a datagram additionally releases the
@@ -844,10 +835,9 @@ Network::processArrivals(Cycle now)
                           static_cast<std::int32_t>(lf.flit.src));
             continue;
         }
-        // Wire time of this hop (latency plus any cycles spent parked
-        // behind same-cycle arrivals): the LinkTransit latency stage.
-        e2e.recordLinkTransit(cfg.linkLatency + (now - lf.arriveAt),
-                              now);
+        // Wire time of this hop, one flit cycle: the LinkTransit
+        // latency stage.
+        e2e.recordLinkTransit(1, now);
         lf.flit.readyTime = now;
         if (lf.flit.isStream()) {
             mailboxes[shardOfNode(lf.toNode)].arrivals.push_back(lf);
@@ -861,7 +851,7 @@ Network::processArrivals(Cycle now)
         if (!placeDatagram(p, now))
             pendingArrivals.push_back(std::move(p));
     }
-    linkQueue.swap(linkQueueNext);
+    linkQueue.clear();
 
     // Retry every blocked datagram — those parked on earlier cycles
     // and those that just failed above — compacting the still-blocked

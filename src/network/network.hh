@@ -57,10 +57,6 @@ struct NetworkConfig
 {
     /** Per-router template; numPorts is overridden per node. */
     RouterConfig router;
-    Cycle linkLatency = 1;       ///< flit cycles per inter-router hop
-    /** Flit cycles per probe, backtrack or ack hop: the timed
-     * protocol's hop latency and the zero-time setup estimate. */
-    Cycle probeHopCycles = 2;
     std::uint64_t seed = 7;
 
     /**
@@ -319,7 +315,7 @@ class Network : public Clocked
     /**
      * Pre-seed every setup-path pool for @p n concurrent sessions:
      * the PCS connection slots (with hop capacity), the probe slot
-     * pool and the recorder's overflow table (a router's segments
+     * pool and the recorder's connection table (a router's segments
      * need no pool: they live in its VCs).  The minted PCS slots are
      * stacked under the free ones, so pops hand out what lazy growth
      * would, whether or not connections are open; no result reads a
@@ -402,7 +398,6 @@ class Network : public Clocked
         PortId toPort;
         VcId vc;
         Flit flit;
-        Cycle arriveAt;
     };
 
     /** A datagram that could not claim its next-hop resources yet. */
@@ -548,11 +543,11 @@ class Network : public Clocked
 
     ConnId nextPcsId = kPcsLabelBase; ///< next PCS connection label
 
-    /** In-flight link flits (FIFO by emission; processArrivals keeps
-     * not-yet-due flits by compacting into linkQueueNext and
-     * swapping, so steady state recycles both buffers). */
+    /** In-flight link flits, FIFO by emission.  A link is one flit
+     * cycle long: the drain of cycle t sends every entry and
+     * processArrivals lands all of them at t + 1 and clears the
+     * queue, so its capacity is recycled. */
     std::vector<LinkFlit> linkQueue;
-    std::vector<LinkFlit> linkQueueNext;
     std::vector<PendingArrival> pendingArrivals;
 
     /**

@@ -187,7 +187,7 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
             return true;
         }
         --p.ackIndex;
-        p.nextAction = now + hopLatency;
+        p.nextAction = now + kHopCycles;
         return false;
     }
 
@@ -205,7 +205,7 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
         s.state = SetupState::Returning;
         p.ackIndex = s.hops.size();
     }
-    p.nextAction = now + hopLatency;
+    p.nextAction = now + kHopCycles;
     return false;
 }
 

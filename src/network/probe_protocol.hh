@@ -114,14 +114,10 @@ class ProbeSetupManager
     ProbeSetupManager(const ProbeSetupManager &) = delete;
     ProbeSetupManager &operator=(const ProbeSetupManager &) = delete;
 
-    /** Per-hop latency of probe/backtrack/ack messages (flit cycles). */
-    void
-    setHopLatency(Cycle cycles)
-    {
-        mmr_assert(cycles >= 1, "a probe hop takes at least one cycle");
-        hopLatency = cycles;
-    }
-    Cycle hopCycles() const { return hopLatency; }
+    /** Flit cycles per probe, backtrack or ack hop (§3.4: a control
+     * message is handled in a switch reconfiguration cycle): the
+     * timed protocol's hop latency and the zero-time estimate. */
+    static constexpr Cycle kHopCycles = 2;
 
     /**
      * Zero-time setup: run @p search for @p req to completion, its
@@ -261,7 +257,6 @@ class ProbeSetupManager
     CompletionFn onComplete;
     MessageLoss messageLoss; ///< empty = lossless control channel
     Rng rng;
-    Cycle hopLatency = 2;
     Cycle timeoutCycles = 0;
     std::uint64_t statMessagesLost = 0;
     std::uint64_t statTimeouts = 0;

@@ -20,6 +20,7 @@
 #include <new>
 #include <string>
 
+#include "base/flat_map.hh"
 #include "harness/network_experiment.hh"
 #include "metrics/recorder.hh"
 #include "obs/flight_recorder.hh"
@@ -33,14 +34,17 @@ namespace
 
 std::atomic<bool> counting{false};
 std::atomic<std::uint64_t> allocations{0};
+std::atomic<std::uint64_t> allocatedBytes{0};
 
 } // namespace
 
 void *
 operator new(std::size_t n)
 {
-    if (counting.load(std::memory_order_relaxed))
+    if (counting.load(std::memory_order_relaxed)) {
         allocations.fetch_add(1, std::memory_order_relaxed);
+        allocatedBytes.fetch_add(n, std::memory_order_relaxed);
+    }
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc{};
@@ -225,8 +229,8 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
  * probe slots, with each search's hops, searched table and distance
  * snapshot, come from the probe manager's free list, the network's
  * connection records live in a pooled slot table addressed by
- * slot+epoch handles, and recorder overflow entries reuse tombstoned
- * slots.  Once the population has reached its high-water
+ * slot+epoch handles, and the recorder's connection records come
+ * from its free list.  Once the population has reached its high-water
  * mark, a steady churn window — setups, data transfer and teardowns
  * included — performs ZERO heap allocations.
  */
@@ -610,6 +614,73 @@ TEST(ZeroAlloc, FourShardNetworkAllocatesNothing)
     EXPECT_EQ(allocations.load(), 0u)
         << "the 4-shard network hit the heap (" << allocations.load()
         << " allocations)";
+}
+
+/**
+ * A FlatMap reserved for n entries churns a sliding window of n live
+ * keys — one erase and one insert per round, the session pattern —
+ * without allocating: live entries never cross the growth limit, and
+ * the same-capacity tombstone sweeps (several in this window) recycle
+ * the rehash spare that reserve() minted.
+ */
+TEST(ZeroAlloc, ReservedFlatMapChurnAllocatesNothing)
+{
+    constexpr std::uint32_t kLive = 64;
+    FlatMap<std::uint32_t, std::uint32_t> m;
+    m.reserve(kLive);
+
+    allocations.store(0);
+    counting.store(true);
+    for (std::uint32_t k = 0; k < kLive; ++k)
+        m.insert(k, k);
+    for (std::uint32_t k = kLive; k < 8 * kLive; ++k) {
+        m.erase(k - kLive);
+        m.insert(k, k);
+    }
+    counting.store(false);
+
+    EXPECT_EQ(m.size(), kLive);
+    EXPECT_EQ(allocations.load(), 0u)
+        << "reserved FlatMap churn hit the heap";
+}
+
+/**
+ * The recorder's connection table holds a 4 B index entry per id and
+ * a record per live connection, so reserving it for 4096 sessions
+ * costs under a megabyte.  The bound is a quarter of the 4,456,448 B
+ * that 120 B records held by value in the index slots and their
+ * rehash spare would take.  Once reserved, recording and releasing
+ * that many connections in churn order allocates nothing.
+ */
+TEST(ZeroAlloc, RecorderReserveIsSmallAndChurnsAllocationFree)
+{
+    constexpr std::uint32_t kSessions = 4096;
+    MetricsRecorder m;
+    m.startMeasurement(0);
+
+    allocations.store(0);
+    allocatedBytes.store(0);
+    counting.store(true);
+    m.reserve(kSessions);
+    counting.store(false);
+    EXPECT_LT(allocatedBytes.load(), 4456448u / 4)
+        << allocatedBytes.load() << " B in " << allocations.load()
+        << " allocations";
+
+    allocations.store(0);
+    counting.store(true);
+    for (ConnId id = 0; id < 4 * kSessions; ++id) {
+        if (id >= kSessions)
+            m.releaseConnection(kPcsLabelBase + id - kSessions);
+        m.recordDeparture(kPcsLabelBase + id, id, 3.0);
+        m.recordDeparture(kPcsLabelBase + id, id + 1, 5.0);
+    }
+    counting.store(false);
+
+    EXPECT_EQ(m.connections().size(), kSessions);
+    EXPECT_EQ(m.retiredConnections(), 3u * kSessions);
+    EXPECT_EQ(allocations.load(), 0u)
+        << "reserved recorder churn hit the heap";
 }
 
 } // namespace

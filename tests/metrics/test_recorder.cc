@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "metrics/recorder.hh"
 
 namespace mmr
@@ -92,6 +94,57 @@ TEST(MetricsRecorder, DelayPercentiles)
         m.recordDeparture(1, 1, static_cast<double>(i));
     EXPECT_NEAR(m.delayPercentile(50), 50.0, 1.5);
     EXPECT_NEAR(m.delayPercentile(99), 99.0, 1.5);
+}
+
+TEST(MetricsRecorder, OneTableKeysEveryIdAndRecyclesReleases)
+{
+    MetricsRecorder m;
+    m.startMeasurement(0);
+    // Ids on both sides of 4096 (local harness ids, PCS labels,
+    // best-effort tags), first seen in descending order.
+    const std::vector<ConnId> ids = {0x4000001, 0x100002, 0x100000,
+                                     5000, 4096, 4095, 17, 0};
+    for (ConnId id : ids) {
+        m.recordDeparture(id, 1, 2.0);
+        m.recordDeparture(id, 2, 6.0); // jitter 4
+    }
+    const std::vector<ConnId> ascending = {
+        0, 17, 4095, 4096, 5000, 0x100000, 0x100002, 0x4000001};
+    EXPECT_EQ(m.connections(), ascending);
+    EXPECT_EQ(m.measuredFlits(), 16u);
+
+    m.releaseConnection(4096);
+    m.releaseConnection(4095);
+    m.releaseConnection(0x100000);
+    m.releaseConnection(12345); // never recorded: nothing to retire
+    EXPECT_EQ(m.retiredConnections(), 3u);
+    EXPECT_EQ(m.connection(4096), nullptr);
+    EXPECT_EQ(m.connection(4095), nullptr);
+    const std::vector<ConnId> live = {0, 17, 5000, 0x100002, 0x4000001};
+    EXPECT_EQ(m.connections(), live);
+    EXPECT_EQ(m.measuredFlits(), 16u) << "6 retired + 10 live";
+
+    // Recorded again, a released id starts a fresh record: its first
+    // flit forms no jitter pair with the delay it had before.
+    m.recordDeparture(4095, 3, 9.0);
+    ASSERT_NE(m.connection(4095), nullptr);
+    EXPECT_EQ(m.connection(4095)->flitCount(), 1u);
+    EXPECT_EQ(m.connection(4095)->jitter().count(), 0u);
+    m.recordDeparture(4095, 4, 10.0);
+    EXPECT_EQ(m.connection(4095)->jitter().count(), 1u);
+    EXPECT_DOUBLE_EQ(m.connection(4095)->jitter().mean(), 1.0);
+
+    std::uint64_t live_flits = 0;
+    for (ConnId id : m.connections())
+        live_flits += m.connection(id)->delay().count();
+    EXPECT_EQ(live_flits, 12u);
+    EXPECT_EQ(m.measuredFlits(), 6u + live_flits);
+    EXPECT_EQ(m.retiredConnections(), 3u);
+
+    // Retired and live moments both reach the aggregates: eight
+    // connections with one jitter pair of 4, and 4095's pair of 1.
+    EXPECT_NEAR(m.meanJitterCycles(), 33.0 / 9.0, 1e-12);
+    EXPECT_NEAR(m.meanDelayCycles(), 83.0 / 18.0, 1e-12);
 }
 
 } // namespace

@@ -26,7 +26,6 @@ smallCfg()
     NetworkConfig cfg;
     cfg.router.vcsPerPort = 16;
     cfg.router.candidates = 4;
-    cfg.probeHopCycles = 2;
     cfg.seed = 17;
     return cfg;
 }
