@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared infrastructure for the figure-reproduction benches: the §5
- * experiment grid (offered-load sweeps over scheduler configurations)
- * and uniform table/CSV output so each binary prints exactly the
- * series the paper plots.
+ * Shared infrastructure for the single-router benches: each bench
+ * hands its whole grid of labelled points (a §5 figure is series x
+ * offered loads) to runGrid, the one place the sweep flags reach a
+ * point, and prints uniform table/CSV output so each binary prints
+ * exactly the series the paper plots.
  */
 
 #ifndef MMR_BENCH_BENCH_COMMON_HH
@@ -16,6 +17,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/cli.hh"
@@ -47,64 +49,86 @@ struct SweepOptions
     Cycle warmupCycles = 20000;
     Cycle measureCycles = 100000;
     std::uint64_t seed = 42;
-    WorkloadMix mix;
-    /** Shared observability outputs; each run of a sweep rewrites the
-     * file paths with a "<label>-<load>" suffix so points do not
-     * clobber each other. */
+    /** Shared observability outputs; runGrid suffixes every file path
+     * with the point's label so points do not clobber each other. */
     ObsConfig obs;
     /** Print cycles/sec + events/sec per point to stderr. */
     bool printThroughput = false;
-    /** Append per-stage / per-class percentile blocks (--percentiles;
-     * off by default so golden CSV captures stay byte-identical). */
-    bool percentiles = false;
-    /** Worker threads for the points of one sweep (sim/sweep.hh);
+    /** Worker threads for the points of the grid (sim/sweep.hh);
      * 1 = serial.  Results and digests are identical either way. */
     unsigned jobs = 1;
 };
 
-/** Per-run observability config: suffix every output path. */
-inline ObsConfig
-obsForRun(const ObsConfig &shared, const std::string &label, double load)
+/** One point of a bench's grid: the label names it on the progress
+ * line and suffixes its output paths, so it must be unique. */
+struct Point
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.2f", load);
-    return obsConfigWithSuffix(shared, label + "-" + buf);
-}
+    std::string label;
+    ExperimentConfig cfg;
+};
 
-/** Run one series over the load grid, on opts.jobs worker threads. */
+/**
+ * Run every point of a grid, in one runExperiments call on opts.jobs
+ * workers, with the sweep's warm-up, measure and seed; results come
+ * back in point order.  A bad point is refused before any point runs.
+ */
 inline std::vector<ExperimentResult>
-runSweep(const Series &series, const std::vector<double> &loads,
-         const SweepOptions &opts)
+runGrid(std::vector<Point> points, const SweepOptions &opts)
 {
     std::vector<ExperimentConfig> cfgs;
-    cfgs.reserve(loads.size());
-    for (double load : loads) {
-        ExperimentConfig cfg;
-        cfg.router.scheduler = series.scheduler;
-        cfg.router.candidates = series.candidates;
-        cfg.offeredLoad = load;
-        cfg.warmupCycles = opts.warmupCycles;
-        cfg.measureCycles = opts.measureCycles;
-        cfg.seed = opts.seed;
-        cfg.mix = opts.mix;
-        cfg.obs = obsForRun(opts.obs, series.label, load);
-        cfgs.push_back(std::move(cfg));
+    cfgs.reserve(points.size());
+    for (Point &p : points) {
+        p.cfg.warmupCycles = opts.warmupCycles;
+        p.cfg.measureCycles = opts.measureCycles;
+        p.cfg.seed = opts.seed;
+        p.cfg.obs = obsConfigWithSuffix(opts.obs, p.label);
+        cfgs.push_back(std::move(p.cfg));
     }
     const auto progress = [&](std::size_t i,
                               const ExperimentResult &r) {
-        if (opts.printThroughput) {
+        const char *label = points[i].label.c_str();
+        if (opts.printThroughput)
             std::fprintf(stderr,
-                         "  %-16s load %.2f done (%.0f cycles/s, "
-                         "%.0f events/s)\n",
-                         series.label.c_str(), loads[i],
-                         r.profile.cyclesPerSec(),
+                         "  %-20s done (%.0f cycles/s, %.0f events/s)\n",
+                         label, r.profile.cyclesPerSec(),
                          r.profile.eventsPerSec());
-        } else {
-            std::fprintf(stderr, "  %-16s load %.2f done\n",
-                         series.label.c_str(), loads[i]);
-        }
+        else
+            std::fprintf(stderr, "  %-20s done\n", label);
     };
     return runExperiments(cfgs, opts.jobs, progress);
+}
+
+/**
+ * Run every series over the load grid as one grid, each point
+ * @p base with the series' scheduler and candidates at that load,
+ * labelled "<series>-<load>".  Results are indexed [series][load].
+ */
+inline std::vector<std::vector<ExperimentResult>>
+runSweep(const std::vector<Series> &series,
+         const std::vector<double> &loads, const SweepOptions &opts,
+         const ExperimentConfig &base = {})
+{
+    std::vector<Point> points;
+    points.reserve(series.size() * loads.size());
+    for (const Series &s : series) {
+        for (double load : loads) {
+            char suffix[32];
+            std::snprintf(suffix, sizeof(suffix), "-%.2f", load);
+            Point p{s.label + suffix, base};
+            p.cfg.router.scheduler = s.scheduler;
+            p.cfg.router.candidates = s.candidates;
+            p.cfg.offeredLoad = load;
+            points.push_back(std::move(p));
+        }
+    }
+    std::vector<ExperimentResult> flat =
+        runGrid(std::move(points), opts);
+    std::vector<std::vector<ExperimentResult>> results(series.size());
+    for (std::size_t si = 0; si < series.size(); ++si)
+        for (std::size_t li = 0; li < loads.size(); ++li)
+            results[si].push_back(
+                std::move(flat[si * loads.size() + li]));
+    return results;
 }
 
 /**
@@ -178,21 +202,17 @@ printPercentiles(
     }
 }
 
-/** Standard sweep flags shared by the figure benches. */
+/** The sweep flags every single-router bench reads (runGrid). */
 inline void
 addSweepFlags(Cli &cli)
 {
     cli.flag("measure", "100000", "measured flit cycles per point");
     cli.flag("warmup", "20000", "warm-up flit cycles per point");
     cli.flag("seed", "42", "workload seed");
-    cli.flag("loads", "", "comma-separated loads (default: paper grid)");
     cli.flag("throughput", "0",
              "print simulator cycles/sec + events/sec per point");
     cli.flag("jobs", "1",
              "worker threads per sweep (0 = hardware concurrency)");
-    cli.flag("percentiles", "0",
-             "append per-stage / per-class latency percentile blocks "
-             "(p50/p90/p99/p99.9)");
     addObsFlags(cli);
 }
 
@@ -206,10 +226,16 @@ sweepOptions(const Cli &cli)
     o.obs = obsConfigFromCli(cli);
     o.printThroughput = cli.boolean("throughput") ||
                         o.obs.profileComponents;
-    o.percentiles = cli.boolean("percentiles");
     const auto jobs = cli.count<unsigned>("jobs");
     o.jobs = jobs == 0 ? defaultJobs() : jobs;
     return o;
+}
+
+/** --loads, for the benches that sweep offered load. */
+inline void
+addLoadsFlag(Cli &cli)
+{
+    cli.flag("loads", "", "comma-separated loads (default: paper grid)");
 }
 
 inline std::vector<double>
@@ -217,6 +243,15 @@ loadsFromCli(const Cli &cli)
 {
     const std::vector<double> loads = cli.reals("loads");
     return loads.empty() ? defaultLoads() : loads;
+}
+
+/** --percentiles, for the benches that print percentile blocks. */
+inline void
+addPercentilesFlag(Cli &cli)
+{
+    cli.flag("percentiles", "0",
+             "append per-stage / per-class latency percentile blocks "
+             "(p50/p90/p99/p99.9)");
 }
 
 /** --shards as a shard count: a value below 1 or above UINT32_MAX is

@@ -27,31 +27,28 @@ main(int argc, char **argv)
                     "(offered load %.0f%%)\n", 100.0 * load);
 
         const std::vector<unsigned> candidate_counts{1, 2, 3, 4, 6, 8};
+        std::vector<Series> series;
+        for (unsigned c : candidate_counts) {
+            const std::string cand = std::to_string(c) + "c";
+            series.push_back(
+                {"biased_" + cand, SchedulerKind::BiasedPriority, c});
+            series.push_back(
+                {"fixed_" + cand, SchedulerKind::FixedPriority, c});
+        }
+        const auto results = runSweep(series, {load}, opts);
+
         Table t({"candidates", "util_biased", "util_fixed",
                  "delay_us_biased", "delay_us_fixed"});
         std::vector<double> util_biased;
-        for (unsigned c : candidate_counts) {
-            ExperimentResult r[2];
-            const SchedulerKind kinds[2] = {
-                SchedulerKind::BiasedPriority,
-                SchedulerKind::FixedPriority};
-            for (int k = 0; k < 2; ++k) {
-                ExperimentConfig cfg;
-                cfg.router.scheduler = kinds[k];
-                cfg.router.candidates = c;
-                cfg.offeredLoad = load;
-                cfg.warmupCycles = opts.warmupCycles;
-                cfg.measureCycles = opts.measureCycles;
-                cfg.seed = opts.seed;
-                r[k] = runSingleRouter(cfg);
-                std::fprintf(stderr, "  %uC %s done\n", c,
-                             k == 0 ? "biased" : "fixed");
-            }
-            util_biased.push_back(r[0].utilization);
-            t.addRow({std::to_string(c), Table::num(r[0].utilization, 3),
-                      Table::num(r[1].utilization, 3),
-                      Table::num(r[0].meanDelayUs),
-                      Table::num(r[1].meanDelayUs)});
+        for (std::size_t i = 0; i < candidate_counts.size(); ++i) {
+            const ExperimentResult &biased = results[2 * i][0];
+            const ExperimentResult &fixed = results[2 * i + 1][0];
+            util_biased.push_back(biased.utilization);
+            t.addRow({std::to_string(candidate_counts[i]),
+                      Table::num(biased.utilization, 3),
+                      Table::num(fixed.utilization, 3),
+                      Table::num(biased.meanDelayUs),
+                      Table::num(fixed.meanDelayUs)});
         }
         t.print(std::cout);
         t.printCsv(std::cout, "candidates_utilization");

@@ -22,6 +22,8 @@ main(int argc, char **argv)
     return guardedMain([&] {
         Cli cli;
         addSweepFlags(cli);
+        addLoadsFlag(cli);
+        addPercentilesFlag(cli);
         if (!cli.parse(argc, argv))
             return 0;
         const auto loads = loadsFromCli(cli);
@@ -40,15 +42,13 @@ main(int argc, char **argv)
 
         std::printf("Figure 3: jitter (router cycles) vs offered load, "
                     "fixed and biased priorities\n");
-        std::vector<std::vector<ExperimentResult>> results;
-        for (const Series &s : series)
-            results.push_back(runSweep(s, loads, opts));
+        const auto results = runSweep(series, loads, opts);
 
         printFigure("fig3_jitter_cycles", series, loads, results,
                     [](const ExperimentResult &r) {
                         return r.meanJitterCycles;
                     });
-        if (opts.percentiles)
+        if (cli.boolean("percentiles"))
             printPercentiles("fig3", series, loads, results);
 
         // Shape assertions from §5.2: biased <= fixed per candidate

@@ -22,6 +22,8 @@ main(int argc, char **argv)
     return guardedMain([&] {
         Cli cli;
         addSweepFlags(cli);
+        addLoadsFlag(cli);
+        addPercentilesFlag(cli);
         if (!cli.parse(argc, argv))
             return 0;
         const auto loads = loadsFromCli(cli);
@@ -40,15 +42,13 @@ main(int argc, char **argv)
 
         std::printf("Figure 4: delay (microseconds) vs offered load, "
                     "fixed and biased priorities\n");
-        std::vector<std::vector<ExperimentResult>> results;
-        for (const Series &s : series)
-            results.push_back(runSweep(s, loads, opts));
+        const auto results = runSweep(series, loads, opts);
 
         printFigure("fig4_delay_us", series, loads, results,
                     [](const ExperimentResult &r) {
                         return r.meanDelayUs;
                     });
-        if (opts.percentiles)
+        if (cli.boolean("percentiles"))
             printPercentiles("fig4", series, loads, results);
 
         // ---- §5.2 spot checks -------------------------------------

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     return guardedMain([&] {
         Cli cli;
         addSweepFlags(cli);
+        addLoadsFlag(cli);
         if (!cli.parse(argc, argv))
             return 0;
         const auto loads = loadsFromCli(cli);
@@ -35,9 +36,7 @@ main(int argc, char **argv)
 
         std::printf("Figure 5: biased / fixed / Autonet(DEC) / perfect "
                     "switch at 8 candidates\n");
-        std::vector<std::vector<ExperimentResult>> results;
-        for (const Series &s : series)
-            results.push_back(runSweep(s, loads, opts));
+        const auto results = runSweep(series, loads, opts);
 
         std::printf("\nDelay (microseconds):\n");
         printFigure("fig5_delay_us", series, loads, results,

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     return guardedMain([&] {
         Cli cli;
         addSweepFlags(cli);
+        addLoadsFlag(cli);
         if (!cli.parse(argc, argv))
             return 0;
         const auto loads = loadsFromCli(cli);
@@ -29,27 +30,25 @@ main(int argc, char **argv)
         std::printf("Claim A4: hybrid CBR/VBR/best-effort traffic "
                     "(50/25/25 mix, biased, 8 candidates)\n");
 
+        ExperimentConfig base;
+        base.mix.cbrShare = 0.5;
+        base.mix.vbrShare = 0.25;
+        base.mix.beShare = 0.25;
+        base.mix.vbrProfile.framesPerSecond = 500.0;
+        const auto results = runSweep(
+            {{"hybrid", SchedulerKind::BiasedPriority, 8}}, loads, opts,
+            base);
+
         Table t({"offered_load", "cbr_delay_us", "vbr_delay_us",
                  "be_delay_us", "cbr_jitter", "utilization"});
         std::vector<double> cbr_delay, be_delay;
         const double ns = RouterConfig{}.flitCycleNanos();
-        for (double load : loads) {
-            ExperimentConfig cfg;
-            cfg.offeredLoad = load;
-            cfg.router.candidates = 8;
-            cfg.warmupCycles = opts.warmupCycles;
-            cfg.measureCycles = opts.measureCycles;
-            cfg.seed = opts.seed;
-            cfg.mix.cbrShare = 0.5;
-            cfg.mix.vbrShare = 0.25;
-            cfg.mix.beShare = 0.25;
-            cfg.mix.vbrProfile.framesPerSecond = 500.0;
-            const ExperimentResult r = runSingleRouter(cfg);
-            std::fprintf(stderr, "  load %.2f done\n", load);
+        for (std::size_t li = 0; li < loads.size(); ++li) {
+            const ExperimentResult &r = results[0][li];
             cbr_delay.push_back(r.cbr.delayCycles.mean() * ns / 1000.0);
             be_delay.push_back(r.bestEffort.delayCycles.mean() * ns /
                                1000.0);
-            t.addRow({Table::num(load, 2),
+            t.addRow({Table::num(loads[li], 2),
                       Table::num(cbr_delay.back()),
                       Table::num(r.vbr.delayCycles.mean() * ns / 1000.0),
                       Table::num(be_delay.back()),

@@ -23,6 +23,7 @@ main(int argc, char **argv)
     return guardedMain([&] {
         Cli cli;
         addSweepFlags(cli);
+        addLoadsFlag(cli);
         if (!cli.parse(argc, argv))
             return 0;
         const auto loads = loadsFromCli(cli);
@@ -37,9 +38,7 @@ main(int argc, char **argv)
 
         std::printf("Input-driven vs output-driven scheduling "
                     "(multiplexed crossbar, biased priorities)\n");
-        std::vector<std::vector<ExperimentResult>> results;
-        for (const Series &s : series)
-            results.push_back(runSweep(s, loads, opts));
+        const auto results = runSweep(series, loads, opts);
 
         std::printf("\nDelay (microseconds):\n");
         printFigure("io_driven_delay_us", series, loads, results,

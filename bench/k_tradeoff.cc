@@ -34,13 +34,23 @@ main(int argc, char **argv)
         const double link = 1.24 * kGbps;
         const unsigned vcs = 256;
 
+        const std::vector<unsigned> ks{1, 2, 4, 8};
+        std::vector<Point> points;
+        for (unsigned k : ks) {
+            Point p{"K" + std::to_string(k), {}};
+            p.cfg.router.roundFactorK = k;
+            p.cfg.router.candidates = 8;
+            p.cfg.offeredLoad = load;
+            points.push_back(std::move(p));
+        }
+        const auto results = runGrid(std::move(points), opts);
+
         Table t({"K", "round_cycles", "mean_overalloc_pct",
                  "worst_overalloc_pct", "jitter_cycles", "delay_us",
                  "p99_delay_cycles"});
         std::vector<double> overalloc_by_k;
-        std::vector<double> jitter_by_k;
-        for (unsigned k : {1u, 2u, 4u, 8u}) {
-            const unsigned round = k * vcs;
+        for (std::size_t i = 0; i < ks.size(); ++i) {
+            const unsigned round = ks[i] * vcs;
             // Quantization error over the rate ladder.
             double mean_err = 0.0, worst_err = 0.0;
             for (double rate : paperRateLadder()) {
@@ -52,19 +62,9 @@ main(int argc, char **argv)
             }
             mean_err /= static_cast<double>(paperRateLadder().size());
 
-            ExperimentConfig cfg;
-            cfg.router.roundFactorK = k;
-            cfg.router.candidates = 8;
-            cfg.offeredLoad = load;
-            cfg.warmupCycles = opts.warmupCycles;
-            cfg.measureCycles = opts.measureCycles;
-            cfg.seed = opts.seed;
-            const ExperimentResult r = runSingleRouter(cfg);
-            std::fprintf(stderr, "  K=%u done\n", k);
-
+            const ExperimentResult &r = results[i];
             overalloc_by_k.push_back(mean_err);
-            jitter_by_k.push_back(r.meanJitterCycles);
-            t.addRow({std::to_string(k), std::to_string(round),
+            t.addRow({std::to_string(ks[i]), std::to_string(round),
                       Table::num(mean_err, 2), Table::num(worst_err, 2),
                       Table::num(r.meanJitterCycles),
                       Table::num(r.meanDelayUs),

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     return guardedMain([&] {
         Cli cli;
         addSweepFlags(cli);
+        addPercentilesFlag(cli);
         cli.flag("load", "0.85", "offered load");
         cli.flag("cbr-budget", "0",
                  "CBR delay budget in flit cycles (0 = no QoS "
@@ -41,51 +42,28 @@ main(int argc, char **argv)
         std::printf("Per-rate QoS at %.0f%% load, 8 candidates "
                     "(jitter in router cycles)\n", 100.0 * load);
 
-        struct Policy
-        {
-            std::string name;
-            SchedulerKind kind;
+        const std::vector<Series> policies{
+            {"biased", SchedulerKind::BiasedPriority, 8},
+            {"fixed", SchedulerKind::FixedPriority, 8},
+            {"age", SchedulerKind::AgePriority, 8},
         };
-        const std::vector<Policy> policies{
-            {"biased", SchedulerKind::BiasedPriority},
-            {"fixed", SchedulerKind::FixedPriority},
-            {"age", SchedulerKind::AgePriority},
-        };
+        ExperimentConfig base;
+        base.cbrDelayBudget = budget;
+        const auto sweep = runSweep(policies, {load}, opts, base);
 
-        // rate (Mb/s) -> per-policy jitter and delay means.
+        // rate (Mb/s) -> per-policy jitter and delay means.  Every
+        // connection is CBR, at a rate from the paper's ladder.
         std::map<double, std::vector<double>> jitter_by_rate;
         std::map<double, std::vector<double>> delay_by_rate;
-        const double link = RouterConfig{}.linkRateBps;
-
-        std::vector<ExperimentResult> polResults;
-        for (const Policy &pol : policies) {
-            ExperimentConfig cfg;
-            cfg.router.scheduler = pol.kind;
-            cfg.router.candidates = 8;
-            cfg.offeredLoad = load;
-            cfg.warmupCycles = opts.warmupCycles;
-            cfg.measureCycles = opts.measureCycles;
-            cfg.seed = opts.seed;
-            cfg.cbrDelayBudget = budget;
-
-            SingleRouterExperiment exp(cfg);
-            polResults.push_back(exp.run());
-            std::fprintf(stderr, "  %s done\n", pol.name.c_str());
-
+        for (const auto &policy_runs : sweep) {
             std::map<double, StreamStat> jitter, delay;
-            for (const ChannelRef in : exp.channels()) {
-                const SegmentParams seg = exp.router().segment(in);
-                const ConnectionRecorder *rec =
-                    exp.metrics().connection(seg.id);
-                if (rec == nullptr || seg.interArrival <= 0.0)
-                    continue;
-                const double mbps =
-                    link / seg.interArrival / kMbps;
+            for (const ConnectionResult &c :
+                 policy_runs[0].perConnection) {
                 // Round to the ladder value to group identical rates.
                 const double key =
-                    std::round(mbps * 1000.0) / 1000.0;
-                jitter[key].merge(rec->jitter());
-                delay[key].merge(rec->delay());
+                    std::round(c.rateBps / kMbps * 1000.0) / 1000.0;
+                jitter[key].merge(c.jitter);
+                delay[key].merge(c.delay);
             }
             for (const auto &[rate, stat] : jitter)
                 jitter_by_rate[rate].push_back(stat.mean());
@@ -108,7 +86,7 @@ main(int argc, char **argv)
         t.print(std::cout);
         t.printCsv(std::cout, "rate_class_qos");
 
-        if (opts.percentiles) {
+        if (cli.boolean("percentiles")) {
             // Tail columns the paper's mean-only table hides: CBR
             // delay percentiles per policy, the stage decomposition
             // at p99, and — when --cbr-budget is set — the deadline
@@ -117,9 +95,9 @@ main(int argc, char **argv)
                       "cbr_p999", "cbr_max", "qos_violation_rate",
                       "qos_worst_excess_cyc"});
             for (std::size_t i = 0; i < policies.size(); ++i) {
-                const LatencySummary &s = polResults[i].cbr.latency;
-                const QosCounters &q = polResults[i].cbr.qos;
-                pt.addRow({policies[i].name, Table::num(s.p50, 0),
+                const LatencySummary &s = sweep[i][0].cbr.latency;
+                const QosCounters &q = sweep[i][0].cbr.qos;
+                pt.addRow({policies[i].label, Table::num(s.p50, 0),
                            Table::num(s.p90, 0), Table::num(s.p99, 0),
                            Table::num(s.p999, 0),
                            Table::num(s.maxCycles, 0),
@@ -134,13 +112,13 @@ main(int argc, char **argv)
             for (std::size_t i = 0; i < policies.size(); ++i) {
                 const auto p99 = [&](LatencyStage stage) {
                     return Table::num(
-                        polResults[i]
+                        sweep[i][0]
                             .stageLatency[static_cast<std::size_t>(
                                 stage)]
                             .p99,
                         0);
                 };
-                st.addRow({policies[i].name,
+                st.addRow({policies[i].label,
                            p99(LatencyStage::SourceQueue),
                            p99(LatencyStage::VcResidency),
                            p99(LatencyStage::ArbWait),

@@ -22,18 +22,12 @@ main(int argc, char **argv)
                  "delay above this counts as saturated");
         if (!cli.parse(argc, argv))
             return 0;
-        auto opts = sweepOptions(cli);
+        const auto opts = sweepOptions(cli);
         const double limit = cli.real("delay_limit_us");
 
         const std::vector<double> loads{0.50, 0.60, 0.70, 0.80,
                                         0.85, 0.90, 0.95};
-        struct Config
-        {
-            std::string label;
-            SchedulerKind kind;
-            unsigned candidates;
-        };
-        const std::vector<Config> configs{
+        const std::vector<Series> configs{
             {"biased_1c", SchedulerKind::BiasedPriority, 1},
             {"biased_2c", SchedulerKind::BiasedPriority, 2},
             {"biased_4c", SchedulerKind::BiasedPriority, 4},
@@ -42,33 +36,25 @@ main(int argc, char **argv)
         };
 
         std::printf("Saturation sweep (delay limit %.0f us)\n", limit);
+        const auto results = runSweep(configs, loads, opts);
         Table t({"config", "max_stable_load", "carried_at_max",
                  "delay_us_at_max"});
         std::vector<double> max_loads;
-        for (const Config &c : configs) {
+        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
             double best_load = 0.0, best_carried = 0.0, best_delay = 0.0;
-            for (double load : loads) {
-                ExperimentConfig cfg;
-                cfg.router.scheduler = c.kind;
-                cfg.router.candidates = c.candidates;
-                cfg.offeredLoad = load;
-                cfg.warmupCycles = opts.warmupCycles;
-                cfg.measureCycles = opts.measureCycles;
-                cfg.seed = opts.seed;
-                const ExperimentResult r = runSingleRouter(cfg);
-                std::fprintf(stderr, "  %-10s load %.2f -> %.2f us\n",
-                             c.label.c_str(), load, r.meanDelayUs);
+            for (std::size_t li = 0; li < loads.size(); ++li) {
+                const ExperimentResult &r = results[ci][li];
                 const bool stable =
                     r.meanDelayUs <= limit &&
                     r.utilization + 0.02 >= r.achievedLoad;
-                if (stable && load > best_load) {
-                    best_load = load;
+                if (stable && loads[li] > best_load) {
+                    best_load = loads[li];
                     best_carried = r.utilization;
                     best_delay = r.meanDelayUs;
                 }
             }
             max_loads.push_back(best_load);
-            t.addRow({c.label, Table::num(best_load, 2),
+            t.addRow({configs[ci].label, Table::num(best_load, 2),
                       Table::num(best_carried, 3),
                       Table::num(best_delay)});
         }

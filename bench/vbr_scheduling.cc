@@ -33,15 +33,11 @@ main(int argc, char **argv)
         const auto opts = sweepOptions(cli);
         const double load = cli.real("load");
 
-        // ---- Part 1: per-priority service ordering ----------------
-        std::printf("Claim A3a: VBR excess bandwidth served in priority "
-                    "order (load %.0f%%, peak/mean 3.0)\n", 100.0 * load);
+        // Part 1 runs the VBR mix at the offered load; part 2 runs
+        // it at a demanded load of 0.9 under each concurrency factor.
         ExperimentConfig cfg;
         cfg.offeredLoad = load;
         cfg.router.candidates = 8;
-        cfg.warmupCycles = opts.warmupCycles;
-        cfg.measureCycles = opts.measureCycles;
-        cfg.seed = opts.seed;
         cfg.mix.cbrShare = 0.0;
         cfg.mix.vbrShare = 1.0;
         cfg.mix.vbrPriorityLevels = 4;
@@ -50,30 +46,30 @@ main(int argc, char **argv)
         // measurement window.
         cfg.mix.vbrProfile.framesPerSecond = 500.0;
 
-        SingleRouterExperiment exp(cfg);
-        const ExperimentResult res = exp.run();
-        std::fprintf(stderr, "  VBR mix done (%u connections)\n",
-                     res.connections);
+        const std::vector<double> factors{1.0, 1.5, 2.0, 3.0, 4.0};
+        std::vector<Point> points{{"priority", cfg}};
+        for (double cf : factors) {
+            Point p{"concurrency_" + Table::num(cf, 1), cfg};
+            p.cfg.offeredLoad = 0.9;
+            p.cfg.router.concurrencyFactor = cf;
+            points.push_back(std::move(p));
+        }
+        const auto results = runGrid(std::move(points), opts);
 
+        // ---- Part 1: per-priority service ordering ----------------
+        std::printf("Claim A3a: VBR excess bandwidth served in priority "
+                    "order (load %.0f%%, peak/mean 3.0)\n", 100.0 * load);
         std::map<int, StreamStat> delay_by_prio;
         std::map<int, StreamStat> jitter_by_prio;
         std::map<int, std::pair<std::uint64_t, std::uint64_t>>
             deadline_by_prio;
-        for (const ChannelRef in : exp.channels()) {
-            const SegmentParams seg = exp.router().segment(in);
-            const ConnectionRecorder *rec =
-                exp.metrics().connection(seg.id);
-            if (rec == nullptr || seg.klass != TrafficClass::VBR)
+        for (const ConnectionResult &c : results[0].perConnection) {
+            if (c.klass != TrafficClass::VBR)
                 continue;
-            delay_by_prio[seg.priority].merge(rec->delay());
-            jitter_by_prio[seg.priority].merge(rec->jitter());
-            auto it = exp.deadlineStats().find(seg.id);
-            if (it != exp.deadlineStats().end()) {
-                deadline_by_prio[seg.priority].first +=
-                    it->second.first;
-                deadline_by_prio[seg.priority].second +=
-                    it->second.second;
-            }
+            delay_by_prio[c.priority].merge(c.delay);
+            jitter_by_prio[c.priority].merge(c.jitter);
+            deadline_by_prio[c.priority].first += c.deadlineMisses;
+            deadline_by_prio[c.priority].second += c.deadlineTotal;
         }
 
         Table t({"priority", "flits", "delay_cycles", "delay_us",
@@ -117,14 +113,11 @@ main(int argc, char **argv)
                   "delay_us", "p99_delay_cycles",
                   "deadline_miss_pct"});
         std::vector<unsigned> admitted;
-        for (double cf : {1.0, 1.5, 2.0, 3.0, 4.0}) {
-            ExperimentConfig c2 = cfg;
-            c2.offeredLoad = 0.9;
-            c2.router.concurrencyFactor = cf;
-            const ExperimentResult r2 = runSingleRouter(c2);
-            std::fprintf(stderr, "  concurrency %.1f done\n", cf);
+        for (std::size_t i = 0; i < factors.size(); ++i) {
+            const ExperimentResult &r2 = results[i + 1];
             admitted.push_back(r2.connections);
-            t2.addRow({Table::num(cf, 1), std::to_string(r2.connections),
+            t2.addRow({Table::num(factors[i], 1),
+                       std::to_string(r2.connections),
                        Table::num(r2.achievedLoad, 3),
                        Table::num(r2.meanDelayUs),
                        Table::num(r2.p99DelayCycles, 1),

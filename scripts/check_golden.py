@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Bit-exact golden-file regression for bench summary tables.
 
-Runs a bench binary with pinned arguments, extracts the
-machine-readable ``# begin-csv`` ... ``# end-csv`` block(s) from its
-stdout and from a committed golden file, and compares them
-byte-for-byte.  The golden may hold only the CSV blocks
-(``results/golden/*.txt``) or a bench's whole committed output
-(``results/<bench>.txt``).  The simulator guarantees same-seed
+Runs a bench binary with pinned arguments and compares its stdout
+with a committed golden file byte-for-byte.  A golden that holds a
+bench's whole committed output (``results/<bench>.txt``) is compared
+whole, header lines and shape-check verdicts included.  A golden that
+holds only the machine-readable ``# begin-csv`` ... ``# end-csv``
+block(s) (``results/golden/*.txt``) is compared with the CSV blocks
+of the output.  The simulator guarantees same-seed
 determinism (fixed-seed xoshiro RNG, deterministic number
 formatting), so any diff is a real behavior change: either a
 regression, or an intended change that must be reviewed and
@@ -65,25 +66,24 @@ def main() -> int:
         print(f"bench exited {proc.returncode}", file=sys.stderr)
         return 2
 
-    actual = extract_csv_blocks(proc.stdout)
     golden_path = pathlib.Path(args.golden)
+    golden = golden_path.read_text() if golden_path.exists() else None
+    # A golden that is more than its CSV blocks is a whole output.
+    whole = golden is not None and golden != extract_csv_blocks(golden)
+    actual = proc.stdout if whole else extract_csv_blocks(proc.stdout)
 
     if args.update:
-        # A whole-output golden is re-recorded whole.
-        whole = (golden_path.exists() and
-                 golden_path.read_text() !=
-                 extract_csv_blocks(golden_path.read_text()))
         golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_text(proc.stdout if whole else actual)
+        golden_path.write_text(actual)
         print(f"wrote {golden_path}")
         return 0
 
-    if not golden_path.exists():
+    if golden is None:
         print(f"golden file {golden_path} missing; regenerate with "
               f"--update", file=sys.stderr)
         return 1
 
-    expected = extract_csv_blocks(golden_path.read_text())
+    expected = golden
     if actual == expected:
         print(f"golden match: {golden_path}")
         return 0

@@ -44,16 +44,6 @@ ExperimentConfig::validate() const
     router.validate();
 }
 
-std::vector<ChannelRef>
-SingleRouterExperiment::channels() const
-{
-    std::vector<ChannelRef> in;
-    in.reserve(streams.size());
-    for (const Stream &s : streams)
-        in.push_back(s.in);
-    return in;
-}
-
 bool
 SingleRouterExperiment::addStream(TrafficClass klass, double rate_bps)
 {
@@ -73,10 +63,11 @@ SingleRouterExperiment::addStream(TrafficClass klass, double rate_bps)
             outputDemand[out] + rate_bps > link)
             continue;
         ChannelRef bound;
+        int prio = 0;
         if (klass == TrafficClass::CBR) {
             bound = dut->openCbr(in, out, rate_bps);
         } else if (klass == TrafficClass::VBR) {
-            const int prio = static_cast<int>(
+            prio = static_cast<int>(
                 rng.below(std::max(1, cfg.mix.vbrPriorityLevels)));
             bound = dut->openVbr(in, out, rate_bps, peak_bps, prio);
         } else {
@@ -91,6 +82,7 @@ SingleRouterExperiment::addStream(TrafficClass klass, double rate_bps)
         s.conn = dut->segment(bound).id;
         s.klass = klass;
         s.in = bound;
+        s.priority = prio;
         if (klass == TrafficClass::CBR) {
             s.source = std::make_unique<CbrSource>(rate_bps, link, rng);
         } else if (klass == TrafficClass::VBR) {
@@ -507,10 +499,24 @@ SingleRouterExperiment::run()
     harvestClass(r.vbr, TrafficClass::VBR);
     harvestClass(r.bestEffort, TrafficClass::BestEffort);
 
+    r.perConnection.reserve(streams.size());
     for (const Stream &s : streams) {
         const ConnectionRecorder *rec = recorder.connection(s.conn);
         if (rec == nullptr)
             continue;
+        ConnectionResult &c = r.perConnection.emplace_back();
+        c.klass = s.klass;
+        c.rateBps = s.source->meanRateBps();
+        c.priority = s.priority;
+        c.delay = rec->delay();
+        c.jitter = rec->jitter();
+        if (s.klass == TrafficClass::VBR) {
+            auto it = deadlineByConn.find(s.conn);
+            if (it != deadlineByConn.end()) {
+                c.deadlineMisses = it->second.first;
+                c.deadlineTotal = it->second.second;
+            }
+        }
         ClassResult *cls = nullptr;
         switch (s.klass) {
           case TrafficClass::CBR:
@@ -526,16 +532,11 @@ SingleRouterExperiment::run()
             break;
         }
         if (cls != nullptr) {
-            cls->delayCycles.merge(rec->delay());
-            cls->jitterCycles.merge(rec->jitter());
-            cls->flits += rec->delay().count();
-        }
-        if (s.klass == TrafficClass::VBR) {
-            auto it = deadlineByConn.find(s.conn);
-            if (it != deadlineByConn.end()) {
-                r.vbr.deadlineMisses += it->second.first;
-                r.vbr.deadlineTotal += it->second.second;
-            }
+            cls->delayCycles.merge(c.delay);
+            cls->jitterCycles.merge(c.jitter);
+            cls->flits += c.delay.count();
+            cls->deadlineMisses += c.deadlineMisses;
+            cls->deadlineTotal += c.deadlineTotal;
         }
     }
     return r;

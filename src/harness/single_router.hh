@@ -132,6 +132,22 @@ struct ClassResult
     }
 };
 
+/**
+ * One connection's measured service: what a bench groups connections
+ * by (class, admitted rate, VBR priority) and what it folds per group
+ * (delay, jitter, frame deadlines).
+ */
+struct ConnectionResult
+{
+    TrafficClass klass = TrafficClass::CBR;
+    double rateBps = 0.0; ///< admitted rate (a VBR stream's mean rate)
+    int priority = 0;     ///< VBR user priority (0 for other classes)
+    StreamStat delay;
+    StreamStat jitter;
+    std::uint64_t deadlineMisses = 0; ///< VBR frame deadlines (§4.3)
+    std::uint64_t deadlineTotal = 0;
+};
+
 struct ExperimentResult
 {
     double offeredLoad = 0.0;  ///< requested
@@ -152,6 +168,12 @@ struct ExperimentResult
     ClassResult cbr;
     ClassResult vbr;
     ClassResult bestEffort;
+
+    /** One record per connection the recorder saw, in open (=
+     * ascending id) order.  The class aggregates' delay, jitter, flit
+     * and deadline counts are their fold in this order, so the
+     * records stay out of resultDigest. */
+    std::vector<ConnectionResult> perConnection;
 
     /**
      * Stage latency decomposition: where a flit's switch delay went
@@ -185,24 +207,10 @@ class SingleRouterExperiment
 
     /** Router access for white-box tests. */
     MmrRouter &router() { return *dut; }
-    MetricsRecorder &metrics() { return recorder; }
 
     /** The invariant auditor ticking alongside the router.  Always
      * registered; whether checks execute follows invariant::enabled(). */
     InvariantChecker &invariants() { return auditor; }
-
-    /** Input channels of the connections buildWorkload established
-     * (after run()), in open (= ascending id) order: read each with
-     * router().segment(). */
-    std::vector<ChannelRef> channels() const;
-
-    /** Per-connection VBR deadline stats: conn -> {misses, total}. */
-    const std::unordered_map<ConnId,
-                             std::pair<std::uint64_t, std::uint64_t>> &
-    deadlineStats() const
-    {
-        return deadlineByConn;
-    }
 
   private:
     struct Stream
@@ -210,6 +218,7 @@ class SingleRouterExperiment
         ConnId conn;
         TrafficClass klass;
         ChannelRef in; ///< the input VC the connection is bound to
+        int priority = 0; ///< VBR user priority
         std::unique_ptr<TrafficSource> source;
         VbrSource *vbr = nullptr; ///< non-owning view for deadlines
         std::uint32_t seq = 0;

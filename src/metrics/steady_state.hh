@@ -49,7 +49,6 @@ class SteadyStateDetector
     }
 
     std::size_t windowsSeen() const { return history.size(); }
-    Cycle windowLength() const { return windowCycles; }
 
   private:
     Cycle windowCycles;

@@ -87,7 +87,6 @@ class NetworkInterface
         return droppedInRecovery;
     }
 
-    NodeId node() const { return host; }
     unsigned establishedStreams() const
     {
         return static_cast<unsigned>(streams.size());

@@ -176,7 +176,6 @@ class FlightRecorder
 
     /** Where crash dumps land; default "mmr-flight.json" in cwd. */
     void setDumpPath(const std::string &path) { dumpFile = path; }
-    const std::string &dumpPath() const { return dumpFile; }
 
     /**
      * Record an instant event.  Callers test activeFor(cat) first

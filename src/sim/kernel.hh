@@ -60,8 +60,6 @@ class Kernel
      * it stays only because benchmark/mmr_bench.cc still calls it. */
     void registerInvariants(InvariantChecker &) const {}
 
-    std::size_t componentCount() const { return components.size(); }
-
     // ------------------------------------------------------------------
     // Self-profiling (observability layer)
     // ------------------------------------------------------------------

@@ -70,7 +70,6 @@ VbrSource::startNextFrame(double at_cycle)
     nextEmit = std::max(at_cycle, nextEmit);
     frameActive = true;
     frameDeadline = at_cycle + frameInterval;
-    ++frameCount;
 }
 
 unsigned

@@ -81,9 +81,6 @@ class VbrSource : public TrafficSource
      */
     double currentFrameDeadline() const { return frameDeadline; }
 
-    /** Frames started so far (frame index of the current frame). */
-    std::uint64_t framesStarted() const { return frameCount; }
-
   private:
     void startNextFrame(double at_cycle);
 
@@ -102,7 +99,6 @@ class VbrSource : public TrafficSource
     double nextEmit = 0;        ///< cycle of the next flit emission
     bool frameActive = false;
     double frameDeadline = 0.0; ///< end of the current frame's slot
-    std::uint64_t frameCount = 0;
     double frameTypeMean[3];    ///< mean flits per frame for I/P/B
 };
 

@@ -81,9 +81,6 @@ class ArrivalSchedule
     /** Total arrivals drawn so far. */
     std::uint64_t drawn() const { return count; }
 
-    /** Compiled segment boundaries (testing / introspection). */
-    const std::vector<Cycle> &segmentStarts() const { return starts; }
-
   private:
     /** Advance nextAt past the current arrival: integrate λ forward
      * until the next unit-exponential work amount is exhausted. */

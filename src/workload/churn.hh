@@ -150,8 +150,6 @@ class ChurnEngine
     /** Measured probe+ack setup latency of admitted sessions. */
     const LatencyHistogram &setupLatency() const { return setupHist; }
 
-    const SessionGenerator &generator() const { return gen; }
-
     /** Sessions currently occupying pool slots. */
     std::uint32_t liveSessions() const { return used; }
     std::uint32_t peakLiveSessions() const { return peak; }

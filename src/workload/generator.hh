@@ -109,7 +109,6 @@ class SessionGenerator
     /** Class, endpoints and holding time of the next arrival. */
     Draw draw();
 
-    const ArrivalSchedule &arrivalSchedule() const { return schedule; }
     const std::vector<MixEntry> &mix() const { return classes; }
 
   private:

@@ -144,18 +144,63 @@ TEST(Harness, CustomRateLadderIsHonored)
 {
     auto cfg = smallCfg(0.5);
     cfg.rateLadder = {20 * kMbps}; // a single allowed rate
-    SingleRouterExperiment exp(cfg);
-    exp.run();
-    const double link = cfg.router.linkRateBps;
-    const double expected_ia = interArrivalCycles(20 * kMbps, link);
-    unsigned checked = 0;
-    for (const ChannelRef in : exp.channels()) {
-        const SegmentParams seg = exp.router().segment(in);
-        ASSERT_NE(seg.id, kInvalidConn);
-        EXPECT_NEAR(seg.interArrival, expected_ia, 0.5);
-        ++checked;
+    const ExperimentResult r = runSingleRouter(cfg);
+    for (const ConnectionResult &c : r.perConnection) {
+        EXPECT_EQ(c.klass, TrafficClass::CBR);
+        EXPECT_EQ(c.rateBps, 20 * kMbps);
+        EXPECT_GT(c.delay.count(), 0u);
     }
-    EXPECT_GT(checked, 10u) << "0.5 load of 20 Mb/s streams on 4 ports";
+    EXPECT_EQ(r.perConnection.size(), r.connections)
+        << "every 20 Mb/s stream sends within the window";
+    EXPECT_GT(r.perConnection.size(), 10u)
+        << "0.5 load of 20 Mb/s streams on 4 ports";
+}
+
+TEST(Harness, ClassAggregatesAreTheFoldOfTheConnectionRecords)
+{
+    auto cfg = smallCfg(0.6);
+    cfg.mix.cbrShare = 0.5;
+    cfg.mix.vbrShare = 0.3;
+    cfg.mix.beShare = 0.2;
+    cfg.mix.vbrProfile.framesPerSecond = 2000.0;
+    cfg.measureCycles = 20000;
+    const ExperimentResult r = runSingleRouter(cfg);
+    ASSERT_FALSE(r.perConnection.empty());
+    EXPECT_LE(r.perConnection.size(), r.connections);
+
+    ClassResult fold[kNumTrafficClasses];
+    std::uint64_t flits = 0;
+    for (const ConnectionResult &c : r.perConnection) {
+        ClassResult &cls = fold[static_cast<std::size_t>(c.klass)];
+        cls.flits += c.delay.count();
+        cls.delayCycles.merge(c.delay);
+        cls.jitterCycles.merge(c.jitter);
+        cls.deadlineMisses += c.deadlineMisses;
+        cls.deadlineTotal += c.deadlineTotal;
+        flits += c.delay.count();
+        if (c.klass != TrafficClass::VBR) {
+            EXPECT_EQ(c.priority, 0);
+            EXPECT_EQ(c.deadlineTotal, 0u);
+        }
+    }
+    EXPECT_EQ(flits, r.flitsDelivered);
+    const std::pair<TrafficClass, const ClassResult *> classes[] = {
+        {TrafficClass::CBR, &r.cbr},
+        {TrafficClass::VBR, &r.vbr},
+        {TrafficClass::BestEffort, &r.bestEffort},
+    };
+    for (const auto &[klass, got] : classes) {
+        const ClassResult &want = fold[static_cast<std::size_t>(klass)];
+        EXPECT_GT(want.flits, 0u);
+        EXPECT_EQ(got->flits, want.flits);
+        EXPECT_EQ(got->delayCycles.count(), want.delayCycles.count());
+        EXPECT_EQ(got->delayCycles.mean(), want.delayCycles.mean());
+        EXPECT_EQ(got->jitterCycles.count(), want.jitterCycles.count());
+        EXPECT_EQ(got->jitterCycles.mean(), want.jitterCycles.mean());
+        EXPECT_EQ(got->deadlineMisses, want.deadlineMisses);
+        EXPECT_EQ(got->deadlineTotal, want.deadlineTotal);
+    }
+    EXPECT_GT(r.vbr.deadlineTotal, 0u);
 }
 
 TEST(Harness, VbrDeadlineAccountingIsPopulated)
